@@ -447,20 +447,19 @@ def relabel_environment(env: Environment, vertex_renaming: Mapping) -> Environme
         for e in graph.edges
     ]
     new_graph = PortedGraph([renaming[v] for v in graph.vertices], new_edges)
-    sensor = env.sensor
+    sensor = _rename_sensor(env.sensor, renaming)
+    return Environment(new_graph, renaming[env.initial], sensor, env.alphabet_width)
+
+
+def _rename_sensor(sensor: SensorSpec, renaming: dict) -> SensorSpec:
+    """Move vertex labels to the renamed vertices, through any depth of filters."""
     if isinstance(sensor, LabelSensor):
-        sensor = LabelSensor(
+        return LabelSensor(
             {renaming[v]: label for v, label in sensor.vertex_labels}, sensor.edge_labels
         )
-    elif isinstance(sensor, FilteredSensor) and isinstance(sensor.base, LabelSensor):
-        sensor = FilteredSensor(
-            LabelSensor(
-                {renaming[v]: label for v, label in sensor.base.vertex_labels},
-                sensor.base.edge_labels,
-            ),
-            dict(sensor.relabel),
-        )
-    return Environment(new_graph, renaming[env.initial], sensor, env.alphabet_width)
+    if isinstance(sensor, FilteredSensor):
+        return FilteredSensor(_rename_sensor(sensor.base, renaming), sensor.relabel)
+    return sensor
 
 
 # --- degree refinement ---------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import PreconditionError, ValidationError
-from .graphs import Dart, EdgeState, GraphState, PortedGraph, VertexState
+from .graphs import Dart, EdgeState, GraphState, PortedGraph, VertexState, check_vertex_name
 from .rationals import as_fraction, to_pair
 from .sensors import SensorSpec, mark_positions, sensor_from_json
 from .signals import HALT, ControlSignal
@@ -66,7 +66,8 @@ class Environment:
         if "sensor" not in data:
             raise ValidationError("environment JSON missing sensor")
         width = data.get("alphabet_width")
-        return cls(graph, data["initial"], sensor_from_json(data["sensor"]), width)
+        initial = check_vertex_name(data["initial"])
+        return cls(graph, initial, sensor_from_json(data["sensor"]), width)
 
     def history(self, signal: ControlSignal) -> "HistoryState":
         return HistoryState(signal, trace_of(self, signal))
@@ -86,6 +87,12 @@ class Leg:
     @property
     def moving(self) -> bool:
         return self.dart is not None
+
+    def end_state(self, graph: PortedGraph) -> GraphState:
+        """Canonical state at t1."""
+        if self.moving:
+            return graph.state_on(self.dart, self.offset0 + (self.t1 - self.t0))
+        return self.state
 
 
 @dataclass(frozen=True, init=False)
@@ -135,14 +142,13 @@ class Trajectory:
 
     @property
     def final(self) -> GraphState:
-        return self.at(self.duration)
+        return self.legs[-1].end_state(self.graph) if self.legs else self.start
 
     def breakpoints(self) -> list:
         """Canonical (time, state) list: leg boundaries with canonical states."""
-        points = [(Fraction(0), self.at(Fraction(0)))]
-        for leg in self.legs:
-            points.append((leg.t1, self.at(leg.t1)))
-        return points
+        return [(Fraction(0), self.start)] + [
+            (leg.t1, leg.end_state(self.graph)) for leg in self.legs
+        ]
 
     def to_json(self) -> dict:
         return {
@@ -287,10 +293,10 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
     graph, sensor = env.graph, env.sensor
     duration = traj.duration
 
-    instants = {Fraction(0): sensor.value(graph, traj.at(Fraction(0)))}
+    instants = {Fraction(0): sensor.value(graph, traj.start)}
     intervals = []
     for leg in traj.legs:
-        instants[leg.t1] = sensor.value(graph, traj.at(leg.t1))
+        instants[leg.t1] = sensor.value(graph, leg.end_state(graph))
         if not leg.moving:
             intervals.append([leg.t0, leg.t1, sensor.value(graph, leg.state)])
             continue
@@ -312,17 +318,19 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
             merged.append([a, b, v])
     segments = tuple((a, b, v) for a, b, v in merged)
 
+    # Instants and segments are both in time order, so one forward pointer
+    # finds the segment each instant sits in.
     events = []
+    k = 0
     for t in sorted(instants):
         value = instants[t]
         if t == duration:
             events.append((t, value))
             continue
-        for a, b, v in segments:
-            if a <= t < b:
-                if v != value:
-                    events.append((t, value))
-                break
+        while segments[k][1] <= t:
+            k += 1
+        if segments[k][2] != value:
+            events.append((t, value))
     return SensorTrace(duration, segments, tuple(events))
 
 
@@ -338,12 +346,24 @@ def first_divergence(a: SensorTrace, b: SensorTrace) -> Optional[Fraction]:
         | {t for t, _ in a.events}
         | {t for t, _ in b.events}
     )
-    for t in criticals:
-        if a.value_at(t) != b.value_at(t):
-            return t
-        if a.segment_value_after(t) != b.segment_value_after(t):
+    for t, ra, rb in zip(criticals, _readings(a, criticals), _readings(b, criticals)):
+        if ra != rb:
             return t
     return None
+
+
+def _readings(trace: SensorTrace, times):
+    """(instant value, value just after) at each of the sorted times, as
+    value_at and segment_value_after give them, with one forward pointer over
+    the segments instead of a scan per time."""
+    events = dict(trace.events)
+    segments = trace.segments
+    k = 0
+    for t in times:
+        while k < len(segments) and segments[k][1] <= t:
+            k += 1
+        after = segments[k][2] if k < len(segments) and segments[k][0] <= t else None
+        yield events.get(t, after), after
 
 
 # --- trajectory metric ---------------------------------------------------

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .environments import Environment, apply, first_divergence, trace_of
+from .environments import (
+    Environment,
+    first_divergence,
+    trace_of,
+    trace_of_trajectory,
+    trajectory,
+)
 from .errors import PreconditionError, ValidationError
 from .covering import GraphMap
 from .graphs import Dart, VertexState
@@ -131,18 +137,13 @@ def check_equiv_sampled(
         if budget_seen.get((x1, x2), -1) >= remaining:
             return None
         for a in actions:
-            t1 = trace_of(e1, unit[a], x1)
-            t2 = trace_of(e2, unit[a], x2)
+            traj1 = trajectory(e1, unit[a], x1)
+            traj2 = trajectory(e2, unit[a], x2)
             checked += 1
-            d = first_divergence(t1, t2)
+            d = first_divergence(trace_of_trajectory(e1, traj1), trace_of_trajectory(e2, traj2))
             if d is not None:
                 return prefix + [a], Fraction(len(prefix)) + d
-            found = search(
-                apply(e1, unit[a], x1),
-                apply(e2, unit[a], x2),
-                remaining - 1,
-                prefix + [a],
-            )
+            found = search(traj1.final, traj2.final, remaining - 1, prefix + [a])
             if found is not None:
                 return found
         budget_seen[(x1, x2)] = remaining
@@ -191,8 +192,7 @@ class DiscreteStateSpace:
         self.env = env
         self.actions = tuple(env.actions())
         self._unit = {a: ControlSignal([(a, Fraction(1))]) for a in self.actions}
-        self._steps: dict = {}
-        self._chunks: dict = {}
+        self._moves: dict = {}
         self.states: list = []
         seen = {env.initial}
         frontier = deque([env.initial])
@@ -208,21 +208,23 @@ class DiscreteStateSpace:
     def value(self, v):
         return self.env.sensor.value(self.env.graph, VertexState(v))
 
-    def step(self, v, a):
+    def _move(self, v, a):
+        """(successor, chunk) of the unit action a from v, simulated once."""
         key = (v, a)
-        if key not in self._steps:
-            state = apply(self.env, self._unit[a], VertexState(v))
+        if key not in self._moves:
+            traj = trajectory(self.env, self._unit[a], VertexState(v))
+            state = traj.final
             if not isinstance(state, VertexState):
                 raise PreconditionError(f"unit action {a!r} from {v!r} ended mid-edge")
-            self._steps[key] = state.vertex
-        return self._steps[key]
+            tr = trace_of_trajectory(self.env, traj)
+            self._moves[key] = (state.vertex, (tr.segments, tr.events[:-1]))
+        return self._moves[key]
+
+    def step(self, v, a):
+        return self._move(v, a)[0]
 
     def chunk(self, v, a):
-        key = (v, a)
-        if key not in self._chunks:
-            tr = trace_of(self.env, self._unit[a], VertexState(v))
-            self._chunks[key] = (tr.segments, tr.events[:-1])
-        return self._chunks[key]
+        return self._move(v, a)[1]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,13 @@ from .errors import ValidationError
 from .rationals import as_fraction, from_wire, to_pair
 
 
+def check_vertex_name(name):
+    """Vertex names read from JSON must be strings or integers."""
+    if isinstance(name, bool) or not isinstance(name, (int, str)):
+        raise ValidationError(f"vertex names must be strings or integers, got {name!r}")
+    return name
+
+
 class Dart(NamedTuple):
     vertex: object
     port: int
@@ -285,6 +292,8 @@ class PortedGraph:
             raise ValidationError(f"graph JSON missing key {exc}") from exc
         if not isinstance(vertices, list) or not isinstance(raw_edges, list):
             raise ValidationError("graph JSON: vertices and edges must be lists")
+        for v in vertices:
+            check_vertex_name(v)
         edges = []
         for raw in raw_edges:
             if not isinstance(raw, dict):
@@ -292,8 +301,8 @@ class PortedGraph:
             try:
                 edges.append(
                     Edge(
-                        tail=raw["tail"],
-                        head=raw["head"],
+                        tail=check_vertex_name(raw["tail"]),
+                        head=check_vertex_name(raw["head"]),
                         port_at_tail=raw["port_at_tail"],
                         port_at_head=raw["port_at_head"],
                         length=from_wire(raw["length"]),

@@ -64,16 +64,15 @@ class LabelSensor:
         items = sorted(((v, label) for v, label in items), key=lambda kv: str(kv[0]))
         object.__setattr__(self, "vertex_labels", tuple(items))
         object.__setattr__(self, "edge_labels", tuple(edge_labels))
-
-    def _vertex_table(self) -> dict:
-        return dict(self.vertex_labels)
+        object.__setattr__(self, "_vertex_table", dict(items))
 
     def validate(self, graph: PortedGraph) -> None:
-        table = self._vertex_table()
+        table = self._vertex_table
         missing = [v for v in graph.vertices if v not in table]
         if missing:
             raise ValidationError(f"label sensor missing vertices {missing!r}")
-        extra = [v for v in table if v not in set(graph.vertices)]
+        known = set(graph.vertices)
+        extra = [v for v in table if v not in known]
         if extra:
             raise ValidationError(f"label sensor labels unknown vertices {extra!r}")
         if len(self.edge_labels) != len(graph.edges):
@@ -86,7 +85,7 @@ class LabelSensor:
 
     def value(self, graph: PortedGraph, state: GraphState):
         if isinstance(state, VertexState):
-            return self._vertex_table()[state.vertex]
+            return self._vertex_table[state.vertex]
         return self.edge_labels[graph.edge_of(state.dart)]
 
     def interior_value(self, graph: PortedGraph, edge_index: int):
@@ -96,7 +95,7 @@ class LabelSensor:
         return "label"
 
     def output_values(self, graph: PortedGraph) -> set:
-        return set(dict(self.vertex_labels).values()) | set(self.edge_labels)
+        return set(self._vertex_table.values()) | set(self.edge_labels)
 
     def to_json(self) -> dict:
         return {
@@ -125,12 +124,16 @@ class BeamSensor:
 
     def __init__(self, marks):
         object.__setattr__(self, "marks", tuple(marks))
+        by_edge = {}
+        for mark in self.marks:
+            if not isinstance(mark, BeamMark):
+                raise ValidationError(f"bad beam mark: {mark!r}")
+            by_edge.setdefault(mark.edge, []).append(mark)
+        object.__setattr__(self, "_marks_by_edge", by_edge)
 
     def validate(self, graph: PortedGraph) -> None:
         seen = set()
         for mark in self.marks:
-            if not isinstance(mark, BeamMark):
-                raise ValidationError(f"bad beam mark: {mark!r}")
             if not 0 <= mark.edge < len(graph.edges):
                 raise ValidationError(f"beam mark on unknown edge {mark.edge}")
             length = graph.edges[mark.edge].length
@@ -145,13 +148,13 @@ class BeamSensor:
             _check_scalar(mark.label)
 
     def marks_on(self, edge_index: int) -> list:
-        return [m for m in self.marks if m.edge == edge_index]
+        return list(self._marks_by_edge.get(edge_index, ()))
 
     def value(self, graph: PortedGraph, state: GraphState):
         if isinstance(state, EdgeState):
             kind, idx, pos = graph.point_of(state)
-            for mark in self.marks:
-                if mark.edge == idx and mark.offset == pos:
+            for mark in self._marks_by_edge.get(idx, ()):
+                if mark.offset == pos:
                     return mark.label
         return BLANK
 
@@ -186,13 +189,11 @@ class FilteredSensor:
         items = sorted(((src, dst) for src, dst in items), key=lambda kv: str(kv))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "relabel", tuple(items))
-
-    def _table(self) -> dict:
-        return dict(self.relabel)
+        object.__setattr__(self, "_table", dict(items))
 
     def validate(self, graph: PortedGraph) -> None:
         self.base.validate(graph)
-        table = self._table()
+        table = self._table
         missing = [v for v in self.base.output_values(graph) if v not in table]
         if missing:
             raise ValidationError(f"relabelling not total, missing {missing!r}")
@@ -200,17 +201,16 @@ class FilteredSensor:
             _check_scalar(value)
 
     def value(self, graph: PortedGraph, state: GraphState):
-        return self._table()[self.base.value(graph, state)]
+        return self._table[self.base.value(graph, state)]
 
     def interior_value(self, graph: PortedGraph, edge_index: int):
-        return self._table()[self.base.interior_value(graph, edge_index)]
+        return self._table[self.base.interior_value(graph, edge_index)]
 
     def kind(self) -> str:
         return self.base.kind()
 
     def output_values(self, graph: PortedGraph) -> set:
-        table = self._table()
-        return {table[v] for v in self.base.output_values(graph)}
+        return {self._table[v] for v in self.base.output_values(graph)}
 
     def to_json(self) -> dict:
         return {
@@ -229,7 +229,7 @@ def mark_positions(sensor: SensorSpec, graph: PortedGraph, edge_index: int) -> l
     if isinstance(sensor, BeamSensor):
         return [(m.offset, m.label) for m in sensor.marks_on(edge_index)]
     if isinstance(sensor, FilteredSensor):
-        table = dict(sensor.relabel)
+        table = sensor._table
         return [(pos, table[label]) for pos, label in mark_positions(sensor.base, graph, edge_index)]
     return []
 

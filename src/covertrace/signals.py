@@ -64,10 +64,11 @@ class ControlSignal:
             else:
                 canonical.append((symbol, duration))
         object.__setattr__(self, "pieces", tuple(canonical))
+        object.__setattr__(self, "_duration", sum((d for _, d in canonical), Fraction(0)))
 
     @property
     def duration(self) -> Fraction:
-        return sum((d for _, d in self.pieces), Fraction(0))
+        return self._duration
 
     @property
     def is_empty(self) -> bool:
@@ -152,17 +153,25 @@ EMPTY = ControlSignal()
 
 def distance(a: ControlSignal, b: ControlSignal) -> Fraction:
     """Exact metric: Lebesgue measure of the disagreement set on the common
-    horizon plus the duration gap."""
-    ta, tb = a.duration, b.duration
-    horizon = min(ta, tb)
-    cuts = sorted({t for t in a.breakpoints() + b.breakpoints() if t <= horizon})
-    if not cuts or cuts[-1] != horizon:
-        cuts.append(horizon)
+    horizon plus the duration gap.
+
+    One merge over both piece lists by piece end time, so the cost is linear
+    in the piece count."""
+    pa, pb = a.pieces, b.pieces
+    ends_a, ends_b = a.breakpoints()[1:], b.breakpoints()[1:]
     total = Fraction(0)
-    for lo, hi in zip(cuts, cuts[1:]):
-        if a.symbol_at(lo) != b.symbol_at(lo):
-            total += hi - lo
-    return total + abs(ta - tb)
+    t = Fraction(0)
+    i = j = 0
+    while i < len(pa) and j < len(pb):
+        hi = min(ends_a[i], ends_b[j])
+        if pa[i][0] != pb[j][0]:
+            total += hi - t
+        t = hi
+        if ends_a[i] == hi:
+            i += 1
+        if ends_b[j] == hi:
+            j += 1
+    return total + abs(a.duration - b.duration)
 
 
 def geodesic(a: ControlSignal, b: ControlSignal, s) -> ControlSignal:

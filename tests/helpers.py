@@ -4,11 +4,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from hypothesis import strategies as st
+
 from covertrace import (
+    HALT,
     ControlSignal,
     DegreeSensor,
     Environment,
     PortedGraph,
+    VertexState,
     build_edges,
 )
 
@@ -76,3 +80,38 @@ def dense_trajectory_distance(traj_a, traj_b, steps: int = 60) -> Fraction:
         d = graph.point_distance(traj_a.at(t), traj_b.at(t))
         best = max(best, d)
     return best + abs(traj_a.duration - traj_b.duration)
+
+
+def rational_signals(width: int = 2, max_pieces: int = 5, denominators=(1, 2, 3, 4, 6)):
+    """Hypothesis strategy for signals over Port(0..width-1) and Halt whose
+    piece durations are small rationals, zero included (canonical form drops
+    them), so grid oracles stay cheap."""
+    symbols = st.one_of(st.integers(0, width - 1), st.just(HALT))
+    durations = st.builds(Fraction, st.integers(0, 8), st.sampled_from(denominators))
+    return st.lists(st.tuples(symbols, durations), max_size=max_pieces).map(ControlSignal)
+
+
+@st.composite
+def graph_states(draw, graph: PortedGraph):
+    """Hypothesis strategy for a vertex or a strictly interior edge point, in
+    either direction of travel."""
+    if draw(st.booleans()):
+        return VertexState(draw(st.sampled_from(graph.vertices)))
+    dart = draw(st.sampled_from(sorted(graph.darts(), key=str)))
+    den = draw(st.integers(2, 6))
+    return graph.state_on(dart, graph.length(dart) * Fraction(draw(st.integers(1, den - 1)), den))
+
+
+def naive_first_divergence(a, b):
+    """First-divergence oracle: compare instant and just-after readings,
+    each found by a scan of the trace, at every segment start and event time
+    of either trace, in time order."""
+    criticals = sorted(
+        {t for t, _, _ in a.segments + b.segments} | {t for t, _ in a.events + b.events}
+    )
+    for t in criticals:
+        if a.value_at(t) != b.value_at(t):
+            return t
+        if a.segment_value_after(t) != b.segment_value_after(t):
+            return t
+    return None

@@ -151,6 +151,24 @@ class TestVerdictCommands:
         code, _, _ = run(capsys, ["bisim", str(tmp_path / "void.json"), env_file])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"vertices": [["a"]], "edges": [], "initial": ["a"]},
+            {"initial": ["x0"]},
+            {"edges": [{"tail": ["x0"], "head": "x1", "port_at_tail": 0,
+                        "port_at_head": 0, "length": [1, 1]}]},
+        ],
+        ids=["vertex", "initial", "edge-tail"],
+    )
+    def test_non_scalar_vertex_names_exit_2(self, capsys, tmp_path, patch):
+        payload = {**three_cycle_env().to_json(), **patch}
+        env = write_json(tmp_path / "env.json", payload)
+        signal = write_json(tmp_path / "sig.json", [[0, 1, 1]])
+        code, _, err = run(capsys, ["trace", env, signal])
+        assert code == 2
+        assert "Traceback" not in err
+
     def test_non_unit_lengths_exit_3(self, capsys, tmp_path):
         payload = three_cycle_env().to_json()
         payload["edges"][0]["length"] = [3, 2]

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertrace import (
     EDGE,
@@ -24,6 +26,7 @@ from covertrace import (
     VertexState,
     apply,
     build_edges,
+    cyclic_cover,
     first_divergence,
     relabel_environment,
     trace_of,
@@ -31,6 +34,7 @@ from covertrace import (
     trajectory_distance,
 )
 from covertrace.equivalence import port_preserving_automorphisms
+from covertrace.gallery import GALLERY
 from covertrace.generate import (
     random_ported_graph,
     random_signal,
@@ -41,7 +45,10 @@ from covertrace.signals import EMPTY
 from helpers import (
     dense_trajectory_distance,
     figure_eight_env,
+    graph_states,
+    naive_first_divergence,
     path_middle_env,
+    rational_signals,
     three_cycle,
     three_cycle_env,
 )
@@ -49,6 +56,20 @@ from helpers import (
 
 def sig(*pieces) -> ControlSignal:
     return ControlSignal(pieces)
+
+
+def _comparison_pairs() -> list:
+    """Environment pairs whose traces of one signal are compared: the gallery
+    pairs, and each gallery environment against a 3-fold cyclic cover of it."""
+    pairs = [GALLERY[name]() for name in sorted(GALLERY)]
+    for first, second in list(pairs):
+        for env in (first, second):
+            cover, _ = cyclic_cover(env, 3, [i % 3 for i in range(len(env.graph.edges))])
+            pairs.append((env, cover))
+    return pairs
+
+
+COMPARISON_PAIRS = _comparison_pairs()
 
 
 class TestGraphValidation:
@@ -228,6 +249,17 @@ class TestTrajectory:
             d = g.point_distance(traj.at(t1), traj.at(t2))
             assert d <= abs(t1 - t2)
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_final_and_breakpoints_match_evaluation(self, data):
+        env = data.draw(st.sampled_from([e for pair in COMPARISON_PAIRS for e in pair]))
+        start = data.draw(graph_states(env.graph))
+        u = data.draw(rational_signals(width=env.alphabet_width))
+        traj = trajectory(env, u, start)
+        assert traj.final == traj.at(traj.duration) == apply(env, u, start)
+        for t, state in traj.breakpoints():
+            assert state == traj.at(t)
+
     def test_evaluation_matches_apply(self):
         rng = random.Random(33)
         env = figure_eight_env()
@@ -300,6 +332,12 @@ class TestTraces:
         t2 = trace_of(three_cycle_env(), u)
         assert first_divergence(t1, t2) == 1
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(COMPARISON_PAIRS), rational_signals(width=4, max_pieces=6))
+    def test_first_divergence_matches_naive_scan(self, pair, u):
+        t1, t2 = (trace_of(env, u) for env in pair)
+        assert first_divergence(t1, t2) == naive_first_divergence(t1, t2)
+
     def test_mismatched_durations_rejected(self):
         env = three_cycle_env()
         with pytest.raises(ValidationError):
@@ -366,6 +404,18 @@ class TestSensorInvariance:
         env = three_cycle_env()
         renamed = relabel_environment(env, {"x0": "a", "x1": "b", "x2": "c"})
         rng = random.Random(37)
+        for _ in range(30):
+            u = random_signal(rng, 2, max_pieces=4)
+            assert trace_of(env, u) == trace_of(renamed, u)
+
+    def test_relabelling_moves_labels_through_nested_filters(self):
+        labels = LabelSensor({"x0": 0, "x1": 1, "x2": 2}, (3, 4, 5))
+        inner = FilteredSensor(labels, {0: "p", 1: "q", 2: "q", 3: "e", 4: "e", 5: "f"})
+        sensor = FilteredSensor(inner, {"p": 1, "q": 2, "e": 0, "f": 0})
+        env = Environment(three_cycle(), "x0", sensor, 2)
+        renamed = relabel_environment(env, {"x0": "a", "x1": "b", "x2": "c"})
+        assert renamed.sensor.base.base == LabelSensor({"a": 0, "b": 1, "c": 2}, (3, 4, 5))
+        rng = random.Random(38)
         for _ in range(30):
             u = random_signal(rng, 2, max_pieces=4)
             assert trace_of(env, u) == trace_of(renamed, u)

@@ -15,6 +15,8 @@ from covertrace import (
     PortedGraph,
     PreconditionError,
     ValidationError,
+    VertexState,
+    apply,
     build_edges,
     check_equiv_sampled,
     compute_bisimulation,
@@ -31,7 +33,8 @@ from covertrace import (
     verify_covering,
 )
 from covertrace.covering import pullback_sensor
-from covertrace.gallery import beams_pair, circle_pair, crossing_pair, kite_pair
+from covertrace.equivalence import DiscreteStateSpace
+from covertrace.gallery import GALLERY, beams_pair, circle_pair, crossing_pair, kite_pair
 from covertrace.generate import (
     random_signal,
     random_unit_environment,
@@ -185,6 +188,21 @@ class TestBisimulation:
                 if not traces_equal(e1, e2, ControlSignal([(a, 1) for a in combo])).equal
             )
             assert ControlSignal([(a, 1) for a in first]) == res.witness
+
+
+class TestDiscreteStateSpace:
+    def test_moves_match_apply_and_trace_of(self):
+        envs = [env for name in sorted(GALLERY) for env in GALLERY[name]()]
+        unit_envs = [env for env in envs if env.graph.unit_lengths()]
+        assert unit_envs
+        for env in unit_envs:
+            space = DiscreteStateSpace(env)
+            for v in space.states:
+                for a in space.actions:
+                    u = ControlSignal([(a, 1)])
+                    assert VertexState(space.step(v, a)) == apply(env, u, VertexState(v))
+                    tr = trace_of(env, u, VertexState(v))
+                    assert space.chunk(v, a) == (tr.segments, tr.events[:-1])
 
 
 class TestVerifyBisimulation:

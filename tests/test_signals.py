@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from covertrace import EMPTY, HALT, ControlSignal, PreconditionError, ValidationError
 from covertrace.generate import random_signal
 from covertrace.signals import distance, geodesic
 
-from helpers import grid_distance
+from helpers import grid_distance, rational_signals
 
 
 def sig(*pieces) -> ControlSignal:
@@ -161,12 +162,10 @@ class TestDistance:
         assert distance(a, b) == 2
         assert grid_distance(a, b) == 2
 
-    def test_matches_grid_oracle(self):
-        rng = random.Random(16)
-        for _ in range(100):
-            a = random_signal(rng, 2, max_pieces=4, max_denominator=4)
-            b = random_signal(rng, 2, max_pieces=4, max_denominator=4)
-            assert distance(a, b) == grid_distance(a, b)
+    @settings(max_examples=150, deadline=None)
+    @given(rational_signals(width=3), rational_signals(width=3))
+    def test_matches_grid_oracle(self, a, b):
+        assert distance(a, b) == grid_distance(a, b)
 
     def test_metric_axioms(self):
         rng = random.Random(17)
