@@ -18,14 +18,7 @@ from .environments import Environment, Trajectory, trajectory
 from .errors import PreconditionError, ValidationError
 from .graphs import Dart, Edge, GraphState, PortedGraph, VertexState
 from .rationals import as_fraction
-from .sensors import (
-    BeamMark,
-    BeamSensor,
-    DegreeSensor,
-    FilteredSensor,
-    LabelSensor,
-    SensorSpec,
-)
+from .sensors import SensorSpec
 from .signals import ControlSignal
 
 
@@ -77,16 +70,19 @@ class GraphMap:
     def from_json(cls, data, source: Optional[PortedGraph] = None) -> "GraphMap":
         if not isinstance(data, dict) or "vertex_map" not in data:
             raise ValidationError("graph map JSON must carry vertex_map")
+        if "dart_map" not in data and source is None:
+            raise ValidationError("dart_map omitted and no source graph to derive it from")
         raw_v = data["vertex_map"]
-        vitems = raw_v.items() if isinstance(raw_v, dict) else [(s, d) for s, d in raw_v]
-        if "dart_map" in data:
+        try:
+            vitems = dict(raw_v.items() if isinstance(raw_v, dict) else [(s, d) for s, d in raw_v])
+            if "dart_map" not in data:
+                return cls.from_vertex_map(source, vitems)
             ditems = [
                 (Dart(dv, dp), Dart(ev, ep)) for (dv, dp), (ev, ep) in data["dart_map"]
             ]
-            return cls(dict(vitems), ditems)
-        if source is None:
-            raise ValidationError("dart_map omitted and no source graph to derive it from")
-        return cls.from_vertex_map(source, dict(vitems))
+            return cls(vitems, ditems)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"bad graph map JSON: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -129,9 +125,10 @@ def _check_structure(f: GraphMap, source: PortedGraph, target: PortedGraph) -> N
             raise ValidationError(f"vertex {v!r} unmapped")
         if vmap[v] not in set(target.vertices):
             raise ValidationError(f"vertex {v!r} maps outside the target")
+    unmapped = [d for d in source.darts() if d not in dmap]
+    if unmapped:
+        raise ValidationError(f"dart {unmapped[0]!r} unmapped")
     for d in source.darts():
-        if d not in dmap:
-            raise ValidationError(f"dart {d!r} unmapped")
         image = dmap[d]
         if not target.has_dart(image):
             raise ValidationError(f"dart {d!r} maps to unknown dart {image!r}")
@@ -209,35 +206,15 @@ def pullback_sensor(
 ) -> SensorSpec:
     """Pull a sensor on the target back along the map: h' = h after f.
     Beam marks reappear once on every preimage edge."""
-    if isinstance(sensor, DegreeSensor):
-        return DegreeSensor()
-    if isinstance(sensor, LabelSensor):
-        vmap = dict(f.vertex_map)
-        vertex_labels = {v: dict(sensor.vertex_labels)[vmap[v]] for v in source_graph.vertices}
-        dmap = dict(f.dart_map)
-        edge_labels = []
-        for idx in range(len(source_graph.edges)):
-            image = dmap[source_graph.forward_dart(idx)]
-            edge_labels.append(sensor.edge_labels[target_graph.edge_of(image)])
-        return LabelSensor(vertex_labels, edge_labels)
-    if isinstance(sensor, BeamSensor):
-        dmap = dict(f.dart_map)
-        marks = []
-        for idx in range(len(source_graph.edges)):
-            fwd = source_graph.forward_dart(idx)
-            image = dmap[fwd]
-            image_idx = target_graph.edge_of(image)
-            image_forward = image == target_graph.forward_dart(image_idx)
-            length = source_graph.edges[idx].length
-            for mark in sensor.marks_on(image_idx):
-                pos = mark.offset if image_forward else length - mark.offset
-                marks.append(BeamMark(idx, pos, mark.label))
-        return BeamSensor(marks)
-    if isinstance(sensor, FilteredSensor):
-        return FilteredSensor(
-            pullback_sensor(f, source_graph, target_graph, sensor.base), dict(sensor.relabel)
-        )
-    raise ValidationError(f"unknown sensor {sensor!r}")
+    vmap = dict(f.vertex_map)
+    dmap = dict(f.dart_map)
+    target_forward = [target_graph.forward_dart(j) for j in range(len(target_graph.edges))]
+    edge_image = []
+    for idx, e in enumerate(source_graph.edges):
+        image = dmap[source_graph.forward_dart(idx)]
+        image_idx = target_graph.edge_of(image)
+        edge_image.append((image_idx, image == target_forward[image_idx], e.length))
+    return sensor.pullback({v: vmap[v] for v in source_graph.vertices}, edge_image)
 
 
 def lift_sensor(f: GraphMap, source: Environment, target: Environment) -> SensorSpec:
@@ -249,8 +226,7 @@ def lift_sensor(f: GraphMap, source: Environment, target: Environment) -> Sensor
 def lift_environment(f: GraphMap, source: Environment, target: Environment) -> Environment:
     """The source environment re-equipped with the pulled-back sensor and the
     target's alphabet width."""
-    _require_covering(f, source, target)
-    sensor = pullback_sensor(f, source.graph, target.graph, target.sensor)
+    sensor = lift_sensor(f, source, target)
     return Environment(source.graph, source.initial, sensor, target.alphabet_width)
 
 
@@ -354,15 +330,6 @@ def cyclic_cover(env: Environment, k: int, voltages):
     return cover, projection
 
 
-def deck_rotation(env: Environment, cover: Environment, k: int) -> dict:
-    """Vertex renaming (v, i) -> (v, i+1 mod k) on a cyclic cover's names."""
-    rotation = {}
-    for v in cover.graph.vertices:
-        base, _, layer = v.rpartition("@")
-        rotation[v] = f"{base}@{(int(layer) + 1) % k}"
-    return rotation
-
-
 def universal_cover_truncation(env: Environment, radius):
     """Tree of reduced edge-walks from the base point, cut past `radius`.
 
@@ -447,19 +414,8 @@ def relabel_environment(env: Environment, vertex_renaming: Mapping) -> Environme
         for e in graph.edges
     ]
     new_graph = PortedGraph([renaming[v] for v in graph.vertices], new_edges)
-    sensor = _rename_sensor(env.sensor, renaming)
+    sensor = env.sensor.rename(renaming)
     return Environment(new_graph, renaming[env.initial], sensor, env.alphabet_width)
-
-
-def _rename_sensor(sensor: SensorSpec, renaming: dict) -> SensorSpec:
-    """Move vertex labels to the renamed vertices, through any depth of filters."""
-    if isinstance(sensor, LabelSensor):
-        return LabelSensor(
-            {renaming[v]: label for v, label in sensor.vertex_labels}, sensor.edge_labels
-        )
-    if isinstance(sensor, FilteredSensor):
-        return FilteredSensor(_rename_sensor(sensor.base, renaming), sensor.relabel)
-    return sensor
 
 
 # --- degree refinement ---------------------------------------------------

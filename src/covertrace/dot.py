@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .environments import Environment
 from .graphs import PortedGraph, VertexState
-from .sensors import BLANK, EDGE, SensorSpec, mark_positions
+from .sensors import BLANK, EDGE, SensorSpec
 
 
 def _quote(text: str) -> str:
@@ -24,7 +24,7 @@ def _edge_label(graph: PortedGraph, sensor, idx: int) -> str:
         interior = sensor.interior_value(graph, idx)
         if interior not in (EDGE, BLANK):
             parts.append(str(interior))
-        for pos, label in mark_positions(sensor, graph, idx):
+        for pos, label in sensor.marks_on(idx):
             parts.append(f"{label}@{pos}")
     return " ".join(parts)
 

@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import PreconditionError, ValidationError
-from .graphs import Dart, EdgeState, GraphState, PortedGraph, VertexState, check_vertex_name
+from .graphs import Dart, GraphState, PortedGraph, VertexState, check_vertex_name
 from .rationals import as_fraction, to_pair
-from .sensors import SensorSpec, mark_positions, sensor_from_json
+from .sensors import SensorSpec, sensor_from_json
 from .signals import HALT, ControlSignal
 
 
@@ -68,9 +68,6 @@ class Environment:
         width = data.get("alphabet_width")
         initial = check_vertex_name(data["initial"])
         return cls(graph, initial, sensor_from_json(data["sensor"]), width)
-
-    def history(self, signal: ControlSignal) -> "HistoryState":
-        return HistoryState(signal, trace_of(self, signal))
 
 
 @dataclass(frozen=True)
@@ -168,15 +165,15 @@ def _state_to_json(state: GraphState) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class HistoryState:
-    """What the robot can know after playing a signal: the signal and its trace."""
-
-    signal: ControlSignal
-    trace: "SensorTrace"
+def apply(env: Environment, signal: ControlSignal, state: Optional[GraphState] = None) -> GraphState:
+    """Final state after playing the whole signal from `state` (default: initial)."""
+    return trajectory(env, signal, state).final
 
 
-def _run(graph: PortedGraph, start: GraphState, signal: ControlSignal):
+def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphState] = None) -> Trajectory:
+    """The robot's exact motion under the signal from `start` (default: initial)."""
+    graph = env.graph
+    start = env.initial_state if start is None else graph.check_state(start)
     legs = []
     t = Fraction(0)
     cur = start
@@ -205,20 +202,7 @@ def _run(graph: PortedGraph, start: GraphState, signal: ControlSignal):
                 cur = graph.state_on(d, cur.offset + step)
             t += step
             remaining -= step
-    return cur, legs
-
-
-def apply(env: Environment, signal: ControlSignal, state: Optional[GraphState] = None) -> GraphState:
-    """Final state after playing the whole signal from `state` (default: initial)."""
-    start = env.initial_state if state is None else env.graph.check_state(state)
-    final, _ = _run(env.graph, start, signal)
-    return final
-
-
-def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphState] = None) -> Trajectory:
-    start = env.initial_state if start is None else env.graph.check_state(start)
-    _, legs = _run(env.graph, start, signal)
-    return Trajectory(env.graph, start, legs)
+    return Trajectory(graph, start, legs)
 
 
 # --- sensor traces -------------------------------------------------------
@@ -270,9 +254,6 @@ class SensorTrace:
         events = tuple((te, ve) for te, ve in self.events if te < t) + ((t, final_value),)
         return SensorTrace(t, tuple(segments), events)
 
-    def labelled_events(self) -> list:
-        return list(self.events)
-
     def to_json(self) -> dict:
         return {
             "duration": to_pair(self.duration),
@@ -305,7 +286,7 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
         length = graph.length(leg.dart)
         forward = leg.dart == graph.forward_dart(idx)
         off_hi = leg.offset0 + (leg.t1 - leg.t0)
-        for pos, label in mark_positions(sensor, graph, idx):
+        for pos, label in sensor.marks_on(idx):
             dart_pos = pos if forward else length - pos
             if leg.offset0 < dart_pos < off_hi:
                 instants[leg.t0 + (dart_pos - leg.offset0)] = label

@@ -26,7 +26,6 @@ from .errors import PreconditionError, ValidationError
 from .covering import GraphMap
 from .graphs import Dart, VertexState
 from .rationals import to_pair
-from .sensors import mark_positions
 from .signals import EMPTY, ControlSignal
 
 
@@ -469,10 +468,10 @@ def homomorphism_search(e1: Environment, e2: Environment) -> Optional[GraphMap]:
             return None
         length = g1.edges[idx].length
         forward = image == g2.forward_dart(jdx)
-        source_marks = sorted(mark_positions(e1.sensor, g1, idx))
+        source_marks = sorted(e1.sensor.marks_on(idx))
         target_marks = sorted(
             (q if forward else length - q, label)
-            for q, label in mark_positions(e2.sensor, g2, jdx)
+            for q, label in e2.sensor.marks_on(jdx)
         )
         if source_marks != target_marks:
             return None

@@ -32,11 +32,6 @@ def random_signal(
     return ControlSignal(pieces)
 
 
-def random_discrete_signal(rng: random.Random, width: int, length: int) -> ControlSignal:
-    symbols = list(range(width)) + [HALT]
-    return ControlSignal([(rng.choice(symbols), Fraction(1)) for _ in range(length)])
-
-
 def random_ported_graph(
     rng: random.Random,
     n_min: int = 2,

@@ -3,6 +3,11 @@
 Four families: degree readout, vertex/edge labellings, beam marks strictly
 inside edges, and a total relabelling filter over any of the others.  Sensor
 values must be JSON scalars so traces serialize losslessly.
+
+Every sensor answers the same protocol, so no other module dispatches on the
+sensor type: value and interior_value read it, marks_on lists its beam marks
+inside an edge, pullback pulls it back along a graph map and rename moves it
+along a vertex renaming.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from typing import Union
 
 from .errors import ValidationError
 from .graphs import EdgeState, GraphState, PortedGraph, VertexState
-from .rationals import as_fraction, from_wire, to_pair
+from .rationals import from_wire, to_pair
 
 EDGE = "edge"
 BLANK = "blank"
@@ -24,8 +29,28 @@ def _check_scalar(value):
     return value
 
 
+class _Sensor:
+    """Protocol defaults for a sensor without beam marks or vertex data."""
+
+    def marks_on(self, edge_index: int):
+        """Instant-readout points inside the edge as (position from stored
+        tail, output value) pairs."""
+        return ()
+
+    def pullback(self, vertex_image: dict, edge_image: list) -> "SensorSpec":
+        """The sensor read through a graph map, h' = h after f.  vertex_image
+        sends each source vertex to its image; edge_image gives, for each
+        source edge in order, (image edge index, whether the stored
+        orientations agree, source edge length)."""
+        return self
+
+    def rename(self, renaming: dict) -> "SensorSpec":
+        """The same sensor with its vertex data moved along a vertex renaming."""
+        return self
+
+
 @dataclass(frozen=True)
-class DegreeSensor:
+class DegreeSensor(_Sensor):
     """Reads deg(v) at a vertex and the marker EDGE strictly inside edges."""
 
     def validate(self, graph: PortedGraph) -> None:
@@ -50,7 +75,7 @@ class DegreeSensor:
 
 
 @dataclass(frozen=True, init=False)
-class LabelSensor:
+class LabelSensor(_Sensor):
     """Reads a fixed label at each vertex and along each edge interior.
 
     edge_labels is ordered like graph.edges.
@@ -91,6 +116,18 @@ class LabelSensor:
     def interior_value(self, graph: PortedGraph, edge_index: int):
         return self.edge_labels[edge_index]
 
+    def pullback(self, vertex_image: dict, edge_image: list) -> "LabelSensor":
+        table = self._vertex_table
+        return LabelSensor(
+            {v: table[w] for v, w in vertex_image.items()},
+            [self.edge_labels[j] for j, _, _ in edge_image],
+        )
+
+    def rename(self, renaming: dict) -> "LabelSensor":
+        return LabelSensor(
+            {renaming[v]: label for v, label in self.vertex_labels}, self.edge_labels
+        )
+
     def kind(self) -> str:
         return "label"
 
@@ -116,7 +153,7 @@ class BeamMark:
 
 
 @dataclass(frozen=True, init=False)
-class BeamSensor:
+class BeamSensor(_Sensor):
     """Reads BLANK everywhere except exactly on a beam mark, where it reads the
     mark's label.  Crossing a mark mid-flight shows up as a trace event."""
 
@@ -126,10 +163,14 @@ class BeamSensor:
         object.__setattr__(self, "marks", tuple(marks))
         by_edge = {}
         for mark in self.marks:
-            if not isinstance(mark, BeamMark):
+            if (
+                not isinstance(mark, BeamMark)
+                or isinstance(mark.edge, bool)
+                or not isinstance(mark.edge, int)
+            ):
                 raise ValidationError(f"bad beam mark: {mark!r}")
-            by_edge.setdefault(mark.edge, []).append(mark)
-        object.__setattr__(self, "_marks_by_edge", by_edge)
+            by_edge.setdefault(mark.edge, []).append((mark.offset, mark.label))
+        object.__setattr__(self, "_marks_by_edge", {e: tuple(ms) for e, ms in by_edge.items()})
 
     def validate(self, graph: PortedGraph) -> None:
         seen = set()
@@ -147,15 +188,23 @@ class BeamSensor:
             seen.add(key)
             _check_scalar(mark.label)
 
-    def marks_on(self, edge_index: int) -> list:
-        return list(self._marks_by_edge.get(edge_index, ()))
+    def marks_on(self, edge_index: int):
+        return self._marks_by_edge.get(edge_index, ())
+
+    def pullback(self, vertex_image: dict, edge_image: list) -> "BeamSensor":
+        """Beam marks reappear once on every preimage edge."""
+        marks = []
+        for idx, (j, same_orientation, length) in enumerate(edge_image):
+            for offset, label in self.marks_on(j):
+                marks.append(BeamMark(idx, offset if same_orientation else length - offset, label))
+        return BeamSensor(marks)
 
     def value(self, graph: PortedGraph, state: GraphState):
         if isinstance(state, EdgeState):
             kind, idx, pos = graph.point_of(state)
-            for mark in self._marks_by_edge.get(idx, ()):
-                if mark.offset == pos:
-                    return mark.label
+            for offset, label in self._marks_by_edge.get(idx, ()):
+                if offset == pos:
+                    return label
         return BLANK
 
     def interior_value(self, graph: PortedGraph, edge_index: int):
@@ -178,7 +227,7 @@ class BeamSensor:
 
 
 @dataclass(frozen=True, init=False)
-class FilteredSensor:
+class FilteredSensor(_Sensor):
     """A base sensor post-composed with a total relabelling of its outputs."""
 
     base: object
@@ -206,6 +255,16 @@ class FilteredSensor:
     def interior_value(self, graph: PortedGraph, edge_index: int):
         return self._table[self.base.interior_value(graph, edge_index)]
 
+    def marks_on(self, edge_index: int):
+        table = self._table
+        return [(pos, table[label]) for pos, label in self.base.marks_on(edge_index)]
+
+    def pullback(self, vertex_image: dict, edge_image: list) -> "FilteredSensor":
+        return FilteredSensor(self.base.pullback(vertex_image, edge_image), self.relabel)
+
+    def rename(self, renaming: dict) -> "FilteredSensor":
+        return FilteredSensor(self.base.rename(renaming), self.relabel)
+
     def kind(self) -> str:
         return self.base.kind()
 
@@ -223,17 +282,6 @@ class FilteredSensor:
 SensorSpec = Union[DegreeSensor, LabelSensor, BeamSensor, FilteredSensor]
 
 
-def mark_positions(sensor: SensorSpec, graph: PortedGraph, edge_index: int) -> list:
-    """Instant-readout points inside an edge as (position from stored tail,
-    output value); empty for sensors without beams."""
-    if isinstance(sensor, BeamSensor):
-        return [(m.offset, m.label) for m in sensor.marks_on(edge_index)]
-    if isinstance(sensor, FilteredSensor):
-        table = sensor._table
-        return [(pos, table[label]) for pos, label in mark_positions(sensor.base, graph, edge_index)]
-    return []
-
-
 def sensor_from_json(data) -> SensorSpec:
     if not isinstance(data, dict) or "type" not in data:
         raise ValidationError(f"bad sensor JSON: {data!r}")
@@ -248,17 +296,18 @@ def sensor_from_json(data) -> SensorSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad label sensor JSON: {data!r}") from exc
     if kind == "beam":
-        marks = []
-        for raw in data.get("marks", []):
-            try:
-                marks.append(BeamMark(raw["edge"], from_wire(raw["offset"]), raw["label"]))
-            except KeyError as exc:
-                raise ValidationError(f"beam mark JSON missing {exc}") from exc
+        try:
+            marks = [
+                BeamMark(raw["edge"], from_wire(raw["offset"]), raw["label"])
+                for raw in data.get("marks", [])
+            ]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"bad beam sensor JSON: {data!r}") from exc
         return BeamSensor(marks)
     if kind == "filtered":
         try:
             base = sensor_from_json(data["base"])
-            pairs = [(src, dst) for src, dst in data["relabel"]]
+            pairs = [(_check_scalar(src), dst) for src, dst in data["relabel"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad filtered sensor JSON: {data!r}") from exc
         return FilteredSensor(base, pairs)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import PreconditionError, ValidationError
-from .rationals import as_fraction, from_wire, to_pair
+from .rationals import as_fraction, from_wire
 
 HALT = "halt"
 
@@ -26,13 +26,6 @@ def check_symbol(symbol) -> Symbol:
     if isinstance(symbol, int) and not isinstance(symbol, bool) and symbol >= 0:
         return symbol
     raise ValidationError(f"bad control symbol: {symbol!r}")
-
-
-def symbol_sort_key(symbol: Symbol) -> tuple:
-    """Canonical action order: ports ascending, halt last."""
-    if symbol == HALT:
-        return (1, 0)
-    return (0, symbol)
 
 
 @dataclass(frozen=True, init=False)

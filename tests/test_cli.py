@@ -158,8 +158,17 @@ class TestVerdictCommands:
             {"initial": ["x0"]},
             {"edges": [{"tail": ["x0"], "head": "x1", "port_at_tail": 0,
                         "port_at_head": 0, "length": [1, 1]}]},
+            {"sensor": {"type": "beam",
+                        "marks": [{"edge": "0", "offset": [1, 2], "label": "m"}]}},
+            {"sensor": {"type": "beam",
+                        "marks": [{"edge": True, "offset": [1, 2], "label": "m"}]}},
+            {"sensor": {"type": "beam", "marks": [[0, [1, 2], "m"]]}},
+            {"sensor": {"type": "beam", "marks": 5}},
+            {"sensor": {"type": "filtered", "base": {"type": "degree"},
+                        "relabel": [[["x"], 1]]}},
         ],
-        ids=["vertex", "initial", "edge-tail"],
+        ids=["vertex", "initial", "edge-tail", "beam-edge-str", "beam-edge-bool",
+             "beam-mark-list", "beam-marks-int", "relabel-list"],
     )
     def test_non_scalar_vertex_names_exit_2(self, capsys, tmp_path, patch):
         payload = {**three_cycle_env().to_json(), **patch}
@@ -189,6 +198,23 @@ class TestCoverCommands:
         code, out, _ = run(capsys, ["check-cover", mapping, cover, env_file])
         assert code == 0
         assert json.loads(out)["covering"] is True
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"vertex_map": 5},
+            {"vertex_map": [["x0", "x0"], ["x1", "x1"], ["x2", "x2"]], "dart_map": 5},
+            {"vertex_map": []},
+            {"vertex_map": [["x0", "x0"], ["x1", "x1"], ["x2", "x2"]],
+             "dart_map": [[["x0", 0], ["x0", 0]]]},
+        ],
+        ids=["vertex-map-int", "dart-map-int", "vertex-map-partial", "dart-map-partial"],
+    )
+    def test_malformed_map_exits_2(self, capsys, tmp_path, env_file, mapping):
+        bad = write_json(tmp_path / "map.json", mapping)
+        code, _, err = run(capsys, ["check-cover", bad, env_file, env_file])
+        assert code == 2
+        assert "Traceback" not in err
 
     def test_check_cover_negative_exits_1(self, capsys, tmp_path):
         from covertrace import DegreeSensor, PortedGraph, build_edges

@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 from covertrace import (
+    BLANK,
     BeamMark,
     BeamSensor,
     ControlSignal,
     Dart,
     DegreeSensor,
+    Edge,
     Environment,
     FilteredSensor,
     GraphMap,
@@ -36,6 +38,8 @@ from covertrace import (
 )
 from covertrace.gallery import crossing_pair
 from covertrace.generate import (
+    random_beam_sensor,
+    random_label_sensor,
     random_ported_graph,
     random_signal,
     random_voltages,
@@ -191,6 +195,48 @@ class TestSensorPullback:
         )
         with pytest.raises(PreconditionError):
             lift_sensor(collapse, source, target)
+
+
+class TestSensorProtocol:
+    SENSORS = {
+        "degree": lambda rng, g: DegreeSensor(),
+        "label": random_label_sensor,
+        "beam": random_beam_sensor,
+        "filtered-beam": lambda rng, g: FilteredSensor(
+            random_beam_sensor(rng, g), {BLANK: 0, "red": 1, "green": 1}
+        ),
+        "filtered-filtered-label": lambda rng, g: FilteredSensor(
+            FilteredSensor(random_label_sensor(rng, g), {0: "a", 1: "b", 2: "a"}),
+            {"a": 5, "b": 6},
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SENSORS))
+    def test_pullbacks_and_renamings_keep_traces(self, kind):
+        """A cyclic cover, the same graph with every edge stored the other way
+        round, and a renamed copy all read the traces of their base."""
+        rng = random.Random(46)
+        for case in range(20):
+            g = random_ported_graph(rng, unit_lengths=case % 2 == 0)
+            env = Environment(g, g.vertices[0], self.SENSORS[kind](rng, g))
+            k = rng.randint(2, 4)
+            cover, _ = cyclic_cover(env, k, random_voltages(rng, g, k))
+            flipped = PortedGraph(
+                g.vertices,
+                [Edge(e.head, e.tail, e.port_at_head, e.port_at_tail, e.length) for e in g.edges],
+            )
+            flipped_env = lift_environment(
+                identity_map(flipped), Environment(flipped, env.initial, DegreeSensor()), env
+            )
+            shuffled = list(g.vertices)
+            rng.shuffle(shuffled)
+            renamed = relabel_environment(env, {v: f"r{w}" for v, w in zip(g.vertices, shuffled)})
+            for _ in range(8):
+                u = random_signal(rng, env.alphabet_width, max_pieces=5)
+                expected = trace_of(env, u)
+                assert trace_of(cover, u) == expected
+                assert trace_of(flipped_env, u) == expected
+                assert trace_of(renamed, u) == expected
 
 
 class TestLiftStatePath:
