@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -59,7 +60,15 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _emit(data) -> None:
-    print(json.dumps(data, sort_keys=True, indent=2))
+    try:
+        print(json.dumps(data, sort_keys=True, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (`covertrace ... | head`).  Point stdout at
+        # the null device so the flush at exit cannot fail again, and let the
+        # command return its own exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
 
 
 def _note(message: str) -> None:

@@ -10,13 +10,14 @@ are reported as failing, not rejected.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .environments import Environment, Trajectory, trajectory
 from .errors import PreconditionError, ValidationError
-from .graphs import Dart, Edge, GraphState, PortedGraph, VertexState
+from .graphs import Dart, Edge, GraphState, PortedGraph, VertexState, check_port, check_vertex_name
 from .rationals import as_fraction
 from .sensors import SensorSpec
 from .signals import ControlSignal
@@ -26,32 +27,25 @@ from .signals import ControlSignal
 class GraphMap:
     """A candidate map between ported graphs: total on vertices and darts."""
 
-    vertex_map: tuple
-    dart_map: tuple
+    vertex_map: dict
+    dart_map: dict
 
     def __init__(self, vertex_map, dart_map):
-        vitems = vertex_map.items() if isinstance(vertex_map, dict) else vertex_map
-        ditems = dart_map.items() if isinstance(dart_map, dict) else dart_map
-        object.__setattr__(
-            self, "vertex_map", tuple(sorted(vitems, key=lambda kv: str(kv[0])))
-        )
-        object.__setattr__(
-            self,
-            "dart_map",
-            tuple(sorted(((Dart(*d), Dart(*e)) for d, e in ditems), key=lambda kv: (str(kv[0][0]), kv[0][1]))),
-        )
+        ditems = dart_map.items() if isinstance(dart_map, Mapping) else dart_map
+        object.__setattr__(self, "vertex_map", dict(vertex_map))
+        object.__setattr__(self, "dart_map", {Dart(*d): Dart(*e) for d, e in ditems})
 
     @classmethod
     def from_vertex_map(cls, source: PortedGraph, vertex_map: Mapping) -> "GraphMap":
         """Port-preserving dart map induced by a vertex map."""
         darts = {d: Dart(vertex_map[d.vertex], d.port) for d in source.darts()}
-        return cls(dict(vertex_map), darts)
+        return cls(vertex_map, darts)
 
     def vertex(self, v):
-        return dict(self.vertex_map)[v]
+        return self.vertex_map[v]
 
     def dart(self, d: Dart) -> Dart:
-        return dict(self.dart_map)[d]
+        return self.dart_map[d]
 
     def state(self, target: PortedGraph, state: GraphState) -> GraphState:
         if isinstance(state, VertexState):
@@ -59,11 +53,13 @@ class GraphMap:
         return target.state_on(self.dart(state.dart), state.offset)
 
     def to_json(self) -> dict:
+        vertex_items = sorted(self.vertex_map.items(), key=lambda kv: str(kv[0]))
+        dart_items = sorted(
+            self.dart_map.items(), key=lambda kv: (str(kv[0].vertex), kv[0].port)
+        )
         return {
-            "vertex_map": [[src, dst] for src, dst in self.vertex_map],
-            "dart_map": [
-                [[d.vertex, d.port], [e.vertex, e.port]] for d, e in self.dart_map
-            ],
+            "vertex_map": [[src, dst] for src, dst in vertex_items],
+            "dart_map": [[[d.vertex, d.port], [e.vertex, e.port]] for d, e in dart_items],
         }
 
     @classmethod
@@ -74,15 +70,21 @@ class GraphMap:
             raise ValidationError("dart_map omitted and no source graph to derive it from")
         raw_v = data["vertex_map"]
         try:
-            vitems = dict(raw_v.items() if isinstance(raw_v, dict) else [(s, d) for s, d in raw_v])
+            vpairs = raw_v.items() if isinstance(raw_v, dict) else raw_v
+            vitems = {check_vertex_name(s): check_vertex_name(d) for s, d in vpairs}
             if "dart_map" not in data:
                 return cls.from_vertex_map(source, vitems)
             ditems = [
-                (Dart(dv, dp), Dart(ev, ep)) for (dv, dp), (ev, ep) in data["dart_map"]
+                (_dart_from_json(d), _dart_from_json(e)) for d, e in data["dart_map"]
             ]
             return cls(vitems, ditems)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad graph map JSON: {exc!r}") from exc
+
+
+def _dart_from_json(raw) -> Dart:
+    vertex, port = raw
+    return Dart(check_vertex_name(vertex), check_port(port))
 
 
 @dataclass(frozen=True)
@@ -118,12 +120,12 @@ class CoveringCertificate:
 
 
 def _check_structure(f: GraphMap, source: PortedGraph, target: PortedGraph) -> None:
-    vmap = dict(f.vertex_map)
-    dmap = dict(f.dart_map)
+    vmap, dmap = f.vertex_map, f.dart_map
+    target_vertices = set(target.vertices)
     for v in source.vertices:
         if v not in vmap:
             raise ValidationError(f"vertex {v!r} unmapped")
-        if vmap[v] not in set(target.vertices):
+        if vmap[v] not in target_vertices:
             raise ValidationError(f"vertex {v!r} maps outside the target")
     unmapped = [d for d in source.darts() if d not in dmap]
     if unmapped:
@@ -155,8 +157,7 @@ def verify_covering(
     """
     sg, tg = source.graph, target.graph
     _check_structure(f, sg, tg)
-    vmap = dict(f.vertex_map)
-    dmap = dict(f.dart_map)
+    vmap, dmap = f.vertex_map, f.dart_map
     skip = set(skip_star_at)
     failures = []
 
@@ -206,15 +207,13 @@ def pullback_sensor(
 ) -> SensorSpec:
     """Pull a sensor on the target back along the map: h' = h after f.
     Beam marks reappear once on every preimage edge."""
-    vmap = dict(f.vertex_map)
-    dmap = dict(f.dart_map)
     target_forward = [target_graph.forward_dart(j) for j in range(len(target_graph.edges))]
     edge_image = []
     for idx, e in enumerate(source_graph.edges):
-        image = dmap[source_graph.forward_dart(idx)]
+        image = f.dart_map[source_graph.forward_dart(idx)]
         image_idx = target_graph.edge_of(image)
         edge_image.append((image_idx, image == target_forward[image_idx], e.length))
-    return sensor.pullback({v: vmap[v] for v in source_graph.vertices}, edge_image)
+    return sensor.pullback({v: f.vertex_map[v] for v in source_graph.vertices}, edge_image)
 
 
 def lift_sensor(f: GraphMap, source: Environment, target: Environment) -> SensorSpec:
@@ -284,6 +283,10 @@ def cyclic_cover(env: Environment, k: int, voltages):
     """
     per_edge = _normalize_voltages(env, k, voltages)
     graph = env.graph
+    voltage = {}
+    for e, value in zip(graph.edges, per_edge):
+        voltage[Dart(e.tail, e.port_at_tail)] = value
+        voltage[Dart(e.head, e.port_at_head)] = -value
 
     def name(v, i):
         return f"{v}@{i}"
@@ -296,34 +299,25 @@ def cyclic_cover(env: Environment, k: int, voltages):
             continue
         component.add(node)
         v, i = node
-        for idx, e in enumerate(graph.edges):
-            if e.tail == v:
-                stack.append((e.head, (i + per_edge[idx]) % k))
-            if e.head == v:
-                stack.append((e.tail, (i - per_edge[idx]) % k))
+        for d in graph.darts_at(v):
+            stack.append((graph.head(d), (i + voltage[d]) % k))
 
-    vertices = [name(v, i) for v in graph.vertices for i in range(k) if (v, i) in component]
-    edges = []
-    for idx, e in enumerate(graph.edges):
-        for i in range(k):
-            if (e.tail, i) not in component:
-                continue
-            edges.append(
-                Edge(
-                    name(e.tail, i),
-                    name(e.head, (i + per_edge[idx]) % k),
-                    e.port_at_tail,
-                    e.port_at_head,
-                    e.length,
-                )
-            )
-    cover_graph = PortedGraph(vertices, edges)
-
-    vertex_map = {}
-    for v in graph.vertices:
-        for i in range(k):
-            if (v, i) in component:
-                vertex_map[name(v, i)] = v
+    edges = [
+        Edge(
+            name(e.tail, i),
+            name(e.head, (i + value) % k),
+            e.port_at_tail,
+            e.port_at_head,
+            e.length,
+        )
+        for e, value in zip(graph.edges, per_edge)
+        for i in range(k)
+        if (e.tail, i) in component
+    ]
+    vertex_map = {
+        name(v, i): v for v in graph.vertices for i in range(k) if (v, i) in component
+    }
+    cover_graph = PortedGraph(vertex_map, edges)
     projection = GraphMap.from_vertex_map(cover_graph, vertex_map)
     sensor = pullback_sensor(projection, cover_graph, graph, env.sensor)
     cover = Environment(cover_graph, name(env.initial, 0), sensor, env.alphabet_width)
@@ -345,59 +339,36 @@ def universal_cover_truncation(env: Environment, radius):
         raise PreconditionError(f"radius must be positive, got {radius}")
     graph = env.graph
 
-    names = {}
-    info = {}
-
-    def new_node(base_vertex, dist, back_dart):
-        node = f"t{len(names)}"
-        names[node] = base_vertex
-        info[node] = {"dist": dist, "back": back_dart, "edges": {}}
-        return node
-
-    root = new_node(env.initial, Fraction(0), None)
+    root = "t0"
+    vertex_map = {root: env.initial}
+    dart_map = {}
     edges = []
     boundary = set()
-    queue = [root]
+    # (tree node, walk length, base dart leading from the node back to its parent)
+    queue = deque([(root, Fraction(0), None)])
     while queue:
-        node = queue.pop(0)
-        base = names[node]
-        dist = info[node]["dist"]
-        back = info[node]["back"]
-        child_darts = [
-            d for d in graph.darts_at(base) if back is None or d != graph.reverse(back)
-        ]
-        if dist >= radius:
-            if child_darts:
-                boundary.add(node)
-            continue
-        for d in child_darts:
-            child = new_node(graph.head(d), dist + graph.length(d), d)
-            info[node]["edges"][d.port] = (child, d)
-            queue.append(child)
+        node, dist, back = queue.popleft()
+        for d in graph.darts_at(vertex_map[node]):
+            if d == back:
+                continue
+            child = f"t{len(vertex_map)}"
+            vertex_map[child] = graph.head(d)
+            child_dist = dist + graph.length(d)
+            reverse = graph.reverse(d)
+            if child_dist < radius:
+                queue.append((child, child_dist, reverse))
+                child_port = reverse.port
+            else:
+                # a cut leaf keeps only its backward dart, which is port 0; it
+                # is boundary when the base vertex has darts the tree dropped
+                child_port = 0
+                if graph.degree(vertex_map[child]) > 1:
+                    boundary.add(child)
+            edges.append(Edge(node, child, d.port, child_port, graph.length(d)))
+            dart_map[Dart(node, d.port)] = d
+            dart_map[Dart(child, child_port)] = reverse
 
-    # edges run parent -> child; boundary children get port 0 on their side
-    for node, data in info.items():
-        for port, (child, d) in data["edges"].items():
-            back_port = graph.reverse(d).port
-            child_is_boundary = child in boundary
-            edges.append(
-                Edge(
-                    node,
-                    child,
-                    port,
-                    0 if child_is_boundary else back_port,
-                    graph.length(d),
-                )
-            )
-
-    cover_graph = PortedGraph(list(names), edges)
-    vertex_map = dict(names)
-    dart_map = {}
-    for node, data in info.items():
-        for port, (child, d) in data["edges"].items():
-            child_is_boundary = child in boundary
-            dart_map[Dart(node, port)] = d
-            dart_map[Dart(child, 0 if child_is_boundary else graph.reverse(d).port)] = graph.reverse(d)
+    cover_graph = PortedGraph(vertex_map, edges)
     projection = GraphMap(vertex_map, dart_map)
     sensor = pullback_sensor(projection, cover_graph, graph, env.sensor)
     cover = Environment(cover_graph, root, sensor, env.alphabet_width)

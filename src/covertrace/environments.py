@@ -85,11 +85,15 @@ class Leg:
     def moving(self) -> bool:
         return self.dart is not None
 
+    def at(self, graph: PortedGraph, t: Fraction) -> GraphState:
+        """Canonical state at time t in [t0, t1]."""
+        if self.moving:
+            return graph.state_on(self.dart, self.offset0 + (t - self.t0))
+        return self.state
+
     def end_state(self, graph: PortedGraph) -> GraphState:
         """Canonical state at t1."""
-        if self.moving:
-            return graph.state_on(self.dart, self.offset0 + (self.t1 - self.t0))
-        return self.state
+        return self.at(graph, self.t1)
 
 
 @dataclass(frozen=True, init=False)
@@ -132,9 +136,7 @@ class Trajectory:
             return self.start
         for leg in self.legs:
             if t <= leg.t1:
-                if leg.moving:
-                    return self.graph.state_on(leg.dart, leg.offset0 + (t - leg.t0))
-                return leg.state
+                return leg.at(self.graph, t)
         raise AssertionError("unreachable")
 
     @property
@@ -350,19 +352,9 @@ def _readings(trace: SensorTrace, times):
 # --- trajectory metric ---------------------------------------------------
 
 
-def _leg_description(traj: Trajectory, lo: Fraction, hi: Fraction):
-    """Position on [lo, hi] as ('V', v), ('E', idx, pos) for a resting point, or
-    ('M', idx, c, m) moving with edge-frame position c + m*t."""
-    graph = traj.graph
-    leg = None
-    for cand in traj.legs:
-        if cand.t0 <= lo and hi <= cand.t1:
-            leg = cand
-            break
-    if leg is None:
-        if lo == hi:
-            return _point_description(graph, traj.at(lo))
-        raise AssertionError("interval not inside a single leg")
+def _leg_description(graph: PortedGraph, leg: Leg):
+    """Position during the leg as ('V', v), ('E', idx, pos) for a resting point,
+    or ('M', idx, c, m) moving with edge-frame position c + m*t."""
     if not leg.moving:
         return _point_description(graph, leg.state)
     idx = graph.edge_of(leg.dart)
@@ -416,10 +408,19 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> Fraction:
                     cuts.add(t)
     times = sorted(cuts)
 
-    sample_times = set(times)
+    # Every leg boundary is a cut, so each interval lies inside one leg of
+    # each trajectory; one forward pointer per trajectory finds it.
+    best = graph.point_distance(a.start, b.start)
+    pa = pb = 0
     for lo, hi in zip(times, times[1:]):
-        da = _leg_description(a, lo, hi)
-        db = _leg_description(b, lo, hi)
+        while a.legs[pa].t1 < hi:
+            pa += 1
+        while b.legs[pb].t1 < hi:
+            pb += 1
+        leg_a, leg_b = a.legs[pa], b.legs[pb]
+        da = _leg_description(graph, leg_a)
+        db = _leg_description(graph, leg_b)
+        sample_times = {hi}
         lines = []
         for u, alpha1, beta1 in _end_distances(graph, da):
             for w, alpha2, beta2 in _end_distances(graph, db):
@@ -442,10 +443,6 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> Fraction:
                     tx = (a2 - a1) / (b1 - b2)
                     if lo < tx < hi:
                         sample_times.add(tx)
-
-    best = Fraction(0)
-    for t in sorted(sample_times):
-        d = graph.point_distance(a.at(t), b.at(t))
-        if d > best:
-            best = d
+        for t in sample_times:
+            best = max(best, graph.point_distance(leg_a.at(graph, t), leg_b.at(graph, t)))
     return best + abs(a.duration - b.duration)

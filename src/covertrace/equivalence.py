@@ -426,7 +426,7 @@ def port_preserving_automorphisms(graph) -> list:
         candidate = structure_map(graph, graph, v0, w)
         if candidate is None:
             continue
-        vmap = dict(candidate.vertex_map)
+        vmap = candidate.vertex_map
         if len(set(vmap.values())) != len(graph.vertices):
             continue
         if any(graph.degree(v) != graph.degree(fv) for v, fv in vmap.items()):
@@ -452,17 +452,13 @@ def homomorphism_search(e1: Environment, e2: Environment) -> Optional[GraphMap]:
     candidate = structure_map(g1, g2, e1.initial, e2.initial)
     if candidate is None:
         return None
-    vmap = dict(candidate.vertex_map)
-    dmap = dict(candidate.dart_map)
-
-    for v, fv in vmap.items():
+    for v, fv in candidate.vertex_map.items():
         if min(g1.degree(v), width) != min(g2.degree(fv), width):
             return None
         if e1.sensor.value(g1, VertexState(v)) != e2.sensor.value(g2, VertexState(fv)):
             return None
     for idx in range(len(g1.edges)):
-        fd = g1.forward_dart(idx)
-        image = dmap[fd]
+        image = candidate.dart_map[g1.forward_dart(idx)]
         jdx = g2.edge_of(image)
         if e1.sensor.interior_value(g1, idx) != e2.sensor.interior_value(g2, jdx):
             return None
@@ -475,4 +471,4 @@ def homomorphism_search(e1: Environment, e2: Environment) -> Optional[GraphMap]:
         )
         if source_marks != target_marks:
             return None
-    return GraphMap(vmap, dmap)
+    return candidate

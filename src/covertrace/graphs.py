@@ -23,6 +23,13 @@ def check_vertex_name(name):
     return name
 
 
+def check_port(port):
+    """Ports read from JSON must be integers (bools are not ports)."""
+    if isinstance(port, bool) or not isinstance(port, int):
+        raise ValidationError(f"ports must be integers, got {port!r}")
+    return port
+
+
 class Dart(NamedTuple):
     vertex: object
     port: int
@@ -105,21 +112,20 @@ class PortedGraph:
             reverse_of[bwd] = fwd
             edge_index_of[fwd] = edge_index_of[bwd] = idx
 
-        degree = {v: 0 for v in self.vertices}
+        ports = {v: [] for v in self.vertices}
         for d in head_of:
-            degree[d.vertex] += 1
-        for v, deg in degree.items():
-            ports = {d.port for d in head_of if d.vertex == v}
-            if ports != set(range(deg)):
+            ports[d.vertex].append(d.port)
+        for v, used in ports.items():
+            if set(used) != set(range(len(used))):
                 raise ValidationError(
-                    f"vertex {v!r} must use ports 0..{deg - 1}, got {sorted(ports)}"
+                    f"vertex {v!r} must use ports 0..{len(used) - 1}, got {sorted(used)}"
                 )
 
         self._head = head_of
         self._length = length_of
         self._reverse = reverse_of
         self._edge_index = edge_index_of
-        self._degree = degree
+        self._degree = {v: len(used) for v, used in ports.items()}
         self._vertex_dist: Optional[dict] = None
 
         if not self._connected():
@@ -303,8 +309,8 @@ class PortedGraph:
                     Edge(
                         tail=check_vertex_name(raw["tail"]),
                         head=check_vertex_name(raw["head"]),
-                        port_at_tail=raw["port_at_tail"],
-                        port_at_head=raw["port_at_head"],
+                        port_at_tail=check_port(raw["port_at_tail"]),
+                        port_at_head=check_port(raw["port_at_head"]),
                         length=from_wire(raw["length"]),
                     )
                 )

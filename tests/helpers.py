@@ -115,3 +115,20 @@ def naive_first_divergence(a, b):
         if a.segment_value_after(t) != b.segment_value_after(t):
             return t
     return None
+
+
+def universal_ball_size(graph: PortedGraph, base, radius) -> int:
+    """Vertex-count oracle for the truncated universal cover: the empty walk
+    plus every non-backtracking dart walk from `base` whose length before its
+    last step is under `radius`, counted by plain recursion."""
+
+    def walks(vertex, came_back_by, travelled):
+        if travelled >= radius:
+            return 0
+        return sum(
+            1 + walks(graph.head(d), graph.reverse(d), travelled + graph.length(d))
+            for d in graph.darts_at(vertex)
+            if d != came_back_by
+        )
+
+    return 1 + walks(base, None, Fraction(0))

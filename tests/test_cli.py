@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -22,6 +23,14 @@ def run(capsys, argv):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def identity_map_json(first_dart_entry):
+    """The identity map of the three-cycle as JSON, with the first dart_map
+    entry replaced."""
+    darts = [[[v, p], [v, p]] for v in ("x0", "x1", "x2") for p in (0, 1)]
+    darts[0] = first_dart_entry
+    return {"vertex_map": [[v, v] for v in ("x0", "x1", "x2")], "dart_map": darts}
 
 
 @pytest.fixture
@@ -158,6 +167,8 @@ class TestVerdictCommands:
             {"initial": ["x0"]},
             {"edges": [{"tail": ["x0"], "head": "x1", "port_at_tail": 0,
                         "port_at_head": 0, "length": [1, 1]}]},
+            {"edges": [{"tail": "x0", "head": "x1", "port_at_tail": [0],
+                        "port_at_head": 0, "length": [1, 1]}]},
             {"sensor": {"type": "beam",
                         "marks": [{"edge": "0", "offset": [1, 2], "label": "m"}]}},
             {"sensor": {"type": "beam",
@@ -167,7 +178,7 @@ class TestVerdictCommands:
             {"sensor": {"type": "filtered", "base": {"type": "degree"},
                         "relabel": [[["x"], 1]]}},
         ],
-        ids=["vertex", "initial", "edge-tail", "beam-edge-str", "beam-edge-bool",
+        ids=["vertex", "initial", "edge-tail", "edge-port-list", "beam-edge-str", "beam-edge-bool",
              "beam-mark-list", "beam-marks-int", "relabel-list"],
     )
     def test_non_scalar_vertex_names_exit_2(self, capsys, tmp_path, patch):
@@ -207,8 +218,21 @@ class TestCoverCommands:
             {"vertex_map": []},
             {"vertex_map": [["x0", "x0"], ["x1", "x1"], ["x2", "x2"]],
              "dart_map": [[["x0", 0], ["x0", 0]]]},
+            identity_map_json([[["x0"], 0], ["x0", 0]]),
+            identity_map_json([["x0", 0], [["x0"], 0]]),
+            {"vertex_map": [["x0", ["x0"]], ["x1", "x1"], ["x2", "x2"]]},
+            identity_map_json([["x0", 0], ["x0", False]]),
         ],
-        ids=["vertex-map-int", "dart-map-int", "vertex-map-partial", "dart-map-partial"],
+        ids=[
+            "vertex-map-int",
+            "dart-map-int",
+            "vertex-map-partial",
+            "dart-map-partial",
+            "dart-source-list-vertex",
+            "dart-image-list-vertex",
+            "vertex-image-list",
+            "dart-port-bool",
+        ],
     )
     def test_malformed_map_exits_2(self, capsys, tmp_path, env_file, mapping):
         bad = write_json(tmp_path / "map.json", mapping)
@@ -332,6 +356,25 @@ class TestProcessEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["duration"] == [1, 1]
+
+    @pytest.mark.parametrize("pair, expected", [("circle", 0), ("crossing", 1)])
+    def test_closed_pipe_keeps_the_verdict(self, gallery_dir, pair, expected):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "covertrace.cli", "bisim",
+                    str(gallery_dir / f"{pair}_a.json"), str(gallery_dir / f"{pair}_b.json"),
+                ],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == expected
+        assert "Traceback" not in proc.stderr
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

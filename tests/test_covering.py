@@ -50,6 +50,7 @@ from helpers import (
     path_middle_env,
     three_cycle,
     three_cycle_env,
+    universal_ball_size,
 )
 
 
@@ -401,6 +402,23 @@ class TestUniversalCoverTruncation:
                 if u.duration >= 4:
                     u = u.restrict_before(Fraction(7, 2))
                 assert trace_of(cover, u) == trace_of(env, u)
+
+
+    def test_random_rational_balls(self):
+        rng = random.Random(45)
+        for _ in range(20):
+            g = random_ported_graph(rng, unit_lengths=False)
+            env = Environment(g, rng.choice(g.vertices), DegreeSensor())
+            for radius in (Fraction(3, 2), Fraction(5, 2), Fraction(4)):
+                cover, proj, boundary = universal_cover_truncation(env, radius)
+                cert = verify_covering(proj, cover, env, skip_star_at=boundary)
+                # a small ball need not reach every base vertex, so
+                # surjectivity is not asserted
+                assert cert.local_bijection and cert.lengths_preserved and cert.base_point
+                for v in boundary:
+                    assert cover.graph.degree(v) == 1
+                    assert g.degree(proj.vertex(v)) > 1
+                assert len(cover.graph.vertices) == universal_ball_size(g, env.initial, radius)
 
 
 class TestDegreeRefinement:

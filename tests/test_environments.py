@@ -373,17 +373,33 @@ class TestTrajectoryDistance:
     def test_dense_sampling_bracket(self):
         # positions move at most at unit speed, so the pointwise distance is
         # 2-Lipschitz in time and a grid of spacing h can miss at most h
-        rng = random.Random(35)
-        env = figure_eight_env()
-        for _ in range(40):
-            a = trajectory(env, random_signal(rng, 4, max_pieces=3))
-            b = trajectory(env, random_signal(rng, 4, max_pieces=3))
+        def check(a, b):
             exact = trajectory_distance(a, b)
             steps = 48
             horizon = min(a.duration, b.duration)
             dense = dense_trajectory_distance(a, b, steps=steps)
             assert dense <= exact
             assert exact <= dense + horizon / steps
+
+        rng = random.Random(35)
+        env = figure_eight_env()
+        for _ in range(40):
+            a = trajectory(env, random_signal(rng, 4, max_pieces=3))
+            b = trajectory(env, random_signal(rng, 4, max_pieces=3))
+            check(a, b)
+        # rational lengths, and starts anywhere on the graph
+        for _ in range(30):
+            graph = random_ported_graph(rng, unit_lengths=False)
+            env = Environment(graph, graph.vertices[0], DegreeSensor())
+            a, b = (
+                trajectory(
+                    env,
+                    random_signal(rng, env.alphabet_width, max_pieces=3),
+                    random_state(rng, graph),
+                )
+                for _ in range(2)
+            )
+            check(a, b)
 
 
 class TestSensorInvariance:
