@@ -73,13 +73,15 @@ class Environment:
 @dataclass(frozen=True)
 class Leg:
     """One trajectory leg: either resting in a fixed state (dart is None) or
-    moving along a dart from offset0 at unit speed."""
+    moving along a dart from offset0 at unit speed.  end is the canonical
+    state at t1, stored by the simulation that computed it."""
 
     t0: Fraction
     t1: Fraction
     dart: Optional[Dart]
     offset0: Optional[Fraction]
     state: Optional[GraphState]
+    end: GraphState
 
     @property
     def moving(self) -> bool:
@@ -90,10 +92,6 @@ class Leg:
         if self.moving:
             return graph.state_on(self.dart, self.offset0 + (t - self.t0))
         return self.state
-
-    def end_state(self, graph: PortedGraph) -> GraphState:
-        """Canonical state at t1."""
-        return self.at(graph, self.t1)
 
 
 @dataclass(frozen=True, init=False)
@@ -111,7 +109,7 @@ class Trajectory:
             if merged:
                 prev = merged[-1]
                 if not prev.moving and not leg.moving and prev.state == leg.state:
-                    merged[-1] = Leg(prev.t0, leg.t1, None, None, prev.state)
+                    merged[-1] = Leg(prev.t0, leg.t1, None, None, prev.state, leg.end)
                     continue
                 if (
                     prev.moving
@@ -119,7 +117,7 @@ class Trajectory:
                     and prev.dart == leg.dart
                     and prev.offset0 + (prev.t1 - prev.t0) == leg.offset0
                 ):
-                    merged[-1] = Leg(prev.t0, leg.t1, prev.dart, prev.offset0, None)
+                    merged[-1] = Leg(prev.t0, leg.t1, prev.dart, prev.offset0, None, leg.end)
                     continue
             merged.append(leg)
         object.__setattr__(self, "graph", graph)
@@ -141,13 +139,11 @@ class Trajectory:
 
     @property
     def final(self) -> GraphState:
-        return self.legs[-1].end_state(self.graph) if self.legs else self.start
+        return self.legs[-1].end if self.legs else self.start
 
     def breakpoints(self) -> list:
         """Canonical (time, state) list: leg boundaries with canonical states."""
-        return [(Fraction(0), self.start)] + [
-            (leg.t1, leg.end_state(self.graph)) for leg in self.legs
-        ]
+        return [(Fraction(0), self.start)] + [(leg.t1, leg.end) for leg in self.legs]
 
     def to_json(self) -> dict:
         return {
@@ -182,7 +178,7 @@ def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphSta
     for symbol, dur in signal.pieces:
         remaining = dur
         if symbol == HALT:
-            legs.append(Leg(t, t + remaining, None, None, cur))
+            legs.append(Leg(t, t + remaining, None, None, cur, cur))
             t += remaining
             continue
         k = symbol
@@ -192,16 +188,17 @@ def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphSta
                 if k < graph.degree(v):
                     d = Dart(v, k)
                     step = min(remaining, graph.length(d))
-                    legs.append(Leg(t, t + step, d, Fraction(0), None))
                     cur = graph.state_on(d, step)
+                    legs.append(Leg(t, t + step, d, Fraction(0), None, cur))
                 else:
                     step = remaining
-                    legs.append(Leg(t, t + step, None, None, cur))
+                    legs.append(Leg(t, t + step, None, None, cur, cur))
             else:
                 d = cur.dart
                 step = min(remaining, graph.length(d) - cur.offset)
-                legs.append(Leg(t, t + step, d, cur.offset, None))
-                cur = graph.state_on(d, cur.offset + step)
+                offset0 = cur.offset
+                cur = graph.state_on(d, offset0 + step)
+                legs.append(Leg(t, t + step, d, offset0, None, cur))
             t += step
             remaining -= step
     return Trajectory(graph, start, legs)
@@ -279,7 +276,7 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
     instants = {Fraction(0): sensor.value(graph, traj.start)}
     intervals = []
     for leg in traj.legs:
-        instants[leg.t1] = sensor.value(graph, leg.end_state(graph))
+        instants[leg.t1] = sensor.value(graph, leg.end)
         if not leg.moving:
             intervals.append([leg.t0, leg.t1, sensor.value(graph, leg.state)])
             continue

@@ -5,7 +5,10 @@ enumerates every discrete signal up to a horizon and samples random
 rational-breakpoint signals; it can refute equivalence but not prove it.
 compute_bisimulation decides discrete-time equivalence exactly on unit-length
 graphs by partition refinement and reconstructs a shortest distinguishing
-signal on failure.  homomorphism_search looks for a trace-preserving
+signal on failure.  verify_bisimulation re-checks a relation through the
+state spaces' step/chunk/value and deliberately not through the interned
+integer rows that compute_bisimulation refines, so that it stays an
+independent check.  homomorphism_search looks for a trace-preserving
 structure map, a sufficient but not necessary condition for equivalence.
 """
 from __future__ import annotations
@@ -177,10 +180,11 @@ class DiscreteStateSpace:
 
     States are the vertices reachable at integer times (a finished edge
     traversal hands off at the head vertex, so integer-time states are always
-    vertices).  For each state and action the space records the successor and
-    the readout chunk: the trace of the unit action with its final instant
-    dropped, so that chunks concatenate into full traces without double
-    counting the seams.
+    vertices), listed in breadth-first order; `index` maps each state to its
+    position in `states`.  For each state and action the space records the
+    successor and the readout chunk: the trace of the unit action with its
+    final instant dropped, so that chunks concatenate into full traces
+    without double counting the seams.
     """
 
     def __init__(self, env: Environment):
@@ -192,17 +196,15 @@ class DiscreteStateSpace:
         self.actions = tuple(env.actions())
         self._unit = {a: ControlSignal([(a, Fraction(1))]) for a in self.actions}
         self._moves: dict = {}
-        self.states: list = []
-        seen = {env.initial}
-        frontier = deque([env.initial])
-        while frontier:
-            v = frontier.popleft()
-            self.states.append(v)
+        self.states: list = [env.initial]
+        self.index: dict = {env.initial: 0}
+        # The loop visits the states appended while it runs: a FIFO queue.
+        for v in self.states:
             for a in self.actions:
                 w = self.step(v, a)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
+                if w not in self.index:
+                    self.index[w] = len(self.states)
+                    self.states.append(w)
 
     def value(self, v):
         return self.env.sensor.value(self.env.graph, VertexState(v))
@@ -225,11 +227,25 @@ class DiscreteStateSpace:
     def chunk(self, v, a):
         return self._move(v, a)[1]
 
+    def rows(self, chunk_ids: dict, offset: int) -> list:
+        """Per state, in `states` order, the flat row (chunk id, successor
+        index + offset, ...) over the actions.  chunk_ids numbers distinct
+        chunks; sharing it between two spaces gives equal chunks one id."""
+        rows = []
+        for v in self.states:
+            row = []
+            for a in self.actions:
+                w, chunk = self._move(v, a)
+                row += (chunk_ids.setdefault(chunk, len(chunk_ids)), self.index[w] + offset)
+            rows.append(row)
+        return rows
+
 
 @dataclass(frozen=True)
 class BisimulationResult:
     """Either a relation witnessing equivalence or a shortest
-    distinguishing signal with its first divergence time."""
+    distinguishing signal with its first divergence time.  blocks holds the
+    block count after round 0 and after each refining round."""
 
     related: bool
     relation: tuple = ()
@@ -237,6 +253,7 @@ class BisimulationResult:
     divergence: Optional[Fraction] = None
     states: int = 0
     rounds: int = 0
+    blocks: tuple = ()
 
     @property
     def verdict(self) -> str:
@@ -248,7 +265,9 @@ class BisimulationResult:
             "stats": {
                 "states": self.states,
                 "rounds": self.rounds,
-                "signals_checked": 0,
+                "blocks": list(self.blocks),
+                # a distinguished verdict replays its witness once
+                "signals_checked": 0 if self.related else 1,
             },
         }
         if self.related:
@@ -269,52 +288,56 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     each block then form a bisimulation.  Otherwise the round at which the
     initial pair separated equals the length of a shortest distinguishing
     signal, which is rebuilt action by action, lexicographically first.
+
+    States are numbered s1 first, then s2, and every chunk is interned once,
+    so the rounds compare tuples of ints.
     """
     _require_shared_interface(e1, e2)
     s1, s2 = DiscreteStateSpace(e1), DiscreteStateSpace(e2)
     actions = s1.actions
-    spaces = (s1, s2)
-    tagged = [(0, v) for v in s1.states] + [(1, v) for v in s2.states]
+    n1 = len(s1.states)
+    chunk_ids: dict = {}
+    rows = s1.rows(chunk_ids, 0) + s2.rows(chunk_ids, n1)
+    chunks = [tuple(row[0::2]) for row in rows]
+    succs = [row[1::2] for row in rows]
+    n_states = len(rows)
 
-    def step(x, a):
-        return (x[0], spaces[x[0]].step(x[1], a))
-
-    def chunk(x, a):
-        return spaces[x[0]].chunk(x[1], a)
-
-    blocks: dict = {}
-    part = {x: blocks.setdefault(spaces[x[0]].value(x[1]), len(blocks)) for x in tagged}
+    values: dict = {}
+    part = [values.setdefault(s.value(v), len(values)) for s in (s1, s2) for v in s.states]
     history = [part]
+    blocks = [len(values)]
     while True:
         prev = history[-1]
-        blocks = {}
-        part = {}
-        for x in tagged:
-            signature = (prev[x],) + tuple(
-                (chunk(x, a), prev[step(x, a)]) for a in actions
+        signatures: dict = {}
+        part = [
+            signatures.setdefault(
+                (prev[i], chunks[i], *[prev[j] for j in succs[i]]), len(signatures)
             )
-            part[x] = blocks.setdefault(signature, len(blocks))
-        if len(blocks) == len(set(prev.values())):
+            for i in range(n_states)
+        ]
+        if len(signatures) == blocks[-1]:
             break
         history.append(part)
+        blocks.append(len(signatures))
 
     final = history[-1]
-    x0, y0 = (0, e1.initial), (1, e2.initial)
-    n_states = len(tagged)
+    x0, y0 = 0, n1  # each space lists its initial vertex first
     n_rounds = len(history) - 1
 
     if final[x0] == final[y0]:
+        by_block: dict = {}
+        for j, v2 in enumerate(s2.states):
+            by_block.setdefault(final[n1 + j], []).append(v2)
         relation = sorted(
             (
                 (v1, v2)
-                for v1 in s1.states
-                for v2 in s2.states
-                if final[(0, v1)] == final[(1, v2)]
+                for v1, block in zip(s1.states, final)
+                for v2 in by_block.get(block, ())
             ),
             key=lambda p: (str(p[0]), str(p[1])),
         )
         return BisimulationResult(
-            True, tuple(relation), states=n_states, rounds=n_rounds
+            True, tuple(relation), states=n_states, rounds=n_rounds, blocks=tuple(blocks)
         )
 
     def separation(x, y):
@@ -329,11 +352,11 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     while r > 0:
         chosen = None
         terminal = False
-        for a in actions:
-            if chunk(x, a) != chunk(y, a):
+        for k, a in enumerate(actions):
+            if chunks[x][k] != chunks[y][k]:
                 chosen, terminal = a, True
                 break
-            s = separation(step(x, a), step(y, a))
+            s = separation(succs[x][k], succs[y][k])
             if s is not None and s <= r - 1:
                 chosen = a
                 break
@@ -341,7 +364,7 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
         pieces.append(chosen)
         if terminal:
             break
-        x, y = step(x, chosen), step(y, chosen)
+        x, y = succs[x][k], succs[y][k]
         r -= 1
 
     witness = ControlSignal([(a, Fraction(1)) for a in pieces])
@@ -353,6 +376,7 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
         divergence=replay.divergence,
         states=n_states,
         rounds=n_rounds,
+        blocks=tuple(blocks),
     )
 
 

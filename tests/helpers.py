@@ -15,6 +15,7 @@ from covertrace import (
     VertexState,
     build_edges,
 )
+from covertrace.equivalence import DiscreteStateSpace
 
 
 def three_cycle() -> PortedGraph:
@@ -132,3 +133,53 @@ def universal_ball_size(graph: PortedGraph, base, radius) -> int:
         )
 
     return 1 + walks(base, None, Fraction(0))
+
+
+def naive_bisimulation(e1: Environment, e2: Environment):
+    """Bisimulation oracle by synchronous pair removal over all pairs of the
+    disjoint union, reading only `DiscreteStateSpace.step`, `chunk` and
+    `value`.  Returns the related cross pairs in s1 x s2 order, stably sorted
+    by their names as strings, the number of strictly refining rounds, and
+    the round at which the initial pair is removed (None if never)."""
+    spaces = (DiscreteStateSpace(e1), DiscreteStateSpace(e2))
+    tagged = [(side, v) for side, space in enumerate(spaces) for v in space.states]
+    actions = spaces[0].actions
+
+    def step(x, a):
+        return (x[0], spaces[x[0]].step(x[1], a))
+
+    def chunk(x, a):
+        return spaces[x[0]].chunk(x[1], a)
+
+    related = {
+        (x, y)
+        for x in tagged
+        for y in tagged
+        if spaces[x[0]].value(x[1]) == spaces[y[0]].value(y[1])
+    }
+    initial = ((0, e1.initial), (1, e2.initial))
+    separation = None if initial in related else 0
+    rounds = 0
+    while True:
+        kept = {
+            (x, y)
+            for x, y in related
+            if all(
+                chunk(x, a) == chunk(y, a) and (step(x, a), step(y, a)) in related
+                for a in actions
+            )
+        }
+        if kept == related:
+            break
+        rounds += 1
+        related = kept
+        if separation is None and initial not in related:
+            separation = rounds
+    pairs = [
+        (v1, v2)
+        for v1 in spaces[0].states
+        for v2 in spaces[1].states
+        if ((0, v1), (1, v2)) in related
+    ]
+    pairs.sort(key=lambda p: (str(p[0]), str(p[1])))
+    return pairs, rounds, separation

@@ -260,6 +260,21 @@ class TestTrajectory:
         for t, state in traj.breakpoints():
             assert state == traj.at(t)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_stored_leg_end_matches_evaluation(self, seed, data):
+        """Each leg's stored end is its state at t1, also on the legs
+        Trajectory merges: a wait at a vertex followed by a halt, and a move
+        continued along the same dart after the port symbol changes
+        mid-edge."""
+        rng = random.Random(seed)
+        graph = random_ported_graph(rng, unit_lengths=False)
+        env = Environment(graph, graph.vertices[0], DegreeSensor())
+        u = data.draw(rational_signals(width=env.alphabet_width, max_pieces=8))
+        traj = trajectory(env, u, random_state(rng, graph))
+        for leg in traj.legs:
+            assert leg.end == leg.at(graph, leg.t1)
+
     def test_evaluation_matches_apply(self):
         rng = random.Random(33)
         env = figure_eight_env()

@@ -41,7 +41,7 @@ from covertrace.generate import (
     random_voltages,
 )
 
-from helpers import path_middle_env, three_cycle, three_cycle_env
+from helpers import naive_bisimulation, path_middle_env, three_cycle, three_cycle_env
 
 
 def sig(*pieces) -> ControlSignal:
@@ -134,6 +134,15 @@ class TestBisimulation:
         assert res.witness == sig((0, 1))
         assert res.divergence == 1
 
+    def test_stats_count_blocks_and_replays(self):
+        related = compute_bisimulation(*circle_pair()).to_json()["stats"]
+        assert related == {"states": 9, "rounds": 0, "blocks": [1], "signals_checked": 0}
+        # degree 1 {l, r} against degree 2 {m, x0, x1, x2}; then port 0
+        # leads m to a degree-1 end and every x_i to a degree-2 vertex.
+        distinguished = compute_bisimulation(path_middle_env(), three_cycle_env())
+        stats = distinguished.to_json()["stats"]
+        assert stats == {"states": 6, "rounds": 1, "blocks": [2, 3], "signals_checked": 1}
+
     def test_non_unit_lengths_rejected(self):
         g = PortedGraph(
             ["a", "b"],
@@ -203,6 +212,54 @@ class TestDiscreteStateSpace:
                     assert VertexState(space.step(v, a)) == apply(env, u, VertexState(v))
                     tr = trace_of(env, u, VertexState(v))
                     assert space.chunk(v, a) == (tr.segments, tr.events[:-1])
+
+
+class TestRefinementOracle:
+    """compute_bisimulation against the pair-removal oracle, which shares
+    nothing with it but the public step/chunk/value of the state spaces."""
+
+    def assert_matches_oracle(self, e1, e2):
+        res = compute_bisimulation(e1, e2)
+        pairs, rounds, separation = naive_bisimulation(e1, e2)
+        states = len(DiscreteStateSpace(e1).states) + len(DiscreteStateSpace(e2).states)
+        assert (res.states, res.rounds) == (states, rounds)
+        assert res.related == (separation is None)
+        assert len(res.blocks) == res.rounds + 1
+        assert all(a < b for a, b in zip(res.blocks, res.blocks[1:]))
+        if res.related:
+            assert list(res.relation) == pairs
+        else:
+            assert res.witness.duration == separation
+        return res
+
+    def test_random_unit_environments(self):
+        rng = random.Random(56)
+        for kind in ("degree", "label", "beam"):
+            for _ in range(20):
+                e1 = random_unit_environment(rng, kind=kind)
+                e2 = random_unit_environment(rng, kind=kind)
+                self.assert_matches_oracle(e1, e2)
+
+    def test_random_cyclic_cover_pairs(self):
+        rng = random.Random(57)
+        for kind in ("degree", "label", "beam"):
+            for _ in range(10):
+                base = random_unit_environment(rng, max_edges=5, kind=kind)
+                k1, k2 = rng.randint(1, 3), rng.randint(1, 3)
+                c1, _ = cyclic_cover(base, k1, random_voltages(rng, base.graph, k1))
+                c2, _ = cyclic_cover(base, k2, random_voltages(rng, base.graph, k2))
+                assert self.assert_matches_oracle(c1, c2).related
+
+    def test_names_sharing_a_string(self):
+        """1 and "1" print alike, so only a stable sort of the pairs in
+        state order keeps their relative order."""
+        graph = PortedGraph(
+            [1, "1", 2], build_edges([(1, "1", 0, 1), ("1", 2, 0, 1), (2, 1, 0, 1)])
+        )
+        e1 = Environment(graph, 1, DegreeSensor(), 2)
+        e2 = Environment(graph, "1", DegreeSensor(), 2)
+        res = self.assert_matches_oracle(e1, e2)
+        assert len(res.relation) == 9
 
 
 class TestVerifyBisimulation:
