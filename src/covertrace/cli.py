@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Structured results go to standard output as JSON with sorted keys; short
-human-readable summaries go to standard error.  Exit codes: 0 success or
+Structured results go to standard output as one line of compact JSON with
+sorted keys (pipe it through `python -m json.tool` to read it indented);
+short human-readable summaries go to standard error.  Exit codes: 0 success or
 verdict "related", 1 verdict "distinguished" (or a failed covering check),
 2 malformed input, 3 precondition violation.
 """
@@ -61,7 +62,7 @@ def _parse_rational(text: str) -> Fraction:
 
 def _emit(data) -> None:
     try:
-        print(json.dumps(data, sort_keys=True, indent=2))
+        print(json.dumps(data, sort_keys=True))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed early (`covertrace ... | head`).  Point stdout at

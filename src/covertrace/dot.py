@@ -1,8 +1,10 @@
 """Graphviz DOT export for ported graphs and environments.
 
-Output is deterministic: vertices and edges appear in graph order.  Edge
-labels show the two ports and the length; sensor data appears on node and
-edge labels where it exists.
+Output is deterministic: vertices and edges appear in graph order.  Node
+ids are the vertices' positions in graph order (n0, n1, ...), because a DOT id
+drops the quotes that tell vertex 1 from vertex "1"; every node's label shows
+its vertex name.  Edge labels show the two ports and the length; sensor data
+appears on node and edge labels where it exists.
 """
 from __future__ import annotations
 
@@ -30,18 +32,19 @@ def _edge_label(graph: PortedGraph, sensor, idx: int) -> str:
 
 
 def graph_to_dot(graph: PortedGraph, sensor: SensorSpec = None, initial=None, name: str = "G") -> str:
+    node = {v: f"n{i}" for i, v in enumerate(graph.vertices)}
     lines = [f"graph {_quote(name)} {{"]
     for v in graph.vertices:
-        attrs = []
+        label = str(v)
         if sensor is not None:
-            attrs.append(f"label={_quote(f'{v} [{sensor.value(graph, VertexState(v))}]')}")
+            label += f" [{sensor.value(graph, VertexState(v))}]"
+        attrs = [f"label={_quote(label)}"]
         if v == initial:
             attrs.append("shape=doublecircle")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_quote(v)}{suffix};")
+        lines.append(f"  {node[v]} [{', '.join(attrs)}];")
     for idx, e in enumerate(graph.edges):
         label = _edge_label(graph, sensor, idx)
-        lines.append(f"  {_quote(e.tail)} -- {_quote(e.head)} [label={_quote(label)}];")
+        lines.append(f"  {node[e.tail]} -- {node[e.head]} [label={_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -67,6 +67,13 @@ def traces_equal(e1: Environment, e2: Environment, u: ControlSignal) -> TraceCom
     return TraceComparison(d is None, d)
 
 
+def _unit_move(env: Environment, unit: ControlSignal, state):
+    """(final state, sensor trace) of one unit-action signal from state,
+    from a single simulation."""
+    traj = trajectory(env, unit, state)
+    return traj.final, trace_of_trajectory(env, traj)
+
+
 # --- sampled equivalence checking ----------------------------------------
 
 
@@ -114,7 +121,8 @@ def check_equiv_sampled(
 
     The discrete part shares work between signals with a common prefix: since
     dynamics are deterministic and time-invariant, all continuations of a
-    product state revisited with no larger budget are already covered.
+    product state revisited with no larger budget are already covered, and
+    each (state, action) of either side is simulated once per call.
     """
     import random
 
@@ -131,6 +139,14 @@ def check_equiv_sampled(
         return SampledVerdict(True, EMPTY, cmp.divergence, max_len, checked, 0)
 
     budget_seen: dict = {}
+    moves1: dict = {}
+    moves2: dict = {}
+
+    def move(env, moves, x, a):
+        key = (x, a)
+        if key not in moves:
+            moves[key] = _unit_move(env, unit[a], x)
+        return moves[key]
 
     def search(x1, x2, remaining, prefix):
         nonlocal checked
@@ -139,13 +155,14 @@ def check_equiv_sampled(
         if budget_seen.get((x1, x2), -1) >= remaining:
             return None
         for a in actions:
-            traj1 = trajectory(e1, unit[a], x1)
-            traj2 = trajectory(e2, unit[a], x2)
+            y1, tr1 = move(e1, moves1, x1, a)
+            y2, tr2 = move(e2, moves2, x2, a)
             checked += 1
-            d = first_divergence(trace_of_trajectory(e1, traj1), trace_of_trajectory(e2, traj2))
-            if d is not None:
-                return prefix + [a], Fraction(len(prefix)) + d
-            found = search(traj1.final, traj2.final, remaining - 1, prefix + [a])
+            if tr1 != tr2:
+                d = first_divergence(tr1, tr2)
+                if d is not None:
+                    return prefix + [a], Fraction(len(prefix)) + d
+            found = search(y1, y2, remaining - 1, prefix + [a])
             if found is not None:
                 return found
         budget_seen[(x1, x2)] = remaining
@@ -213,11 +230,9 @@ class DiscreteStateSpace:
         """(successor, chunk) of the unit action a from v, simulated once."""
         key = (v, a)
         if key not in self._moves:
-            traj = trajectory(self.env, self._unit[a], VertexState(v))
-            state = traj.final
+            state, tr = _unit_move(self.env, self._unit[a], VertexState(v))
             if not isinstance(state, VertexState):
                 raise PreconditionError(f"unit action {a!r} from {v!r} ended mid-edge")
-            tr = trace_of_trajectory(self.env, traj)
             self._moves[key] = (state.vertex, (tr.segments, tr.events[:-1]))
         return self._moves[key]
 

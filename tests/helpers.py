@@ -13,7 +13,10 @@ from covertrace import (
     Environment,
     PortedGraph,
     VertexState,
+    apply,
     build_edges,
+    first_divergence,
+    trace_of,
 )
 from covertrace.equivalence import DiscreteStateSpace
 
@@ -116,6 +119,41 @@ def naive_first_divergence(a, b):
         if a.segment_value_after(t) != b.segment_value_after(t):
             return t
     return None
+
+
+def naive_discrete_search(e1: Environment, e2: Environment, max_len: int):
+    """Oracle for the discrete part of check_equiv_sampled: the same
+    depth-first search over unit-action signals with the same budget pruning,
+    but every unit action is simulated afresh (trace_of, then apply) and every
+    pair of traces goes through first_divergence.  Returns (witness pieces or
+    None, divergence or None, signals checked)."""
+    empty = ControlSignal([])
+    d = first_divergence(trace_of(e1, empty), trace_of(e2, empty))
+    if d is not None:
+        return [], d, 1
+    checked = 1
+    budget_seen = {}
+
+    def search(x1, x2, remaining, prefix):
+        nonlocal checked
+        if remaining == 0 or budget_seen.get((x1, x2), -1) >= remaining:
+            return None
+        for a in e1.actions():
+            unit = ControlSignal([(a, Fraction(1))])
+            checked += 1
+            d = first_divergence(trace_of(e1, unit, x1), trace_of(e2, unit, x2))
+            if d is not None:
+                return prefix + [a], len(prefix) + d
+            found = search(apply(e1, unit, x1), apply(e2, unit, x2), remaining - 1, prefix + [a])
+            if found is not None:
+                return found
+        budget_seen[(x1, x2)] = remaining
+        return None
+
+    found = search(e1.initial_state, e2.initial_state, max_len, [])
+    if found is None:
+        return None, None, checked
+    return found[0], found[1], checked
 
 
 def universal_ball_size(graph: PortedGraph, base, radius) -> int:

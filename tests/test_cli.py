@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from covertrace import Environment, cli
+from covertrace import Environment, PortedGraph, build_edges, cli
+from covertrace.dot import graph_to_dot
 from covertrace.gallery import GALLERY
 
 from helpers import three_cycle_env
@@ -324,18 +325,44 @@ class TestGalleryCommand:
         assert len(list(out.iterdir())) == 8
 
 
+class TestDotExport:
+    def test_vertices_that_print_alike_get_distinct_nodes(self):
+        """1 and "1" are distinct vertices, and a DOT id drops the quotes
+        that tell them apart."""
+        graph = PortedGraph(
+            [1, "1", 2], build_edges([(1, "1", 0, 1), ("1", 2, 0, 1), (2, 1, 0, 1)])
+        )
+        lines = graph_to_dot(graph).splitlines()[1:-1]
+        nodes = [line.split()[0] for line in lines if " -- " not in line]
+        edges = [line.split()[:3] for line in lines if " -- " in line]
+        assert len(set(nodes)) == 3
+        tail, _, head = edges[0]
+        assert tail != head
+        assert [line.split("label=")[1] for line in lines[:3]] == ['"1"];', '"1"];', '"2"];']
+
+
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, capsys, gallery_dir, tmp_path):
-        argv = [
-            "equiv",
-            str(gallery_dir / "kite_a.json"),
-            str(gallery_dir / "kite_b.json"),
-            "--max-len", "4", "--random", "60", "--seed", "7",
+        """Each command prints the same bytes twice: one line of compact
+        JSON with sorted keys."""
+        g = {path.stem: str(path) for path in gallery_dir.glob("*.json")}
+        a = write_json(tmp_path / "a.json", [[0, 3, 2], ["halt", 1, 1]])
+        b = write_json(tmp_path / "b.json", [[1, 2, 1]])
+        commands = [
+            (["equiv", g["kite_a"], g["kite_b"], "--max-len", "4", "--random", "60", "--seed", "7"], 1),
+            (["bisim", g["circle_a"], g["circle_b"]], 0),
+            (["distinguish", g["kite_a"], g["kite_b"], "--max-len", "3"], 0),
+            (["trace", g["circle_a"], a], 0),
+            (["metric", a, b], 0),
+            (["gen-cyclic", g["circle_a"], "3", "--seed", "1"], 0),
+            (["gen-universal", g["crossing_a"], "4"], 0),
         ]
-        first = run(capsys, argv)
-        second = run(capsys, argv)
-        assert first[0] == second[0] == 1
-        assert first[1] == second[1]
+        for argv, expected in commands:
+            first = run(capsys, argv)
+            second = run(capsys, argv)
+            assert first[0] == second[0] == expected
+            assert first[1] == second[1]
+            assert first[1] == json.dumps(json.loads(first[1]), sort_keys=True) + "\n"
 
     def test_gallery_rewrites_identically(self, capsys, gallery_dir, tmp_path):
         again = tmp_path / "again"

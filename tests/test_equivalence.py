@@ -32,6 +32,7 @@ from covertrace import (
     verify_bisimulation,
     verify_covering,
 )
+from covertrace import equivalence
 from covertrace.covering import pullback_sensor
 from covertrace.equivalence import DiscreteStateSpace
 from covertrace.gallery import GALLERY, beams_pair, circle_pair, crossing_pair, kite_pair
@@ -41,7 +42,13 @@ from covertrace.generate import (
     random_voltages,
 )
 
-from helpers import naive_bisimulation, path_middle_env, three_cycle, three_cycle_env
+from helpers import (
+    naive_bisimulation,
+    naive_discrete_search,
+    path_middle_env,
+    three_cycle,
+    three_cycle_env,
+)
 
 
 def sig(*pieces) -> ControlSignal:
@@ -105,6 +112,34 @@ class TestSampledCheck:
             replay = traces_equal(e1, e2, verdict.witness)
             assert not replay.equal
             assert replay.divergence == verdict.divergence
+
+    def test_search_simulates_each_move_once(self, monkeypatch):
+        """The discrete search reaches the oracle's verdict, witness,
+        divergence and signal count while simulating each (state, action)
+        of each side exactly once."""
+        calls = []
+        real = equivalence.trajectory
+
+        def counting(env, signal, start=None):
+            calls.append((id(env), start, signal))
+            return real(env, signal, start)
+
+        monkeypatch.setattr(equivalence, "trajectory", counting)
+        rng = random.Random(58)
+        for kind in ("degree", "label", "beam"):
+            pool = [random_unit_environment(rng, kind=kind) for _ in range(6)]
+            for e1, e2 in itertools.permutations(pool, 2):
+                calls.clear()
+                verdict = check_equiv_sampled(e1, e2, max_len=6, n_random=0)
+                pieces, divergence, checked = naive_discrete_search(e1, e2, 6)
+                assert verdict.distinguished == (pieces is not None)
+                if pieces is not None:
+                    assert verdict.witness == ControlSignal([(a, 1) for a in pieces])
+                assert verdict.divergence == divergence
+                assert verdict.signals_checked == checked
+                for env in (e1, e2):
+                    mine = [call for call in calls if call[0] == id(env)]
+                    assert len(mine) == len(set(mine))
 
     def test_verdict_json_shape(self):
         a, b = crossing_pair()
