@@ -178,16 +178,17 @@ def _verdict_exit(verdict_json: dict, note: str) -> int:
 
 
 def cmd_equiv(args) -> int:
+    """The sampled search behind both equiv and distinguish, with the
+    defaults and the two notes of the subcommand that ran it."""
     a = _load_environment(args.first)
     b = _load_environment(args.second)
     verdict = check_equiv_sampled(
         a, b, max_len=args.max_len, n_random=args.random, seed=args.seed
     )
-    note = (
-        "no divergence found (sampled check only)"
-        if not verdict.distinguished
-        else f"distinguished at t = {verdict.divergence}"
-    )
+    if verdict.distinguished:
+        note = args.found_note.format(t=verdict.divergence)
+    else:
+        note = args.missing_note.format(max_len=args.max_len)
     return _verdict_exit(verdict.to_json(), note)
 
 
@@ -203,25 +204,21 @@ def cmd_bisim(args) -> int:
     return _verdict_exit(result.to_json(), note)
 
 
-def cmd_distinguish(args) -> int:
-    a = _load_environment(args.first)
-    b = _load_environment(args.second)
-    verdict = check_equiv_sampled(
-        a, b, max_len=args.max_len, n_random=args.random, seed=args.seed
-    )
-    note = (
-        f"witness found, divergence at t = {verdict.divergence}"
-        if verdict.distinguished
-        else f"no witness up to length {args.max_len}"
-    )
-    return _verdict_exit(verdict.to_json(), note)
-
-
 def cmd_gallery(args) -> int:
     written = write_gallery(args.out, dot=not args.no_dot)
     _emit({"written": written})
     _note(f"wrote {len(written)} files to {args.out}")
     return 0
+
+
+def _add_sampled(sub, name, help_text, max_len, n_random, found_note, missing_note) -> None:
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("first")
+    p.add_argument("second")
+    p.add_argument("--max-len", type=int, default=max_len)
+    p.add_argument("--random", type=int, default=n_random)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_equiv, found_note=found_note, missing_note=missing_note)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,26 +272,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("radius", help="positive rational, e.g. 6 or 13/2")
     p.set_defaults(func=cmd_gen_universal)
 
-    p = sub.add_parser("equiv", help="sampled equivalence check")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--random", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_equiv)
+    _add_sampled(
+        sub, "equiv", "sampled equivalence check", max_len=8, n_random=200,
+        found_note="distinguished at t = {t}",
+        missing_note="no divergence found (sampled check only)",
+    )
 
     p = sub.add_parser("bisim", help="exact bisimulation on unit-length graphs")
     p.add_argument("first")
     p.add_argument("second")
     p.set_defaults(func=cmd_bisim)
 
-    p = sub.add_parser("distinguish", help="search for a distinguishing signal")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--random", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_distinguish)
+    _add_sampled(
+        sub, "distinguish", "search for a distinguishing signal", max_len=6, n_random=0,
+        found_note="witness found, divergence at t = {t}",
+        missing_note="no witness up to length {max_len}",
+    )
 
     p = sub.add_parser("gallery", help="write the built-in example pairs")
     p.add_argument("--out", required=True)

@@ -3,10 +3,15 @@
 Output is deterministic: vertices and edges appear in graph order.  Node
 ids are the vertices' positions in graph order (n0, n1, ...), because a DOT id
 drops the quotes that tell vertex 1 from vertex "1"; every node's label shows
-its vertex name.  Edge labels show the two ports and the length; sensor data
-appears on node and edge labels where it exists.
+its vertex name, with JSON quotes on a string that would otherwise read as an
+integer or as a quoted name, so distinct vertices get distinct labels.  Edge
+labels show the two ports and the length; sensor data appears on node and
+edge labels where it exists.
 """
 from __future__ import annotations
+
+import json
+import re
 
 from .environments import Environment
 from .graphs import PortedGraph, VertexState
@@ -15,6 +20,12 @@ from .sensors import BLANK, EDGE, SensorSpec
 
 def _quote(text: str) -> str:
     return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _vertex_label(v) -> str:
+    if isinstance(v, str) and (re.fullmatch("-?[0-9]+", v) or v.startswith('"')):
+        return json.dumps(v)
+    return str(v)
 
 
 def _edge_label(graph: PortedGraph, sensor, idx: int) -> str:
@@ -35,7 +46,7 @@ def graph_to_dot(graph: PortedGraph, sensor: SensorSpec = None, initial=None, na
     node = {v: f"n{i}" for i, v in enumerate(graph.vertices)}
     lines = [f"graph {_quote(name)} {{"]
     for v in graph.vertices:
-        label = str(v)
+        label = _vertex_label(v)
         if sensor is not None:
             label += f" [{sensor.value(graph, VertexState(v))}]"
         attrs = [f"label={_quote(label)}"]

@@ -5,11 +5,13 @@ enumerates every discrete signal up to a horizon and samples random
 rational-breakpoint signals; it can refute equivalence but not prove it.
 compute_bisimulation decides discrete-time equivalence exactly on unit-length
 graphs by partition refinement and reconstructs a shortest distinguishing
-signal on failure.  verify_bisimulation re-checks a relation through the
-state spaces' step/chunk/value and deliberately not through the interned
-integer rows that compute_bisimulation refines, so that it stays an
-independent check.  homomorphism_search looks for a trace-preserving
-structure map, a sufficient but not necessary condition for equivalence.
+signal on failure; its state spaces read each unit move off the graph and
+the sensor protocol instead of simulating it.  verify_bisimulation re-checks
+a relation by replaying every move through the simulation (trajectory and
+trace_of_trajectory), deliberately not through those state spaces, so that
+the certificate check shares no code with the table that decided.
+homomorphism_search looks for a trace-preserving structure map, a
+sufficient but not necessary condition for equivalence.
 """
 from __future__ import annotations
 
@@ -29,7 +31,10 @@ from .errors import PreconditionError, ValidationError
 from .covering import GraphMap
 from .graphs import Dart, VertexState
 from .rationals import to_pair
-from .signals import EMPTY, ControlSignal
+from .signals import EMPTY, HALT, ControlSignal
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _require_shared_interface(e1: Environment, e2: Environment) -> None:
@@ -129,6 +134,10 @@ def check_equiv_sampled(
     from .generate import random_signal
 
     _require_shared_interface(e1, e2)
+    if max_len < 0 or n_random < 0:
+        raise ValidationError(
+            f"search budgets must be at least 0, got max_len={max_len}, n_random={n_random}"
+        )
     actions = e1.actions()
     unit = {a: ControlSignal([(a, Fraction(1))]) for a in actions}
     checked = 0
@@ -192,6 +201,13 @@ def check_equiv_sampled(
 # --- exact bisimulation on unit-length graphs ----------------------------
 
 
+def _require_unit_lengths(env: Environment) -> None:
+    if not env.graph.unit_lengths():
+        raise PreconditionError(
+            "bisimulation needs all edge lengths equal to 1; rescale the graph first"
+        )
+
+
 class DiscreteStateSpace:
     """Unit-time behaviour of a unit-length environment.
 
@@ -202,17 +218,19 @@ class DiscreteStateSpace:
     successor and the readout chunk: the trace of the unit action with its
     final instant dropped, so that chunks concatenate into full traces
     without double counting the seams.
+
+    On unit-length edges a unit action either rests at its vertex or
+    traverses one dart from end to end, so each move is read off the graph
+    and the sensor protocol instead of being simulated; the chunks equal
+    those the simulation gives, and a property test holds the two together.
     """
 
     def __init__(self, env: Environment):
-        if not env.graph.unit_lengths():
-            raise PreconditionError(
-                "bisimulation needs all edge lengths equal to 1; rescale the graph first"
-            )
+        _require_unit_lengths(env)
         self.env = env
         self.actions = tuple(env.actions())
-        self._unit = {a: ControlSignal([(a, Fraction(1))]) for a in self.actions}
         self._moves: dict = {}
+        self._values: dict = {}
         self.states: list = [env.initial]
         self.index: dict = {env.initial: 0}
         # The loop visits the states appended while it runs: a FIFO queue.
@@ -224,16 +242,39 @@ class DiscreteStateSpace:
                     self.states.append(w)
 
     def value(self, v):
-        return self.env.sensor.value(self.env.graph, VertexState(v))
+        if v not in self._values:
+            self._values[v] = self.env.sensor.value(self.env.graph, VertexState(v))
+        return self._values[v]
 
     def _move(self, v, a):
-        """(successor, chunk) of the unit action a from v, simulated once."""
+        """(successor, chunk) of the unit action a from v.
+
+        Halt, or a port v lacks, rests at v and reads v's value throughout.
+        Port k < degree(v) traverses dart (v, k) in one time unit: the chunk
+        is the edge's interior value, with an event at time 0 for v's value
+        and one at each beam mark, oriented along the dart, whose reading
+        differs from the interior."""
         key = (v, a)
         if key not in self._moves:
-            state, tr = _unit_move(self.env, self._unit[a], VertexState(v))
-            if not isinstance(state, VertexState):
-                raise PreconditionError(f"unit action {a!r} from {v!r} ended mid-edge")
-            self._moves[key] = (state.vertex, (tr.segments, tr.events[:-1]))
+            graph, sensor = self.env.graph, self.env.sensor
+            here = self.value(v)
+            if a == HALT or a >= graph.degree(v):
+                self._moves[key] = (v, (((_ZERO, _ONE, here),), ()))
+            else:
+                d = Dart(v, a)
+                idx = graph.edge_of(d)
+                inside = sensor.interior_value(graph, idx)
+                forward = d == graph.forward_dart(idx)
+                events = [(_ZERO, here)] if here != inside else []
+                events += sorted(
+                    (
+                        (pos if forward else _ONE - pos, label)
+                        for pos, label in sensor.marks_on(idx)
+                        if label != inside
+                    ),
+                    key=lambda event: event[0],
+                )
+                self._moves[key] = (graph.head(d), (((_ZERO, _ONE, inside),), tuple(events)))
         return self._moves[key]
 
     def step(self, v, a):
@@ -398,9 +439,14 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
 def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
     """Independent clause-by-clause check that `relation` (pairs of vertex
     names) is a bisimulation containing the initial pair: outputs agree,
-    readout chunks agree, and every action keeps pairs inside the relation."""
+    readout chunks agree, and every action keeps pairs inside the relation.
+
+    Each move is replayed through the simulation (`trajectory` and
+    `trace_of_trajectory`), once per (vertex, action) of each side, so the
+    check shares no code with the table that compute_bisimulation refines."""
     _require_shared_interface(e1, e2)
-    s1, s2 = DiscreteStateSpace(e1), DiscreteStateSpace(e2)
+    for env in (e1, e2):
+        _require_unit_lengths(env)
     pairs = {(a, b) for a, b in relation}
     v1_known = set(e1.graph.vertices)
     v2_known = set(e2.graph.vertices)
@@ -409,13 +455,26 @@ def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
             raise ValidationError(f"relation mentions unknown vertices ({v1!r}, {v2!r})")
     if (e1.initial, e2.initial) not in pairs:
         return False
+    actions = e1.actions()
+    unit = {a: ControlSignal([(a, _ONE)]) for a in actions}
+
+    moves: dict = {}
+
+    def move(env, v, a):
+        """(successor vertex, chunk) of a from v, replayed once per call."""
+        key = (env is e2, v, a)
+        if key not in moves:
+            state, tr = _unit_move(env, unit[a], VertexState(v))
+            moves[key] = (state.vertex, (tr.segments, tr.events[:-1]))
+        return moves[key]
+
     for v1, v2 in pairs:
-        if s1.value(v1) != s2.value(v2):
+        if e1.sensor.value(e1.graph, VertexState(v1)) != e2.sensor.value(e2.graph, VertexState(v2)):
             return False
-        for a in s1.actions:
-            if s1.chunk(v1, a) != s2.chunk(v2, a):
-                return False
-            if (s1.step(v1, a), s2.step(v2, a)) not in pairs:
+        for a in actions:
+            w1, chunk1 = move(e1, v1, a)
+            w2, chunk2 = move(e2, v2, a)
+            if chunk1 != chunk2 or (w1, w2) not in pairs:
                 return False
     return True
 

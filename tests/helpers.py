@@ -11,6 +11,7 @@ from covertrace import (
     ControlSignal,
     DegreeSensor,
     Environment,
+    LabelSensor,
     PortedGraph,
     VertexState,
     apply,
@@ -31,6 +32,17 @@ def three_cycle() -> PortedGraph:
 
 def three_cycle_env(sensor=None, width=2) -> Environment:
     return Environment(three_cycle(), "x0", sensor or DegreeSensor(), width)
+
+
+def marked_cycle_env(n: int) -> Environment:
+    """Unit n-cycle c0..c(n-1), port 0 forward and port 1 backward, label 1
+    on the start c0 and 0 elsewhere: marked n- and (n+1)-cycles are told
+    apart only by walking all the way round."""
+    names = [f"c{i}" for i in range(n)]
+    edges = build_edges([(names[i], names[(i + 1) % n], 0, 1) for i in range(n)])
+    graph = PortedGraph(names, edges)
+    labels = {v: int(i == 0) for i, v in enumerate(names)}
+    return Environment(graph, "c0", LabelSensor(labels, [0] * n), 2)
 
 
 def path_middle() -> PortedGraph:

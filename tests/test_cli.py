@@ -12,7 +12,7 @@ from covertrace import Environment, PortedGraph, build_edges, cli
 from covertrace.dot import graph_to_dot
 from covertrace.gallery import GALLERY
 
-from helpers import three_cycle_env
+from helpers import marked_cycle_env, three_cycle_env
 
 
 def run(capsys, argv):
@@ -149,6 +149,19 @@ class TestVerdictCommands:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "related"
+
+    @pytest.mark.parametrize("command", ["equiv", "distinguish"])
+    @pytest.mark.parametrize("budget", [["--max-len", "-1"], ["--random", "-3"]])
+    def test_negative_budgets_exit_2(self, capsys, tmp_path, gallery_dir, command, budget):
+        """Both a related pair and a pair that bisim distinguishes are
+        refused, with no verdict on stdout."""
+        a = write_json(tmp_path / "c4.json", marked_cycle_env(4).to_json())
+        b = write_json(tmp_path / "c5.json", marked_cycle_env(5).to_json())
+        circle = [str(gallery_dir / "circle_a.json"), str(gallery_dir / "circle_b.json")]
+        for pair in (circle, [a, b]):
+            code, out, err = run(capsys, [command, *pair, *budget])
+            assert (code, out) == (2, "")
+            assert "budgets must be at least 0" in err
 
     def test_malformed_file_exits_2(self, capsys, tmp_path, env_file):
         bad = tmp_path / "bad.json"
@@ -328,7 +341,7 @@ class TestGalleryCommand:
 class TestDotExport:
     def test_vertices_that_print_alike_get_distinct_nodes(self):
         """1 and "1" are distinct vertices, and a DOT id drops the quotes
-        that tell them apart."""
+        that tell them apart; the label of "1" keeps its quotes."""
         graph = PortedGraph(
             [1, "1", 2], build_edges([(1, "1", 0, 1), ("1", 2, 0, 1), (2, 1, 0, 1)])
         )
@@ -338,7 +351,8 @@ class TestDotExport:
         assert len(set(nodes)) == 3
         tail, _, head = edges[0]
         assert tail != head
-        assert [line.split("label=")[1] for line in lines[:3]] == ['"1"];', '"1"];', '"2"];']
+        labels = [line.split("label=")[1] for line in lines[:3]]
+        assert labels == ['"1"];', '"\\"1\\""];', '"2"];']
 
 
 class TestDeterminism:

@@ -3,14 +3,18 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from covertrace import (
+    HALT,
     ControlSignal,
+    Dart,
     DegreeSensor,
     Environment,
+    FilteredSensor,
     LabelSensor,
     PortedGraph,
     PreconditionError,
@@ -43,6 +47,7 @@ from covertrace.generate import (
 )
 
 from helpers import (
+    marked_cycle_env,
     naive_bisimulation,
     naive_discrete_search,
     path_middle_env,
@@ -141,6 +146,15 @@ class TestSampledCheck:
                     mine = [call for call in calls if call[0] == id(env)]
                     assert len(mine) == len(set(mine))
 
+    @pytest.mark.parametrize("budgets", [{"max_len": -1}, {"n_random": -3}])
+    def test_negative_budgets_rejected(self, budgets):
+        """A negative budget searches nothing, so it cannot back a verdict;
+        the marked 4- and 5-cycles show it would hide a real difference."""
+        a, b = marked_cycle_env(4), marked_cycle_env(5)
+        assert not compute_bisimulation(a, b).related
+        with pytest.raises(ValidationError):
+            check_equiv_sampled(a, b, **budgets)
+
     def test_verdict_json_shape(self):
         a, b = crossing_pair()
         data = check_equiv_sampled(a, b, max_len=3, n_random=0).to_json()
@@ -235,6 +249,58 @@ class TestBisimulation:
 
 
 class TestDiscreteStateSpace:
+    def test_table_matches_simulation(self):
+        """Every move the table reads off the graph equals the simulated
+        unit move: successor, segments and the events but the final
+        instant, with exact Fraction times; and each value is the sensor's.
+        The pool covers every sensor bare and filtered, widths below and
+        above the maximum degree, self-loops and beam marks met against
+        their edge's stored orientation."""
+        rng = random.Random(59)
+        # every reading the pool's degree, label and beam sensors can give
+        readings = (0, 1, 2, 3, "edge", "blank", "red", "green")
+        seen = Counter()
+        for kind in ("degree", "label", "beam"):
+            for _ in range(30):
+                base = random_unit_environment(rng, width=3, max_edges=4, kind=kind)
+                graph = base.graph
+                filtered = FilteredSensor(
+                    base.sensor, {value: rng.choice((0, "edge", "blank")) for value in readings}
+                )
+                top = graph.max_degree()
+                for sensor in (base.sensor, filtered):
+                    for width in sorted({max(1, w) for w in (top - 1, top, top + 1)}):
+                        env = Environment(graph, base.initial, sensor, width)
+                        space = DiscreteStateSpace(env)
+                        seen[kind, sensor is filtered] += 1
+                        seen["width", (width > top) - (width < top)] += 1
+                        for v in space.states:
+                            assert space.value(v) == sensor.value(graph, VertexState(v))
+                            for a in space.actions:
+                                u = ControlSignal([(a, 1)])
+                                final, tr = equivalence._unit_move(env, u, VertexState(v))
+                                chunk = space.chunk(v, a)
+                                assert VertexState(space.step(v, a)) == final
+                                assert chunk == (tr.segments, tr.events[:-1])
+                                segments, events = chunk
+                                times = [t for t, _, _ in segments] + [t for _, t, _ in segments]
+                                times += [t for t, _ in events]
+                                assert all(type(t) is Fraction for t in times)
+                                if a == HALT or a >= graph.degree(v):
+                                    continue
+                                d = Dart(v, a)
+                                idx = graph.edge_of(d)
+                                edge = graph.edges[idx]
+                                seen["self-loop"] += edge.tail == edge.head
+                                if sensor.marks_on(idx) and d != graph.forward_dart(idx):
+                                    seen["mark against stored orientation"] += 1
+                                seen["event at 0", bool(events) and events[0][0] == 0] += 1
+        for kind in ("degree", "label", "beam"):
+            assert seen[kind, False] and seen[kind, True]
+        assert seen["width", -1] and seen["width", 1]
+        assert seen["self-loop"] and seen["mark against stored orientation"]
+        assert seen["event at 0", True] and seen["event at 0", False]
+
     def test_moves_match_apply_and_trace_of(self):
         envs = [env for name in sorted(GALLERY) for env in GALLERY[name]()]
         unit_envs = [env for env in envs if env.graph.unit_lengths()]
@@ -322,6 +388,28 @@ class TestVerifyBisimulation:
         a, b = circle_pair()
         with pytest.raises(ValidationError):
             verify_bisimulation(a, b, [("nope", b.initial)])
+
+    def test_rejects_relation_from_a_corrupted_table(self, monkeypatch):
+        """A table with a wrong chunk on one edge's darts misleads the
+        refinement but not the checker, which replays every move through
+        the simulation."""
+        zeros = {"x0": 0, "x1": 0, "x2": 0}
+        a = three_cycle_env(LabelSensor(zeros, (0, 0, 0)))
+        b = three_cycle_env(LabelSensor(zeros, (0, 0, 1)))
+        assert not compute_bisimulation(a, b).related
+        one, zero = Fraction(1), Fraction(0)
+        wrong = (((zero, one, 1),), ((zero, 0),))
+        right = (((zero, one, 0),), ())
+        real = DiscreteStateSpace._move
+
+        def corrupted(self, v, action):
+            w, chunk = real(self, v, action)
+            return w, right if chunk == wrong else chunk
+
+        monkeypatch.setattr(DiscreteStateSpace, "_move", corrupted)
+        res = compute_bisimulation(a, b)
+        assert res.related
+        assert not verify_bisimulation(a, b, res.relation)
 
 
 class TestHomomorphisms:
