@@ -9,8 +9,7 @@ are reported as failing, not rejected.
 """
 from __future__ import annotations
 
-import hashlib
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -389,44 +388,52 @@ def relabel_environment(env: Environment, vertex_renaming: Mapping) -> Environme
     return Environment(new_graph, renaming[env.initial], sensor, env.alphabet_width)
 
 
-# --- degree refinement ---------------------------------------------------
+# --- partition refinement ------------------------------------------------
+
+
+def refine(part: list, signature) -> list:
+    """Split the blocks of `part` (one int per element) until stable.
+
+    Each round keys element i by (prev[i], *signature(prev, i)) and numbers
+    the distinct keys in sorted order, so block ids depend only on the keys,
+    not on the element order.  Stops when the block count stops growing or
+    every block is a singleton; returns `part` and each partition after it.
+    """
+    history = [part]
+    count = len(set(part))
+    indices = range(len(part))
+    while count < len(part):
+        prev = history[-1]
+        keys = [(prev[i], *signature(prev, i)) for i in indices]
+        distinct = dict.fromkeys(keys)
+        if len(distinct) == count:
+            break
+        count = len(distinct)
+        ranks = {key: rank for rank, key in enumerate(sorted(distinct))}
+        history.append([ranks[key] for key in keys])
+    return history
 
 
 def degree_refinement(env: Environment) -> tuple:
     """Canonical degree refinement table.
 
-    Vertices start coloured by degree and are iteratively recoloured by the
-    multiset of neighbour colours over their darts until stable.  Colours are
-    content-addressed (hashes of their construction history) so tables from
-    different graphs are directly comparable; two finite connected graphs share
-    a universal cover exactly when their tables agree.  Rows list, per class:
-    the degree and the dart counts into each class.
+    Vertices start coloured by degree and are recoloured by the sorted
+    colours at the heads of their darts until stable.  Ports and lengths are
+    ignored, so the claim is about the underlying multigraph: two finite
+    connected graphs share a universal cover exactly when their tables
+    agree.  Colour ids are canonical ranks (see refine), independent of
+    vertex and edge order.  Rows list, per final colour in rank order: the
+    degree and the dart counts into each colour.
     """
     graph = env.graph
-
-    def digest(payload: str) -> str:
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    colour = {v: digest(f"deg:{graph.degree(v)}") for v in graph.vertices}
-    while True:
-        refined = {}
-        for v in graph.vertices:
-            neighbours = sorted(colour[graph.head(d)] for d in graph.darts_at(v))
-            refined[v] = digest(colour[v] + "|" + ",".join(neighbours))
-        if len(set(refined.values())) == len(set(colour.values())):
-            colour = refined
-            break
-        colour = refined
-
-    classes = sorted(set(colour.values()))
-    index = {c: i for i, c in enumerate(classes)}
-    table = []
-    for c in classes:
-        representative = next(v for v in graph.vertices if colour[v] == c)
-        counts = {}
-        for d in graph.darts_at(representative):
-            counts[index[colour[graph.head(d)]]] = counts.get(index[colour[graph.head(d)]], 0) + 1
-        table.append(
-            (graph.degree(representative), tuple(sorted(counts.items())))
-        )
-    return tuple(table)
+    position = {v: i for i, v in enumerate(graph.vertices)}
+    heads = [[position[graph.head(d)] for d in graph.darts_at(v)] for v in graph.vertices]
+    colour = refine(
+        [graph.degree(v) for v in graph.vertices], lambda prev, i: sorted(prev[j] for j in heads[i])
+    )[-1]
+    member = {c: i for i, c in enumerate(colour)}
+    index = {c: rank for rank, c in enumerate(sorted(member))}
+    rows = [heads[member[c]] for c in index]
+    return tuple(
+        (len(row), tuple(sorted(Counter(index[colour[j]] for j in row).items()))) for row in rows
+    )

@@ -9,6 +9,7 @@ and offsets are exact rationals.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -24,7 +25,8 @@ from .signals import HALT, ControlSignal
 class Environment:
     """Immutable environment.  alphabet_width bounds the usable port symbols:
     valid actions are Port(0..width-1) and Halt.  It defaults to the maximum
-    degree but may be smaller, leaving high-port darts unpressable."""
+    degree but may be smaller, leaving high-port darts unpressable, or larger,
+    up to sys.maxsize so that the action range can be built."""
 
     graph: PortedGraph
     initial: object
@@ -38,8 +40,8 @@ class Environment:
         if self.alphabet_width is None:
             object.__setattr__(self, "alphabet_width", max(1, self.graph.max_degree()))
         width = self.alphabet_width
-        if not isinstance(width, int) or isinstance(width, bool) or width < 1:
-            raise ValidationError(f"alphabet_width must be a positive integer, got {width!r}")
+        if not isinstance(width, int) or isinstance(width, bool) or not 1 <= width <= sys.maxsize:
+            raise ValidationError(f"alphabet_width must be an integer from 1 to {sys.maxsize}, got {width!r}")
 
     @property
     def initial_state(self) -> VertexState:

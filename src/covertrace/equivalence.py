@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .environments import (
@@ -28,7 +29,7 @@ from .environments import (
     trajectory,
 )
 from .errors import PreconditionError, ValidationError
-from .covering import GraphMap
+from .covering import GraphMap, refine
 from .graphs import Dart, VertexState
 from .rationals import to_pair
 from .signals import EMPTY, HALT, ControlSignal
@@ -346,7 +347,8 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     signal, which is rebuilt action by action, lexicographically first.
 
     States are numbered s1 first, then s2, and every chunk is interned once,
-    so the rounds compare tuples of ints.
+    so the rounds compare tuples of ints.  They run in `refine`, the loop
+    degree_refinement uses too.
     """
     _require_shared_interface(e1, e2)
     s1, s2 = DiscreteStateSpace(e1), DiscreteStateSpace(e2)
@@ -360,21 +362,10 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
 
     values: dict = {}
     part = [values.setdefault(s.value(v), len(values)) for s in (s1, s2) for v in s.states]
-    history = [part]
-    blocks = [len(values)]
-    while True:
-        prev = history[-1]
-        signatures: dict = {}
-        part = [
-            signatures.setdefault(
-                (prev[i], chunks[i], *[prev[j] for j in succs[i]]), len(signatures)
-            )
-            for i in range(n_states)
-        ]
-        if len(signatures) == blocks[-1]:
-            break
-        history.append(part)
-        blocks.append(len(signatures))
+    # there are always at least two actions, so each getter returns a tuple
+    successor_blocks = [itemgetter(*row) for row in succs]
+    history = refine(part, lambda prev, i: (chunks[i], successor_blocks[i](prev)))
+    blocks = [len(set(p)) for p in history]
 
     final = history[-1]
     x0, y0 = 0, n1  # each space lists its initial vertex first

@@ -67,9 +67,6 @@ class DegreeSensor(_Sensor):
     def kind(self) -> str:
         return "degree"
 
-    def output_values(self, graph: PortedGraph) -> set:
-        return {graph.degree(v) for v in graph.vertices} | {EDGE}
-
     def to_json(self) -> dict:
         return {"type": "degree"}
 
@@ -130,9 +127,6 @@ class LabelSensor(_Sensor):
 
     def kind(self) -> str:
         return "label"
-
-    def output_values(self, graph: PortedGraph) -> set:
-        return set(self._vertex_table.values()) | set(self.edge_labels)
 
     def to_json(self) -> dict:
         return {
@@ -213,9 +207,6 @@ class BeamSensor(_Sensor):
     def kind(self) -> str:
         return "beam"
 
-    def output_values(self, graph: PortedGraph) -> set:
-        return {BLANK} | {m.label for m in self.marks}
-
     def to_json(self) -> dict:
         return {
             "type": "beam",
@@ -241,9 +232,14 @@ class FilteredSensor(_Sensor):
         object.__setattr__(self, "_table", dict(items))
 
     def validate(self, graph: PortedGraph) -> None:
-        self.base.validate(graph)
-        table = self._table
-        missing = [v for v in self.base.output_values(graph) if v not in table]
+        base, table = self.base, self._table
+        base.validate(graph)
+        # every reading the base gives here: at vertices, inside edges, on marks
+        edges = range(len(graph.edges))
+        readings = {base.value(graph, VertexState(v)) for v in graph.vertices}
+        readings.update(base.interior_value(graph, idx) for idx in edges)
+        readings.update(label for idx in edges for _, label in base.marks_on(idx))
+        missing = [v for v in readings if v not in table]
         if missing:
             raise ValidationError(f"relabelling not total, missing {missing!r}")
         for value in table.values():
@@ -267,9 +263,6 @@ class FilteredSensor(_Sensor):
 
     def kind(self) -> str:
         return self.base.kind()
-
-    def output_values(self, graph: PortedGraph) -> set:
-        return {self._table[v] for v in self.base.output_values(graph)}
 
     def to_json(self) -> dict:
         return {

@@ -1,6 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from math import lcm
 
@@ -233,3 +234,39 @@ def naive_bisimulation(e1: Environment, e2: Environment):
     ]
     pairs.sort(key=lambda p: (str(p[0]), str(p[1])))
     return pairs, rounds, separation
+
+
+def naive_degree_refinement(env: Environment) -> tuple:
+    """Degree-refinement oracle with content-addressed colours: each colour
+    is the sha256 of its degree, then of its previous colour and its sorted
+    neighbour colours, so colours from different graphs compare without a
+    shared numbering.  Refines until the colour count stops growing; rows
+    list, per class in digest order, the degree and the dart counts into
+    each class."""
+    graph = env.graph
+
+    def digest(payload: str) -> str:
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    colour = {v: digest(f"deg:{graph.degree(v)}") for v in graph.vertices}
+    while True:
+        refined = {}
+        for v in graph.vertices:
+            neighbours = sorted(colour[graph.head(d)] for d in graph.darts_at(v))
+            refined[v] = digest(colour[v] + "|" + ",".join(neighbours))
+        stable = len(set(refined.values())) == len(set(colour.values()))
+        colour = refined
+        if stable:
+            break
+
+    classes = sorted(set(colour.values()))
+    index = {c: i for i, c in enumerate(classes)}
+    table = []
+    for c in classes:
+        representative = next(v for v in graph.vertices if colour[v] == c)
+        counts = {}
+        for d in graph.darts_at(representative):
+            j = index[colour[graph.head(d)]]
+            counts[j] = counts.get(j, 0) + 1
+        table.append((graph.degree(representative), tuple(sorted(counts.items()))))
+    return tuple(table)

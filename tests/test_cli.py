@@ -6,13 +6,28 @@ import os
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
-from covertrace import Environment, PortedGraph, build_edges, cli
+from covertrace import (
+    BLANK,
+    EDGE,
+    BeamMark,
+    BeamSensor,
+    DegreeSensor,
+    Environment,
+    FilteredSensor,
+    LabelSensor,
+    PortedGraph,
+    ValidationError,
+    build_edges,
+    cli,
+)
 from covertrace.dot import graph_to_dot
 from covertrace.gallery import GALLERY
 
-from helpers import marked_cycle_env, three_cycle_env
+from helpers import marked_cycle_env, path_middle_env, three_cycle_env
 
 
 def run(capsys, argv):
@@ -202,6 +217,63 @@ class TestVerdictCommands:
         code, _, err = run(capsys, ["trace", env, signal])
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "make_env, sensor, missing",
+        [
+            (three_cycle_env, FilteredSensor(DegreeSensor(), {2: "two"}), EDGE),
+            (path_middle_env, FilteredSensor(DegreeSensor(), {1: "leaf", EDGE: "e"}), 2),
+            (
+                three_cycle_env,
+                FilteredSensor(
+                    LabelSensor({"x0": 0, "x1": 1, "x2": 2}, (5, 6, 7)),
+                    {0: "a", 1: "a", 2: "b", 5: "e", 6: "e"},
+                ),
+                7,
+            ),
+            (
+                three_cycle_env,
+                FilteredSensor(BeamSensor((BeamMark(1, Fraction(1, 3), "b"),)), {"b": 1}),
+                BLANK,
+            ),
+            (
+                three_cycle_env,
+                FilteredSensor(BeamSensor((BeamMark(1, Fraction(1, 3), "b"),)), {BLANK: 0}),
+                "b",
+            ),
+            (
+                three_cycle_env,
+                FilteredSensor(FilteredSensor(DegreeSensor(), {2: "v", EDGE: "e"}), {"v": 1}),
+                "e",
+            ),
+        ],
+        ids=["degree-edge", "degree-degree", "label-edge-label", "beam-blank", "beam-mark",
+             "filter-over-filter"],
+    )
+    def test_relabelling_not_total_exits_2(self, capsys, tmp_path, make_env, sensor, missing):
+        """A relabelling must cover every reading of its base on the graph:
+        vertex values, edge interiors and beam marks."""
+        env = make_env()
+        with pytest.raises(ValidationError, match="not total"):
+            Environment(env.graph, env.initial, sensor, env.alphabet_width)
+        payload = write_json(tmp_path / "env.json", {**env.to_json(), "sensor": sensor.to_json()})
+        signal = write_json(tmp_path / "sig.json", [[0, 1, 1]])
+        code, out, err = run(capsys, ["trace", payload, signal])
+        assert (code, out) == (2, "")
+        assert f"relabelling not total, missing [{missing!r}]" in err
+
+    @pytest.mark.parametrize("command", ["bisim", "equiv", "distinguish"])
+    def test_alphabet_width_above_maxsize_exits_2(self, capsys, tmp_path, gallery_dir, command):
+        """A width whose action range cannot be built is refused before any
+        command starts on it."""
+        wide = []
+        for tag in ("a", "b"):
+            payload = json.loads((gallery_dir / f"circle_{tag}.json").read_text())
+            payload["alphabet_width"] = 10**30
+            wide.append(write_json(tmp_path / f"wide_{tag}.json", payload))
+        code, out, err = run(capsys, [command, *wide])
+        assert (code, out) == (2, "")
+        assert "alphabet_width must be an integer" in err
 
     def test_non_unit_lengths_exit_3(self, capsys, tmp_path):
         payload = three_cycle_env().to_json()

@@ -1,6 +1,7 @@
 """Covering maps: verification, lifting, cover generators, degree refinement."""
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -36,7 +37,7 @@ from covertrace import (
     universal_cover_truncation,
     verify_covering,
 )
-from covertrace.gallery import crossing_pair
+from covertrace.gallery import GALLERY, crossing_pair
 from covertrace.generate import (
     random_beam_sensor,
     random_label_sensor,
@@ -47,6 +48,7 @@ from covertrace.generate import (
 
 from helpers import (
     figure_eight_env,
+    naive_degree_refinement,
     path_middle_env,
     three_cycle,
     three_cycle_env,
@@ -421,7 +423,55 @@ class TestUniversalCoverTruncation:
                 assert len(cover.graph.vertices) == universal_ball_size(g, env.initial, radius)
 
 
+def _refinement_pool() -> list:
+    """Gallery environments, seeded random graphs with unit and rational
+    lengths, and cyclic covers of orders 2 to 4 of each random graph."""
+    rng = random.Random(81)
+    pool = [env for name in sorted(GALLERY) for env in GALLERY[name]()]
+    for unit in (True, False) * 20:
+        g = random_ported_graph(rng, n_max=4, unit_lengths=unit)
+        env = Environment(g, g.vertices[0], DegreeSensor())
+        pool.append(env)
+        k = rng.randint(2, 4)
+        pool.append(cyclic_cover(env, k, random_voltages(rng, g, k))[0])
+    return pool
+
+
+def _shuffled_copy(rng: random.Random, env: Environment) -> Environment:
+    """The same graph with its vertex list and edge list shuffled and some
+    edges stored the other way round."""
+    g = env.graph
+    vertices = list(g.vertices)
+    rng.shuffle(vertices)
+    edges = [
+        Edge(e.head, e.tail, e.port_at_head, e.port_at_tail, e.length)
+        if rng.random() < 0.5
+        else e
+        for e in g.edges
+    ]
+    rng.shuffle(edges)
+    return Environment(PortedGraph(vertices, edges), env.initial, DegreeSensor())
+
+
 class TestDegreeRefinement:
+    def test_equality_matches_content_addressed_oracle(self):
+        """Two tables are equal exactly when the sha256-coloured oracle's
+        tables are, over every ordered pair of the pool."""
+        pool = _refinement_pool()
+        tables = [degree_refinement(env) for env in pool]
+        oracle = [naive_degree_refinement(env) for env in pool]
+        equal_off_diagonal = 0
+        for i, j in itertools.product(range(len(pool)), repeat=2):
+            assert (tables[i] == tables[j]) == (oracle[i] == oracle[j]), (i, j)
+            equal_off_diagonal += i != j and tables[i] == tables[j]
+        assert equal_off_diagonal >= len(pool)
+
+    def test_table_independent_of_vertex_and_edge_order(self):
+        rng = random.Random(82)
+        for env in _refinement_pool():
+            for _ in range(3):
+                assert degree_refinement(_shuffled_copy(rng, env)) == degree_refinement(env)
+
     def test_regular_graphs_share_one_row(self):
         k4 = PortedGraph(
             ["a", "b", "c", "d"],

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,20 @@ class TestEnvironmentValidation:
     def test_width_positive(self):
         with pytest.raises(ValidationError):
             Environment(three_cycle(), "x0", DegreeSensor(), 0)
+
+    def test_width_above_maxsize_rejected(self):
+        assert Environment(three_cycle(), "x0", DegreeSensor(), sys.maxsize).alphabet_width == sys.maxsize
+        for width in (sys.maxsize + 1, 10**30):
+            with pytest.raises(ValidationError):
+                Environment(three_cycle(), "x0", DegreeSensor(), width)
+            with pytest.raises(ValidationError):
+                Environment.from_json({**three_cycle_env().to_json(), "alphabet_width": width})
+
+    def test_filter_on_edgeless_graph_needs_no_edge_entry(self):
+        """EDGE cannot be read on a graph without edges, so a relabelling of
+        the degree sensor there only has to cover degree 0."""
+        env = Environment(PortedGraph(["a"], []), "a", FilteredSensor(DegreeSensor(), {0: "alone"}))
+        assert trace_of(env, sig((0, 2))).segments == ((0, 2, "alone"),)
 
     def test_label_sensor_totality(self):
         with pytest.raises(ValidationError):
