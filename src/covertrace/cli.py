@@ -5,6 +5,9 @@ sorted keys (pipe it through `python -m json.tool` to read it indented);
 short human-readable summaries go to standard error.  Exit codes: 0 success or
 verdict "related", 1 verdict "distinguished" (or a failed covering check),
 2 malformed input, 3 precondition violation.
+
+Each call builds the parser of the invoked command only (every command when
+the first argument names none, so help and errors read the same).
 """
 from __future__ import annotations
 
@@ -205,101 +208,102 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    written = write_gallery(args.out, dot=not args.no_dot)
+    try:
+        written = write_gallery(args.out, dot=not args.no_dot)
+    except OSError as exc:
+        raise ValidationError(f"cannot write the gallery to {args.out}: {exc}") from exc
     _emit({"written": written})
     _note(f"wrote {len(written)} files to {args.out}")
     return 0
 
 
-def _add_sampled(sub, name, help_text, max_len, n_random, found_note, missing_note) -> None:
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--max-len", type=int, default=max_len)
-    p.add_argument("--random", type=int, default=n_random)
+def _args(p, *positionals, **defaults) -> argparse.ArgumentParser:
+    """Add the positionals to p and set its defaults (func: the handler)."""
+    for name in positionals:
+        p.add_argument(name)
+    p.set_defaults(**defaults)
+    return p
+
+
+def _check_cover(p) -> None:
+    _args(p, "map", "source", "target", func=cmd_check_cover)
+    p.add_argument("--skip-star", action="append", default=[], metavar="VERTEX",
+                   help="skip the star condition at this vertex (truncated covers)")
+
+
+def _gen_cyclic(p) -> None:
+    _args(p, "environment", func=cmd_gen_cyclic)
+    p.add_argument("k", type=int)
+    p.add_argument("--voltages", help="comma-separated, one per edge, e.g. 0,0,1")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_equiv, found_note=found_note, missing_note=missing_note)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _sampled(max_len, n_random, found_note, missing_note):
+    """equiv and distinguish: one handler, each with its own defaults and notes."""
+    def add(p) -> None:
+        _args(p, "first", "second", func=cmd_equiv, found_note=found_note, missing_note=missing_note)
+        p.add_argument("--max-len", type=int, default=max_len)
+        p.add_argument("--random", type=int, default=n_random)
+        p.add_argument("--seed", type=int, default=0)
+    return add
+
+
+def _gallery(p) -> None:
+    p.add_argument("--out", required=True)
+    p.add_argument("--no-dot", action="store_true")
+    p.set_defaults(func=cmd_gallery)
+
+
+# Every command once, in help order: its name, its help and the function that
+# adds its arguments.  Those functions read the cmd_* globals when they run, so
+# a handler rebound after import (a tracer's wrapper) is the one dispatched.
+_COMMANDS = (
+    ("trace", "sensor trace of a signal in an environment",
+     lambda p: _args(p, "environment", "signal", func=cmd_trace)),
+    ("metric", "exact distance between two signals",
+     lambda p: _args(p, "first", "second", func=cmd_metric)),
+    ("geodesic", "point on the geodesic between two signals",
+     lambda p: _args(p, "first", "second", func=cmd_geodesic)
+     .add_argument("--at", default="1/2", help="parameter s in [0, 1], e.g. 1/3")),
+    ("check-cover", "grade a candidate covering map", _check_cover),
+    ("lift", "lift a signal's trajectory through a covering",
+     lambda p: _args(p, "map", "source", "target", "signal", func=cmd_lift)),
+    ("gen-cyclic", "cyclic cover from voltages", _gen_cyclic),
+    ("gen-universal", "truncated universal cover",
+     lambda p: _args(p, "environment", func=cmd_gen_universal)
+     .add_argument("radius", help="positive rational, e.g. 6 or 13/2")),
+    ("equiv", "sampled equivalence check",
+     _sampled(8, 200, "distinguished at t = {t}", "no divergence found (sampled check only)")),
+    ("bisim", "exact bisimulation on unit-length graphs",
+     lambda p: _args(p, "first", "second", func=cmd_bisim)),
+    ("distinguish", "search for a distinguishing signal",
+     _sampled(6, 0, "witness found, divergence at t = {t}", "no witness up to length {max_len}")),
+    ("gallery", "write the built-in example pairs", _gallery),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, given a command's name, of that one
+    command alone; its usage line lists every command either way."""
     parser = argparse.ArgumentParser(
         prog="covertrace",
         description="Exact tools for telling apart sensor-driven graph environments.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("trace", help="sensor trace of a signal in an environment")
-    p.add_argument("environment")
-    p.add_argument("signal")
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("metric", help="exact distance between two signals")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_metric)
-
-    p = sub.add_parser("geodesic", help="point on the geodesic between two signals")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--at", default="1/2", help="parameter s in [0, 1], e.g. 1/3")
-    p.set_defaults(func=cmd_geodesic)
-
-    p = sub.add_parser("check-cover", help="grade a candidate covering map")
-    p.add_argument("map")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--skip-star", action="append", default=[], metavar="VERTEX",
-                   help="skip the star condition at this vertex (truncated covers)")
-    p.set_defaults(func=cmd_check_cover)
-
-    p = sub.add_parser("lift", help="lift a signal's trajectory through a covering")
-    p.add_argument("map")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("signal")
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("gen-cyclic", help="cyclic cover from voltages")
-    p.add_argument("environment")
-    p.add_argument("k", type=int)
-    p.add_argument("--voltages", help="comma-separated, one per edge, e.g. 0,0,1")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen_cyclic)
-
-    p = sub.add_parser("gen-universal", help="truncated universal cover")
-    p.add_argument("environment")
-    p.add_argument("radius", help="positive rational, e.g. 6 or 13/2")
-    p.set_defaults(func=cmd_gen_universal)
-
-    _add_sampled(
-        sub, "equiv", "sampled equivalence check", max_len=8, n_random=200,
-        found_note="distinguished at t = {t}",
-        missing_note="no divergence found (sampled check only)",
-    )
-
-    p = sub.add_parser("bisim", help="exact bisimulation on unit-length graphs")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_bisim)
-
-    _add_sampled(
-        sub, "distinguish", "search for a distinguishing signal", max_len=6, n_random=0,
-        found_note="witness found, divergence at t = {t}",
-        missing_note="no witness up to length {max_len}",
-    )
-
-    p = sub.add_parser("gallery", help="write the built-in example pairs")
-    p.add_argument("--out", required=True)
-    p.add_argument("--no-dot", action="store_true")
-    p.set_defaults(func=cmd_gallery)
-
+    names = [name for name, _, _ in _COMMANDS]
+    narrow = command in names
+    # a metavar also renames "argument command" in errors, which only the full parser prints
+    metavar = {"metavar": "{" + ",".join(names) + "}"} if narrow else {}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name, help_text, add_arguments in _COMMANDS:
+        if not narrow or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

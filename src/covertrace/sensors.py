@@ -234,12 +234,14 @@ class FilteredSensor(_Sensor):
     def validate(self, graph: PortedGraph) -> None:
         base, table = self.base, self._table
         base.validate(graph)
-        # every reading the base gives here: at vertices, inside edges, on marks
+        # every reading the base gives here: at vertices in graph order, inside
+        # edges, on marks; listed in order of first appearance, so the message
+        # does not depend on the hash seed
         edges = range(len(graph.edges))
-        readings = {base.value(graph, VertexState(v)) for v in graph.vertices}
-        readings.update(base.interior_value(graph, idx) for idx in edges)
-        readings.update(label for idx in edges for _, label in base.marks_on(idx))
-        missing = [v for v in readings if v not in table]
+        readings = [base.value(graph, VertexState(v)) for v in graph.vertices]
+        readings += [base.interior_value(graph, idx) for idx in edges]
+        readings += [label for idx in edges for _, label in base.marks_on(idx)]
+        missing = [v for v in dict.fromkeys(readings) if v not in table]
         if missing:
             raise ValidationError(f"relabelling not total, missing {missing!r}")
         for value in table.values():

@@ -1,6 +1,7 @@
 """Command line surface: frozen outputs, exit codes, file round trips."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -221,38 +222,45 @@ class TestVerdictCommands:
     @pytest.mark.parametrize(
         "make_env, sensor, missing",
         [
-            (three_cycle_env, FilteredSensor(DegreeSensor(), {2: "two"}), EDGE),
-            (path_middle_env, FilteredSensor(DegreeSensor(), {1: "leaf", EDGE: "e"}), 2),
+            (three_cycle_env, FilteredSensor(DegreeSensor(), {2: "two"}), [EDGE]),
+            (path_middle_env, FilteredSensor(DegreeSensor(), {1: "leaf", EDGE: "e"}), [2]),
             (
                 three_cycle_env,
                 FilteredSensor(
                     LabelSensor({"x0": 0, "x1": 1, "x2": 2}, (5, 6, 7)),
                     {0: "a", 1: "a", 2: "b", 5: "e", 6: "e"},
                 ),
-                7,
+                [7],
             ),
             (
                 three_cycle_env,
                 FilteredSensor(BeamSensor((BeamMark(1, Fraction(1, 3), "b"),)), {"b": 1}),
-                BLANK,
+                [BLANK],
             ),
             (
                 three_cycle_env,
                 FilteredSensor(BeamSensor((BeamMark(1, Fraction(1, 3), "b"),)), {BLANK: 0}),
-                "b",
+                ["b"],
             ),
             (
                 three_cycle_env,
                 FilteredSensor(FilteredSensor(DegreeSensor(), {2: "v", EDGE: "e"}), {"v": 1}),
-                "e",
+                ["e"],
+            ),
+            (
+                three_cycle_env,
+                FilteredSensor(LabelSensor({"x0": "a", "x1": "b", "x2": "c"}, "def"), {}),
+                ["a", "b", "c", "d", "e", "f"],
             ),
         ],
         ids=["degree-edge", "degree-degree", "label-edge-label", "beam-blank", "beam-mark",
-             "filter-over-filter"],
+             "filter-over-filter", "label-all-missing"],
     )
     def test_relabelling_not_total_exits_2(self, capsys, tmp_path, make_env, sensor, missing):
         """A relabelling must cover every reading of its base on the graph:
-        vertex values, edge interiors and beam marks."""
+        vertex values, edge interiors and beam marks.  The missing readings
+        are listed in order of first appearance: vertices in graph order,
+        then edge interiors, then marks."""
         env = make_env()
         with pytest.raises(ValidationError, match="not total"):
             Environment(env.graph, env.initial, sensor, env.alphabet_width)
@@ -260,7 +268,7 @@ class TestVerdictCommands:
         signal = write_json(tmp_path / "sig.json", [[0, 1, 1]])
         code, out, err = run(capsys, ["trace", payload, signal])
         assert (code, out) == (2, "")
-        assert f"relabelling not total, missing [{missing!r}]" in err
+        assert f"relabelling not total, missing {missing!r}" in err
 
     @pytest.mark.parametrize("command", ["bisim", "equiv", "distinguish"])
     def test_alphabet_width_above_maxsize_exits_2(self, capsys, tmp_path, gallery_dir, command):
@@ -408,6 +416,92 @@ class TestGalleryCommand:
         assert code == 0
         assert all(p.suffix == ".json" for p in out.iterdir())
         assert len(list(out.iterdir())) == 8
+
+    @pytest.mark.parametrize("under", [False, True], ids=["existing-file", "under-a-file"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, under):
+        out = tmp_path / "taken"
+        out.write_text("")
+        target = str(out / "x") if under else str(out)
+        code, stdout, err = run(capsys, ["gallery", "--out", target])
+        assert (code, stdout) == (2, "")
+        assert f"invalid input: cannot write the gallery to {target}" in err
+
+
+def _subparsers(parser):
+    """The subcommand name -> parser table of the full parser."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _command_line(name, sub, bad=None):
+    """name's command line with every positional and required option set to
+    "1", and the argument bad, if given, set to "x"."""
+    argv = [name]
+    for action in sub._actions:
+        value = "x" if action is bad else "1"
+        if not action.option_strings:
+            argv.append(value)
+        elif action.required or action is bad:
+            argv += [action.option_strings[0], value]
+    return argv
+
+
+def _parse_cases():
+    """Help and error command lines for every command (help, missing
+    arguments, an unknown option, a bad int), plus the top level."""
+    cases = [[], ["-h"], ["--version"], ["bogus"], ["bis"]]
+    for name, sub in _subparsers(cli.build_parser()).items():
+        cases += [[name, "-h"], [name], _command_line(name, sub) + ["--bogus"]]
+        bad_int = next((a for a in sub._actions if a.type is int), None)
+        if bad_int is not None:
+            cases.append(_command_line(name, sub, bad_int))
+    return cases
+
+
+class TestDispatch:
+    """main builds only the invoked command's parser; nothing it prints or
+    returns may tell that apart from the full parser."""
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    @pytest.mark.parametrize("argv", _parse_cases(), ids=lambda argv: " ".join(argv) or "(none)")
+    def test_narrowed_parsing_matches_full_parser(self, capsys, monkeypatch, columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        full = self.outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+        assert self.outcome(capsys, cli.main, argv) == full
+
+    def test_unknown_command_error_names_the_argument(self, capsys):
+        """Only a narrowed parser gets a metavar, which would rename the
+        argument in this error."""
+        code, out, err = self.outcome(capsys, cli.main, ["bis"])
+        assert (code, out) == (2, "")
+        assert "covertrace: error: argument command: invalid choice: 'bis'" in err
+
+    def test_builds_two_parsers_for_a_command(self, capsys, monkeypatch, env_file):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        code, _, _ = run(capsys, ["bisim", env_file, env_file])
+        assert code == 0
+        assert len(built) == 2
+
+    def test_dispatches_to_the_current_handler(self, monkeypatch):
+        """A handler rebound after import (as a tracer does) is the one called."""
+        calls = []
+        monkeypatch.setattr(cli, "cmd_bisim", lambda args: calls.append(args) or 7)
+        assert cli.main(["bisim", "a.json", "b.json"]) == 7
+        assert [(a.first, a.second) for a in calls] == [("a.json", "b.json")]
 
 
 class TestDotExport:
