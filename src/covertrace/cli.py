@@ -40,7 +40,9 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # malformed JSON, or an integer literal longer than
+        # sys.get_int_max_str_digits() digits
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -65,7 +67,12 @@ def _parse_rational(text: str) -> Fraction:
 
 def _emit(data) -> None:
     try:
-        print(json.dumps(data, sort_keys=True))
+        text = json.dumps(data, sort_keys=True)
+    except ValueError as exc:
+        # an integer longer than sys.get_int_max_str_digits() digits
+        raise PreconditionError(f"the result cannot be printed: {exc}") from exc
+    try:
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed early (`covertrace ... | head`).  Point stdout at
@@ -110,11 +117,25 @@ def cmd_geodesic(args) -> int:
     return 0
 
 
+def _source_vertex(text: str, source: Environment):
+    """The source vertex a command-line name stands for: a string vertex equal
+    to the text or an integer vertex that prints as it, exactly one of them."""
+    matches = [v for v in source.graph.vertices if (str(v) if isinstance(v, int) else v) == text]
+    if not matches:
+        raise ValidationError(f"--skip-star {text}: the source has no vertex of that name")
+    if len(matches) > 1:
+        raise ValidationError(
+            f"--skip-star {text} is ambiguous: it names the source vertices {matches[0]!r} and {matches[1]!r}"
+        )
+    return matches[0]
+
+
 def cmd_check_cover(args) -> int:
     source = _load_environment(args.source)
     target = _load_environment(args.target)
     mapping = _load_map(args.map, source)
-    cert = verify_covering(mapping, source, target, skip_star_at=args.skip_star)
+    skip = [_source_vertex(text, source) for text in args.skip_star]
+    cert = verify_covering(mapping, source, target, skip_star_at=skip)
     _emit(cert.to_json())
     _note("covering conditions hold" if cert.positive else "not a covering")
     return 0 if cert.positive else 1
@@ -228,7 +249,8 @@ def _args(p, *positionals, **defaults) -> argparse.ArgumentParser:
 def _check_cover(p) -> None:
     _args(p, "map", "source", "target", func=cmd_check_cover)
     p.add_argument("--skip-star", action="append", default=[], metavar="VERTEX",
-                   help="skip the star condition at this vertex (truncated covers)")
+                   help="skip the star condition at this source vertex (truncated covers); "
+                   "an integer vertex is named by its digits")
 
 
 def _gen_cyclic(p) -> None:

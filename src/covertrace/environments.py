@@ -6,6 +6,13 @@ enters the port-k dart if the vertex has one, else it waits for the symbol to
 change.  Mid-edge the specific port index is irrelevant: turning around inside
 an edge is impossible, only at vertices.  Under Halt it stays put.  All times
 and offsets are exact rationals.
+
+Times and offsets are exact Fractions at the API: in every Leg, Trajectory
+and SensorTrace and in every returned time.  Inside, `trajectory`,
+`trace_of_trajectory` and `first_divergence` put the rationals of one call
+(piece durations, edge lengths, offsets, beam-mark positions, trace times) on
+one integer grid, ints over their common denominator, and add, compare, hash
+and sort those ints; a Fraction is built only for a value that is returned.
 """
 from __future__ import annotations
 
@@ -16,9 +23,12 @@ from typing import Optional
 
 from .errors import PreconditionError, ValidationError
 from .graphs import Dart, GraphState, PortedGraph, VertexState, check_vertex_name
-from .rationals import as_fraction, to_pair
+from .rationals import as_fraction, on_grid, to_pair
 from .sensors import SensorSpec, sensor_from_json
 from .signals import HALT, ControlSignal
+
+
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,11 @@ class Leg:
 
 @dataclass(frozen=True, init=False)
 class Trajectory:
-    """Exact piecewise description of the robot's motion on [0, duration]."""
+    """Exact piecewise description of the robot's motion on [0, duration].
+
+    legs are contiguous from time 0 and maximal, as `trajectory` builds them:
+    no two adjacent rests share a state and no move continues the move before
+    it along the same dart."""
 
     graph: PortedGraph
     start: GraphState
@@ -106,26 +120,11 @@ class Trajectory:
     duration: Fraction
 
     def __init__(self, graph: PortedGraph, start: GraphState, legs):
-        merged = []
-        for leg in legs:
-            if merged:
-                prev = merged[-1]
-                if not prev.moving and not leg.moving and prev.state == leg.state:
-                    merged[-1] = Leg(prev.t0, leg.t1, None, None, prev.state, leg.end)
-                    continue
-                if (
-                    prev.moving
-                    and leg.moving
-                    and prev.dart == leg.dart
-                    and prev.offset0 + (prev.t1 - prev.t0) == leg.offset0
-                ):
-                    merged[-1] = Leg(prev.t0, leg.t1, prev.dart, prev.offset0, None, leg.end)
-                    continue
-            merged.append(leg)
+        legs = tuple(legs)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "start", start)
-        object.__setattr__(self, "legs", tuple(merged))
-        object.__setattr__(self, "duration", merged[-1].t1 if merged else Fraction(0))
+        object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "duration", legs[-1].t1 if legs else ZERO)
 
     def at(self, t) -> GraphState:
         """State at time t in [0, duration], canonical."""
@@ -174,35 +173,49 @@ def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphSta
     """The robot's exact motion under the signal from `start` (default: initial)."""
     graph = env.graph
     start = env.initial_state if start is None else graph.check_state(start)
-    legs = []
-    t = Fraction(0)
+    pieces = signal.pieces
+    durations = [dur for _, dur in pieces]
+    if not isinstance(start, VertexState):
+        durations.append(start.offset)
+    scale, ticks = on_grid(durations, graph.tick_denominator())
+    # offset of cur in ticks while cur is inside an edge
+    off = 0 if isinstance(start, VertexState) else ticks.pop()
+    # legs as [t0, t1, dart, offset0 ticks, offset0, state, end], t0 and t1
+    # in ticks; a rest in the state of the rest before it, or a move that
+    # continues the move before it along its dart, extends that leg
+    raw = []
+    t = 0
     cur = start
-    for symbol, dur in signal.pieces:
-        remaining = dur
-        if symbol == HALT:
-            legs.append(Leg(t, t + remaining, None, None, cur, cur))
-            t += remaining
-            continue
-        k = symbol
+    for (symbol, _), remaining in zip(pieces, ticks):
         while remaining > 0:
-            if isinstance(cur, VertexState):
-                v = cur.vertex
-                if k < graph.degree(v):
-                    d = Dart(v, k)
-                    step = min(remaining, graph.length(d))
-                    cur = graph.state_on(d, step)
-                    legs.append(Leg(t, t + step, d, Fraction(0), None, cur))
+            if symbol == HALT or isinstance(cur, VertexState) and symbol >= graph.degree(cur.vertex):
+                step = remaining
+                if raw and raw[-1][2] is None and raw[-1][5] == cur:
+                    raw[-1][1] = t + step
                 else:
-                    step = remaining
-                    legs.append(Leg(t, t + step, None, None, cur, cur))
+                    raw.append([t, t + step, None, None, None, cur, cur])
             else:
-                d = cur.dart
-                step = min(remaining, graph.length(d) - cur.offset)
-                offset0 = cur.offset
-                cur = graph.state_on(d, offset0 + step)
-                legs.append(Leg(t, t + step, d, offset0, None, cur))
+                if isinstance(cur, VertexState):
+                    dart, off0, offset0 = Dart(cur.vertex, symbol), 0, ZERO
+                else:
+                    dart, off0, offset0 = cur.dart, off, cur.offset
+                step = min(remaining, graph.length_ticks(dart, scale) - off0)
+                off = off0 + step
+                cur = graph.state_on_ticks(dart, off, scale)
+                prev = raw[-1] if raw else None
+                if prev and prev[2] == dart and prev[3] + (prev[1] - prev[0]) == off0:
+                    prev[1] = t + step
+                    prev[6] = cur
+                else:
+                    raw.append([t, t + step, dart, off0, offset0, None, cur])
             t += step
             remaining -= step
+    legs = []
+    t0 = ZERO
+    for _, t1, dart, _, offset0, state, end in raw:
+        t1 = Fraction(t1, scale)
+        legs.append(Leg(t0, t1, dart, offset0, state, end))
+        t0 = t1
     return Trajectory(graph, start, legs)
 
 
@@ -273,47 +286,67 @@ def trace_of(env: Environment, signal: ControlSignal, start: Optional[GraphState
 
 def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
     graph, sensor = env.graph, env.sensor
-    duration = traj.duration
+    value, interior_value = sensor.value, sensor.interior_value
 
-    instants = {Fraction(0): sensor.value(graph, traj.start)}
-    intervals = []
+    # Every time, offset and beam-mark position the legs meet, in the order
+    # the loop below reads their ticks back.
+    values = []
+    edges = []
     for leg in traj.legs:
-        instants[leg.t1] = sensor.value(graph, leg.end)
-        if not leg.moving:
-            intervals.append([leg.t0, leg.t1, sensor.value(graph, leg.state)])
+        values += (leg.t0, leg.t1)
+        if leg.dart is None:
+            edges.append(None)
             continue
         idx = graph.edge_of(leg.dart)
-        intervals.append([leg.t0, leg.t1, sensor.interior_value(graph, idx)])
-        length = graph.length(leg.dart)
-        forward = leg.dart == graph.forward_dart(idx)
-        off_hi = leg.offset0 + (leg.t1 - leg.t0)
-        for pos, label in sensor.marks_on(idx):
-            dart_pos = pos if forward else length - pos
-            if leg.offset0 < dart_pos < off_hi:
-                instants[leg.t0 + (dart_pos - leg.offset0)] = label
+        marks = sensor.marks_on(idx)
+        values.append(leg.offset0)
+        values += [pos for pos, _ in marks]
+        edges.append((idx, marks))
+    scale, ticks = on_grid(values, graph.tick_denominator())
+    it = iter(ticks)
 
+    end = 0
+    times = {0: ZERO}  # ticks -> the Fraction a leg holds for them
+    instants = {0: value(graph, traj.start)}
     merged = []
-    for a, b, v in intervals:
-        if merged and merged[-1][2] == v and merged[-1][1] == a:
-            merged[-1][1] = b
+    for leg, edge in zip(traj.legs, edges):
+        t0, end = next(it), next(it)
+        times[t0], times[end] = leg.t0, leg.t1
+        instants[end] = value(graph, leg.end)
+        if edge is None:
+            v = value(graph, leg.state)
         else:
-            merged.append([a, b, v])
-    segments = tuple((a, b, v) for a, b, v in merged)
+            idx, marks = edge
+            v = interior_value(graph, idx)
+            off0 = next(it)
+            if marks:
+                length = graph.length_ticks(leg.dart, scale)
+                forward = leg.dart == graph.forward_dart(idx)
+                off_hi = off0 + (end - t0)
+                for _, label in marks:
+                    pos = next(it)
+                    dart_pos = pos if forward else length - pos
+                    if off0 < dart_pos < off_hi:
+                        instants[t0 + (dart_pos - off0)] = label
+        if merged and merged[-1][2] == v and merged[-1][1] == t0:
+            merged[-1][1] = end
+        else:
+            merged.append([t0, end, v])
 
     # Instants and segments are both in time order, so one forward pointer
     # finds the segment each instant sits in.
     events = []
     k = 0
     for t in sorted(instants):
-        value = instants[t]
-        if t == duration:
-            events.append((t, value))
-            continue
-        while segments[k][1] <= t:
-            k += 1
-        if segments[k][2] != value:
-            events.append((t, value))
-    return SensorTrace(duration, segments, tuple(events))
+        reading = instants[t]
+        if t != end:
+            while merged[k][1] <= t:
+                k += 1
+            if merged[k][2] == reading:
+                continue
+        events.append((times[t] if t in times else Fraction(t, scale), reading))
+    segments = tuple((times[a], times[b], v) for a, b, v in merged)
+    return SensorTrace(traj.duration, segments, tuple(events))
 
 
 def first_divergence(a: SensorTrace, b: SensorTrace) -> Optional[Fraction]:
@@ -322,24 +355,29 @@ def first_divergence(a: SensorTrace, b: SensorTrace) -> Optional[Fraction]:
     Traces must share a duration (they come from one signal)."""
     if a.duration != b.duration:
         raise ValidationError("traces of different durations are not comparable")
+    values = [t for trace in (a, b) for start, end, _ in trace.segments for t in (start, end)]
+    values += [t for trace in (a, b) for t, _ in trace.events]
+    scale, ticks = on_grid(values)
+    it = iter(ticks)
+    segments_a = [(next(it), next(it), v) for _, _, v in a.segments]
+    segments_b = [(next(it), next(it), v) for _, _, v in b.segments]
+    events_a = {next(it): v for _, v in a.events}
+    events_b = {next(it): v for _, v in b.events}
     criticals = sorted(
-        {t for t, _, _ in a.segments}
-        | {t for t, _, _ in b.segments}
-        | {t for t, _ in a.events}
-        | {t for t, _ in b.events}
+        {t for t, _, _ in segments_a} | {t for t, _, _ in segments_b} | events_a.keys() | events_b.keys()
     )
-    for t, ra, rb in zip(criticals, _readings(a, criticals), _readings(b, criticals)):
+    readings_a = _readings(segments_a, events_a, criticals)
+    readings_b = _readings(segments_b, events_b, criticals)
+    for t, ra, rb in zip(criticals, readings_a, readings_b):
         if ra != rb:
-            return t
+            return Fraction(t, scale)
     return None
 
 
-def _readings(trace: SensorTrace, times):
+def _readings(segments, events: dict, times):
     """(instant value, value just after) at each of the sorted times, as
-    value_at and segment_value_after give them, with one forward pointer over
-    the segments instead of a scan per time."""
-    events = dict(trace.events)
-    segments = trace.segments
+    SensorTrace.value_at and segment_value_after give them, for a trace in
+    ticks; one forward pointer over the segments instead of a scan per time."""
     k = 0
     for t in times:
         while k < len(segments) and segments[k][1] <= t:

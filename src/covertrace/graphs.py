@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import ValidationError
@@ -127,6 +128,7 @@ class PortedGraph:
         self._edge_index = edge_index_of
         self._degree = {v: len(used) for v, used in ports.items()}
         self._vertex_dist: Optional[dict] = None
+        self._tick_denominator: Optional[int] = None
 
         if not self._connected():
             raise ValidationError("graph is not connected")
@@ -181,6 +183,19 @@ class PortedGraph:
     def unit_lengths(self) -> bool:
         return all(e.length == 1 for e in self.edges)
 
+    def tick_denominator(self) -> int:
+        """Least common denominator of the edge lengths, computed on first use
+        (a simulation's integer grid is a multiple of it)."""
+        if self._tick_denominator is None:
+            self._tick_denominator = lcm(*[e.length.denominator for e in self.edges])
+        return self._tick_denominator
+
+    def length_ticks(self, d: Dart, scale: int) -> int:
+        """Length of the dart in ticks of 1/scale, for a scale that its
+        length denominator divides (any multiple of tick_denominator())."""
+        length = self._length[d]
+        return length.numerator * (scale // length.denominator)
+
     # --- states ----------------------------------------------------------
 
     def vertex_state(self, v) -> VertexState:
@@ -202,6 +217,21 @@ class PortedGraph:
         if offset == length:
             return VertexState(self._head[d])
         return EdgeState(d, offset)
+
+    def state_on_ticks(self, d: Dart, offset: int, scale: int) -> GraphState:
+        """state_on(d, Fraction(offset, scale)) with the range check and the
+        folding done on ints, for a scale that the dart's length denominator
+        divides (any multiple of tick_denominator())."""
+        if d not in self._head:
+            raise ValidationError(f"unknown dart {d!r}")
+        length = self.length_ticks(d, scale)
+        if offset < 0 or offset > length:
+            raise ValidationError(f"offset {Fraction(offset, scale)} outside [0, {self._length[d]}]")
+        if offset == 0:
+            return VertexState(d.vertex)
+        if offset == length:
+            return VertexState(self._head[d])
+        return EdgeState(d, Fraction(offset, scale))
 
     def check_state(self, state: GraphState) -> GraphState:
         if isinstance(state, VertexState):

@@ -2,16 +2,21 @@
 
 No floating point is accepted anywhere: exactness is part of every public
 contract, so floats are rejected at the boundary instead of silently rounded.
+Hot loops put their rationals on one integer grid with `on_grid` and compute
+on ints, which is exact and avoids a gcd per Fraction operation.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ValidationError
 
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, strings like "3/2", and Fractions to Fraction; reject floats."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise ValidationError(f"not a rational number: {value!r}")
     if isinstance(value, (int, Fraction)):
@@ -22,6 +27,18 @@ def as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational number: {value!r}") from exc
     raise ValidationError(f"not a rational number: {value!r}")
+
+
+def on_grid(values, scale: int = 1) -> tuple:
+    """Exact rationals (a sequence of Fractions or ints) as integer ticks
+    over one common denominator.
+
+    Returns (d, ticks): d is the least common multiple of `scale` and every
+    denominator, and ticks[i] == values[i] * d, so values[i] is
+    Fraction(ticks[i], d).  Sums, comparisons, hashes and sorts of ticks
+    agree with those of the values."""
+    d = lcm(scale, *[v.denominator for v in values])
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def to_pair(value: Fraction) -> list:

@@ -4,15 +4,22 @@ A signal is a finite word of (symbol, duration) pieces read left to right.  The
 canonical form stores no zero-duration pieces and never repeats a symbol in
 adjacent pieces, so equality of values coincides with equality of canonical
 piece lists.  All durations are Fractions; nothing here is approximate.
+
+Times are exact Fractions at the API.  Inside, the constructor, `distance`,
+`restrict_before` and `suffix_from` put every time they meet on one integer
+grid (ints over the common denominator, see `rationals.on_grid`) and build a
+Fraction only for the values they return.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import eq
 from typing import Iterable, Union
 
 from .errors import PreconditionError, ValidationError
-from .rationals import as_fraction, from_wire
+from .rationals import as_fraction, from_wire, on_grid
 
 HALT = "halt"
 
@@ -40,7 +47,7 @@ class ControlSignal:
     pieces: tuple
 
     def __init__(self, pieces: Iterable = ()):
-        canonical = []
+        symbols, durations = [], []
         for entry in pieces:
             try:
                 symbol, duration = entry
@@ -48,16 +55,29 @@ class ControlSignal:
                 raise ValidationError(f"bad signal piece: {entry!r}") from exc
             symbol = check_symbol(symbol)
             duration = as_fraction(duration)
-            if duration < 0:
+            if duration.numerator < 0:
                 raise ValidationError(f"negative duration: {duration}")
-            if duration == 0:
-                continue
-            if canonical and canonical[-1][0] == symbol:
-                canonical[-1] = (symbol, canonical[-1][1] + duration)
-            else:
-                canonical.append((symbol, duration))
-        object.__setattr__(self, "pieces", tuple(canonical))
-        object.__setattr__(self, "_duration", sum((d for _, d in canonical), Fraction(0)))
+            if duration.numerator:
+                symbols.append(symbol)
+                durations.append(duration)
+        scale, ticks = on_grid(durations)
+        canonical = tuple(zip(symbols, durations))
+        if any(map(eq, symbols, symbols[1:])):
+            # runs of equal symbols as [symbol, ticks, duration]; a merged
+            # run gets its duration from its ticks
+            runs = []
+            for symbol, duration, n in zip(symbols, durations, ticks):
+                if runs and runs[-1][0] == symbol:
+                    runs[-1][1] += n
+                    runs[-1][2] = None
+                else:
+                    runs.append([symbol, n, duration])
+            canonical = tuple(
+                (symbol, Fraction(n, scale) if duration is None else duration)
+                for symbol, n, duration in runs
+            )
+        object.__setattr__(self, "pieces", canonical)
+        object.__setattr__(self, "_duration", Fraction(sum(ticks), scale))
 
     @property
     def duration(self) -> Fraction:
@@ -95,14 +115,16 @@ class ControlSignal:
         t = as_fraction(t)
         if t < 0:
             raise PreconditionError(f"negative cut time: {t}")
+        scale, ticks = on_grid([dur for _, dur in self.pieces] + [t])
+        remaining = ticks.pop()
         out = []
-        remaining = t
-        for symbol, dur in self.pieces:
-            if remaining <= 0:
+        for (symbol, dur), n in zip(self.pieces, ticks):
+            if n >= remaining:
+                if remaining:
+                    out.append((symbol, dur if n == remaining else Fraction(remaining, scale)))
                 break
-            take = min(dur, remaining)
-            out.append((symbol, take))
-            remaining -= take
+            out.append((symbol, dur))
+            remaining -= n
         return ControlSignal(out)
 
     def suffix_from(self, t) -> "ControlSignal":
@@ -110,15 +132,15 @@ class ControlSignal:
         t = as_fraction(t)
         if t < 0 or t > self.duration:
             raise PreconditionError(f"cut time {t} outside [0, {self.duration}]")
-        out = []
-        skip = t
-        for symbol, dur in self.pieces:
-            if skip >= dur:
-                skip -= dur
-                continue
-            out.append((symbol, dur - skip))
-            skip = Fraction(0)
-        return ControlSignal(out)
+        scale, ticks = on_grid([dur for _, dur in self.pieces] + [t])
+        skip = ticks.pop()
+        for i, n in enumerate(ticks):
+            if skip < n:
+                symbol, dur = self.pieces[i]
+                head = (symbol, dur if skip == 0 else Fraction(n - skip, scale))
+                return ControlSignal((head,) + self.pieces[i + 1:])
+            skip -= n
+        return EMPTY
 
     def is_strict_prefix_of(self, other: "ControlSignal") -> bool:
         """Tree order: self is a proper initial segment of other."""
@@ -148,23 +170,26 @@ def distance(a: ControlSignal, b: ControlSignal) -> Fraction:
     """Exact metric: Lebesgue measure of the disagreement set on the common
     horizon plus the duration gap.
 
-    One merge over both piece lists by piece end time, so the cost is linear
-    in the piece count."""
+    One merge over both piece lists by piece end time, in integer ticks over
+    the pieces' common denominator, so the cost is linear in the piece count."""
     pa, pb = a.pieces, b.pieces
-    ends_a, ends_b = a.breakpoints()[1:], b.breakpoints()[1:]
-    total = Fraction(0)
-    t = Fraction(0)
+    scale, ticks = on_grid([dur for _, dur in pa + pb])
+    ends_a = list(accumulate(ticks[: len(pa)]))
+    ends_b = list(accumulate(ticks[len(pa):]))
+    total = t = 0
     i = j = 0
     while i < len(pa) and j < len(pb):
-        hi = min(ends_a[i], ends_b[j])
+        end_a, end_b = ends_a[i], ends_b[j]
+        hi = end_a if end_a < end_b else end_b
         if pa[i][0] != pb[j][0]:
             total += hi - t
         t = hi
-        if ends_a[i] == hi:
+        if end_a == hi:
             i += 1
-        if ends_b[j] == hi:
+        if end_b == hi:
             j += 1
-    return total + abs(a.duration - b.duration)
+    gap = (ends_a[-1] if pa else 0) - (ends_b[-1] if pb else 0)
+    return Fraction(total + abs(gap), scale)
 
 
 def geodesic(a: ControlSignal, b: ControlSignal, s) -> ControlSignal:

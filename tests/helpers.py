@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 from covertrace import (
     HALT,
     ControlSignal,
+    Dart,
     DegreeSensor,
     Environment,
     LabelSensor,
     PortedGraph,
+    SensorTrace,
+    Trajectory,
     VertexState,
     apply,
     build_edges,
     first_divergence,
     trace_of,
 )
+from covertrace.environments import Leg
 from covertrace.equivalence import DiscreteStateSpace
 
 
@@ -119,7 +123,7 @@ def graph_states(draw, graph: PortedGraph):
     return graph.state_on(dart, graph.length(dart) * Fraction(draw(st.integers(1, den - 1)), den))
 
 
-def naive_first_divergence(a, b):
+def scan_first_divergence(a, b):
     """First-divergence oracle: compare instant and just-after readings,
     each found by a scan of the trace, at every segment start and event time
     of either trace, in time order."""
@@ -130,6 +134,161 @@ def naive_first_divergence(a, b):
         if a.value_at(t) != b.value_at(t):
             return t
         if a.segment_value_after(t) != b.segment_value_after(t):
+            return t
+    return None
+
+
+# --- Fraction oracles for the integer-tick loops ---------------------------
+#
+# The signal, simulation and trace loops below do all their arithmetic on
+# Fractions, one gcd per operation; the library runs the same loops on ints
+# over one common denominator.  Results must agree exactly.
+
+
+def naive_distance(a: ControlSignal, b: ControlSignal) -> Fraction:
+    """Signal distance by one merge over both piece lists, on Fractions."""
+    pa, pb = a.pieces, b.pieces
+    ends_a, ends_b = a.breakpoints()[1:], b.breakpoints()[1:]
+    total = Fraction(0)
+    t = Fraction(0)
+    i = j = 0
+    while i < len(pa) and j < len(pb):
+        hi = min(ends_a[i], ends_b[j])
+        if pa[i][0] != pb[j][0]:
+            total += hi - t
+        t = hi
+        if ends_a[i] == hi:
+            i += 1
+        if ends_b[j] == hi:
+            j += 1
+    return total + abs(a.duration - b.duration)
+
+
+def _naive_merge(legs) -> list:
+    """Join a rest to a rest in the same state before it, and a move to a
+    move it continues along the same dart."""
+    merged = []
+    for leg in legs:
+        if merged:
+            prev = merged[-1]
+            if not prev.moving and not leg.moving and prev.state == leg.state:
+                merged[-1] = Leg(prev.t0, leg.t1, None, None, prev.state, leg.end)
+                continue
+            if (
+                prev.moving
+                and leg.moving
+                and prev.dart == leg.dart
+                and prev.offset0 + (prev.t1 - prev.t0) == leg.offset0
+            ):
+                merged[-1] = Leg(prev.t0, leg.t1, prev.dart, prev.offset0, None, leg.end)
+                continue
+        merged.append(leg)
+    return merged
+
+
+def naive_trajectory(env: Environment, signal: ControlSignal, start=None) -> Trajectory:
+    """The robot's motion simulated step by step on Fractions, every step
+    through PortedGraph.state_on, then merged into maximal legs."""
+    graph = env.graph
+    start = env.initial_state if start is None else graph.check_state(start)
+    legs = []
+    t = Fraction(0)
+    cur = start
+    for symbol, dur in signal.pieces:
+        remaining = dur
+        if symbol == HALT:
+            legs.append(Leg(t, t + remaining, None, None, cur, cur))
+            t += remaining
+            continue
+        k = symbol
+        while remaining > 0:
+            if isinstance(cur, VertexState):
+                v = cur.vertex
+                if k < graph.degree(v):
+                    d = Dart(v, k)
+                    step = min(remaining, graph.length(d))
+                    cur = graph.state_on(d, step)
+                    legs.append(Leg(t, t + step, d, Fraction(0), None, cur))
+                else:
+                    step = remaining
+                    legs.append(Leg(t, t + step, None, None, cur, cur))
+            else:
+                d = cur.dart
+                step = min(remaining, graph.length(d) - cur.offset)
+                offset0 = cur.offset
+                cur = graph.state_on(d, offset0 + step)
+                legs.append(Leg(t, t + step, d, offset0, None, cur))
+            t += step
+            remaining -= step
+    return Trajectory(graph, start, _naive_merge(legs))
+
+
+def naive_trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
+    """Sensor trace of a trajectory with Fraction instants and intervals."""
+    graph, sensor = env.graph, env.sensor
+    duration = traj.duration
+
+    instants = {Fraction(0): sensor.value(graph, traj.start)}
+    intervals = []
+    for leg in traj.legs:
+        instants[leg.t1] = sensor.value(graph, leg.end)
+        if not leg.moving:
+            intervals.append([leg.t0, leg.t1, sensor.value(graph, leg.state)])
+            continue
+        idx = graph.edge_of(leg.dart)
+        intervals.append([leg.t0, leg.t1, sensor.interior_value(graph, idx)])
+        length = graph.length(leg.dart)
+        forward = leg.dart == graph.forward_dart(idx)
+        off_hi = leg.offset0 + (leg.t1 - leg.t0)
+        for pos, label in sensor.marks_on(idx):
+            dart_pos = pos if forward else length - pos
+            if leg.offset0 < dart_pos < off_hi:
+                instants[leg.t0 + (dart_pos - leg.offset0)] = label
+
+    merged = []
+    for a, b, v in intervals:
+        if merged and merged[-1][2] == v and merged[-1][1] == a:
+            merged[-1][1] = b
+        else:
+            merged.append([a, b, v])
+    segments = tuple((a, b, v) for a, b, v in merged)
+
+    events = []
+    k = 0
+    for t in sorted(instants):
+        value = instants[t]
+        if t == duration:
+            events.append((t, value))
+            continue
+        while segments[k][1] <= t:
+            k += 1
+        if segments[k][2] != value:
+            events.append((t, value))
+    return SensorTrace(duration, segments, tuple(events))
+
+
+def naive_first_divergence(a: SensorTrace, b: SensorTrace):
+    """First divergence by one forward pointer per trace over the sorted
+    Fraction critical times."""
+    criticals = sorted(
+        {t for t, _, _ in a.segments}
+        | {t for t, _, _ in b.segments}
+        | {t for t, _ in a.events}
+        | {t for t, _ in b.events}
+    )
+
+    def readings(trace):
+        events = dict(trace.events)
+        segments = trace.segments
+        k = 0
+        for t in criticals:
+            while k < len(segments) and segments[k][1] <= t:
+                k += 1
+            after = segments[k][2] if k < len(segments) and segments[k][0] <= t else None
+            yield events.get(t, after), after
+
+    for t, ra, rb in zip(criticals, readings(a), readings(b)):
+        if ra != rb:
             return t
     return None
 

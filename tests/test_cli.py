@@ -334,6 +334,48 @@ class TestCoverCommands:
         assert code == 2
         assert "Traceback" not in err
 
+    @staticmethod
+    def integer_path_on_cycle(tmp_path, names=(10, 11, 12, 13)):
+        """A path of four vertices wound onto the 3-cycle 0, 1, 2: the stars
+        at the two ends have one dart instead of two."""
+        a, b, c, d = names
+        path = PortedGraph(list(names), build_edges([(a, b, 0, 1), (b, c, 0, 1), (c, d, 0, 0)]))
+        cycle = PortedGraph([0, 1, 2], build_edges([(0, 1, 0, 1), (1, 2, 0, 1), (2, 0, 0, 1)]))
+        src = write_json(tmp_path / "path.json", Environment(path, a, DegreeSensor(), 2).to_json())
+        dst = write_json(tmp_path / "cycle.json", Environment(cycle, 0, DegreeSensor(), 2).to_json())
+        darts = [(a, 0, 0, 0), (b, 0, 1, 0), (b, 1, 1, 1), (c, 0, 2, 0), (c, 1, 2, 1), (d, 0, 0, 1)]
+        mapping = write_json(
+            tmp_path / "map.json",
+            {
+                "vertex_map": [[a, 0], [b, 1], [c, 2], [d, 0]],
+                "dart_map": [[[v, p], [w, q]] for v, p, w, q in darts],
+            },
+        )
+        return mapping, src, dst
+
+    def test_skip_star_names_integer_vertices(self, capsys, tmp_path):
+        files = self.integer_path_on_cycle(tmp_path)
+        code, out, _ = run(capsys, ["check-cover", *files])
+        assert code == 1
+        assert json.loads(out)["conditions"]["local_bijection"] is False
+        code, out, _ = run(capsys, ["check-cover", *files, "--skip-star", "10", "--skip-star", "13"])
+        assert code == 0
+        assert json.loads(out)["covering"] is True
+
+    def test_skip_star_unknown_vertex_exits_2(self, capsys, tmp_path):
+        files = self.integer_path_on_cycle(tmp_path)
+        code, out, err = run(capsys, ["check-cover", *files, "--skip-star", "10", "--skip-star", "14"])
+        assert (code, out) == (2, "")
+        assert "--skip-star 14" in err
+
+    def test_skip_star_ambiguous_name_exits_2(self, capsys, tmp_path):
+        files = self.integer_path_on_cycle(tmp_path, names=(1, "1", 2, 3))
+        code, out, _ = run(capsys, ["check-cover", *files, "--skip-star", "3", "--skip-star", "2"])
+        assert code == 1
+        code, out, err = run(capsys, ["check-cover", *files, "--skip-star", "1"])
+        assert (code, out) == (2, "")
+        assert "--skip-star 1 is ambiguous" in err
+
     def test_check_cover_negative_exits_1(self, capsys, tmp_path):
         from covertrace import DegreeSensor, PortedGraph, build_edges
 

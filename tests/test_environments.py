@@ -47,9 +47,9 @@ from helpers import (
     dense_trajectory_distance,
     figure_eight_env,
     graph_states,
-    naive_first_divergence,
     path_middle_env,
     rational_signals,
+    scan_first_divergence,
     three_cycle,
     three_cycle_env,
 )
@@ -366,7 +366,7 @@ class TestTraces:
     @given(st.sampled_from(COMPARISON_PAIRS), rational_signals(width=4, max_pieces=6))
     def test_first_divergence_matches_naive_scan(self, pair, u):
         t1, t2 = (trace_of(env, u) for env in pair)
-        assert first_divergence(t1, t2) == naive_first_divergence(t1, t2)
+        assert first_divergence(t1, t2) == scan_first_divergence(t1, t2)
 
     def test_mismatched_durations_rejected(self):
         env = three_cycle_env()
