@@ -390,37 +390,22 @@ def _readings(segments, events: dict, times):
 
 
 def _leg_description(graph: PortedGraph, leg: Leg):
-    """Position during the leg as ('V', v), ('E', idx, pos) for a resting point,
-    or ('M', idx, c, m) moving with edge-frame position c + m*t."""
+    """Position during the leg as ('V', v), or ('E', idx, c, m) at distance
+    c + m*t from the stored tail of edge idx; a rest inside an edge has m = 0."""
     if not leg.moving:
-        return _point_description(graph, leg.state)
+        point = graph.point_of(leg.state)
+        return point if point[0] == "V" else point + (ZERO,)
     idx = graph.edge_of(leg.dart)
-    forward = leg.dart == graph.forward_dart(idx)
-    if forward:
-        c = leg.offset0 - leg.t0
-        m = Fraction(1)
-    else:
-        c = graph.length(leg.dart) - leg.offset0 + leg.t0
-        m = Fraction(-1)
-    return ("M", idx, c, m)
-
-
-def _point_description(graph, state):
-    point = graph.point_of(state)
-    if point[0] == "V":
-        return ("V", point[1])
-    return ("E", point[1], point[2])
+    if leg.dart == graph.forward_dart(idx):
+        return ("E", idx, leg.offset0 - leg.t0, Fraction(1))
+    return ("E", idx, graph.length(leg.dart) - leg.offset0 + leg.t0, Fraction(-1))
 
 
 def _end_distances(graph, desc):
     """Affine distances (alpha, beta) from the described position to candidate
     exit vertices."""
     if desc[0] == "V":
-        return [(desc[1], Fraction(0), Fraction(0))]
-    if desc[0] == "E":
-        _, idx, pos = desc
-        e = graph.edges[idx]
-        return [(e.tail, pos, Fraction(0)), (e.head, e.length - pos, Fraction(0))]
+        return [(desc[1], ZERO, ZERO)]
     _, idx, c, m = desc
     e = graph.edges[idx]
     return [(e.tail, c, m), (e.head, e.length - c, -m)]
@@ -462,10 +447,8 @@ def trajectory_distance(a: Trajectory, b: Trajectory) -> Fraction:
         for u, alpha1, beta1 in _end_distances(graph, da):
             for w, alpha2, beta2 in _end_distances(graph, db):
                 lines.append((alpha1 + alpha2 + dv[(u, w)], beta1 + beta2))
-        if da[0] in ("E", "M") and db[0] in ("E", "M") and da[1] == db[1]:
-            ca = (da[2], Fraction(0)) if da[0] == "E" else (da[2], da[3])
-            cb = (db[2], Fraction(0)) if db[0] == "E" else (db[2], db[3])
-            delta = (ca[0] - cb[0], ca[1] - cb[1])
+        if da[0] == "E" and db[0] == "E" and da[1] == db[1]:
+            delta = (da[2] - db[2], da[3] - db[3])
             lines.append(delta)
             lines.append((-delta[0], -delta[1]))
             if delta[1] != 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -209,14 +210,8 @@ class PortedGraph:
         if d not in self._head:
             raise ValidationError(f"unknown dart {d!r}")
         offset = as_fraction(offset)
-        length = self._length[d]
-        if offset < 0 or offset > length:
-            raise ValidationError(f"offset {offset} outside [0, {length}]")
-        if offset == 0:
-            return VertexState(d.vertex)
-        if offset == length:
-            return VertexState(self._head[d])
-        return EdgeState(d, offset)
+        scale = lcm(offset.denominator, self._length[d].denominator)
+        return self.state_on_ticks(d, offset.numerator * (scale // offset.denominator), scale)
 
     def state_on_ticks(self, d: Dart, offset: int, scale: int) -> GraphState:
         """state_on(d, Fraction(offset, scale)) with the range check and the
@@ -261,18 +256,29 @@ class PortedGraph:
     # --- metric ----------------------------------------------------------
 
     def vertex_distances(self) -> dict:
-        """All-pairs shortest path lengths between vertices, exact."""
+        """All-pairs shortest path lengths between vertices as exact
+        Fractions, {(u, w): distance}.  One heapq Dijkstra per source on
+        integer ticks of 1/tick_denominator(), O(V * E log V) on first use,
+        then kept."""
         if self._vertex_dist is None:
-            import networkx as nx
-
-            g = nx.MultiGraph()
-            g.add_nodes_from(self.vertices)
-            for e in self.edges:
-                g.add_edge(e.tail, e.head, weight=e.length)
+            scale = self.tick_denominator()
+            index = {v: i for i, v in enumerate(self.vertices)}
             dist = {}
-            for src, table in nx.all_pairs_dijkstra_path_length(g, weight="weight"):
-                for dst, d in table.items():
-                    dist[(src, dst)] = as_fraction(d)
+            for src in self.vertices:
+                # heap entries hold vertex positions: names may mix int and
+                # str, which do not compare on a tie
+                settled = {}
+                heap = [(0, index[src])]
+                while heap:
+                    ticks, i = heappop(heap)
+                    v = self.vertices[i]
+                    if v in settled:
+                        continue
+                    settled[v] = ticks
+                    for d in self.darts_at(v):
+                        heappush(heap, (ticks + self.length_ticks(d, scale), index[self._head[d]]))
+                for w, ticks in settled.items():
+                    dist[(src, w)] = Fraction(ticks, scale)
             self._vertex_dist = dist
         return self._vertex_dist
 

@@ -103,6 +103,26 @@ def dense_trajectory_distance(traj_a, traj_b, steps: int = 60) -> Fraction:
     return best + abs(traj_a.duration - traj_b.duration)
 
 
+def naive_vertex_distances(graph: PortedGraph) -> dict:
+    """Vertex-distance oracle: Floyd-Warshall over the Fraction edge lengths,
+    every pair relaxed through every intermediate vertex; None stands for
+    no path yet."""
+    vertices = graph.vertices
+    dist = {(u, w): Fraction(0) if u == w else None for u in vertices for w in vertices}
+    for e in graph.edges:
+        for pair in ((e.tail, e.head), (e.head, e.tail)):
+            if dist[pair] is None or e.length < dist[pair]:
+                dist[pair] = e.length
+    for k in vertices:
+        for u in vertices:
+            for w in vertices:
+                if dist[u, k] is not None and dist[k, w] is not None:
+                    via = dist[u, k] + dist[k, w]
+                    if dist[u, w] is None or via < dist[u, w]:
+                        dist[u, w] = via
+    return dist
+
+
 def rational_signals(width: int = 2, max_pieces: int = 5, denominators=(1, 2, 3, 4, 6)):
     """Hypothesis strategy for signals over Port(0..width-1) and Halt whose
     piece durations are small rationals, zero included (canonical form drops

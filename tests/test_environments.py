@@ -47,6 +47,7 @@ from helpers import (
     dense_trajectory_distance,
     figure_eight_env,
     graph_states,
+    naive_vertex_distances,
     path_middle_env,
     rational_signals,
     scan_first_divergence,
@@ -139,6 +140,33 @@ class TestStates:
         assert g.point_distance(mid0, VertexState("x2")) == Fraction(3, 2)
         assert g.point_distance(mid0, mid1) == 1
         assert g.point_distance(mid0, mid0) == 0
+
+    def test_vertex_distances_match_floyd_warshall(self):
+        rng = random.Random(17)
+        graphs = [
+            random_ported_graph(rng, n_min=1, n_max=7, extra_max=4, unit_lengths=False)
+            for _ in range(60)
+        ]
+        # from 1 the vertices "1" and 2 tie at distance 1, and names of mixed
+        # type do not compare; a longer parallel edge and a loop change nothing
+        graphs.append(
+            PortedGraph(
+                [1, "1", 2],
+                build_edges(
+                    [
+                        (1, "1", 0, 0),
+                        (1, 2, 1, 0),
+                        ("1", 2, 1, 1),
+                        (1, "1", 2, 2, Fraction(3, 2)),
+                        (2, 2, 2, 3, Fraction(1, 3)),
+                    ]
+                ),
+            )
+        )
+        for g in graphs:
+            dist = g.vertex_distances()
+            assert dist == naive_vertex_distances(g)
+            assert all(type(x) is Fraction for x in dist.values())
 
 
 class TestEnvironmentValidation:
@@ -399,6 +427,16 @@ class TestTrajectoryDistance:
         b = trajectory(path_middle_env(), sig((0, 1)))
         with pytest.raises(ValidationError):
             trajectory_distance(a, b)
+
+    def test_metric_needs_no_networkx(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        env = three_cycle_env()
+        a = trajectory(env, sig((0, 3)))
+        b = trajectory(env, sig(("halt", 3)))
+        assert trajectory_distance(a, b) == Fraction(3, 2)
+        g = three_cycle()
+        mid0 = g.state_on(g.forward_dart(0), Fraction(1, 2))
+        assert g.point_distance(mid0, VertexState("x2")) == Fraction(3, 2)
 
     def test_dense_sampling_bracket(self):
         # positions move at most at unit speed, so the pointwise distance is
