@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .covering import (
@@ -30,7 +29,7 @@ from .equivalence import check_equiv_sampled, compute_bisimulation
 from .errors import PreconditionError, ValidationError
 from .gallery import write_gallery
 from .generate import random_voltages
-from .rationals import to_pair
+from .rationals import as_fraction, to_pair
 from .signals import ControlSignal, distance, geodesic
 
 
@@ -56,13 +55,6 @@ def _load_signal(path: str) -> ControlSignal:
 
 def _load_map(path: str, source: Environment) -> GraphMap:
     return GraphMap.from_json(_load_json(path), source=source.graph)
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a rational number: {text!r}") from exc
 
 
 def _emit(data) -> None:
@@ -110,7 +102,7 @@ def cmd_metric(args) -> int:
 def cmd_geodesic(args) -> int:
     a = _load_signal(args.first)
     b = _load_signal(args.second)
-    s = _parse_rational(args.at)
+    s = as_fraction(args.at)
     point = geodesic(a, b, s)
     _emit(point.to_json())
     _note(f"geodesic point at s = {s}, duration {point.duration}")
@@ -179,7 +171,7 @@ def cmd_gen_cyclic(args) -> int:
 
 def cmd_gen_universal(args) -> int:
     env = _load_environment(args.environment)
-    radius = _parse_rational(args.radius)
+    radius = as_fraction(args.radius)
     cover, projection, boundary = universal_cover_truncation(env, radius)
     _emit(
         {

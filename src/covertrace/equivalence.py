@@ -5,11 +5,15 @@ enumerates every discrete signal up to a horizon and samples random
 rational-breakpoint signals; it can refute equivalence but not prove it.
 compute_bisimulation decides discrete-time equivalence exactly on unit-length
 graphs by partition refinement and reconstructs a shortest distinguishing
-signal on failure; its state spaces read each unit move off the graph and
-the sensor protocol instead of simulating it.  verify_bisimulation re-checks
-a relation by replaying every move through the simulation (trajectory and
-trace_of_trajectory), deliberately not through those state spaces, so that
-the certificate check shares no code with the table that decided.
+signal on failure.  It refines one table per environment, a
+DiscreteStateSpace: per state its sensor value (`values`), and per action
+the successor's position (`succ`) and the readout chunk (`chunks`), each
+read off the graph and the sensor protocol instead of simulated.
+verify_bisimulation re-checks a relation by replaying every move through the
+simulation (trajectory and trace_of_trajectory), deliberately not through
+those tables, so that the certificate check shares no code with the table
+that decided.  Simulated unit moves are memoized in one place, _unit_moves,
+which both verify_bisimulation and check_equiv_sampled use.
 homomorphism_search looks for a trace-preserving structure map, a
 sufficient but not necessary condition for equivalence.
 """
@@ -73,11 +77,21 @@ def traces_equal(e1: Environment, e2: Environment, u: ControlSignal) -> TraceCom
     return TraceComparison(d is None, d)
 
 
-def _unit_move(env: Environment, unit: ControlSignal, state):
-    """(final state, sensor trace) of one unit-action signal from state,
-    from a single simulation."""
-    traj = trajectory(env, unit, state)
-    return traj.final, trace_of_trajectory(env, traj)
+def _unit_moves(env: Environment):
+    """A function move(state, action) giving the (final state, sensor trace)
+    of the unit action from state.  Each (state, action) is simulated once,
+    by one trajectory and its trace_of_trajectory, and then remembered."""
+    unit = {a: ControlSignal([(a, _ONE)]) for a in env.actions()}
+    memo: dict = {}
+
+    def move(state, a):
+        key = (state, a)
+        if key not in memo:
+            traj = trajectory(env, unit[a], state)
+            memo[key] = traj.final, trace_of_trajectory(env, traj)
+        return memo[key]
+
+    return move
 
 
 # --- sampled equivalence checking ----------------------------------------
@@ -140,7 +154,6 @@ def check_equiv_sampled(
             f"search budgets must be at least 0, got max_len={max_len}, n_random={n_random}"
         )
     actions = e1.actions()
-    unit = {a: ControlSignal([(a, Fraction(1))]) for a in actions}
     checked = 0
 
     cmp = traces_equal(e1, e2, EMPTY)
@@ -148,41 +161,37 @@ def check_equiv_sampled(
     if not cmp.equal:
         return SampledVerdict(True, EMPTY, cmp.divergence, max_len, checked, 0)
 
+    # Depth-first on an explicit stack of [x1, x2, remaining, next action
+    # index] frames, so a horizon past the recursion limit is searched too;
+    # prefix holds the actions taken from the root frame to the top one.
     budget_seen: dict = {}
-    moves1: dict = {}
-    moves2: dict = {}
-
-    def move(env, moves, x, a):
-        key = (x, a)
-        if key not in moves:
-            moves[key] = _unit_move(env, unit[a], x)
-        return moves[key]
-
-    def search(x1, x2, remaining, prefix):
-        nonlocal checked
-        if remaining == 0:
-            return None
-        if budget_seen.get((x1, x2), -1) >= remaining:
-            return None
-        for a in actions:
-            y1, tr1 = move(e1, moves1, x1, a)
-            y2, tr2 = move(e2, moves2, x2, a)
-            checked += 1
-            if tr1 != tr2:
-                d = first_divergence(tr1, tr2)
-                if d is not None:
-                    return prefix + [a], Fraction(len(prefix)) + d
-            found = search(y1, y2, remaining - 1, prefix + [a])
-            if found is not None:
-                return found
-        budget_seen[(x1, x2)] = remaining
-        return None
-
-    found = search(e1.initial_state, e2.initial_state, max_len, [])
-    if found is not None:
-        pieces, when = found
-        witness = ControlSignal([(a, Fraction(1)) for a in pieces])
-        return SampledVerdict(True, witness, when, max_len, checked, 0)
+    move1, move2 = _unit_moves(e1), _unit_moves(e2)
+    prefix: list = []
+    stack = [[e1.initial_state, e2.initial_state, max_len, 0]] if max_len else []
+    while stack:
+        top = stack[-1]
+        x1, x2, remaining, k = top
+        if k == len(actions):
+            budget_seen[(x1, x2)] = remaining
+            stack.pop()
+            if stack:
+                prefix.pop()
+            continue
+        a = actions[k]
+        top[3] = k + 1
+        y1, tr1 = move1(x1, a)
+        y2, tr2 = move2(x2, a)
+        checked += 1
+        if tr1 != tr2:
+            d = first_divergence(tr1, tr2)
+            if d is not None:
+                witness = ControlSignal([(b, _ONE) for b in prefix + [a]])
+                return SampledVerdict(
+                    True, witness, Fraction(len(prefix)) + d, max_len, checked, 0
+                )
+        if remaining > 1 and budget_seen.get((y1, y2), -1) < remaining - 1:
+            prefix.append(a)
+            stack.append([y1, y2, remaining - 1, 0])
 
     rng = random.Random(seed)
     for i in range(n_random):
@@ -210,13 +219,15 @@ def _require_unit_lengths(env: Environment) -> None:
 
 
 class DiscreteStateSpace:
-    """Unit-time behaviour of a unit-length environment.
+    """Unit-time behaviour of a unit-length environment, as one table.
 
     States are the vertices reachable at integer times (a finished edge
     traversal hands off at the head vertex, so integer-time states are always
     vertices), listed in breadth-first order; `index` maps each state to its
-    position in `states`.  For each state and action the space records the
-    successor and the readout chunk: the trace of the unit action with its
+    position in `states`.  Row i of the table is three parallel lists:
+    `values[i]` is state i's sensor reading, and per action, in `actions`
+    order, `succ[i]` holds the successor's position in `states` and
+    `chunks[i]` the readout chunk: the trace of the unit action with its
     final instant dropped, so that chunks concatenate into full traces
     without double counting the seams.
 
@@ -228,74 +239,49 @@ class DiscreteStateSpace:
 
     def __init__(self, env: Environment):
         _require_unit_lengths(env)
-        self.env = env
+        graph, sensor = env.graph, env.sensor
         self.actions = tuple(env.actions())
-        self._moves: dict = {}
-        self._values: dict = {}
         self.states: list = [env.initial]
         self.index: dict = {env.initial: 0}
+        self.values: list = []
+        self.succ: list = []
+        self.chunks: list = []
         # The loop visits the states appended while it runs: a FIFO queue.
         for v in self.states:
+            here = sensor.value(graph, VertexState(v))
+            succ, chunks = [], []
             for a in self.actions:
-                w = self.step(v, a)
+                # Halt, or a port v lacks, rests at v and reads v's value
+                # throughout.  Port a < degree(v) traverses dart (v, a) in one
+                # time unit: the chunk is the edge's interior value, with an
+                # event at time 0 for v's value and one at each beam mark,
+                # oriented along the dart, whose reading differs from the
+                # interior.
+                if a == HALT or a >= graph.degree(v):
+                    w, chunk = v, (((_ZERO, _ONE, here),), ())
+                else:
+                    d = Dart(v, a)
+                    idx = graph.edge_of(d)
+                    inside = sensor.interior_value(graph, idx)
+                    forward = d == graph.forward_dart(idx)
+                    events = [(_ZERO, here)] if here != inside else []
+                    events += sorted(
+                        (
+                            (pos if forward else _ONE - pos, label)
+                            for pos, label in sensor.marks_on(idx)
+                            if label != inside
+                        ),
+                        key=lambda event: event[0],
+                    )
+                    w, chunk = graph.head(d), (((_ZERO, _ONE, inside),), tuple(events))
                 if w not in self.index:
                     self.index[w] = len(self.states)
                     self.states.append(w)
-
-    def value(self, v):
-        if v not in self._values:
-            self._values[v] = self.env.sensor.value(self.env.graph, VertexState(v))
-        return self._values[v]
-
-    def _move(self, v, a):
-        """(successor, chunk) of the unit action a from v.
-
-        Halt, or a port v lacks, rests at v and reads v's value throughout.
-        Port k < degree(v) traverses dart (v, k) in one time unit: the chunk
-        is the edge's interior value, with an event at time 0 for v's value
-        and one at each beam mark, oriented along the dart, whose reading
-        differs from the interior."""
-        key = (v, a)
-        if key not in self._moves:
-            graph, sensor = self.env.graph, self.env.sensor
-            here = self.value(v)
-            if a == HALT or a >= graph.degree(v):
-                self._moves[key] = (v, (((_ZERO, _ONE, here),), ()))
-            else:
-                d = Dart(v, a)
-                idx = graph.edge_of(d)
-                inside = sensor.interior_value(graph, idx)
-                forward = d == graph.forward_dart(idx)
-                events = [(_ZERO, here)] if here != inside else []
-                events += sorted(
-                    (
-                        (pos if forward else _ONE - pos, label)
-                        for pos, label in sensor.marks_on(idx)
-                        if label != inside
-                    ),
-                    key=lambda event: event[0],
-                )
-                self._moves[key] = (graph.head(d), (((_ZERO, _ONE, inside),), tuple(events)))
-        return self._moves[key]
-
-    def step(self, v, a):
-        return self._move(v, a)[0]
-
-    def chunk(self, v, a):
-        return self._move(v, a)[1]
-
-    def rows(self, chunk_ids: dict, offset: int) -> list:
-        """Per state, in `states` order, the flat row (chunk id, successor
-        index + offset, ...) over the actions.  chunk_ids numbers distinct
-        chunks; sharing it between two spaces gives equal chunks one id."""
-        rows = []
-        for v in self.states:
-            row = []
-            for a in self.actions:
-                w, chunk = self._move(v, a)
-                row += (chunk_ids.setdefault(chunk, len(chunk_ids)), self.index[w] + offset)
-            rows.append(row)
-        return rows
+                succ.append(self.index[w])
+                chunks.append(chunk)
+            self.values.append(here)
+            self.succ.append(succ)
+            self.chunks.append(chunks)
 
 
 @dataclass(frozen=True)
@@ -354,14 +340,13 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     s1, s2 = DiscreteStateSpace(e1), DiscreteStateSpace(e2)
     actions = s1.actions
     n1 = len(s1.states)
-    chunk_ids: dict = {}
-    rows = s1.rows(chunk_ids, 0) + s2.rows(chunk_ids, n1)
-    chunks = [tuple(row[0::2]) for row in rows]
-    succs = [row[1::2] for row in rows]
-    n_states = len(rows)
+    ids: dict = {}
+    chunks = [tuple(ids.setdefault(c, len(ids)) for c in row) for row in s1.chunks + s2.chunks]
+    succs = s1.succ + [[w + n1 for w in row] for row in s2.succ]
+    n_states = len(succs)
 
     values: dict = {}
-    part = [values.setdefault(s.value(v), len(values)) for s in (s1, s2) for v in s.states]
+    part = [values.setdefault(x, len(values)) for x in s1.values + s2.values]
     # there are always at least two actions, so each getter returns a tuple
     successor_blocks = [itemgetter(*row) for row in succs]
     history = refine(part, lambda prev, i: (chunks[i], successor_blocks[i](prev)))
@@ -447,25 +432,17 @@ def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
     if (e1.initial, e2.initial) not in pairs:
         return False
     actions = e1.actions()
-    unit = {a: ControlSignal([(a, _ONE)]) for a in actions}
-
-    moves: dict = {}
-
-    def move(env, v, a):
-        """(successor vertex, chunk) of a from v, replayed once per call."""
-        key = (env is e2, v, a)
-        if key not in moves:
-            state, tr = _unit_move(env, unit[a], VertexState(v))
-            moves[key] = (state.vertex, (tr.segments, tr.events[:-1]))
-        return moves[key]
-
+    move1, move2 = _unit_moves(e1), _unit_moves(e2)
     for v1, v2 in pairs:
-        if e1.sensor.value(e1.graph, VertexState(v1)) != e2.sensor.value(e2.graph, VertexState(v2)):
+        x1, x2 = VertexState(v1), VertexState(v2)
+        if e1.sensor.value(e1.graph, x1) != e2.sensor.value(e2.graph, x2):
             return False
         for a in actions:
-            w1, chunk1 = move(e1, v1, a)
-            w2, chunk2 = move(e2, v2, a)
-            if chunk1 != chunk2 or (w1, w2) not in pairs:
+            w1, tr1 = move1(x1, a)
+            w2, tr2 = move2(x2, a)
+            if (tr1.segments, tr1.events[:-1]) != (tr2.segments, tr2.events[:-1]):
+                return False
+            if (w1.vertex, w2.vertex) not in pairs:
                 return False
     return True
 

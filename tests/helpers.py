@@ -367,27 +367,28 @@ def universal_ball_size(graph: PortedGraph, base, radius) -> int:
 
 def naive_bisimulation(e1: Environment, e2: Environment):
     """Bisimulation oracle by synchronous pair removal over all pairs of the
-    disjoint union, reading only `DiscreteStateSpace.step`, `chunk` and
-    `value`.  Returns the related cross pairs in s1 x s2 order, stably sorted
-    by their names as strings, the number of strictly refining rounds, and
-    the round at which the initial pair is removed (None if never)."""
+    disjoint union, reading only the `values`, `succ` and `chunks` lists of
+    the two state spaces.  Returns the related cross pairs in s1 x s2 order,
+    stably sorted by their names as strings, the number of strictly refining
+    rounds, and the round at which the initial pair is removed (None if
+    never)."""
     spaces = (DiscreteStateSpace(e1), DiscreteStateSpace(e2))
-    tagged = [(side, v) for side, space in enumerate(spaces) for v in space.states]
-    actions = spaces[0].actions
+    tagged = [(side, i) for side, space in enumerate(spaces) for i in range(len(space.states))]
+    n_actions = len(spaces[0].actions)
 
-    def step(x, a):
-        return (x[0], spaces[x[0]].step(x[1], a))
+    def step(x, k):
+        return (x[0], spaces[x[0]].succ[x[1]][k])
 
-    def chunk(x, a):
-        return spaces[x[0]].chunk(x[1], a)
+    def chunk(x, k):
+        return spaces[x[0]].chunks[x[1]][k]
 
     related = {
         (x, y)
         for x in tagged
         for y in tagged
-        if spaces[x[0]].value(x[1]) == spaces[y[0]].value(y[1])
+        if spaces[x[0]].values[x[1]] == spaces[y[0]].values[y[1]]
     }
-    initial = ((0, e1.initial), (1, e2.initial))
+    initial = ((0, spaces[0].index[e1.initial]), (1, spaces[1].index[e2.initial]))
     separation = None if initial in related else 0
     rounds = 0
     while True:
@@ -395,8 +396,8 @@ def naive_bisimulation(e1: Environment, e2: Environment):
             (x, y)
             for x, y in related
             if all(
-                chunk(x, a) == chunk(y, a) and (step(x, a), step(y, a)) in related
-                for a in actions
+                chunk(x, k) == chunk(y, k) and (step(x, k), step(y, k)) in related
+                for k in range(n_actions)
             )
         }
         if kept == related:
@@ -407,9 +408,9 @@ def naive_bisimulation(e1: Environment, e2: Environment):
             separation = rounds
     pairs = [
         (v1, v2)
-        for v1 in spaces[0].states
-        for v2 in spaces[1].states
-        if ((0, v1), (1, v2)) in related
+        for i, v1 in enumerate(spaces[0].states)
+        for j, v2 in enumerate(spaces[1].states)
+        if ((0, i), (1, j)) in related
     ]
     pairs.sort(key=lambda p: (str(p[0]), str(p[1])))
     return pairs, rounds, separation

@@ -138,6 +138,20 @@ class TestVerdictCommands:
         assert data["witness"] == [[0, 1, 1]]
         assert data["divergence"] == [1, 1]
 
+    @pytest.mark.parametrize("pair, checked", [("circle", 26974), ("kite", 22483)])
+    def test_distinguish_searches_deeper_than_the_recursion_limit(
+        self, capsys, gallery_dir, pair, checked
+    ):
+        """1500 pieces is deeper than Python's default recursion limit of
+        1000; the search keeps its frames on an explicit stack, so both
+        related pairs still come back related."""
+        first, second = (str(gallery_dir / f"{pair}_{side}.json") for side in "ab")
+        code, out, _ = run(capsys, ["distinguish", first, second, "--max-len", "1500"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["verdict"] == "related"
+        assert data["stats"] == {"horizon": 1500, "random_checked": 0, "signals_checked": checked}
+
     def test_equiv_finds_kite_counterexample(self, capsys, gallery_dir):
         code, out, _ = run(
             capsys,

@@ -146,6 +146,31 @@ class TestSampledCheck:
                     mine = [call for call in calls if call[0] == id(env)]
                     assert len(mine) == len(set(mine))
 
+    def test_witness_found_after_backing_out_of_branches(self):
+        """One vertex label changed away from the start: some witnesses
+        take an action other than the first before their last piece, so the
+        search backed out of whole branches before it found them, and it
+        still matches the oracle's witness, divergence and signal count."""
+        rng = random.Random(60)
+        backed_out = 0
+        for _ in range(40):
+            e1 = random_unit_environment(rng, kind="label")
+            far = [v for v in e1.graph.vertices if v != e1.initial]
+            if not far:
+                continue
+            labels = dict(e1.sensor.vertex_labels)
+            labels[rng.choice(far)] = "other"
+            sensor = LabelSensor(labels, e1.sensor.edge_labels)
+            e2 = Environment(e1.graph, e1.initial, sensor, e1.alphabet_width)
+            verdict = check_equiv_sampled(e1, e2, max_len=6, n_random=0)
+            pieces, divergence, checked = naive_discrete_search(e1, e2, 6)
+            assert verdict.distinguished == (pieces is not None)
+            if pieces is not None:
+                assert verdict.witness == ControlSignal([(a, 1) for a in pieces])
+                backed_out += any(a != e1.actions()[0] for a in pieces[:-1])
+            assert (verdict.divergence, verdict.signals_checked) == (divergence, checked)
+        assert backed_out
+
     @pytest.mark.parametrize("budgets", [{"max_len": -1}, {"n_random": -3}])
     def test_negative_budgets_rejected(self, budgets):
         """A negative budget searches nothing, so it cannot back a verdict;
@@ -249,13 +274,45 @@ class TestBisimulation:
 
 
 class TestDiscreteStateSpace:
-    def test_table_matches_simulation(self):
-        """Every move the table reads off the graph equals the simulated
-        unit move: successor, segments and the events but the final
+    @staticmethod
+    def assert_table_matches(env, seen):
+        """Every row of env's table equals the simulated unit moves (apply
+        and trace_of): successor, segments and the events but the final
         instant, with exact Fraction times; and each value is the sensor's.
-        The pool covers every sensor bare and filtered, widths below and
-        above the maximum degree, self-loops and beam marks met against
-        their edge's stored orientation."""
+        Counts what the moves met into seen."""
+        graph, sensor = env.graph, env.sensor
+        space = DiscreteStateSpace(env)
+        assert len(space.values) == len(space.succ) == len(space.chunks) == len(space.states)
+        for i, v in enumerate(space.states):
+            assert space.index[v] == i
+            assert space.values[i] == sensor.value(graph, VertexState(v))
+            assert len(space.succ[i]) == len(space.chunks[i]) == len(space.actions)
+            for k, a in enumerate(space.actions):
+                u = ControlSignal([(a, 1)])
+                successor = VertexState(space.states[space.succ[i][k]])
+                assert successor == apply(env, u, VertexState(v))
+                tr = trace_of(env, u, VertexState(v))
+                chunk = space.chunks[i][k]
+                assert chunk == (tr.segments, tr.events[:-1])
+                segments, events = chunk
+                times = [t for t, _, _ in segments] + [t for _, t, _ in segments]
+                times += [t for t, _ in events]
+                assert all(type(t) is Fraction for t in times)
+                if a == HALT or a >= graph.degree(v):
+                    continue
+                d = Dart(v, a)
+                idx = graph.edge_of(d)
+                edge = graph.edges[idx]
+                seen["self-loop"] += edge.tail == edge.head
+                if sensor.marks_on(idx) and d != graph.forward_dart(idx):
+                    seen["mark against stored orientation"] += 1
+                seen["event at 0", bool(events) and events[0][0] == 0] += 1
+
+    def test_table_matches_simulation(self):
+        """The table matches the simulation on random environments covering
+        every sensor bare and filtered, widths below and above the maximum
+        degree, self-loops and beam marks met against their edge's stored
+        orientation."""
         rng = random.Random(59)
         # every reading the pool's degree, label and beam sensors can give
         readings = (0, 1, 2, 3, "edge", "blank", "red", "green")
@@ -271,30 +328,9 @@ class TestDiscreteStateSpace:
                 for sensor in (base.sensor, filtered):
                     for width in sorted({max(1, w) for w in (top - 1, top, top + 1)}):
                         env = Environment(graph, base.initial, sensor, width)
-                        space = DiscreteStateSpace(env)
+                        self.assert_table_matches(env, seen)
                         seen[kind, sensor is filtered] += 1
                         seen["width", (width > top) - (width < top)] += 1
-                        for v in space.states:
-                            assert space.value(v) == sensor.value(graph, VertexState(v))
-                            for a in space.actions:
-                                u = ControlSignal([(a, 1)])
-                                final, tr = equivalence._unit_move(env, u, VertexState(v))
-                                chunk = space.chunk(v, a)
-                                assert VertexState(space.step(v, a)) == final
-                                assert chunk == (tr.segments, tr.events[:-1])
-                                segments, events = chunk
-                                times = [t for t, _, _ in segments] + [t for _, t, _ in segments]
-                                times += [t for t, _ in events]
-                                assert all(type(t) is Fraction for t in times)
-                                if a == HALT or a >= graph.degree(v):
-                                    continue
-                                d = Dart(v, a)
-                                idx = graph.edge_of(d)
-                                edge = graph.edges[idx]
-                                seen["self-loop"] += edge.tail == edge.head
-                                if sensor.marks_on(idx) and d != graph.forward_dart(idx):
-                                    seen["mark against stored orientation"] += 1
-                                seen["event at 0", bool(events) and events[0][0] == 0] += 1
         for kind in ("degree", "label", "beam"):
             assert seen[kind, False] and seen[kind, True]
         assert seen["width", -1] and seen["width", 1]
@@ -306,18 +342,12 @@ class TestDiscreteStateSpace:
         unit_envs = [env for env in envs if env.graph.unit_lengths()]
         assert unit_envs
         for env in unit_envs:
-            space = DiscreteStateSpace(env)
-            for v in space.states:
-                for a in space.actions:
-                    u = ControlSignal([(a, 1)])
-                    assert VertexState(space.step(v, a)) == apply(env, u, VertexState(v))
-                    tr = trace_of(env, u, VertexState(v))
-                    assert space.chunk(v, a) == (tr.segments, tr.events[:-1])
+            self.assert_table_matches(env, Counter())
 
 
 class TestRefinementOracle:
     """compute_bisimulation against the pair-removal oracle, which shares
-    nothing with it but the public step/chunk/value of the state spaces."""
+    nothing with it but the values/succ/chunks table of the state spaces."""
 
     def assert_matches_oracle(self, e1, e2):
         res = compute_bisimulation(e1, e2)
@@ -400,13 +430,13 @@ class TestVerifyBisimulation:
         one, zero = Fraction(1), Fraction(0)
         wrong = (((zero, one, 1),), ((zero, 0),))
         right = (((zero, one, 0),), ())
-        real = DiscreteStateSpace._move
+        real = DiscreteStateSpace.__init__
 
-        def corrupted(self, v, action):
-            w, chunk = real(self, v, action)
-            return w, right if chunk == wrong else chunk
+        def corrupted(self, env):
+            real(self, env)
+            self.chunks = [[right if c == wrong else c for c in row] for row in self.chunks]
 
-        monkeypatch.setattr(DiscreteStateSpace, "_move", corrupted)
+        monkeypatch.setattr(DiscreteStateSpace, "__init__", corrupted)
         res = compute_bisimulation(a, b)
         assert res.related
         assert not verify_bisimulation(a, b, res.relation)
