@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional
 
 from .environments import Environment, Trajectory, trajectory
@@ -24,27 +24,28 @@ from .signals import ControlSignal
 
 @dataclass(frozen=True, init=False)
 class GraphMap:
-    """A candidate map between ported graphs: total on vertices and darts."""
+    """A candidate map between ported graphs: total on vertices and darts.
+
+    dart_map sends (vertex, port) pairs, Darts or plain tuples, to such
+    pairs."""
 
     vertex_map: dict
     dart_map: dict
 
     def __init__(self, vertex_map, dart_map):
-        ditems = dart_map.items() if isinstance(dart_map, Mapping) else dart_map
         object.__setattr__(self, "vertex_map", dict(vertex_map))
-        object.__setattr__(self, "dart_map", {Dart(*d): Dart(*e) for d, e in ditems})
+        object.__setattr__(self, "dart_map", dict(dart_map))
 
     @classmethod
     def from_vertex_map(cls, source: PortedGraph, vertex_map: Mapping) -> "GraphMap":
         """Port-preserving dart map induced by a vertex map."""
-        darts = {d: Dart(vertex_map[d.vertex], d.port) for d in source.darts()}
-        return cls(vertex_map, darts)
+        return cls(vertex_map, {d: (vertex_map[d[0]], d[1]) for d in source.dart_keys})
 
     def vertex(self, v):
         return self.vertex_map[v]
 
     def dart(self, d: Dart) -> Dart:
-        return self.dart_map[d]
+        return Dart._make(self.dart_map[d])
 
     def state(self, target: PortedGraph, state: GraphState) -> GraphState:
         if isinstance(state, VertexState):
@@ -53,12 +54,10 @@ class GraphMap:
 
     def to_json(self) -> dict:
         vertex_items = sorted(self.vertex_map.items(), key=lambda kv: str(kv[0]))
-        dart_items = sorted(
-            self.dart_map.items(), key=lambda kv: (str(kv[0].vertex), kv[0].port)
-        )
+        dart_items = sorted(self.dart_map.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
         return {
             "vertex_map": [[src, dst] for src, dst in vertex_items],
-            "dart_map": [[[d.vertex, d.port], [e.vertex, e.port]] for d, e in dart_items],
+            "dart_map": [[list(d), list(e)] for d, e in dart_items],
         }
 
     @classmethod
@@ -70,20 +69,28 @@ class GraphMap:
         raw_v = data["vertex_map"]
         try:
             vpairs = raw_v.items() if isinstance(raw_v, dict) else raw_v
-            vitems = {check_vertex_name(s): check_vertex_name(d) for s, d in vpairs}
+            vitems = {}
+            for s, d in vpairs:
+                s = check_vertex_name(s)
+                if s in vitems:
+                    raise ValidationError(f"vertex {s!r} is mapped twice")
+                vitems[s] = check_vertex_name(d)
             if "dart_map" not in data:
                 return cls.from_vertex_map(source, vitems)
-            ditems = [
-                (_dart_from_json(d), _dart_from_json(e)) for d, e in data["dart_map"]
-            ]
+            ditems = {}
+            for d, e in data["dart_map"]:
+                d = _dart_from_json(d)
+                if d in ditems:
+                    raise ValidationError(f"dart {Dart._make(d)!r} is mapped twice")
+                ditems[d] = _dart_from_json(e)
             return cls(vitems, ditems)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad graph map JSON: {exc!r}") from exc
 
 
-def _dart_from_json(raw) -> Dart:
+def _dart_from_json(raw) -> tuple:
     vertex, port = raw
-    return Dart(check_vertex_name(vertex), check_port(port))
+    return (check_vertex_name(vertex), check_port(port))
 
 
 @dataclass(frozen=True)
@@ -118,27 +125,39 @@ class CoveringCertificate:
         }
 
 
-def _check_structure(f: GraphMap, source: PortedGraph, target: PortedGraph) -> None:
+def _check_structure(f: GraphMap, source: PortedGraph, target: PortedGraph) -> tuple:
+    """Reject a map that is partial or breaks incidence or reversal; else
+    return its images in ids: the target position of each source vertex and
+    the target dart id of each source dart."""
     vmap, dmap = f.vertex_map, f.dart_map
-    target_vertices = set(target.vertices)
+    target_index = target.vertex_index
+    vimg = []
     for v in source.vertices:
         if v not in vmap:
             raise ValidationError(f"vertex {v!r} unmapped")
-        if vmap[v] not in target_vertices:
+        w = target_index.get(vmap[v])
+        if w is None:
             raise ValidationError(f"vertex {v!r} maps outside the target")
-    unmapped = [d for d in source.darts() if d not in dmap]
-    if unmapped:
-        raise ValidationError(f"dart {unmapped[0]!r} unmapped")
-    for d in source.darts():
-        image = dmap[d]
-        if not target.has_dart(image):
-            raise ValidationError(f"dart {d!r} maps to unknown dart {image!r}")
-        if vmap[d.vertex] != image.vertex:
-            raise ValidationError(f"dart {d!r}: image tail disagrees with vertex map")
-        if vmap[source.head(d)] != target.head(image):
-            raise ValidationError(f"dart {d!r}: image head disagrees with vertex map")
-        if dmap[source.reverse(d)] != target.reverse(image):
-            raise ValidationError(f"dart {d!r}: image does not respect reversal")
+        vimg.append(w)
+    keys = source.dart_keys
+    for d in keys:
+        if d not in dmap:
+            raise ValidationError(f"dart {Dart._make(d)!r} unmapped")
+    images = [dmap[d] for d in keys]
+    dimg = list(map(target.dart_index.get, images))
+    head, target_head = source.dart_head, target.dart_head
+    for s, t in enumerate(dimg):
+        if t is None:
+            raise ValidationError(
+                f"dart {Dart._make(keys[s])!r} maps to unknown dart {Dart._make(images[s])!r}"
+            )
+        if vimg[head[s ^ 1]] != target_head[t ^ 1]:
+            raise ValidationError(f"dart {Dart._make(keys[s])!r}: image tail disagrees with vertex map")
+        if vimg[head[s]] != target_head[t]:
+            raise ValidationError(f"dart {Dart._make(keys[s])!r}: image head disagrees with vertex map")
+        if dimg[s ^ 1] != t ^ 1:
+            raise ValidationError(f"dart {Dart._make(keys[s])!r}: image does not respect reversal")
+    return vimg, dimg
 
 
 def verify_covering(
@@ -153,36 +172,39 @@ def verify_covering(
     rejected with a diagnostic; the certificate then grades surjectivity, the
     port-preserving star bijections (skipped at `skip_star_at`, used for
     truncated covers with boundary), length preservation, and the base point.
+    Everything past the names is O(V + E) work on positions and dart ids.
     """
     sg, tg = source.graph, target.graph
-    _check_structure(f, sg, tg)
-    vmap, dmap = f.vertex_map, f.dart_map
+    vimg, dimg = _check_structure(f, sg, tg)
+    vmap = f.vertex_map
     skip = set(skip_star_at)
     failures = []
 
-    hit_vertices = set(vmap.values())
-    surjective = hit_vertices == set(tg.vertices)
+    surjective = set(vmap.values()) == tg.vertex_index.keys()
     if surjective and not skip:
-        surjective = {dmap[d] for d in sg.darts()} == set(tg.darts())
+        surjective = len(set(dimg)) == len(tg.dart_keys)
     if not surjective:
         failures.append("not surjective")
 
+    # with the tails checked, the star at v is a port-preserving bijection
+    # exactly when its images, in port order, are the star at the image
     local_bijection = True
-    for v in sg.vertices:
+    target_star = tg.star
+    for v, w, row in zip(sg.vertices, vimg, sg.star):
         if v in skip:
             continue
-        images = [dmap[d] for d in sg.darts_at(v)]
-        expect = tg.darts_at(vmap[v])
-        ports_ok = all(dmap[d].port == d.port for d in sg.darts_at(v))
-        if sorted(images) != sorted(expect) or not ports_ok:
+        if [dimg[d] for d in row] != target_star[w]:
             local_bijection = False
             failures.append(f"star at {v!r} is not a port-preserving bijection")
 
+    # a dart and its reverse lie on one edge and so do their images, so the
+    # forward darts 2e decide
     lengths_preserved = True
-    for d in sg.darts():
-        if sg.length(d) != tg.length(dmap[d]):
+    target_edges = tg.edges
+    for e, (edge, t) in enumerate(zip(sg.edges, dimg[::2])):
+        if edge.length != target_edges[t >> 1].length:
             lengths_preserved = False
-            failures.append(f"dart {d!r} changes length")
+            failures.append(f"dart {Dart._make(sg.dart_keys[2 * e])!r} changes length")
             break
 
     base_point = vmap.get(source.initial) == target.initial
@@ -206,12 +228,11 @@ def pullback_sensor(
 ) -> SensorSpec:
     """Pull a sensor on the target back along the map: h' = h after f.
     Beam marks reappear once on every preimage edge."""
-    target_forward = [target_graph.forward_dart(j) for j in range(len(target_graph.edges))]
+    target_index, dmap = target_graph.dart_index, f.dart_map
     edge_image = []
-    for idx, e in enumerate(source_graph.edges):
-        image = f.dart_map[source_graph.forward_dart(idx)]
-        image_idx = target_graph.edge_of(image)
-        edge_image.append((image_idx, image == target_forward[image_idx], e.length))
+    for key, e in zip(source_graph.dart_keys[::2], source_graph.edges):
+        t = target_index[dmap[key]]
+        edge_image.append((t >> 1, not t & 1, e.length))
     return sensor.pullback({v: f.vertex_map[v] for v in source_graph.vertices}, edge_image)
 
 
@@ -278,49 +299,76 @@ def cyclic_cover(env: Environment, k: int, voltages):
     Builds the derived graph on vertex copies (v, i), keeps the component of
     the lifted base point (the full derived graph may fall apart when the
     voltages do not generate Z_k), pulls the sensor back, and returns the cover
-    with its projection.  k = 1 returns an isomorphic copy.
+    with its projection.  k = 1 returns an isomorphic copy.  Only the
+    component is visited, so the cost is O(component * degree) for any k.
     """
     per_edge = _normalize_voltages(env, k, voltages)
     graph = env.graph
-    voltage = {}
-    for e, value in zip(graph.edges, per_edge):
-        voltage[Dart(e.tail, e.port_at_tail)] = value
-        voltage[Dart(e.head, e.port_at_head)] = -value
+    head, star, base_vertices, base_keys = graph.dart_head, graph.star, graph.vertices, graph.dart_keys
+    voltage = [x for value in per_edge for x in (value, -value)]
 
-    def name(v, i):
-        return f"{v}@{i}"
-
-    component = set()
-    stack = [(env.initial, 0)]
+    # node (v, i) is the int v * k + i, so sorted nodes are in (v, i) order
+    start = graph.vertex_index[env.initial] * k
+    reached = {start}
+    stack = [start]
     while stack:
-        node = stack.pop()
-        if node in component:
-            continue
-        component.add(node)
-        v, i = node
-        for d in graph.darts_at(v):
-            stack.append((graph.head(d), (i + voltage[d]) % k))
+        v, i = divmod(stack.pop(), k)
+        for d in star[v]:
+            node = head[d] * k + (i + voltage[d]) % k
+            if node not in reached:
+                reached.add(node)
+                stack.append(node)
+    nodes = sorted(reached)
+    position = {node: p for p, node in enumerate(nodes)}
+    names = [f"{base_vertices[node // k]}@{node % k}" for node in nodes]
+    if len(set(map(str, base_vertices))) < len(base_vertices):
+        _check_cover_names(names, nodes, base_vertices, k)
 
-    edges = [
-        Edge(
-            name(e.tail, i),
-            name(e.head, (i + value) % k),
-            e.port_at_tail,
-            e.port_at_head,
-            e.length,
-        )
-        for e, value in zip(graph.edges, per_edge)
-        for i in range(k)
-        if (e.tail, i) in component
-    ]
-    vertex_map = {
-        name(v, i): v for v in graph.vertices for i in range(k) if (v, i) in component
-    }
-    cover_graph = PortedGraph(vertex_map, edges)
-    projection = GraphMap.from_vertex_map(cover_graph, vertex_map)
+    # Z_k shifts copies freely, so every fiber of the component is a coset
+    # of one subgroup: each base vertex has m copies, at positions v*m ..
+    # v*m + m - 1, and each base edge e has m copies, edges e*m .. e*m + m - 1,
+    # ordered like the copies of its stored tail.
+    m = len(nodes) // len(base_vertices)
+    cover_head = [0] * (2 * m * len(graph.edges))
+    cover_star = []
+    for p, node in enumerate(nodes):
+        v, i = divmod(node, k)
+        row = []
+        for d in star[v]:
+            q = position[head[d] * k + (i + voltage[d]) % k]
+            c = 2 * ((d >> 1) * m + (q if d & 1 else p) % m) + (d & 1)
+            cover_head[c] = q
+            row.append(c)
+        cover_star.append(row)
+
+    edges, dart_keys, images = [], [], []
+    for e, base_edge in enumerate(graph.edges):
+        pt, ph, length = base_edge.port_at_tail, base_edge.port_at_head, base_edge.length
+        for c in range(2 * e * m, 2 * (e + 1) * m, 2):
+            tail, to = names[cover_head[c + 1]], names[cover_head[c]]
+            edges.append(Edge(tail, to, pt, ph, length))
+            dart_keys += ((tail, pt), (to, ph))
+            images += (base_keys[2 * e], base_keys[2 * e + 1])
+
+    cover_graph = PortedGraph._derived(names, edges, dart_keys, cover_head, cover_star)
+    vertex_map = dict(zip(names, [base_vertices[node // k] for node in nodes]))
+    projection = GraphMap(vertex_map, dict(zip(dart_keys, images)))
     sensor = pullback_sensor(projection, cover_graph, graph, env.sensor)
-    cover = Environment(cover_graph, name(env.initial, 0), sensor, env.alphabet_width)
+    cover = Environment(cover_graph, names[position[start]], sensor, env.alphabet_width)
     return cover, projection
+
+
+def _check_cover_names(names, nodes, base_vertices, k) -> None:
+    """Reject two copies that print as one name: base vertices 1 and "1"
+    both give 1@0."""
+    seen = {}
+    for name, node in zip(names, nodes):
+        first = seen.setdefault(name, node)
+        if first != node:
+            raise ValidationError(
+                f"cover vertex {name!r} would stand for both base vertices "
+                f"{base_vertices[first // k]!r} and {base_vertices[node // k]!r}"
+            )
 
 
 def universal_cover_truncation(env: Environment, radius):
@@ -337,40 +385,57 @@ def universal_cover_truncation(env: Environment, radius):
     if radius <= 0:
         raise PreconditionError(f"radius must be positive, got {radius}")
     graph = env.graph
+    head, star, base_keys = graph.dart_head, graph.star, graph.dart_keys
+    # walk lengths in ticks of 1/scale
+    scale = lcm(radius.denominator, graph.tick_denominator())
+    limit = radius.numerator * (scale // radius.denominator)
+    ticks = [e.length.numerator * (scale // e.length.denominator) for e in graph.edges]
 
-    root = "t0"
-    vertex_map = {root: env.initial}
-    dart_map = {}
-    edges = []
+    # per tree node: its name, its base vertex position and its darts in
+    # port order; tree edge c has darts 2c (parent to child) and 2c + 1
+    names = ["t0"]
+    base_of = [graph.vertex_index[env.initial]]
+    cover_star = [None]
+    edges, dart_keys, images, cover_head = [], [], [], []
     boundary = set()
-    # (tree node, walk length, base dart leading from the node back to its parent)
-    queue = deque([(root, Fraction(0), None)])
+    # (tree node, walk length, base dart and tree dart from the node back to
+    # its parent)
+    queue = deque([(0, 0, None, None)])
     while queue:
-        node, dist, back = queue.popleft()
-        for d in graph.darts_at(vertex_map[node]):
+        node, dist, back, up = queue.popleft()
+        row = []
+        for port, d in enumerate(star[base_of[node]]):
             if d == back:
+                row.append(up)
                 continue
-            child = f"t{len(vertex_map)}"
-            vertex_map[child] = graph.head(d)
-            child_dist = dist + graph.length(d)
-            reverse = graph.reverse(d)
-            if child_dist < radius:
-                queue.append((child, child_dist, reverse))
-                child_port = reverse.port
+            child = len(names)
+            names.append(f"t{child}")
+            base_of.append(head[d])
+            child_dist = dist + ticks[d >> 1]
+            c = 2 * len(edges)
+            if child_dist < limit:
+                queue.append((child, child_dist, d ^ 1, c + 1))
+                child_port = base_keys[d ^ 1][1]
+                cover_star.append(None)
             else:
                 # a cut leaf keeps only its backward dart, which is port 0; it
                 # is boundary when the base vertex has darts the tree dropped
                 child_port = 0
-                if graph.degree(vertex_map[child]) > 1:
-                    boundary.add(child)
-            edges.append(Edge(node, child, d.port, child_port, graph.length(d)))
-            dart_map[Dart(node, d.port)] = d
-            dart_map[Dart(child, child_port)] = reverse
+                cover_star.append([c + 1])
+                if len(star[head[d]]) > 1:
+                    boundary.add(names[child])
+            edges.append(Edge(names[node], names[child], port, child_port, graph.edges[d >> 1].length))
+            dart_keys += ((names[node], port), (names[child], child_port))
+            images += (base_keys[d], base_keys[d ^ 1])
+            cover_head += (child, node)
+            row.append(c)
+        cover_star[node] = row
 
-    cover_graph = PortedGraph(vertex_map, edges)
-    projection = GraphMap(vertex_map, dart_map)
+    cover_graph = PortedGraph._derived(names, edges, dart_keys, cover_head, cover_star)
+    vertex_map = dict(zip(names, [graph.vertices[b] for b in base_of]))
+    projection = GraphMap(vertex_map, dict(zip(dart_keys, images)))
     sensor = pullback_sensor(projection, cover_graph, graph, env.sensor)
-    cover = Environment(cover_graph, root, sensor, env.alphabet_width)
+    cover = Environment(cover_graph, "t0", sensor, env.alphabet_width)
     return cover, projection, frozenset(boundary)
 
 
@@ -426,11 +491,8 @@ def degree_refinement(env: Environment) -> tuple:
     degree and the dart counts into each colour.
     """
     graph = env.graph
-    position = {v: i for i, v in enumerate(graph.vertices)}
-    heads = [[position[graph.head(d)] for d in graph.darts_at(v)] for v in graph.vertices]
-    colour = refine(
-        [graph.degree(v) for v in graph.vertices], lambda prev, i: sorted(prev[j] for j in heads[i])
-    )[-1]
+    heads = [[graph.dart_head[d] for d in row] for row in graph.star]
+    colour = refine([len(row) for row in heads], lambda prev, i: sorted(prev[j] for j in heads[i]))[-1]
     member = {c: i for i, c in enumerate(colour)}
     index = {c: rank for rank, c in enumerate(sorted(member))}
     rows = [heads[member[c]] for c in index]

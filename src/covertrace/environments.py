@@ -44,7 +44,7 @@ class Environment:
     alphabet_width: Optional[int] = None
 
     def __post_init__(self):
-        if self.initial not in set(self.graph.vertices):
+        if self.initial not in self.graph.vertex_index:
             raise ValidationError(f"initial vertex {self.initial!r} not in graph")
         self.sensor.validate(self.graph)
         if self.alphabet_width is None:

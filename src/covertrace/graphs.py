@@ -5,6 +5,18 @@ incident half-edges (darts) 0..deg-1 and every edge carries a positive rational
 length.  Darts are identified by (vertex, port), which is unique, and come with
 a reversal involution pairing the two darts of each edge.  Self-loops are
 allowed but must use two distinct ports.
+
+Names (vertex names, Darts) are the API; inside, a graph is integer tables.
+Vertex i is the i-th entry of `vertices`.  Dart id 2e is edge e in its
+stored orientation and 2e+1 its reverse, so a dart's edge is id >> 1, its
+reverse is id ^ 1 and it is stored-forward when id & 1 == 0.  The tables
+are `vertex_index` (name -> i), `dart_keys` (id -> (vertex, port) tuple),
+`dart_index` (its inverse, in which a Dart looks up as the tuple it is),
+`dart_head` (id -> head vertex) and `star` (vertex -> dart ids in port
+order); a dart's tail is dart_head[id ^ 1] and its length that of
+edges[id >> 1].  Code in this package reads the tables and never writes
+them.  Loaded graphs are validated in O(V + E) while the tables are built;
+covers are assembled straight into them (PortedGraph._derived).
 """
 from __future__ import annotations
 
@@ -20,6 +32,8 @@ from .rationals import as_fraction, from_wire, to_pair
 
 def check_vertex_name(name):
     """Vertex names read from JSON must be strings or integers."""
+    if type(name) is str or type(name) is int:
+        return name
     if isinstance(name, bool) or not isinstance(name, (int, str)):
         raise ValidationError(f"vertex names must be strings or integers, got {name!r}")
     return name
@@ -27,6 +41,8 @@ def check_vertex_name(name):
 
 def check_port(port):
     """Ports read from JSON must be integers (bools are not ports)."""
+    if type(port) is int:
+        return port
     if isinstance(port, bool) or not isinstance(port, int):
         raise ValidationError(f"ports must be integers, got {port!r}")
     return port
@@ -77,105 +93,138 @@ class EdgeState:
 GraphState = Union[VertexState, EdgeState]
 
 
+def _vertex_index(vertices: tuple) -> dict:
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
+        raise ValidationError("duplicate vertex names")
+    return index
+
+
 class PortedGraph:
     """Validated immutable ported metric graph.
 
     Construction checks: ports at each vertex are exactly {0..deg-1}, self-loops
     use two distinct ports, lengths are positive, and the graph is connected.
+    The id tables are described in the module docstring.
     """
 
     def __init__(self, vertices: Iterable, edges: Iterable[Edge]):
         self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValidationError("duplicate vertex names")
-        vertex_set = set(self.vertices)
+        index = _vertex_index(self.vertices)
         self.edges = tuple(edges)
 
-        head_of = {}
-        length_of = {}
-        reverse_of = {}
-        edge_index_of = {}
+        # one pass builds the dart tables and finds a reused port
+        dart_index = {}
+        dart_head = []
+        at = [[] for _ in self.vertices]
         for idx, e in enumerate(self.edges):
-            if e.tail not in vertex_set or e.head not in vertex_set:
+            tail, head = index.get(e.tail), index.get(e.head)
+            if tail is None or head is None:
                 raise ValidationError(f"edge {idx} touches an unknown vertex")
-            if e.length <= 0:
+            # Fraction or int: its sign is the numerator's
+            if e.length.numerator <= 0:
                 raise ValidationError(f"edge {idx} has non-positive length {e.length}")
-            fwd = Dart(e.tail, e.port_at_tail)
-            bwd = Dart(e.head, e.port_at_head)
+            fwd = (e.tail, e.port_at_tail)
+            bwd = (e.head, e.port_at_head)
             if fwd == bwd:
                 raise ValidationError(f"edge {idx} is a self-loop reusing one port")
             for d in (fwd, bwd):
-                if d in head_of:
-                    raise ValidationError(f"port {d.port} at vertex {d.vertex!r} used twice")
-            head_of[fwd] = e.head
-            head_of[bwd] = e.tail
-            length_of[fwd] = length_of[bwd] = e.length
-            reverse_of[fwd] = bwd
-            reverse_of[bwd] = fwd
-            edge_index_of[fwd] = edge_index_of[bwd] = idx
+                if d in dart_index:
+                    raise ValidationError(f"port {d[1]} at vertex {d[0]!r} used twice")
+                dart_index[d] = len(dart_index)
+            dart_head += (head, tail)
+            at[tail].append(2 * idx)
+            at[head].append(2 * idx + 1)
+        dart_keys = list(dart_index)
 
-        ports = {v: [] for v in self.vertices}
-        for d in head_of:
-            ports[d.vertex].append(d.port)
-        for v, used in ports.items():
-            if set(used) != set(range(len(used))):
-                raise ValidationError(
-                    f"vertex {v!r} must use ports 0..{len(used) - 1}, got {sorted(used)}"
-                )
+        # the ports at a vertex are distinct, so they are 0..deg-1 exactly
+        # when each is an int in that range
+        star = []
+        for v, ids in zip(self.vertices, at):
+            degree = len(ids)
+            row = [None] * degree
+            for d in ids:
+                port = dart_keys[d][1]
+                if type(port) is not int or not 0 <= port < degree:
+                    used = sorted(dart_keys[d][1] for d in ids)
+                    raise ValidationError(f"vertex {v!r} must use ports 0..{degree - 1}, got {used}")
+                row[port] = d
+            star.append(row)
 
-        self._head = head_of
-        self._length = length_of
-        self._reverse = reverse_of
-        self._edge_index = edge_index_of
-        self._degree = {v: len(used) for v, used in ports.items()}
-        self._vertex_dist: Optional[dict] = None
-        self._tick_denominator: Optional[int] = None
-
+        self._set_tables(index, dart_keys, dart_index, dart_head, star)
         if not self._connected():
             raise ValidationError("graph is not connected")
+
+    @classmethod
+    def _derived(cls, vertices, edges, dart_keys, dart_head, star) -> "PortedGraph":
+        """A graph from tables its caller built, for a construction (a cover)
+        that proves what __init__ would check beyond the names: the darts at
+        each vertex are listed in port order with ports 0..deg-1, dart 2e is
+        edge e's stored orientation, lengths are positive and the graph is
+        connected.  Vertex names are still checked to be distinct."""
+        self = cls.__new__(cls)
+        self.vertices = tuple(vertices)
+        index = _vertex_index(self.vertices)
+        self.edges = tuple(edges)
+        dart_index = dict(zip(dart_keys, range(len(dart_keys))))
+        self._set_tables(index, dart_keys, dart_index, dart_head, star)
+        return self
+
+    def _set_tables(self, index, dart_keys, dart_index, dart_head, star) -> None:
+        self.vertex_index = index
+        self.dart_keys = dart_keys
+        self.dart_index = dart_index
+        self.dart_head = dart_head
+        self.star = star
+        self._vertex_dist: Optional[dict] = None
+        self._tick_denominator: Optional[int] = None
 
     def _connected(self) -> bool:
         if not self.vertices:
             raise ValidationError("graph needs at least one vertex")
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        head, star = self.dart_head, self.star
+        seen = [False] * len(self.vertices)
+        seen[0] = True
+        stack = [0]
+        reached = 1
         while stack:
-            v = stack.pop()
-            for k in range(self._degree[v]):
-                w = self._head[Dart(v, k)]
-                if w not in seen:
-                    seen.add(w)
+            for d in star[stack.pop()]:
+                w = head[d]
+                if not seen[w]:
+                    seen[w] = True
+                    reached += 1
                     stack.append(w)
-        return len(seen) == len(self.vertices)
+        return reached == len(self.vertices)
 
     # --- basic accessors -------------------------------------------------
 
     def degree(self, v) -> int:
-        return self._degree[v]
+        return len(self.star[self.vertex_index[v]])
 
     def max_degree(self) -> int:
-        return max(self._degree.values())
+        return max(map(len, self.star))
 
-    def darts(self):
-        return self._head.keys()
+    def darts(self) -> list:
+        """Every dart, in id order."""
+        return list(map(Dart._make, self.dart_keys))
 
     def darts_at(self, v) -> list:
-        return [Dart(v, k) for k in range(self._degree[v])]
+        return [Dart(v, k) for k in range(self.degree(v))]
 
     def has_dart(self, d: Dart) -> bool:
-        return d in self._head
+        return d in self.dart_index
 
     def head(self, d: Dart):
-        return self._head[d]
+        return self.vertices[self.dart_head[self.dart_index[d]]]
 
     def length(self, d: Dart) -> Fraction:
-        return self._length[d]
+        return self.edges[self.dart_index[d] >> 1].length
 
     def reverse(self, d: Dart) -> Dart:
-        return self._reverse[d]
+        return Dart._make(self.dart_keys[self.dart_index[d] ^ 1])
 
     def edge_of(self, d: Dart) -> int:
-        return self._edge_index[d]
+        return self.dart_index[d] >> 1
 
     def forward_dart(self, edge_index: int) -> Dart:
         e = self.edges[edge_index]
@@ -194,49 +243,51 @@ class PortedGraph:
     def length_ticks(self, d: Dart, scale: int) -> int:
         """Length of the dart in ticks of 1/scale, for a scale that its
         length denominator divides (any multiple of tick_denominator())."""
-        length = self._length[d]
+        length = self.edges[self.dart_index[d] >> 1].length
         return length.numerator * (scale // length.denominator)
 
     # --- states ----------------------------------------------------------
 
     def vertex_state(self, v) -> VertexState:
-        if v not in self._degree:
+        if v not in self.vertex_index:
             raise ValidationError(f"unknown vertex {v!r}")
         return VertexState(v)
 
     def state_on(self, d: Dart, offset) -> GraphState:
         """Canonical state at the given offset along a dart: endpoints fold to
         vertex states so equality matches geometric identity."""
-        if d not in self._head:
+        if d not in self.dart_index:
             raise ValidationError(f"unknown dart {d!r}")
         offset = as_fraction(offset)
-        scale = lcm(offset.denominator, self._length[d].denominator)
+        scale = lcm(offset.denominator, self.length(d).denominator)
         return self.state_on_ticks(d, offset.numerator * (scale // offset.denominator), scale)
 
     def state_on_ticks(self, d: Dart, offset: int, scale: int) -> GraphState:
         """state_on(d, Fraction(offset, scale)) with the range check and the
         folding done on ints, for a scale that the dart's length denominator
         divides (any multiple of tick_denominator())."""
-        if d not in self._head:
+        i = self.dart_index.get(d)
+        if i is None:
             raise ValidationError(f"unknown dart {d!r}")
-        length = self.length_ticks(d, scale)
-        if offset < 0 or offset > length:
-            raise ValidationError(f"offset {Fraction(offset, scale)} outside [0, {self._length[d]}]")
+        length = self.edges[i >> 1].length
+        ticks = length.numerator * (scale // length.denominator)
+        if offset < 0 or offset > ticks:
+            raise ValidationError(f"offset {Fraction(offset, scale)} outside [0, {length}]")
         if offset == 0:
             return VertexState(d.vertex)
-        if offset == length:
-            return VertexState(self._head[d])
+        if offset == ticks:
+            return VertexState(self.vertices[self.dart_head[i]])
         return EdgeState(d, Fraction(offset, scale))
 
     def check_state(self, state: GraphState) -> GraphState:
         if isinstance(state, VertexState):
-            if state.vertex not in self._degree:
+            if state.vertex not in self.vertex_index:
                 raise ValidationError(f"state at unknown vertex {state.vertex!r}")
             return state
         if isinstance(state, EdgeState):
-            if state.dart not in self._head:
+            if state.dart not in self.dart_index:
                 raise ValidationError(f"state on unknown dart {state.dart!r}")
-            if not (0 < state.offset < self._length[state.dart]):
+            if not (0 < state.offset < self.length(state.dart)):
                 raise ValidationError(f"interior offset {state.offset} out of range")
             return state
         raise ValidationError(f"not a graph state: {state!r}")
@@ -246,12 +297,10 @@ class PortedGraph:
         stored tail).  Opposite-direction states at one point coincide here."""
         if isinstance(state, VertexState):
             return ("V", state.vertex)
-        idx = self._edge_index[state.dart]
-        if state.dart == self.forward_dart(idx):
-            pos = state.offset
-        else:
-            pos = self._length[state.dart] - state.offset
-        return ("E", idx, pos)
+        i = self.dart_index[state.dart]
+        if i & 1:
+            return ("E", i >> 1, self.edges[i >> 1].length - state.offset)
+        return ("E", i >> 1, state.offset)
 
     # --- metric ----------------------------------------------------------
 
@@ -262,23 +311,21 @@ class PortedGraph:
         then kept."""
         if self._vertex_dist is None:
             scale = self.tick_denominator()
-            index = {v: i for i, v in enumerate(self.vertices)}
+            ticks = [e.length.numerator * (scale // e.length.denominator) for e in self.edges]
+            head, star, vertices = self.dart_head, self.star, self.vertices
             dist = {}
-            for src in self.vertices:
-                # heap entries hold vertex positions: names may mix int and
-                # str, which do not compare on a tie
+            for src, name in enumerate(vertices):
                 settled = {}
-                heap = [(0, index[src])]
+                heap = [(0, src)]
                 while heap:
-                    ticks, i = heappop(heap)
-                    v = self.vertices[i]
+                    t, v = heappop(heap)
                     if v in settled:
                         continue
-                    settled[v] = ticks
-                    for d in self.darts_at(v):
-                        heappush(heap, (ticks + self.length_ticks(d, scale), index[self._head[d]]))
-                for w, ticks in settled.items():
-                    dist[(src, w)] = Fraction(ticks, scale)
+                    settled[v] = t
+                    for d in star[v]:
+                        heappush(heap, (t + ticks[d >> 1], head[d]))
+                for w, t in settled.items():
+                    dist[(name, vertices[w])] = Fraction(t, scale)
             self._vertex_dist = dist
         return self._vertex_dist
 
@@ -337,6 +384,7 @@ class PortedGraph:
         for v in vertices:
             check_vertex_name(v)
         edges = []
+        lengths = {}
         for raw in raw_edges:
             if not isinstance(raw, dict):
                 raise ValidationError(f"bad edge entry: {raw!r}")
@@ -347,12 +395,25 @@ class PortedGraph:
                         head=check_vertex_name(raw["head"]),
                         port_at_tail=check_port(raw["port_at_tail"]),
                         port_at_head=check_port(raw["port_at_head"]),
-                        length=from_wire(raw["length"]),
+                        length=_length_from_wire(raw["length"], lengths),
                     )
                 )
             except KeyError as exc:
                 raise ValidationError(f"edge entry missing key {exc}") from exc
         return cls(vertices, edges)
+
+
+def _length_from_wire(wire, seen: dict) -> Fraction:
+    """from_wire, with one Fraction per distinct [int, int] pair in `seen`:
+    a cover's edges repeat its base's lengths, and Fraction() normalizes
+    with a gcd."""
+    if type(wire) is list and len(wire) == 2 and type(wire[0]) is int and type(wire[1]) is int:
+        key = (wire[0], wire[1])
+        length = seen.get(key)
+        if length is None:
+            length = seen[key] = from_wire(wire)
+        return length
+    return from_wire(wire)
 
 
 def build_edges(specs: Iterable) -> list:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from covertrace import (
     HALT,
     ControlSignal,
+    CoveringCertificate,
     Dart,
     DegreeSensor,
     Environment,
@@ -17,6 +18,7 @@ from covertrace import (
     PortedGraph,
     SensorTrace,
     Trajectory,
+    ValidationError,
     VertexState,
     apply,
     build_edges,
@@ -450,3 +452,62 @@ def naive_degree_refinement(env: Environment) -> tuple:
             counts[j] = counts.get(j, 0) + 1
         table.append((graph.degree(representative), tuple(sorted(counts.items()))))
     return tuple(table)
+
+
+def naive_verify_covering(f, source: Environment, target: Environment, skip_star_at=()):
+    """verify_covering as it read on Dart dicts, kept as the oracle of the
+    version on positions and dart ids: the same checks, messages and
+    certificate, every dart a Dart and every star compared as sorted
+    lists."""
+    sg, tg = source.graph, target.graph
+    vmap = f.vertex_map
+    dmap = {Dart(*d): Dart(*e) for d, e in f.dart_map.items()}
+    target_vertices = set(tg.vertices)
+    for v in sg.vertices:
+        if v not in vmap:
+            raise ValidationError(f"vertex {v!r} unmapped")
+        if vmap[v] not in target_vertices:
+            raise ValidationError(f"vertex {v!r} maps outside the target")
+    unmapped = [d for d in sg.darts() if d not in dmap]
+    if unmapped:
+        raise ValidationError(f"dart {unmapped[0]!r} unmapped")
+    for d in sg.darts():
+        image = dmap[d]
+        if not tg.has_dart(image):
+            raise ValidationError(f"dart {d!r} maps to unknown dart {image!r}")
+        if vmap[d.vertex] != image.vertex:
+            raise ValidationError(f"dart {d!r}: image tail disagrees with vertex map")
+        if vmap[sg.head(d)] != tg.head(image):
+            raise ValidationError(f"dart {d!r}: image head disagrees with vertex map")
+        if dmap[sg.reverse(d)] != tg.reverse(image):
+            raise ValidationError(f"dart {d!r}: image does not respect reversal")
+
+    skip = set(skip_star_at)
+    failures = []
+    surjective = set(vmap.values()) == set(tg.vertices)
+    if surjective and not skip:
+        surjective = {dmap[d] for d in sg.darts()} == set(tg.darts())
+    if not surjective:
+        failures.append("not surjective")
+    local_bijection = True
+    for v in sg.vertices:
+        if v in skip:
+            continue
+        images = [dmap[d] for d in sg.darts_at(v)]
+        expect = tg.darts_at(vmap[v])
+        ports_ok = all(dmap[d].port == d.port for d in sg.darts_at(v))
+        if sorted(images) != sorted(expect) or not ports_ok:
+            local_bijection = False
+            failures.append(f"star at {v!r} is not a port-preserving bijection")
+    lengths_preserved = True
+    for d in sg.darts():
+        if sg.length(d) != tg.length(dmap[d]):
+            lengths_preserved = False
+            failures.append(f"dart {d!r} changes length")
+            break
+    base_point = vmap.get(source.initial) == target.initial
+    if not base_point:
+        failures.append("base point not preserved")
+    return CoveringCertificate(
+        surjective, local_bijection, lengths_preserved, base_point, tuple(failures)
+    )

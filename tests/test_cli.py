@@ -426,6 +426,63 @@ class TestCoverCommands:
         assert data["covering"] is False
         assert data["conditions"]["local_bijection"] is False
 
+    def test_gen_cyclic_huge_order_builds_only_the_component(self, gallery_dir):
+        """Zero voltages keep one copy of the base whatever k is; building
+        it must not walk the k copies."""
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "covertrace.cli", "gen-cyclic",
+                str(gallery_dir / "circle_a.json"), str(10**12), "--voltages", "0,0,0",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["environment"]["vertices"] == ["x0@0", "x1@0", "x2@0"]
+
+    def test_gen_cyclic_names_a_cover_name_clash(self, capsys, tmp_path):
+        """Base vertices 1 and "1" both print as 1: their copies clash only
+        when the component holds both at one index."""
+        graph = PortedGraph([1, "1"], build_edges([(1, "1", 0, 0)]))
+        base = write_json(tmp_path / "base.json", Environment(graph, 1, DegreeSensor()).to_json())
+        code, out, err = run(capsys, ["gen-cyclic", base, "2", "--voltages", "0"])
+        assert (code, out) == (2, "")
+        assert "cover vertex '1@0' would stand for both base vertices 1 and '1'" in err
+        code, out, _ = run(capsys, ["gen-cyclic", base, "2", "--voltages", "1"])
+        assert code == 0
+        assert json.loads(out)["environment"]["vertices"] == ["1@0", "1@1"]
+
+    @pytest.mark.parametrize("command", ["check-cover", "lift"])
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            (
+                {
+                    "vertex_map": [["x0", "x0"], ["x1", "x1"], ["x2", "x2"], ["x0", "x1"]],
+                    "dart_map": identity_map_json([["x0", 0], ["x0", 0]])["dart_map"],
+                },
+                "vertex 'x0' is mapped twice",
+            ),
+            (
+                {
+                    "vertex_map": [["x0", "x0"], ["x1", "x1"], ["x2", "x2"]],
+                    "dart_map": identity_map_json([["x0", 0], ["x0", 0]])["dart_map"]
+                    + [[["x0", 0], ["x1", 0]]],
+                },
+                "dart Dart(vertex='x0', port=0) is mapped twice",
+            ),
+        ],
+        ids=["vertex", "dart"],
+    )
+    def test_map_listing_a_source_twice_exits_2(self, capsys, tmp_path, env_file, command, mapping, message):
+        bad = write_json(tmp_path / "map.json", mapping)
+        sig = write_json(tmp_path / "sig.json", [[0, 1, 1]])
+        argv = [command, bad, env_file, env_file] + ([sig] if command == "lift" else [])
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_lift_opens_the_loop(self, capsys, tmp_path, env_file):
         _, out, _ = run(capsys, ["gen-cyclic", env_file, "2", "--voltages", "1,1,1"])
         bundle = json.loads(out)

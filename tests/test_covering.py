@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from covertrace import (
     BeamMark,
     BeamSensor,
     ControlSignal,
+    CoveringCertificate,
     Dart,
     DegreeSensor,
     Edge,
@@ -49,6 +51,7 @@ from covertrace.generate import (
 from helpers import (
     figure_eight_env,
     naive_degree_refinement,
+    naive_verify_covering,
     path_middle_env,
     three_cycle,
     three_cycle_env,
@@ -154,6 +157,96 @@ class TestVerifyCovering:
         env = Environment(stretched, "x0", DegreeSensor(), 2)
         cert = verify_covering(identity_map(stretched), env, three_cycle_env())
         assert not cert.lengths_preserved
+
+
+def _outcome(check, f, source, target, skip=()):
+    """The certificate, or the text of the ValidationError raised."""
+    try:
+        return check(f, source, target, skip)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+def _oracle_pool(rng):
+    """(cover, projection, base, boundary) from cyclic covers and truncated
+    universal covers of gallery and random bases."""
+    bases = [env for name in sorted(GALLERY) for env in GALLERY[name]()]
+    for unit in (True, False) * 4:
+        g = random_ported_graph(rng, unit_lengths=unit)
+        bases.append(Environment(g, rng.choice(g.vertices), random_beam_sensor(rng, g)))
+    pool = []
+    for env in bases:
+        k = rng.randint(1, 4)
+        pool.append((*cyclic_cover(env, k, random_voltages(rng, env.graph, k)), env, frozenset()))
+        cover, f, boundary = universal_cover_truncation(env, Fraction(rng.randint(1, 9), 2))
+        pool.append((cover, f, env, boundary))
+    return pool
+
+
+class TestVerifyCoveringOracle:
+    """verify_covering on ids against the Dart-dict oracle, on projections
+    that are mutated one or two ways at a time."""
+
+    @staticmethod
+    def mutate(rng, cover, f, base, boundary):
+        sg, tg = cover.graph, base.graph
+        vmap, dmap = dict(f.vertex_map), dict(f.dart_map)
+        darts = list(dmap)
+        source, skip = cover, boundary
+        kind = rng.choice(["swap", "vertex", "drop", "ports", "unknown", "length", "base", "skip"])
+        if kind == "swap":
+            a, b = rng.sample(darts, 2) if len(darts) > 1 else (darts[0], darts[0])
+            dmap[a], dmap[b] = dmap[b], dmap[a]
+        elif kind == "vertex":
+            v = rng.choice(sg.vertices)
+            vmap[v] = rng.choice(list(tg.vertices) + ["nowhere"])
+        elif kind == "drop":
+            table = rng.choice([vmap, dmap])
+            del table[rng.choice(list(table))]
+        elif kind == "ports":
+            # permute the images of one star and carry the reversals along
+            v = rng.choice(sg.vertices)
+            star = [d for d in sg.darts_at(v) if d in dmap and tg.has_dart(dmap[d])]
+            images = [dmap[d] for d in star]
+            rng.shuffle(images)
+            for d, image in zip(star, images):
+                dmap[d] = image
+                dmap[sg.reverse(d)] = tg.reverse(Dart(*image))
+        elif kind == "unknown":
+            d = rng.choice(darts)
+            dmap[d] = (dmap[d][0], tg.max_degree() + 1)
+        elif kind == "length":
+            idx = rng.randrange(len(sg.edges))
+            edges = [replace(e, length=e.length * 2) if i == idx else e for i, e in enumerate(sg.edges)]
+            source = Environment(PortedGraph(sg.vertices, edges), cover.initial, DegreeSensor())
+        elif kind == "base":
+            source = Environment(sg, rng.choice(sg.vertices), DegreeSensor())
+        else:
+            skip = frozenset(rng.sample(sg.vertices, rng.randint(0, len(sg.vertices))))
+        return kind, GraphMap(vmap, dmap), source, skip
+
+    def test_matches_oracle_on_mutated_projections(self):
+        rng = random.Random(48)
+        kinds = Counter()
+        for cover, f, base, boundary in _oracle_pool(rng):
+            for skip in (boundary, ()):
+                assert _outcome(verify_covering, f, cover, base, skip) == _outcome(
+                    naive_verify_covering, f, cover, base, skip
+                )
+            for _ in range(12):
+                kind, g, source, skip = self.mutate(rng, cover, f, base, boundary)
+                if rng.random() < 0.3:
+                    _, g, source, skip = self.mutate(rng, source, g, base, skip)
+                got = _outcome(verify_covering, g, source, base, skip)
+                assert got == _outcome(naive_verify_covering, g, source, base, skip), kind
+                positive = isinstance(got, CoveringCertificate) and got.positive
+                kinds[kind, "error" if isinstance(got, str) else positive] += 1
+        # every mutation was tried, and they reached errors, negative and
+        # positive certificates
+        assert {kind for kind, _ in kinds} == {
+            "swap", "vertex", "drop", "ports", "unknown", "length", "base", "skip"
+        }
+        assert {outcome for _, outcome in kinds} == {"error", False, True}
 
 
 class TestSensorPullback:
@@ -356,6 +449,61 @@ class TestCyclicCover:
             assert verify_covering(proj, cover, env).positive
 
 
+def _tables(g: PortedGraph) -> tuple:
+    return (
+        g.vertices,
+        g.edges,
+        list(g.vertex_index.items()),
+        g.dart_keys,
+        list(g.dart_index.items()),
+        g.dart_head,
+        g.star,
+    )
+
+
+class TestDerivedConstruction:
+    """Covers are assembled straight into the tables, skipping the checks
+    that their construction proves; the tables must be those that the fully
+    validating constructor builds from the same vertices and edges."""
+
+    def test_covers_have_the_tables_of_a_validated_graph(self):
+        rng = random.Random(49)
+        bases = [env for name in sorted(GALLERY) for env in GALLERY[name]()]
+        sizes = set()
+        for env in bases:
+            g = env.graph
+            # k = 12 with voltages in 3Z or 4Z keeps 4 or 3 copies of each
+            # vertex; zero voltages keep one
+            for k, step in ((1, 1), (2, 1), (2, 2), (5, 1), (5, 5), (17, 1), (17, 17), (12, 3), (12, 4)):
+                for _ in range(3):
+                    voltages = [rng.randrange(k) * step % k for _ in g.edges]
+                    cover, _ = cyclic_cover(env, k, voltages)
+                    c = cover.graph
+                    assert _tables(c) == _tables(PortedGraph(c.vertices, c.edges))
+                    # vertices by base vertex then copy, edges by base edge
+                    # then copy of the stored tail, as a scan of all k
+                    # copies lists them
+                    kept = set(c.vertices)
+                    assert c.vertices == tuple(
+                        f"{v}@{i}" for v in g.vertices for i in range(k) if f"{v}@{i}" in kept
+                    )
+                    assert c.edges == tuple(
+                        Edge(f"{e.tail}@{i}", f"{e.head}@{(i + x) % k}", e.port_at_tail, e.port_at_head, e.length)
+                        for e, x in zip(g.edges, voltages)
+                        for i in range(k)
+                        if f"{e.tail}@{i}" in kept
+                    )
+                    sizes.add((k, len(c.vertices) // len(g.vertices)))
+            for radius in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 3), Fraction(4)):
+                c = universal_cover_truncation(env, radius)[0].graph
+                assert _tables(c) == _tables(PortedGraph(c.vertices, c.edges))
+        assert {(12, 3), (12, 4), (17, 1), (17, 17)} <= sizes
+
+    def test_derived_graph_still_rejects_a_repeated_name(self):
+        with pytest.raises(ValidationError, match="duplicate vertex names"):
+            PortedGraph._derived(["a", "a"], [], [], [], [[], []])
+
+
 class TestUniversalCoverTruncation:
     def test_cycle_unrolls_to_path(self):
         env = three_cycle_env()
@@ -390,6 +538,16 @@ class TestUniversalCoverTruncation:
         assert all(g.degree(v) == 4 for v in interior)
         cert = verify_covering(proj, cover, env, skip_star_at=boundary)
         assert cert.positive
+
+    def test_ball_reaching_every_vertex_misses_darts(self):
+        """Radius 1 reaches all three vertices of the triangle but not the
+        two darts between the cut leaves: only with those stars skipped is
+        the projection surjective."""
+        env = three_cycle_env()
+        cover, proj, boundary = universal_cover_truncation(env, 1)
+        assert set(proj.vertex_map.values()) == set(env.graph.vertices)
+        assert not verify_covering(proj, cover, env).surjective
+        assert verify_covering(proj, cover, env, skip_star_at=boundary).surjective
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(PreconditionError):
