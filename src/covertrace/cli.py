@@ -33,10 +33,10 @@ from .rationals import as_fraction, to_pair
 from .signals import ControlSignal, distance, geodesic
 
 
-def _load_json(path: str):
+def _load_json(path: str, object_pairs_hook=None):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=object_pairs_hook)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -53,8 +53,24 @@ def _load_signal(path: str) -> ControlSignal:
     return ControlSignal.from_json(_load_json(path))
 
 
+class _RepeatedKeys(list):
+    """The (key, value) pairs of a JSON object that names a key twice."""
+
+
+def _pairs_if_repeated(pairs: list):
+    """A JSON object as a dict, or as its list of pairs when a key repeats,
+    so that a vertex_map object naming a vertex twice reads like the list
+    form and is refused by the same check instead of keeping the last
+    value."""
+    data = dict(pairs)
+    return data if len(data) == len(pairs) else _RepeatedKeys(pairs)
+
+
 def _load_map(path: str, source: Environment) -> GraphMap:
-    return GraphMap.from_json(_load_json(path), source=source.graph)
+    data = _load_json(path, _pairs_if_repeated)
+    if isinstance(data, _RepeatedKeys):
+        raise ValidationError(f"{path} names a key of the map object twice")
+    return GraphMap.from_json(data, source=source.graph)
 
 
 def _emit(data) -> None:

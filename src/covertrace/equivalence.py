@@ -7,8 +7,14 @@ compute_bisimulation decides discrete-time equivalence exactly on unit-length
 graphs by partition refinement and reconstructs a shortest distinguishing
 signal on failure.  It refines one table per environment, a
 DiscreteStateSpace: per state its sensor value (`values`), and per action
-the successor's position (`succ`) and the readout chunk (`chunks`), each
-read off the graph and the sensor protocol instead of simulated.
+the successor's position (`succ`) and the id of the readout chunk
+(`chunks`) in the space's `chunk_table` of distinct chunks.  Both are read
+off the graph's integer tables (vertex positions and dart ids) and the
+sensor protocol instead of simulated, and a chunk is built only the first
+time its Fraction-free key (readings and integer mark positions) is met.
+compute_bisimulation then maps the two chunk tables to common ids by value,
+so equal chunks from different keys (a rest and a traversal that read
+alike) are one chunk.
 verify_bisimulation re-checks a relation by replaying every move through the
 simulation (trajectory and trace_of_trajectory), deliberately not through
 those tables, so that the certificate check shares no code with the table
@@ -22,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
@@ -36,7 +43,7 @@ from .errors import PreconditionError, ValidationError
 from .covering import GraphMap, refine
 from .graphs import Dart, VertexState
 from .rationals import to_pair
-from .signals import EMPTY, HALT, ControlSignal
+from .signals import EMPTY, ControlSignal
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -218,6 +225,15 @@ def _require_unit_lengths(env: Environment) -> None:
         )
 
 
+def _along(marks, backward: int) -> tuple:
+    """Beam marks on a unit edge as (numerator, denominator, label) of their
+    position along one of its darts: against the stored orientation a mark
+    at p lies at 1 - p, which is in lowest terms when p is."""
+    if backward:
+        return tuple((q.denominator - q.numerator, q.denominator, label) for q, label in marks)
+    return tuple((q.numerator, q.denominator, label) for q, label in marks)
+
+
 class DiscreteStateSpace:
     """Unit-time behaviour of a unit-length environment, as one table.
 
@@ -227,61 +243,93 @@ class DiscreteStateSpace:
     position in `states`.  Row i of the table is three parallel lists:
     `values[i]` is state i's sensor reading, and per action, in `actions`
     order, `succ[i]` holds the successor's position in `states` and
-    `chunks[i]` the readout chunk: the trace of the unit action with its
-    final instant dropped, so that chunks concatenate into full traces
-    without double counting the seams.
+    `chunks[i]` the id of the readout chunk in `chunk_table`.  A chunk is
+    the trace of the unit action with its final instant dropped, so that
+    chunks concatenate into full traces without double counting the seams;
+    `chunk_table` lists the distinct chunks in order of first appearance.
 
     On unit-length edges a unit action either rests at its vertex or
-    traverses one dart from end to end, so each move is read off the graph
-    and the sensor protocol instead of being simulated; the chunks equal
-    those the simulation gives, and a property test holds the two together.
+    traverses one dart from end to end, so each move is read off the graph's
+    id tables and the sensor protocol instead of being simulated.  The
+    breadth-first pass runs over vertex positions: port k < width of vertex
+    v is dart d = star[v][k], with successor dart_head[d], edge d >> 1 and
+    stored orientation when d & 1 is 0; ports from the degree up to the
+    width, and HALT, rest.  A chunk is looked up by a key without Fractions:
+    (reading,) for a rest, (reading, interior reading) for a traversal of an
+    edge without marks, and (reading, interior reading, marks) for one with
+    marks, each mark as the numerator, denominator and label of its
+    position along the dart.  Only a new key builds its chunk, which is then
+    numbered by value, so keys that read alike (a rest, and a traversal on
+    which nothing changes) share one id.  The chunks equal those the
+    simulation gives, and a property test holds the two together.
     """
 
     def __init__(self, env: Environment):
         _require_unit_lengths(env)
         graph, sensor = env.graph, env.sensor
         self.actions = tuple(env.actions())
-        self.states: list = [env.initial]
-        self.index: dict = {env.initial: 0}
+        width = len(self.actions) - 1  # ports 0..width-1, then HALT
+        vertices, star, head = graph.vertices, graph.star, graph.dart_head
+        start = graph.vertex_index[env.initial]
+        order = [start]  # vertex positions, breadth-first
+        at = [-1] * len(vertices)  # vertex position -> state index
+        at[start] = 0
         self.values: list = []
         self.succ: list = []
         self.chunks: list = []
-        # The loop visits the states appended while it runs: a FIFO queue.
-        for v in self.states:
-            here = sensor.value(graph, VertexState(v))
-            succ, chunks = [], []
-            for a in self.actions:
-                # Halt, or a port v lacks, rests at v and reads v's value
-                # throughout.  Port a < degree(v) traverses dart (v, a) in one
-                # time unit: the chunk is the edge's interior value, with an
-                # event at time 0 for v's value and one at each beam mark,
-                # oriented along the dart, whose reading differs from the
-                # interior.
-                if a == HALT or a >= graph.degree(v):
-                    w, chunk = v, (((_ZERO, _ONE, here),), ())
-                else:
-                    d = Dart(v, a)
-                    idx = graph.edge_of(d)
-                    inside = sensor.interior_value(graph, idx)
-                    forward = d == graph.forward_dart(idx)
-                    events = [(_ZERO, here)] if here != inside else []
+        self.chunk_table: list = []
+        known: dict = {}  # key -> chunk id
+        numbered: dict = {}  # chunk -> chunk id
+
+        def number(key):
+            # A rest reads the vertex value throughout.  A traversal reads
+            # the edge's interior value, with an event at time 0 for the
+            # vertex value and one at each mark, in order along the dart,
+            # whose reading differs from the interior.
+            if len(key) == 1:
+                chunk = (((_ZERO, _ONE, key[0]),), ())
+            else:
+                here, inside = key[0], key[1]
+                events = [(_ZERO, here)] if here != inside else []
+                if len(key) == 3:
                     events += sorted(
-                        (
-                            (pos if forward else _ONE - pos, label)
-                            for pos, label in sensor.marks_on(idx)
-                            if label != inside
-                        ),
-                        key=lambda event: event[0],
+                        (Fraction(n, q), label) for n, q, label in key[2] if label != inside
                     )
-                    w, chunk = graph.head(d), (((_ZERO, _ONE, inside),), tuple(events))
-                if w not in self.index:
-                    self.index[w] = len(self.states)
-                    self.states.append(w)
-                succ.append(self.index[w])
-                chunks.append(chunk)
+                chunk = (((_ZERO, _ONE, inside),), tuple(events))
+            c = numbered.get(chunk)
+            if c is None:
+                c = numbered[chunk] = len(self.chunk_table)
+                self.chunk_table.append(chunk)
+            known[key] = c
+            return c
+
+        # The loop visits the states appended while it runs: a FIFO queue.
+        for i, v in enumerate(order):
+            here = sensor.value(graph, VertexState(vertices[v]))
+            succ, chunks = [], []
+            darts = star[v][:width]
+            for d in darts:
+                e = d >> 1
+                inside = sensor.interior_value(graph, e)
+                marks = sensor.marks_on(e)
+                key = (here, inside, _along(marks, d & 1)) if marks else (here, inside)
+                c = known.get(key)
+                chunks.append(number(key) if c is None else c)
+                w = head[d]
+                j = at[w]
+                if j < 0:
+                    j = at[w] = len(order)
+                    order.append(w)
+                succ.append(j)
+            rests = width + 1 - len(darts)
+            c = known.get((here,))
+            chunks += [number((here,)) if c is None else c] * rests
+            succ += [i] * rests
             self.values.append(here)
             self.succ.append(succ)
             self.chunks.append(chunks)
+        self.states: list = [vertices[v] for v in order]
+        self.index: dict = dict(zip(self.states, range(len(order))))
 
 
 @dataclass(frozen=True)
@@ -332,16 +380,23 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     initial pair separated equals the length of a shortest distinguishing
     signal, which is rebuilt action by action, lexicographically first.
 
-    States are numbered s1 first, then s2, and every chunk is interned once,
-    so the rounds compare tuples of ints.  They run in `refine`, the loop
-    degree_refinement uses too.
+    States are numbered s1 first, then s2.  Each space numbers its distinct
+    chunks in its own chunk_table; one dict maps both tables to common ids by
+    value, so a chunk that the two spaces reached under different keys gets
+    one id, and the rounds compare tuples of ints.  They run in `refine`,
+    the loop degree_refinement uses too.
     """
     _require_shared_interface(e1, e2)
     s1, s2 = DiscreteStateSpace(e1), DiscreteStateSpace(e2)
     actions = s1.actions
     n1 = len(s1.states)
     ids: dict = {}
-    chunks = [tuple(ids.setdefault(c, len(ids)) for c in row) for row in s1.chunks + s2.chunks]
+
+    def common_rows(space):
+        common = [ids.setdefault(c, len(ids)) for c in space.chunk_table]
+        return [tuple(map(common.__getitem__, row)) for row in space.chunks]
+
+    chunks = common_rows(s1) + common_rows(s2)
     succs = s1.succ + [[w + n1 for w in row] for row in s2.succ]
     n_states = len(succs)
 
@@ -357,17 +412,7 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     n_rounds = len(history) - 1
 
     if final[x0] == final[y0]:
-        by_block: dict = {}
-        for j, v2 in enumerate(s2.states):
-            by_block.setdefault(final[n1 + j], []).append(v2)
-        relation = sorted(
-            (
-                (v1, v2)
-                for v1, block in zip(s1.states, final)
-                for v2 in by_block.get(block, ())
-            ),
-            key=lambda p: (str(p[0]), str(p[1])),
-        )
+        relation = _cross_pairs(s1.states, s2.states, final)
         return BisimulationResult(
             True, tuple(relation), states=n_states, rounds=n_rounds, blocks=tuple(blocks)
         )
@@ -410,6 +455,29 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
         rounds=n_rounds,
         blocks=tuple(blocks),
     )
+
+
+def _cross_pairs(states1: list, states2: list, final: list) -> list:
+    """The pairs (v1, v2) of states1 x states2 that share a block of final
+    (states1's blocks first, then states2's), in the order of a stable sort
+    by (str(v1), str(v2)) of the pairs listed in breadth-first order.
+
+    Both sides are walked in (str, breadth-first) order, so no pair is
+    sorted.  Only names of states1 that print alike (1 and "1") need their
+    pairs merged, by str(v2), then breadth-first as they are listed."""
+    n1 = len(states1)
+    text1, text2 = list(map(str, states1)), list(map(str, states2))
+    by_block: dict = {}
+    for j in sorted(range(len(states2)), key=text2.__getitem__):
+        by_block.setdefault(final[n1 + j], []).append(states2[j])
+    relation: list = []
+    for _, group in groupby(sorted(range(n1), key=text1.__getitem__), text1.__getitem__):
+        group = list(group)
+        pairs = [(states1[i], v2) for i in group for v2 in by_block.get(final[i], ())]
+        if len(group) > 1:
+            pairs.sort(key=lambda p: str(p[1]))
+        relation += pairs
+    return relation
 
 
 def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:

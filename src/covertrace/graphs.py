@@ -231,7 +231,8 @@ class PortedGraph:
         return Dart(e.tail, e.port_at_tail)
 
     def unit_lengths(self) -> bool:
-        return all(e.length == 1 for e in self.edges)
+        # lengths are in lowest terms, so 1 is exactly 1/1
+        return all(e.length.numerator == 1 == e.length.denominator for e in self.edges)
 
     def tick_denominator(self) -> int:
         """Least common denominator of the edge lengths, computed on first use

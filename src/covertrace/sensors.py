@@ -167,16 +167,20 @@ class BeamSensor(_Sensor):
         object.__setattr__(self, "_marks_by_edge", {e: tuple(ms) for e, ms in by_edge.items()})
 
     def validate(self, graph: PortedGraph) -> None:
+        # offsets and lengths are compared as numerators and denominators,
+        # and a point is keyed by them: both are in lowest terms
+        edges = graph.edges
         seen = set()
         for mark in self.marks:
-            if not 0 <= mark.edge < len(graph.edges):
+            if not 0 <= mark.edge < len(edges):
                 raise ValidationError(f"beam mark on unknown edge {mark.edge}")
-            length = graph.edges[mark.edge].length
-            if not (0 < mark.offset < length):
+            length = edges[mark.edge].length
+            n, q = mark.offset.numerator, mark.offset.denominator
+            if n <= 0 or n * length.denominator >= length.numerator * q:
                 raise ValidationError(
                     f"beam mark offset {mark.offset} not strictly inside edge {mark.edge}"
                 )
-            key = (mark.edge, mark.offset)
+            key = (mark.edge, n, q)
             if key in seen:
                 raise ValidationError(f"two beam marks at one point: edge {mark.edge} offset {mark.offset}")
             seen.add(key)

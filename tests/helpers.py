@@ -369,11 +369,11 @@ def universal_ball_size(graph: PortedGraph, base, radius) -> int:
 
 def naive_bisimulation(e1: Environment, e2: Environment):
     """Bisimulation oracle by synchronous pair removal over all pairs of the
-    disjoint union, reading only the `values`, `succ` and `chunks` lists of
-    the two state spaces.  Returns the related cross pairs in s1 x s2 order,
-    stably sorted by their names as strings, the number of strictly refining
-    rounds, and the round at which the initial pair is removed (None if
-    never)."""
+    disjoint union, reading only the `values`, `succ`, `chunks` and
+    `chunk_table` lists of the two state spaces and comparing chunks by
+    value.  Returns the related cross pairs in s1 x s2 order, stably sorted
+    by their names as strings, the number of strictly refining rounds, and
+    the round at which the initial pair is removed (None if never)."""
     spaces = (DiscreteStateSpace(e1), DiscreteStateSpace(e2))
     tagged = [(side, i) for side, space in enumerate(spaces) for i in range(len(space.states))]
     n_actions = len(spaces[0].actions)
@@ -382,7 +382,8 @@ def naive_bisimulation(e1: Environment, e2: Environment):
         return (x[0], spaces[x[0]].succ[x[1]][k])
 
     def chunk(x, k):
-        return spaces[x[0]].chunks[x[1]][k]
+        space = spaces[x[0]]
+        return space.chunk_table[space.chunks[x[1]][k]]
 
     related = {
         (x, y)

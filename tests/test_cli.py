@@ -483,6 +483,25 @@ class TestCoverCommands:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize("command", ["check-cover", "lift"])
+    def test_map_object_repeating_a_vertex_exits_2(self, capsys, tmp_path, env_file, command):
+        """A vertex_map object that names x0 twice is refused like the list
+        form, and a map object that names vertex_map twice is refused too:
+        neither is read with its last value."""
+        bad = tmp_path / "map.json"
+        bad.write_text('{"vertex_map": {"x0": "x0", "x1": "x1", "x2": "x2", "x0": "x1"}}')
+        sig = write_json(tmp_path / "sig.json", [[0, 1, 1]])
+        argv = [command, str(bad), env_file, env_file] + ([sig] if command == "lift" else [])
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "vertex 'x0' is mapped twice" in err
+        bad.write_text('{"vertex_map": [["x0", "x0"]], "vertex_map": {"x0": "x0", "x1": "x1", "x2": "x2"}}')
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "names a key of the map object twice" in err
+        bad.write_text('{"vertex_map": {"x0": "x0", "x1": "x1", "x2": "x2"}}')
+        assert run(capsys, argv)[0] == 0
+
     def test_lift_opens_the_loop(self, capsys, tmp_path, env_file):
         _, out, _ = run(capsys, ["gen-cyclic", env_file, "2", "--voltages", "1,1,1"])
         bundle = json.loads(out)

@@ -213,6 +213,39 @@ class TestEnvironmentValidation:
                 (BeamMark(0, Fraction(1, 2), "m"), BeamMark(0, Fraction(1, 2), "n"))
             ).validate(g)
 
+    @pytest.mark.parametrize(
+        "marks, message",
+        [
+            ([(0, Fraction(8, 5))], "beam mark offset 8/5 not strictly inside edge 0"),
+            ([(1, Fraction(-1, 3))], "beam mark offset -1/3 not strictly inside edge 1"),
+            ([(0, Fraction(3, 2))], "beam mark offset 3/2 not strictly inside edge 0"),
+            ([(1, Fraction(0))], "beam mark offset 0 not strictly inside edge 1"),
+            ([(1, 1)], "beam mark offset 1 not strictly inside edge 1"),
+            (
+                [(0, Fraction(7, 5)), (1, Fraction(1, 2)), (0, Fraction(7, 5))],
+                "two beam marks at one point: edge 0 offset 7/5",
+            ),
+            (
+                [(1, Fraction(1, 2)), (1, Fraction(1, 2)), (0, Fraction(2))],
+                "two beam marks at one point: edge 1 offset 1/2",
+            ),
+            (
+                [(0, Fraction(2)), (1, Fraction(1, 2)), (1, Fraction(1, 2))],
+                "beam mark offset 2 not strictly inside edge 0",
+            ),
+            ([(3, Fraction(1, 2))], "beam mark on unknown edge 3"),
+        ],
+    )
+    def test_beam_mark_messages(self, marks, message):
+        """Offsets are checked against the edge's length (3/2 for edge 0) in
+        the order the marks are listed; the first bad mark is named."""
+        g = PortedGraph(["a", "b"], build_edges([("a", "b", 0, 0, Fraction(3, 2)), ("b", "a", 1, 1)]))
+        BeamSensor([BeamMark(0, Fraction(7, 5), "m"), BeamMark(1, Fraction(1, 2), "m")]).validate(g)
+        sensor = BeamSensor([BeamMark(edge, offset, "m") for edge, offset in marks])
+        with pytest.raises(ValidationError) as info:
+            sensor.validate(g)
+        assert str(info.value) == message
+
 
 class TestApply:
     def test_halt_is_stationary(self):

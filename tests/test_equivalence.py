@@ -283,6 +283,10 @@ class TestDiscreteStateSpace:
         graph, sensor = env.graph, env.sensor
         space = DiscreteStateSpace(env)
         assert len(space.values) == len(space.succ) == len(space.chunks) == len(space.states)
+        # the table lists each chunk once, in order of first appearance
+        assert len(set(space.chunk_table)) == len(space.chunk_table)
+        first_seen = dict.fromkeys(c for row in space.chunks for c in row)
+        assert list(first_seen) == list(range(len(space.chunk_table)))
         for i, v in enumerate(space.states):
             assert space.index[v] == i
             assert space.values[i] == sensor.value(graph, VertexState(v))
@@ -292,7 +296,7 @@ class TestDiscreteStateSpace:
                 successor = VertexState(space.states[space.succ[i][k]])
                 assert successor == apply(env, u, VertexState(v))
                 tr = trace_of(env, u, VertexState(v))
-                chunk = space.chunks[i][k]
+                chunk = space.chunk_table[space.chunks[i][k]]
                 assert chunk == (tr.segments, tr.events[:-1])
                 segments, events = chunk
                 times = [t for t, _, _ in segments] + [t for _, t, _ in segments]
@@ -392,6 +396,44 @@ class TestRefinementOracle:
         res = self.assert_matches_oracle(e1, e2)
         assert len(res.relation) == 9
 
+    def test_names_sharing_a_string_on_both_sides(self):
+        """A 6-cycle reading a, b, a, b, a, b, with vertices 1 and "1" in one
+        block and 2 and "2" in the other, against itself from another start
+        and with another vertex order: the relation is the stable sort by
+        (str, str) of the related pairs listed in breadth-first order, so
+        the pairs of 1 and of "1" interleave by the partner's name."""
+        names = [1, 2, "1", "2", 3, 4]
+        edges = build_edges([(names[i], names[(i + 1) % 6], 0, 1) for i in range(6)])
+        labels = {v: "ab"[i % 2] for i, v in enumerate(names)}
+        sensor = LabelSensor(labels, ["e"] * 6)
+        e1 = Environment(PortedGraph(names, edges), 1, sensor, 2)
+        e2 = Environment(PortedGraph(names[::-1], edges), 3, sensor, 2)
+        res = self.assert_matches_oracle(e1, e2)
+        assert res.related and res.blocks[-1] == 2
+        related = set(naive_bisimulation(e1, e2)[0])
+        listed = [
+            (v1, v2)
+            for v1 in DiscreteStateSpace(e1).states
+            for v2 in DiscreteStateSpace(e2).states
+            if (v1, v2) in related
+        ]
+        expected = sorted(listed, key=lambda p: (str(p[0]), str(p[1])))
+        assert list(res.relation) == expected
+        assert expected[:6] == [(1, 1), (1, "1"), ("1", 1), ("1", "1"), (1, 3), ("1", 3)]
+
+    def test_a_rest_and_a_traversal_reading_alike_are_one_chunk(self):
+        """Every vertex and edge of the three-cycle reads 0, so its first
+        chunk comes from a traversal, while an edgeless vertex reading 0
+        only rests.  The two chunks are equal, so the environments are
+        related: the chunks are matched by value, not by how they arose."""
+        a = three_cycle_env(LabelSensor({"x0": 0, "x1": 0, "x2": 0}, (0, 0, 0)))
+        b = Environment(PortedGraph(["p"], []), "p", LabelSensor({"p": 0}, ()), 2)
+        rest = (((Fraction(0), Fraction(1), 0),), ())
+        assert DiscreteStateSpace(a).chunk_table == DiscreteStateSpace(b).chunk_table == [rest]
+        for e1, e2 in ((a, b), (b, a)):
+            res = self.assert_matches_oracle(e1, e2)
+            assert res.related and len(res.relation) == 3
+
 
 class TestVerifyBisimulation:
     def test_accepts_computed_relation(self):
@@ -434,7 +476,7 @@ class TestVerifyBisimulation:
 
         def corrupted(self, env):
             real(self, env)
-            self.chunks = [[right if c == wrong else c for c in row] for row in self.chunks]
+            self.chunk_table = [right if c == wrong else c for c in self.chunk_table]
 
         monkeypatch.setattr(DiscreteStateSpace, "__init__", corrupted)
         res = compute_bisimulation(a, b)
