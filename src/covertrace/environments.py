@@ -8,21 +8,28 @@ an edge is impossible, only at vertices.  Under Halt it stays put.  All times
 and offsets are exact rationals.
 
 Times and offsets are exact Fractions at the API: in every Leg, Trajectory
-and SensorTrace and in every returned time.  Inside, `trajectory`,
-`trace_of_trajectory` and `first_divergence` put the rationals of one call
-(piece durations, edge lengths, offsets, beam-mark positions, trace times) on
-one integer grid, ints over their common denominator, and add, compare, hash
-and sort those ints; a Fraction is built only for a value that is returned.
+and SensorTrace and in every returned time.  Inside, the simulation runs on
+the graph's integer tables and on one integer grid per call.  `trajectory`
+puts the piece durations (and a start offset) on a grid that also holds the
+edge lengths, walks vertex positions and dart ids in O(steps) int
+operations, and keeps its legs in those ticks; a Trajectory builds its Leg
+objects from them only when they are first read.
+`trace_of_trajectory` reads the ticks directly, takes every reading from the
+environment's reading table (filled on demand from the sensor protocol, beam
+marks as ticks along each dart orientation) and builds one Fraction per
+distinct time it returns.  `first_divergence` puts both traces on one grid.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .errors import PreconditionError, ValidationError
-from .graphs import Dart, GraphState, PortedGraph, VertexState, check_vertex_name
+from .graphs import Dart, EdgeState, GraphState, PortedGraph, VertexState, check_vertex_name
 from .rationals import as_fraction, on_grid, to_pair
 from .sensors import SensorSpec, sensor_from_json
 from .signals import HALT, ControlSignal
@@ -81,6 +88,78 @@ class Environment:
         initial = check_vertex_name(data["initial"])
         return cls(graph, initial, sensor_from_json(data["sensor"]), width)
 
+    @property
+    def _readings(self) -> "_Readings":
+        # made on a trace's first use and kept; the instance dict takes it,
+        # as cached_property would, without that descriptor's lock
+        table = self.__dict__.get("_reading_table")
+        if table is None:
+            table = self.__dict__["_reading_table"] = _Readings(self.graph, self.sensor)
+        return table
+
+
+class _Readings:
+    """What an environment's sensor reads, on the graph's ids.
+
+    Each slot is filled from the sensor protocol the first time it is read,
+    so a trace pays only for the vertices, edges and darts it meets:
+    vertex[v] is the reading at vertex position v, interior[e] the reading
+    inside edge e away from its beam marks, and marks[d] the marks met
+    along dart d as (den, ((pos, label), ...)), each pos the mark's distance
+    from the dart's tail in ticks of 1/den, or () on an edge without marks.
+    An unfilled slot holds None, which is no sensor reading.  Inside an edge
+    a sensor reads the label of the mark at that point, if any, and else its
+    interior value."""
+
+    def __init__(self, graph: PortedGraph, sensor: SensorSpec):
+        self.graph, self.sensor = graph, sensor
+        self.vertex = [None] * len(graph.vertices)
+        self.interior = [None] * len(graph.edges)
+        self.marks = [None] * (2 * len(graph.edges))
+
+    def at_vertex(self, v: int):
+        reading = self.vertex[v]
+        if reading is None:
+            state = VertexState(self.graph.vertices[v])
+            reading = self.vertex[v] = self.sensor.value(self.graph, state)
+        return reading
+
+    def inside(self, e: int):
+        reading = self.interior[e]
+        if reading is None:
+            reading = self.interior[e] = self.sensor.interior_value(self.graph, e)
+        return reading
+
+    def marks_along(self, d: int):
+        found = self.marks[d]
+        if found is None:
+            marks = self.sensor.marks_on(d >> 1)
+            found = ()
+            if marks:
+                length = self.graph.edges[d >> 1].length
+                den = lcm(length.denominator, *[pos.denominator for pos, _ in marks])
+                ticks = [pos.numerator * (den // pos.denominator) for pos, _ in marks]
+                if d & 1:
+                    full = length.numerator * (den // length.denominator)
+                    ticks = [full - pos for pos in ticks]
+                found = (den, tuple(zip(ticks, [label for _, label in marks])))
+            self.marks[d] = found
+        return found
+
+    def at(self, d: int, off: int, scale: int):
+        """Reading at the tick position (d, off) on a grid of 1/scale that
+        the den of marks_along(d) divides (see Trajectory)."""
+        if d < 0:
+            return self.at_vertex(~d)
+        marks = self.marks_along(d)
+        if marks:
+            den, along = marks
+            q = scale // den
+            for pos, label in along:
+                if pos * q == off:
+                    return label
+        return self.inside(d >> 1)
+
 
 @dataclass(frozen=True)
 class Leg:
@@ -106,25 +185,117 @@ class Leg:
         return self.state
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Trajectory:
     """Exact piecewise description of the robot's motion on [0, duration].
 
     legs are contiguous from time 0 and maximal, as `trajectory` builds them:
     no two adjacent rests share a state and no move continues the move before
-    it along the same dart."""
+    it along the same dart.
+
+    Inside, a trajectory keeps one form: its legs in ticks of 1/scale, each
+    (t0, t1, d, off, moving), where (d, off) is the position at t0: inside
+    dart id d at off ticks from its tail when d >= 0, at vertex position ~d
+    when d < 0.  A move runs along d at unit speed, and a rest stays put.
+    legs, final and duration are built from that form, legs on first read.
+    """
 
     graph: PortedGraph
     start: GraphState
-    legs: tuple
     duration: Fraction
 
     def __init__(self, graph: PortedGraph, start: GraphState, legs):
+        """The trajectory with the given Legs, contiguous from time 0 and
+        maximal, as `trajectory` builds them."""
         legs = tuple(legs)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "legs", legs)
-        object.__setattr__(self, "duration", legs[-1].t1 if legs else ZERO)
+        values = [start.offset] if isinstance(start, EdgeState) else []
+        for leg in legs:
+            values.append(leg.t1)
+            if leg.moving:
+                values.append(leg.offset0)
+            elif isinstance(leg.state, EdgeState):
+                values.append(leg.state.offset)
+        scale, ticks = on_grid(values, graph.tick_denominator())
+        it = iter(ticks)
+        index = graph.dart_index
+
+        def position(state):
+            if isinstance(state, EdgeState):
+                return index[state.dart], next(it)
+            return ~graph.vertex_index[state.vertex], 0
+
+        at = position(start)
+        tick_legs = []
+        t0 = 0
+        for leg in legs:
+            t1 = next(it)
+            if leg.moving:
+                tick_legs.append((t0, t1, index[leg.dart], next(it), True))
+            else:
+                tick_legs.append((t0, t1, *position(leg.state), False))
+            t0 = t1
+        self._set(graph, start, scale, at, tick_legs)
+
+    @classmethod
+    def _from_ticks(cls, graph, start, scale, at, tick_legs) -> "Trajectory":
+        self = cls.__new__(cls)
+        self._set(graph, start, scale, at, tick_legs)
+        return self
+
+    def _set(self, graph, start, scale, at, tick_legs) -> None:
+        self.__dict__.update(
+            graph=graph,
+            start=start,
+            duration=Fraction(tick_legs[-1][1], scale) if tick_legs else ZERO,
+            _scale=scale,
+            _start_at=at,  # the start position in ticks
+            _ticks=tick_legs,
+        )
+
+    def _end(self, leg) -> tuple:
+        """The tick position at the end of a tick leg, folded to the dart's
+        head when a move reaches it."""
+        t0, t1, d, off, moving = leg
+        if not moving:
+            return d, off
+        off += t1 - t0
+        graph = self.graph
+        if off == graph.edge_ticks()[d >> 1] * (self._scale // graph.tick_denominator()):
+            return ~graph.dart_head[d], 0
+        return d, off
+
+    def _state(self, d: int, off: int) -> GraphState:
+        if d < 0:
+            return VertexState(self.graph.vertices[~d])
+        return EdgeState(Dart._make(self.graph.dart_keys[d]), Fraction(off, self._scale))
+
+    @cached_property
+    def legs(self) -> tuple:
+        scale, keys = self._scale, self.graph.dart_keys
+        legs = []
+        t0 = ZERO
+        for leg in self._ticks:
+            _, t1, d, off, moving = leg
+            t1 = Fraction(t1, scale)
+            end = self._state(*self._end(leg))
+            if moving:
+                legs.append(Leg(t0, t1, Dart._make(keys[d]), Fraction(off, scale), None, end))
+            else:
+                legs.append(Leg(t0, t1, None, None, end, end))
+            t0 = t1
+        return tuple(legs)
+
+    @property
+    def final(self) -> GraphState:
+        return self._state(*self._end(self._ticks[-1])) if self._ticks else self.start
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return self.graph == other.graph and self.start == other.start and self.legs == other.legs
+
+    def __repr__(self) -> str:
+        return f"Trajectory(graph={self.graph!r}, start={self.start!r}, legs={self.legs!r})"
 
     def at(self, t) -> GraphState:
         """State at time t in [0, duration], canonical."""
@@ -137,10 +308,6 @@ class Trajectory:
             if t <= leg.t1:
                 return leg.at(self.graph, t)
         raise AssertionError("unreachable")
-
-    @property
-    def final(self) -> GraphState:
-        return self.legs[-1].end if self.legs else self.start
 
     def breakpoints(self) -> list:
         """Canonical (time, state) list: leg boundaries with canonical states."""
@@ -175,48 +342,47 @@ def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphSta
     start = env.initial_state if start is None else graph.check_state(start)
     pieces = signal.pieces
     durations = [dur for _, dur in pieces]
-    if not isinstance(start, VertexState):
+    inside = isinstance(start, EdgeState)
+    if inside:
         durations.append(start.offset)
-    scale, ticks = on_grid(durations, graph.tick_denominator())
-    # offset of cur in ticks while cur is inside an edge
-    off = 0 if isinstance(start, VertexState) else ticks.pop()
-    # legs as [t0, t1, dart, offset0 ticks, offset0, state, end], t0 and t1
-    # in ticks; a rest in the state of the rest before it, or a move that
-    # continues the move before it along its dart, extends that leg
-    raw = []
+    unit = graph.tick_denominator()
+    scale, ticks = on_grid(durations, unit)
+    # the position (d, off) in ticks, as in Trajectory
+    if inside:
+        d, off = graph.dart_index[start.dart], ticks.pop()
+    else:
+        d, off = ~graph.vertex_index[start.vertex], 0
+    at = (d, off)
+    star, head, lengths = graph.star, graph.dart_head, graph.edge_ticks()
+    factor = scale // unit
+    # a rest in the position of the rest before it, or a move that continues
+    # the move before it along its dart, extends that leg
+    legs = []
     t = 0
-    cur = start
     for (symbol, _), remaining in zip(pieces, ticks):
         while remaining > 0:
-            if symbol == HALT or isinstance(cur, VertexState) and symbol >= graph.degree(cur.vertex):
-                step = remaining
-                if raw and raw[-1][2] is None and raw[-1][5] == cur:
-                    raw[-1][1] = t + step
+            if symbol == HALT or d < 0 and symbol >= len(star[~d]):
+                prev = legs[-1] if legs else None
+                if prev and not prev[4] and prev[2] == d and prev[3] == off:
+                    prev[1] = t + remaining
                 else:
-                    raw.append([t, t + step, None, None, None, cur, cur])
+                    legs.append([t, t + remaining, d, off, False])
+                t += remaining
+                break
+            if d < 0:
+                d, off = star[~d][symbol], 0
+            step = min(remaining, lengths[d >> 1] * factor - off)
+            prev = legs[-1] if legs else None
+            if prev and prev[4] and prev[2] == d and prev[3] + (prev[1] - prev[0]) == off:
+                prev[1] = t + step
             else:
-                if isinstance(cur, VertexState):
-                    dart, off0, offset0 = Dart(cur.vertex, symbol), 0, ZERO
-                else:
-                    dart, off0, offset0 = cur.dart, off, cur.offset
-                step = min(remaining, graph.length_ticks(dart, scale) - off0)
-                off = off0 + step
-                cur = graph.state_on_ticks(dart, off, scale)
-                prev = raw[-1] if raw else None
-                if prev and prev[2] == dart and prev[3] + (prev[1] - prev[0]) == off0:
-                    prev[1] = t + step
-                    prev[6] = cur
-                else:
-                    raw.append([t, t + step, dart, off0, offset0, None, cur])
+                legs.append([t, t + step, d, off, True])
+            off += step
+            if off == lengths[d >> 1] * factor:
+                d, off = ~head[d], 0
             t += step
             remaining -= step
-    legs = []
-    t0 = ZERO
-    for _, t1, dart, _, offset0, state, end in raw:
-        t1 = Fraction(t1, scale)
-        legs.append(Leg(t0, t1, dart, offset0, state, end))
-        t0 = t1
-    return Trajectory(graph, start, legs)
+    return Trajectory._from_ticks(graph, start, scale, at, legs)
 
 
 # --- sensor traces -------------------------------------------------------
@@ -285,49 +451,45 @@ def trace_of(env: Environment, signal: ControlSignal, start: Optional[GraphState
 
 
 def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
-    graph, sensor = env.graph, env.sensor
-    value, interior_value = sensor.value, sensor.interior_value
-
-    # Every time, offset and beam-mark position the legs meet, in the order
-    # the loop below reads their ticks back.
-    values = []
-    edges = []
-    for leg in traj.legs:
-        values += (leg.t0, leg.t1)
-        if leg.dart is None:
-            edges.append(None)
-            continue
-        idx = graph.edge_of(leg.dart)
-        marks = sensor.marks_on(idx)
-        values.append(leg.offset0)
-        values += [pos for pos, _ in marks]
-        edges.append((idx, marks))
-    scale, ticks = on_grid(values, graph.tick_denominator())
-    it = iter(ticks)
+    """Sensor readout along a trajectory on env's graph, read off its legs
+    in ticks."""
+    graph, table = env.graph, env._readings
+    scale, legs, (d0, off0) = traj._scale, traj._ticks, traj._start_at
+    # The grid must also hold the beam marks on every dart the robot is on.
+    darts = {leg[2] for leg in legs if leg[2] >= 0}
+    if d0 >= 0:
+        darts.add(d0)
+    fine = lcm(scale, *[marks[0] for marks in map(table.marks_along, darts) if marks])
+    if fine != scale:
+        q = fine // scale
+        legs = [(t0 * q, t1 * q, d, off * q, moving) for t0, t1, d, off, moving in legs]
+        off0 *= q
+        scale = fine
+    lengths, factor = graph.edge_ticks(), scale // graph.tick_denominator()
+    head = graph.dart_head
+    at, inside, marks_along = table.at, table.inside, table.marks_along
 
     end = 0
-    times = {0: ZERO}  # ticks -> the Fraction a leg holds for them
-    instants = {0: value(graph, traj.start)}
+    instants = {0: at(d0, off0, scale)}
     merged = []
-    for leg, edge in zip(traj.legs, edges):
-        t0, end = next(it), next(it)
-        times[t0], times[end] = leg.t0, leg.t1
-        instants[end] = value(graph, leg.end)
-        if edge is None:
-            v = value(graph, leg.state)
-        else:
-            idx, marks = edge
-            v = interior_value(graph, idx)
-            off0 = next(it)
+    for t0, end, d, off, moving in legs:
+        if moving:
+            v = inside(d >> 1)
+            off_hi = off + (end - t0)
+            marks = marks_along(d)
             if marks:
-                length = graph.length_ticks(leg.dart, scale)
-                forward = leg.dart == graph.forward_dart(idx)
-                off_hi = off0 + (end - t0)
-                for _, label in marks:
-                    pos = next(it)
-                    dart_pos = pos if forward else length - pos
-                    if off0 < dart_pos < off_hi:
-                        instants[t0 + (dart_pos - off0)] = label
+                den, along = marks
+                k = scale // den
+                for pos, label in along:
+                    pos *= k
+                    if off < pos < off_hi:
+                        instants[t0 + (pos - off)] = label
+            if off_hi == lengths[d >> 1] * factor:
+                instants[end] = table.at_vertex(head[d])
+            else:
+                instants[end] = at(d, off_hi, scale)
+        else:
+            v = instants[end] = at(d, off, scale)
         if merged and merged[-1][2] == v and merged[-1][1] == t0:
             merged[-1][1] = end
         else:
@@ -344,9 +506,12 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
                 k += 1
             if merged[k][2] == reading:
                 continue
-        events.append((times[t] if t in times else Fraction(t, scale), reading))
+        events.append((t, reading))
+    # one Fraction per distinct tick value; the last segment ends at the
+    # final instant, an event
+    times = {t: Fraction(t, scale) for t in {*[a for a, _, _ in merged], *[t for t, _ in events]}}
     segments = tuple((times[a], times[b], v) for a, b, v in merged)
-    return SensorTrace(traj.duration, segments, tuple(events))
+    return SensorTrace(traj.duration, segments, tuple((times[t], r) for t, r in events))
 
 
 def first_divergence(a: SensorTrace, b: SensorTrace) -> Optional[Fraction]:

@@ -14,9 +14,10 @@ are `vertex_index` (name -> i), `dart_keys` (id -> (vertex, port) tuple),
 `dart_index` (its inverse, in which a Dart looks up as the tuple it is),
 `dart_head` (id -> head vertex) and `star` (vertex -> dart ids in port
 order); a dart's tail is dart_head[id ^ 1] and its length that of
-edges[id >> 1].  Code in this package reads the tables and never writes
-them.  Loaded graphs are validated in O(V + E) while the tables are built;
-covers are assembled straight into them (PortedGraph._derived).
+edges[id >> 1], which edge_ticks() holds as an int.  Code in this package
+reads the tables and never writes them.  Loaded graphs are validated in
+O(V + E) while the tables are built; covers are assembled straight into
+them (PortedGraph._derived).
 """
 from __future__ import annotations
 
@@ -178,6 +179,7 @@ class PortedGraph:
         self.star = star
         self._vertex_dist: Optional[dict] = None
         self._tick_denominator: Optional[int] = None
+        self._edge_ticks: Optional[list] = None
 
     def _connected(self) -> bool:
         if not self.vertices:
@@ -241,11 +243,13 @@ class PortedGraph:
             self._tick_denominator = lcm(*[e.length.denominator for e in self.edges])
         return self._tick_denominator
 
-    def length_ticks(self, d: Dart, scale: int) -> int:
-        """Length of the dart in ticks of 1/scale, for a scale that its
-        length denominator divides (any multiple of tick_denominator())."""
-        length = self.edges[self.dart_index[d] >> 1].length
-        return length.numerator * (scale // length.denominator)
+    def edge_ticks(self) -> list:
+        """Each edge's length in ticks of 1/tick_denominator(), in edge
+        order, computed on first use and kept."""
+        if self._edge_ticks is None:
+            unit = self.tick_denominator()
+            self._edge_ticks = [e.length.numerator * (unit // e.length.denominator) for e in self.edges]
+        return self._edge_ticks
 
     # --- states ----------------------------------------------------------
 
@@ -257,30 +261,22 @@ class PortedGraph:
     def state_on(self, d: Dart, offset) -> GraphState:
         """Canonical state at the given offset along a dart: endpoints fold to
         vertex states so equality matches geometric identity."""
-        if d not in self.dart_index:
-            raise ValidationError(f"unknown dart {d!r}")
-        offset = as_fraction(offset)
-        scale = lcm(offset.denominator, self.length(d).denominator)
-        return self.state_on_ticks(d, offset.numerator * (scale // offset.denominator), scale)
-
-    def state_on_ticks(self, d: Dart, offset: int, scale: int) -> GraphState:
-        """state_on(d, Fraction(offset, scale)) with the range check and the
-        folding done on ints, for a scale that the dart's length denominator
-        divides (any multiple of tick_denominator())."""
         i = self.dart_index.get(d)
         if i is None:
             raise ValidationError(f"unknown dart {d!r}")
+        offset = as_fraction(offset)
         length = self.edges[i >> 1].length
-        ticks = length.numerator * (scale // length.denominator)
-        if offset < 0 or offset > ticks:
-            raise ValidationError(f"offset {Fraction(offset, scale)} outside [0, {length}]")
+        if offset < 0 or offset > length:
+            raise ValidationError(f"offset {offset} outside [0, {length}]")
         if offset == 0:
             return VertexState(d.vertex)
-        if offset == ticks:
+        if offset == length:
             return VertexState(self.vertices[self.dart_head[i]])
-        return EdgeState(d, Fraction(offset, scale))
+        return EdgeState(d, offset)
 
     def check_state(self, state: GraphState) -> GraphState:
+        """The state if it lies on this graph, with an EdgeState's offset as
+        a Fraction strictly inside its edge (floats and bools are refused)."""
         if isinstance(state, VertexState):
             if state.vertex not in self.vertex_index:
                 raise ValidationError(f"state at unknown vertex {state.vertex!r}")
@@ -288,9 +284,10 @@ class PortedGraph:
         if isinstance(state, EdgeState):
             if state.dart not in self.dart_index:
                 raise ValidationError(f"state on unknown dart {state.dart!r}")
-            if not (0 < state.offset < self.length(state.dart)):
-                raise ValidationError(f"interior offset {state.offset} out of range")
-            return state
+            offset = as_fraction(state.offset)
+            if not (0 < offset < self.length(state.dart)):
+                raise ValidationError(f"interior offset {offset} out of range")
+            return state if offset is state.offset else EdgeState(state.dart, offset)
         raise ValidationError(f"not a graph state: {state!r}")
 
     def point_of(self, state: GraphState):
@@ -311,8 +308,7 @@ class PortedGraph:
         integer ticks of 1/tick_denominator(), O(V * E log V) on first use,
         then kept."""
         if self._vertex_dist is None:
-            scale = self.tick_denominator()
-            ticks = [e.length.numerator * (scale // e.length.denominator) for e in self.edges]
+            scale, ticks = self.tick_denominator(), self.edge_ticks()
             head, star, vertices = self.dart_head, self.star, self.vertices
             dist = {}
             for src, name in enumerate(vertices):

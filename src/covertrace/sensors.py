@@ -7,7 +7,9 @@ values must be JSON scalars so traces serialize losslessly.
 Every sensor answers the same protocol, so no other module dispatches on the
 sensor type: value and interior_value read it, marks_on lists its beam marks
 inside an edge, pullback pulls it back along a graph map and rename moves it
-along a vertex renaming.
+along a vertex renaming.  Inside an edge, value is the label of the mark at
+that point if there is one, else interior_value; traces tabulate readings
+on that rule.
 """
 from __future__ import annotations
 

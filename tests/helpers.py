@@ -209,8 +209,14 @@ def _naive_merge(legs) -> list:
 
 
 def naive_trajectory(env: Environment, signal: ControlSignal, start=None) -> Trajectory:
-    """The robot's motion simulated step by step on Fractions, every step
-    through PortedGraph.state_on, then merged into maximal legs."""
+    """The Trajectory built from naive_legs."""
+    return Trajectory(env.graph, *naive_legs(env, signal, start))
+
+
+def naive_legs(env: Environment, signal: ControlSignal, start=None) -> tuple:
+    """(start state, legs): the robot's motion simulated step by step on
+    Fractions, every step through PortedGraph.state_on, then merged into
+    maximal legs."""
     graph = env.graph
     start = env.initial_state if start is None else graph.check_state(start)
     legs = []
@@ -242,17 +248,18 @@ def naive_trajectory(env: Environment, signal: ControlSignal, start=None) -> Tra
                 legs.append(Leg(t, t + step, d, offset0, None, cur))
             t += step
             remaining -= step
-    return Trajectory(graph, start, _naive_merge(legs))
+    return start, _naive_merge(legs)
 
 
-def naive_trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
-    """Sensor trace of a trajectory with Fraction instants and intervals."""
+def naive_trace(env: Environment, start, legs) -> SensorTrace:
+    """Sensor trace of the legs from start (as naive_legs gives them) with
+    Fraction instants and intervals."""
     graph, sensor = env.graph, env.sensor
-    duration = traj.duration
+    duration = legs[-1].t1 if legs else Fraction(0)
 
-    instants = {Fraction(0): sensor.value(graph, traj.start)}
+    instants = {Fraction(0): sensor.value(graph, start)}
     intervals = []
-    for leg in traj.legs:
+    for leg in legs:
         instants[leg.t1] = sensor.value(graph, leg.end)
         if not leg.moving:
             intervals.append([leg.t0, leg.t1, sensor.value(graph, leg.state)])

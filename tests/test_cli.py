@@ -78,6 +78,23 @@ class TestSignalCommands:
             "segments": [{"from": [0, 1], "to": [1, 1], "value": "edge"}],
         }
 
+    def test_trace_meets_an_asymmetric_mark_against_its_edge(self, capsys, tmp_path):
+        """One unit edge a -> b with a mark at 1/3 from a, walked from b:
+        the mark is met at 2/3, not at 1/3."""
+        env = {
+            "vertices": ["a", "b"],
+            "edges": [{"tail": "a", "head": "b", "port_at_tail": 0, "port_at_head": 0, "length": [1, 1]}],
+            "initial": "b",
+            "sensor": {"type": "beam", "marks": [{"edge": 0, "offset": [1, 3], "label": "red"}]},
+        }
+        sig = write_json(tmp_path / "sig.json", [[0, 1, 1]])
+        code, out, _ = run(capsys, ["trace", write_json(tmp_path / "env.json", env), sig])
+        assert code == 0
+        assert json.loads(out)["events"] == [
+            {"time": [2, 3], "value": "red"},
+            {"time": [1, 1], "value": BLANK},
+        ]
+
     def test_metric_frozen(self, capsys, tmp_path):
         a = write_json(tmp_path / "a.json", [[0, 2, 1]])
         b = write_json(tmp_path / "b.json", [[1, 4, 1]])

@@ -133,6 +133,27 @@ class TestStates:
         with pytest.raises(ValidationError):
             g.check_state(VertexState("zz"))
 
+    def test_check_state_takes_exact_offsets_only(self):
+        """A float or bool offset is refused; an int offset comes back, and
+        reaches the trajectory's legs, as a Fraction."""
+        g = PortedGraph(["a", "b"], build_edges([("a", "b", 0, 0, 2)]))
+        env = Environment(g, "a", DegreeSensor())
+        d = g.forward_dart(0)
+        for offset in (0.5, True):
+            with pytest.raises(ValidationError):
+                g.check_state(EdgeState(d, offset))
+            with pytest.raises(ValidationError):
+                trajectory(env, sig((0, 1)), EdgeState(d, offset))
+            with pytest.raises(ValidationError):
+                g.point_distance(EdgeState(d, offset), VertexState("a"))
+        state = g.check_state(EdgeState(d, 1))
+        assert state == EdgeState(d, Fraction(1)) and type(state.offset) is Fraction
+        leg = trajectory(env, sig(("halt", 1), (0, 1)), EdgeState(d, 1)).legs[0]
+        assert type(leg.state.offset) is Fraction
+        leg = trajectory(env, sig((0, Fraction(1, 2))), EdgeState(d, 1)).legs[0]
+        assert type(leg.offset0) is Fraction
+        assert g.point_distance(EdgeState(d, 1), VertexState("b")) == 1
+
     def test_point_distance_triangle(self):
         g = three_cycle()
         mid0 = g.state_on(g.forward_dart(0), Fraction(1, 2))

@@ -7,6 +7,7 @@ offset they return must still be a Fraction: an int would pass `==`.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,11 +20,14 @@ from covertrace import (
     BeamMark,
     BeamSensor,
     ControlSignal,
+    Dart,
     DegreeSensor,
     EdgeState,
     Environment,
     FilteredSensor,
+    LabelSensor,
     PortedGraph,
+    VertexState,
     build_edges,
     distance,
     first_divergence,
@@ -31,17 +35,21 @@ from covertrace import (
     trace_of_trajectory,
     trajectory,
 )
+from covertrace import environments as simulation
+from covertrace.environments import Leg
 from covertrace.generate import (
     random_beam_sensor,
     random_label_sensor,
     random_ported_graph,
     random_state,
 )
+from covertrace.signals import EMPTY
 
 from helpers import (
     naive_distance,
     naive_first_divergence,
-    naive_trace_of_trajectory,
+    naive_legs,
+    naive_trace,
     naive_trajectory,
     rational_signals,
     three_cycle,
@@ -70,18 +78,20 @@ def signals(width: int):
 @st.composite
 def environments(draw):
     """A seeded random_ported_graph with unit or rational lengths and a
-    degree, label, beam or filtered beam sensor."""
+    degree, label, beam, filtered beam or twice filtered beam sensor."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     graph = random_ported_graph(rng, unit_lengths=draw(st.booleans()), max_denominator=7)
-    kind = draw(st.sampled_from(["degree", "label", "beam", "filtered"]))
+    kind = draw(st.sampled_from(["degree", "label", "beam", "filtered", "filtered twice"]))
     if kind == "degree":
         sensor = DegreeSensor()
     elif kind == "label":
         sensor = random_label_sensor(rng, graph)
     else:
         sensor = random_beam_sensor(rng, graph)
-        if kind == "filtered":
+        if kind != "beam":
             sensor = FilteredSensor(sensor, {BLANK: "quiet", "red": "beam", "green": "beam"})
+        if kind == "filtered twice":
+            sensor = FilteredSensor(sensor, {"quiet": 0, "beam": 1})
     return Environment(graph, rng.choice(graph.vertices), sensor)
 
 
@@ -117,8 +127,15 @@ def test_trajectory_matches_fraction_oracle(env, data):
     start = data.draw(starts(env.graph))
     u = data.draw(signals(env.alphabet_width))
     traj = trajectory(env, u, start)
-    assert traj == naive_trajectory(env, u, start)
+    first, legs = naive_legs(env, u, start)
+    assert traj.legs == tuple(legs)
+    assert traj.final == (legs[-1].end if legs else first)
+    assert traj.duration == (legs[-1].t1 if legs else 0)
+    # a Trajectory built from the oracle's legs keeps them
+    oracle = naive_trajectory(env, u, start)
+    assert oracle.legs == tuple(legs) and traj == oracle
     assert type(traj.duration) is Fraction
+    assert_fraction_state(traj.final)
     for leg in traj.legs:
         assert type(leg.t0) is Fraction and type(leg.t1) is Fraction
         assert leg.offset0 is None if leg.dart is None else type(leg.offset0) is Fraction
@@ -131,10 +148,11 @@ def test_trajectory_matches_fraction_oracle(env, data):
 def test_trace_matches_fraction_oracle(env, data):
     start = data.draw(starts(env.graph))
     u = data.draw(signals(env.alphabet_width))
-    traj = trajectory(env, u, start)
-    trace = trace_of_trajectory(env, traj)
-    assert trace == naive_trace_of_trajectory(env, naive_trajectory(env, u, start))
+    trace = trace_of_trajectory(env, trajectory(env, u, start))
+    assert trace == naive_trace(env, *naive_legs(env, u, start))
     assert_fraction_trace(trace)
+    # the same trace from a Trajectory built from Legs
+    assert trace_of_trajectory(env, naive_trajectory(env, u, start)) == trace
 
 
 @settings(max_examples=150, deadline=None)
@@ -166,14 +184,16 @@ def test_signal_algebra_matches_fraction_oracle(a, b, num, den):
 
 def test_mark_crossed_against_the_stored_orientation():
     """From x1, port 1 runs edge 0 (stored x0 -> x1) backwards, so a mark a
-    third of the way from x0 is met at t = 2/3."""
+    third of the way from x0 is met at t = 2/3, or at 5/12 from a quarter
+    of the way along that dart."""
     graph = three_cycle()
     env = Environment(graph, "x1", BeamSensor((BeamMark(0, Fraction(1, 3), "red"),)), 2)
     u = ControlSignal([(1, Fraction(5, 7))])
-    trace = trace_of(env, u)
-    assert trace.events == ((Fraction(2, 3), "red"), (Fraction(5, 7), BLANK))
-    assert trace == naive_trace_of_trajectory(env, naive_trajectory(env, u))
-    assert_fraction_trace(trace)
+    for start, met in ((None, Fraction(2, 3)), (EdgeState(Dart("x1", 1), Fraction(1, 4)), Fraction(5, 12))):
+        trace = trace_of(env, u, start)
+        assert trace.events == ((met, "red"), (Fraction(5, 7), BLANK))
+        assert trace == naive_trace(env, *naive_legs(env, u, start))
+        assert_fraction_trace(trace)
 
 
 def test_mark_crossed_at_a_whole_time():
@@ -184,5 +204,75 @@ def test_mark_crossed_at_a_whole_time():
     u = ControlSignal([(0, Fraction(3, 2))])
     trace = trace_of(env, u)
     assert trace.events == ((1, "red"), (Fraction(3, 2), BLANK))
-    assert trace == naive_trace_of_trajectory(env, naive_trajectory(env, u))
+    assert trace == naive_trace(env, *naive_legs(env, u))
     assert_fraction_trace(trace)
+
+
+@settings(max_examples=150, deadline=None)
+@given(environments())
+def test_readings_match_sensor_value(env):
+    """Every reading a trace takes from the environment's reading table is
+    sensor.value of that state: at each vertex, and inside each edge on
+    every mark, between marks and at the far end, along and against the
+    edge's stored orientation, both as a start state and as the state a
+    move from the dart's tail reaches."""
+    graph, sensor = env.graph, env.sensor
+    for v in graph.vertices:
+        state = VertexState(v)
+        assert trace_of(env, EMPTY, state).events == ((0, sensor.value(graph, state)),)
+    for idx, edge in enumerate(graph.edges):
+        ends = sorted({Fraction(0), edge.length, *[pos for pos, _ in sensor.marks_on(idx)]})
+        points = set(ends[1:]) | {(a + b) / 2 for a, b in zip(ends, ends[1:])}
+        forward = graph.forward_dart(idx)
+        for dart in (forward, graph.reverse(forward)):
+            for pos in points:
+                offset = pos if dart == forward else edge.length - pos
+                state = graph.state_on(dart, offset)
+                expected = sensor.value(graph, state)
+                assert trace_of(env, EMPTY, state).events == ((0, expected),)
+                reached = trace_of(env, ControlSignal([(dart.port, offset)]), VertexState(dart.vertex))
+                assert reached.events[-1] == (offset, expected)
+
+
+def test_trace_of_builds_no_leg_and_no_fraction_per_leg(monkeypatch):
+    """trace_of on a signal of hundreds of legs, under a sensor that reads
+    alike everywhere, builds no Leg and runs a handful of Fraction gcds, not
+    one per leg; the trajectory it simulated then reads back as the oracle's
+    legs, final state and duration."""
+    rng = random.Random(7)
+    graph = random_ported_graph(rng, unit_lengths=False, max_denominator=7)
+    sensor = LabelSensor({v: 0 for v in graph.vertices}, [0] * len(graph.edges))
+    env = Environment(graph, graph.vertices[0], sensor)
+    u = ControlSignal(
+        [(rng.choice([0, 1, HALT]), Fraction(rng.randint(1, 14), rng.randint(1, 7))) for _ in range(300)]
+    )
+
+    simulated, legs_built, gcds = [], [], []
+    real_trajectory, real_gcd = simulation.trajectory, math.gcd
+
+    def recording_trajectory(*args):
+        simulated.append(real_trajectory(*args))
+        return simulated[-1]
+
+    def counting_leg(*args):
+        legs_built.append(args)
+        return Leg(*args)
+
+    def counting_gcd(*args):
+        gcds.append(args)
+        return real_gcd(*args)
+
+    monkeypatch.setattr(simulation, "trajectory", recording_trajectory)
+    monkeypatch.setattr(simulation, "Leg", counting_leg)
+    monkeypatch.setattr(math, "gcd", counting_gcd)
+    trace = trace_of(env, u)
+    monkeypatch.undo()
+
+    (traj,) = simulated
+    assert trace.segments == ((0, u.duration, 0),)
+    assert not legs_built
+    assert len(gcds) < 10
+    _, legs = naive_legs(env, u)
+    assert len(legs) >= 100
+    assert traj.legs == tuple(legs)
+    assert traj.final == legs[-1].end and traj.duration == legs[-1].t1
