@@ -98,10 +98,11 @@ def cmd_trace(args) -> int:
     env = _load_environment(args.environment)
     signal = _load_signal(args.signal)
     trace = trace_of(env, signal)
-    _emit(trace.to_json())
+    document = trace.to_json()
+    _emit(document)
     _note(
-        f"trace over {trace.duration}: {len(trace.segments)} segments, "
-        f"{len(trace.events)} events"
+        f"trace over {trace.duration}: {len(document['segments'])} segments, "
+        f"{len(document['events'])} events"
     )
     return 0
 
@@ -231,7 +232,8 @@ def cmd_bisim(args) -> int:
     note = (
         f"related: {len(result.relation)} state pairs"
         if result.related
-        else f"distinguished by a length-{len(result.witness.pieces)} signal at t = {result.divergence}"
+        # the witness is a word of unit actions, so its duration counts them
+        else f"distinguished by a {result.witness.duration}-action signal at t = {result.divergence}"
     )
     return _verdict_exit(result.to_json(), note)
 

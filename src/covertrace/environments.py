@@ -10,14 +10,18 @@ and offsets are exact rationals.
 Times and offsets are exact Fractions at the API: in every Leg, Trajectory
 and SensorTrace and in every returned time.  Inside, the simulation runs on
 the graph's integer tables and on one integer grid per call.  `trajectory`
-puts the piece durations (and a start offset) on a grid that also holds the
-edge lengths, walks vertex positions and dart ids in O(steps) int
-operations, and keeps its legs in those ticks; a Trajectory builds its Leg
-objects from them only when they are first read.
-`trace_of_trajectory` reads the ticks directly, takes every reading from the
-environment's reading table (filled on demand from the sensor protocol, beam
-marks as ticks along each dart orientation) and builds one Fraction per
-distinct time it returns.  `first_divergence` puts both traces on one grid.
+reads the signal's ticks (see signals) and puts them, with a start offset,
+on the lcm of the signal's scale and the graph's tick denominator, one
+multiply per piece; it walks vertex positions and dart ids in O(steps) int
+operations and keeps its legs in those ticks, and a Trajectory builds its
+Leg objects from them only when they are first read.
+`trace_of_trajectory` reads the legs' ticks directly and takes every reading
+from the environment's reading table (filled on demand from the sensor
+protocol, beam marks as ticks along each dart orientation).  A SensorTrace
+keeps the result in one canonical form, its segments and events in ticks of
+a reduced scale, so traces compare and hash as ints and readings, and its
+Fraction fields are built only when they are read.  `first_divergence`
+brings two traces to the lcm of their scales with int multiplies.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import PreconditionError, ValidationError
@@ -197,12 +201,12 @@ class Trajectory:
     (t0, t1, d, off, moving), where (d, off) is the position at t0: inside
     dart id d at off ticks from its tail when d >= 0, at vertex position ~d
     when d < 0.  A move runs along d at unit speed, and a rest stays put.
-    legs, final and duration are built from that form, legs on first read.
+    legs, final and duration are built from that form, legs and duration on
+    first read.
     """
 
     graph: PortedGraph
     start: GraphState
-    duration: Fraction
 
     def __init__(self, graph: PortedGraph, start: GraphState, legs):
         """The trajectory with the given Legs, contiguous from time 0 and
@@ -246,7 +250,6 @@ class Trajectory:
         self.__dict__.update(
             graph=graph,
             start=start,
-            duration=Fraction(tick_legs[-1][1], scale) if tick_legs else ZERO,
             _scale=scale,
             _start_at=at,  # the start position in ticks
             _ticks=tick_legs,
@@ -284,6 +287,10 @@ class Trajectory:
                 legs.append(Leg(t0, t1, None, None, end, end))
             t0 = t1
         return tuple(legs)
+
+    @cached_property
+    def duration(self) -> Fraction:
+        return Fraction(self._ticks[-1][1], self._scale) if self._ticks else ZERO
 
     @property
     def final(self) -> GraphState:
@@ -340,26 +347,24 @@ def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphSta
     """The robot's exact motion under the signal from `start` (default: initial)."""
     graph = env.graph
     start = env.initial_state if start is None else graph.check_state(start)
-    pieces = signal.pieces
-    durations = [dur for _, dur in pieces]
-    inside = isinstance(start, EdgeState)
-    if inside:
-        durations.append(start.offset)
     unit = graph.tick_denominator()
-    scale, ticks = on_grid(durations, unit)
     # the position (d, off) in ticks, as in Trajectory
-    if inside:
-        d, off = graph.dart_index[start.dart], ticks.pop()
+    if isinstance(start, EdgeState):
+        offset = start.offset
+        scale = lcm(unit, signal._scale, offset.denominator)
+        d, off = graph.dart_index[start.dart], offset.numerator * (scale // offset.denominator)
     else:
+        scale = lcm(unit, signal._scale)
         d, off = ~graph.vertex_index[start.vertex], 0
     at = (d, off)
     star, head, lengths = graph.star, graph.dart_head, graph.edge_ticks()
-    factor = scale // unit
+    factor, q = scale // unit, scale // signal._scale
     # a rest in the position of the rest before it, or a move that continues
     # the move before it along its dart, extends that leg
     legs = []
     t = 0
-    for (symbol, _), remaining in zip(pieces, ticks):
+    for symbol, remaining in zip(signal._symbols, signal._ticks):
+        remaining *= q
         while remaining > 0:
             if symbol == HALT or d < 0 and symbol >= len(star[~d]):
                 prev = legs[-1] if legs else None
@@ -388,7 +393,7 @@ def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphSta
 # --- sensor traces -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class SensorTrace:
     """Canonical sensor readout over [0, duration].
 
@@ -396,11 +401,66 @@ class SensorTrace:
     almost-everywhere constant value; adjacent segments carry distinct values.
     events record every instant whose reading differs from the segment it sits
     in (vertex passes, beam crossings) plus always the final instant.
+
+    Inside, a trace keeps one form, (scale, duration, segments, events) with
+    every time in ticks of 1/scale, the scale reduced by the gcd of all the
+    ticks.  The form is canonical, so `==` and `hash` compare ints and
+    readings.  duration, segments and events are built from it on first
+    read, and to_json reduces each time with one gcd.
     """
 
-    duration: Fraction
-    segments: tuple
-    events: tuple
+    def __init__(self, duration, segments, events):
+        segments, events = tuple(segments), tuple(events)
+        scale, ticks = on_grid(
+            [duration, *[t for a, b, _ in segments for t in (a, b)], *[t for t, _ in events]]
+        )
+        it = iter(ticks)
+        self._set(
+            scale,
+            next(it),
+            [(next(it), next(it), v) for _, _, v in segments],
+            [(next(it), v) for _, v in events],
+        )
+
+    @classmethod
+    def _from_ticks(cls, scale: int, duration: int, segments, events) -> "SensorTrace":
+        self = cls.__new__(cls)
+        self._set(scale, duration, segments, events)
+        return self
+
+    def _set(self, scale, duration, segments, events) -> None:
+        g = gcd(scale, duration, *[t for a, b, _ in segments for t in (a, b)], *[t for t, _ in events])
+        if g != 1:
+            scale //= g
+            duration //= g
+            segments = [(a // g, b // g, v) for a, b, v in segments]
+            events = [(t // g, v) for t, v in events]
+        self.__dict__["_ticks"] = (scale, duration, tuple(segments), tuple(events))
+
+    @cached_property
+    def duration(self) -> Fraction:
+        return Fraction(self._ticks[1], self._ticks[0])
+
+    @cached_property
+    def segments(self) -> tuple:
+        scale, _, segments, _ = self._ticks
+        return tuple((Fraction(a, scale), Fraction(b, scale), v) for a, b, v in segments)
+
+    @cached_property
+    def events(self) -> tuple:
+        scale, _, _, events = self._ticks
+        return tuple((Fraction(t, scale), v) for t, v in events)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._ticks == other._ticks
+
+    def __hash__(self) -> int:
+        return hash(self._ticks)
+
+    def __repr__(self) -> str:
+        return f"SensorTrace(duration={self.duration!r}, segments={self.segments!r}, events={self.events!r})"
 
     def value_at(self, t) -> object:
         t = as_fraction(t)
@@ -435,12 +495,16 @@ class SensorTrace:
         return SensorTrace(t, tuple(segments), events)
 
     def to_json(self) -> dict:
+        scale, duration, segments, events = self._ticks
+
+        def pair(t):
+            g = gcd(t, scale)
+            return [t // g, scale // g]
+
         return {
-            "duration": to_pair(self.duration),
-            "segments": [
-                {"from": to_pair(a), "to": to_pair(b), "value": v} for a, b, v in self.segments
-            ],
-            "events": [{"time": to_pair(t), "value": v} for t, v in self.events],
+            "duration": pair(duration),
+            "segments": [{"from": pair(a), "to": pair(b), "value": v} for a, b, v in segments],
+            "events": [{"time": pair(t), "value": v} for t, v in events],
         }
 
 
@@ -507,27 +571,29 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
             if merged[k][2] == reading:
                 continue
         events.append((t, reading))
-    # one Fraction per distinct tick value; the last segment ends at the
-    # final instant, an event
-    times = {t: Fraction(t, scale) for t in {*[a for a, _, _ in merged], *[t for t, _ in events]}}
-    segments = tuple((times[a], times[b], v) for a, b, v in merged)
-    return SensorTrace(traj.duration, segments, tuple((times[t], r) for t, r in events))
+    return SensorTrace._from_ticks(scale, end, list(map(tuple, merged)), events)
 
 
 def first_divergence(a: SensorTrace, b: SensorTrace) -> Optional[Fraction]:
     """Earliest time at which the two traces differ, None if equal.
 
     Traces must share a duration (they come from one signal)."""
-    if a.duration != b.duration:
+    scale_a, duration_a, segments_a, events_a = a._ticks
+    scale_b, duration_b, segments_b, events_b = b._ticks
+    if duration_a * scale_b != duration_b * scale_a:
         raise ValidationError("traces of different durations are not comparable")
-    values = [t for trace in (a, b) for start, end, _ in trace.segments for t in (start, end)]
-    values += [t for trace in (a, b) for t, _ in trace.events]
-    scale, ticks = on_grid(values)
-    it = iter(ticks)
-    segments_a = [(next(it), next(it), v) for _, _, v in a.segments]
-    segments_b = [(next(it), next(it), v) for _, _, v in b.segments]
-    events_a = {next(it): v for _, v in a.events}
-    events_b = {next(it): v for _, v in b.events}
+    if a._ticks == b._ticks:
+        return None
+    # both traces on the lcm of their scales
+    scale = lcm(scale_a, scale_b)
+    qa, qb = scale // scale_a, scale // scale_b
+    if qa != 1:
+        segments_a = [(s * qa, e * qa, v) for s, e, v in segments_a]
+        events_a = [(t * qa, v) for t, v in events_a]
+    if qb != 1:
+        segments_b = [(s * qb, e * qb, v) for s, e, v in segments_b]
+        events_b = [(t * qb, v) for t, v in events_b]
+    events_a, events_b = dict(events_a), dict(events_b)
     criticals = sorted(
         {t for t, _, _ in segments_a} | {t for t, _, _ in segments_b} | events_a.keys() | events_b.keys()
     )

@@ -19,7 +19,10 @@ verify_bisimulation re-checks a relation by replaying every move through the
 simulation (trajectory and trace_of_trajectory), deliberately not through
 those tables, so that the certificate check shares no code with the table
 that decided.  Simulated unit moves are memoized in one place, _unit_moves,
-which both verify_bisimulation and check_equiv_sampled use.
+which both verify_bisimulation and check_equiv_sampled use.  The two
+environments of one check share a table of the distinct unit traces, so
+check_equiv_sampled tells two moves apart by the identity of their traces
+and calls first_divergence only on traces that differ.
 homomorphism_search looks for a trace-preserving structure map, a
 sufficient but not necessary condition for equivalence.
 """
@@ -84,19 +87,27 @@ def traces_equal(e1: Environment, e2: Environment, u: ControlSignal) -> TraceCom
     return TraceComparison(d is None, d)
 
 
-def _unit_moves(env: Environment):
+def _unit_moves(env: Environment, traces: dict):
     """A function move(state, action) giving the (final state, sensor trace)
     of the unit action from state.  Each (state, action) is simulated once,
-    by one trajectory and its trace_of_trajectory, and then remembered."""
+    by one trajectory and its trace_of_trajectory, and then remembered.
+
+    traces keeps one copy of each distinct trace, keyed by itself; shared
+    by the moves of two environments, it makes two moves read alike exactly
+    when they return the same trace object.  A SensorTrace hashes and
+    compares its canonical ticks, so equal traces meet there whatever scale
+    each simulation ran on."""
     unit = {a: ControlSignal([(a, _ONE)]) for a in env.actions()}
     memo: dict = {}
 
     def move(state, a):
         key = (state, a)
-        if key not in memo:
+        found = memo.get(key)
+        if found is None:
             traj = trajectory(env, unit[a], state)
-            memo[key] = traj.final, trace_of_trajectory(env, traj)
-        return memo[key]
+            trace = trace_of_trajectory(env, traj)
+            found = memo[key] = traj.final, traces.setdefault(trace, trace)
+        return found
 
     return move
 
@@ -172,7 +183,8 @@ def check_equiv_sampled(
     # index] frames, so a horizon past the recursion limit is searched too;
     # prefix holds the actions taken from the root frame to the top one.
     budget_seen: dict = {}
-    move1, move2 = _unit_moves(e1), _unit_moves(e2)
+    traces: dict = {}
+    move1, move2 = _unit_moves(e1, traces), _unit_moves(e2, traces)
     prefix: list = []
     stack = [[e1.initial_state, e2.initial_state, max_len, 0]] if max_len else []
     while stack:
@@ -189,7 +201,7 @@ def check_equiv_sampled(
         y1, tr1 = move1(x1, a)
         y2, tr2 = move2(x2, a)
         checked += 1
-        if tr1 != tr2:
+        if tr1 is not tr2:
             d = first_divergence(tr1, tr2)
             if d is not None:
                 witness = ControlSignal([(b, _ONE) for b in prefix + [a]])
@@ -500,7 +512,8 @@ def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
     if (e1.initial, e2.initial) not in pairs:
         return False
     actions = e1.actions()
-    move1, move2 = _unit_moves(e1), _unit_moves(e2)
+    traces: dict = {}
+    move1, move2 = _unit_moves(e1, traces), _unit_moves(e2, traces)
     for v1, v2 in pairs:
         x1, x2 = VertexState(v1), VertexState(v2)
         if e1.sensor.value(e1.graph, x1) != e2.sensor.value(e2.graph, x2):

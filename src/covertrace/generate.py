@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .environments import Environment
@@ -24,12 +25,15 @@ def random_signal(
 ) -> ControlSignal:
     """Random signal with rational piece durations in (0, 2]."""
     symbols = list(range(width)) + ([HALT] if allow_halt else [])
-    pieces = []
+    nums, dens, chosen = [], [], []
     for _ in range(rng.randint(1, max_pieces)):
         den = rng.randint(1, max_denominator)
-        num = rng.randint(1, 2 * den)
-        pieces.append((rng.choice(symbols), Fraction(num, den)))
-    return ControlSignal(pieces)
+        nums.append(rng.randint(1, 2 * den))
+        dens.append(den)
+        chosen.append(rng.choice(symbols))
+    # the durations straight onto ticks of their lcm, as from_json reads them
+    scale = lcm(*dens)
+    return ControlSignal._from_ticks(scale, chosen, [n * (scale // d) for n, d in zip(nums, dens)])
 
 
 def random_ported_graph(

@@ -94,6 +94,15 @@ class EdgeState:
 GraphState = Union[VertexState, EdgeState]
 
 
+def _holds(index: dict, key) -> bool:
+    """key in index, and False for an unhashable key (a list read from
+    JSON), which no index holds."""
+    try:
+        return key in index
+    except TypeError:
+        return False
+
+
 def _vertex_index(vertices: tuple) -> dict:
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
@@ -278,11 +287,11 @@ class PortedGraph:
         """The state if it lies on this graph, with an EdgeState's offset as
         a Fraction strictly inside its edge (floats and bools are refused)."""
         if isinstance(state, VertexState):
-            if state.vertex not in self.vertex_index:
+            if not _holds(self.vertex_index, state.vertex):
                 raise ValidationError(f"state at unknown vertex {state.vertex!r}")
             return state
         if isinstance(state, EdgeState):
-            if state.dart not in self.dart_index:
+            if not _holds(self.dart_index, state.dart):
                 raise ValidationError(f"state on unknown dart {state.dart!r}")
             offset = as_fraction(state.offset)
             if not (0 < offset < self.length(state.dart)):

@@ -26,6 +26,8 @@ from covertrace import (
     trace_of,
 )
 from covertrace.environments import Leg
+from covertrace.rationals import as_fraction
+from covertrace.signals import check_symbol
 from covertrace.equivalence import DiscreteStateSpace
 
 
@@ -50,6 +52,23 @@ def marked_cycle_env(n: int) -> Environment:
     graph = PortedGraph(names, edges)
     labels = {v: int(i == 0) for i, v in enumerate(names)}
     return Environment(graph, "c0", LabelSensor(labels, [0] * n), 2)
+
+
+def labelled_triangles() -> tuple:
+    """A labelled unit triangle, and the same triangle with a pendant edge
+    of length 1/2 at x1 behind port 2, past the alphabet width of 2: the
+    two read alike under every signal, but the second simulates on ticks
+    of 1/2 where the first uses ticks of 1."""
+    labels = {"x0": "a", "x1": "b", "x2": "b"}
+    triangle = three_cycle_env(LabelSensor(labels, ["e", "f", "e"]))
+    pendant = PortedGraph(
+        ["x0", "x1", "x2", "p"],
+        build_edges(
+            [("x0", "x1", 0, 1), ("x1", "x2", 0, 1), ("x2", "x0", 0, 1), ("x1", "p", 2, 0, Fraction(1, 2))]
+        ),
+    )
+    sensor = LabelSensor({**labels, "p": "c"}, ["e", "f", "e", "g"])
+    return triangle, Environment(pendant, "x0", sensor, 2)
 
 
 def path_middle() -> PortedGraph:
@@ -184,6 +203,87 @@ def naive_distance(a: ControlSignal, b: ControlSignal) -> Fraction:
         if ends_b[j] == hi:
             j += 1
     return total + abs(a.duration - b.duration)
+
+
+def naive_pieces(pieces) -> tuple:
+    """The canonical pieces of (symbol, duration) pairs, as the signal
+    constructor made them on Fractions: symbols checked, durations taken
+    exactly and refused when negative, zero durations dropped and adjacent
+    equal symbols merged by adding their durations."""
+    runs = []
+    for symbol, duration in pieces:
+        symbol = check_symbol(symbol)
+        duration = as_fraction(duration)
+        if duration < 0:
+            raise ValidationError(f"negative duration: {duration}")
+        if not duration:
+            continue
+        if runs and runs[-1][0] == symbol:
+            runs[-1][1] += duration
+        else:
+            runs.append([symbol, duration])
+    return tuple((symbol, duration) for symbol, duration in runs)
+
+
+def naive_restrict_before(pieces: tuple, t: Fraction) -> tuple:
+    """Canonical pieces on [0, t), cut on Fractions."""
+    out, remaining = [], t
+    for symbol, duration in pieces:
+        if duration >= remaining:
+            out.append((symbol, remaining))
+            break
+        out.append((symbol, duration))
+        remaining -= duration
+    return naive_pieces(out)
+
+
+def naive_suffix_from(pieces: tuple, t: Fraction) -> tuple:
+    """Canonical pieces on [t, duration), shifted to 0, cut on Fractions."""
+    skip = t
+    for i, (symbol, duration) in enumerate(pieces):
+        if skip < duration:
+            return naive_pieces(((symbol, duration - skip),) + pieces[i + 1:])
+        skip -= duration
+    return ()
+
+
+def naive_concat(first: tuple, second: tuple) -> tuple:
+    return naive_pieces(first + second)
+
+
+def naive_geodesic(a: tuple, b: tuple, s: Fraction) -> tuple:
+    """The geodesic point of signals.geodesic on Fraction pieces: with a
+    the shorter, b on [0, s|a|), a on [s|a|, |a|), then b from |a| on for
+    s times the overhang."""
+    length_a = sum((d for _, d in a), Fraction(0))
+    length_b = sum((d for _, d in b), Fraction(0))
+    if length_a > length_b:
+        a, b, s, length_a, length_b = b, a, 1 - s, length_b, length_a
+    cut = s * length_a
+    head = naive_restrict_before(b, cut)
+    middle = naive_suffix_from(a, cut)
+    tail = naive_restrict_before(naive_suffix_from(b, length_a), s * (length_b - length_a))
+    return naive_concat(naive_concat(head, middle), tail)
+
+
+@st.composite
+def wire_signals(draw, width: int = 3, max_pieces: int = 8):
+    """Hypothesis strategy for signal documents, [symbol, num, den] triples
+    as from_json reads them, that the reading must merge and reduce: pairs
+    scaled by a common factor, zero durations, and runs of one symbol."""
+    symbols = st.one_of(st.integers(0, width - 1), st.just(HALT))
+    document = []
+    for _ in range(draw(st.integers(0, max_pieces))):
+        symbol = document[-1][0] if document and draw(st.booleans()) else draw(symbols)
+        num, den = draw(st.integers(0, 12)), draw(st.sampled_from([1, 2, 3, 4, 6, 8, 9]))
+        k = draw(st.integers(1, 4))
+        document.append([symbol, num * k, den * k])
+    return document
+
+
+def wire_pieces(document) -> tuple:
+    """The (symbol, Fraction) pairs a signal document spells."""
+    return tuple((symbol, Fraction(num, den)) for symbol, num, den in document)
 
 
 def _naive_merge(legs) -> list:

@@ -109,6 +109,23 @@ class TestSignalCommands:
         assert code == 0
         assert json.loads(out) == [[1, 1, 1], [0, 1, 1], [1, 1, 1]]
 
+    def test_wire_pieces_merge_and_reduce(self, capsys, tmp_path):
+        """Equal neighbours merge and unreduced pairs reduce on reading: a
+        is 0 for 1 then 1 for 1, b is halt for 3/2; a is the longer, so
+        the point at 1/3 is a on [0, 1), b on [1, 3/2), then 1/3 of a's
+        overhang."""
+        a = write_json(tmp_path / "a.json", [[0, 2, 4], [0, 1, 2], [1, 3, 3]])
+        b = write_json(tmp_path / "b.json", [["halt", 6, 4]])
+        code, out, _ = run(capsys, ["geodesic", a, b, "--at", "1/3"])
+        assert (code, out) == (0, '[[0, 1, 1], ["halt", 1, 2], [1, 1, 3]]\n')
+        code, out, _ = run(capsys, ["metric", a, b])
+        assert (code, out) == (0, '{"distance": [2, 1]}\n')
+
+    def test_bad_signal_exits_2_with_its_message(self, capsys, tmp_path, env_file):
+        signal = write_json(tmp_path / "sig.json", [[0, 1, 2], [0, 3, 0]])
+        for argv in (["trace", env_file, signal], ["metric", signal, signal]):
+            assert run(capsys, argv) == (2, "", "invalid input: zero denominator\n")
+
     def test_geodesic_endpoints(self, capsys, tmp_path):
         a = write_json(tmp_path / "a.json", [[0, 2, 1]])
         b = write_json(tmp_path / "b.json", [[1, 4, 1]])
@@ -139,6 +156,18 @@ class TestVerdictCommands:
         assert data["verdict"] == "related"
         assert len(data["relation"]) == 18
         assert data["stats"]["states"] == 9
+
+    def test_bisim_note_counts_unit_actions(self, capsys, tmp_path):
+        """Marked 5- and 6-cycles are told apart only by walking once round
+        the 5-cycle: five port-0 actions, one merged piece on the wire.  The
+        note counts the actions."""
+        a = write_json(tmp_path / "c5.json", marked_cycle_env(5).to_json())
+        b = write_json(tmp_path / "c6.json", marked_cycle_env(6).to_json())
+        code, out, err = run(capsys, ["bisim", a, b])
+        assert code == 1
+        data = json.loads(out)
+        assert (data["witness"], data["divergence"]) == ([[0, 5, 1]], [5, 1])
+        assert err == "distinguished by a 5-action signal at t = 5\n"
 
     def test_distinguish_crossing(self, capsys, gallery_dir):
         code, out, _ = run(

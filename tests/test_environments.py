@@ -154,6 +154,28 @@ class TestStates:
         assert type(leg.offset0) is Fraction
         assert g.point_distance(EdgeState(d, 1), VertexState("b")) == 1
 
+    @pytest.mark.parametrize(
+        "state", [VertexState(["x0"]), EdgeState(["x0", 0], Fraction(1, 2))], ids=["vertex", "dart"]
+    )
+    def test_check_state_refuses_unhashable_names(self, state):
+        """A list vertex or dart, as JSON spells a name, names nothing on the
+        graph: a ValidationError, not a TypeError, directly and through
+        every function that takes a state."""
+        g = three_cycle()
+        env = Environment(g, "x0", DegreeSensor(), 2)
+        u = sig((0, 1))
+        calls = (
+            lambda: g.check_state(state),
+            lambda: trajectory(env, u, state),
+            lambda: apply(env, u, state),
+            lambda: trace_of(env, u, state),
+            lambda: g.point_distance(state, VertexState("x0")),
+            lambda: g.point_distance(VertexState("x0"), state),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="unknown"):
+                call()
+
     def test_point_distance_triangle(self):
         g = three_cycle()
         mid0 = g.state_on(g.forward_dart(0), Fraction(1, 2))

@@ -47,6 +47,7 @@ from covertrace.generate import (
 )
 
 from helpers import (
+    labelled_triangles,
     marked_cycle_env,
     naive_bisimulation,
     naive_discrete_search,
@@ -145,6 +146,30 @@ class TestSampledCheck:
                 for env in (e1, e2):
                     mine = [call for call in calls if call[0] == id(env)]
                     assert len(mine) == len(set(mine))
+
+    def test_search_compares_shared_traces(self, monkeypatch):
+        """Every unit trace of the two labelled triangles reads alike, on
+        ticks of 1 on one side and of 1/2 on the other.  Both sides share
+        one copy of each distinct trace, so after the empty signal the
+        search compares no pair of traces and no Fraction."""
+        triangle, pendant = labelled_triangles()
+        compared, equalities = [], []
+        real_divergence, real_eq = equivalence.first_divergence, Fraction.__eq__
+
+        def counting_divergence(a, b):
+            compared.append((a, b))
+            return real_divergence(a, b)
+
+        def counting_eq(self, other):
+            equalities.append(other)
+            return real_eq(self, other)
+
+        monkeypatch.setattr(equivalence, "first_divergence", counting_divergence)
+        monkeypatch.setattr(Fraction, "__eq__", counting_eq)
+        verdict = check_equiv_sampled(triangle, pendant, max_len=6, n_random=0)
+        monkeypatch.undo()
+        assert verdict.verdict == "related" and verdict.signals_checked > 40
+        assert len(compared) == 1 and not equalities
 
     def test_witness_found_after_backing_out_of_branches(self):
         """One vertex label changed away from the start: some witnesses

@@ -6,12 +6,23 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertrace import EMPTY, HALT, ControlSignal, PreconditionError, ValidationError
 from covertrace.generate import random_signal
 from covertrace.signals import distance, geodesic
 
-from helpers import grid_distance, rational_signals
+from helpers import (
+    grid_distance,
+    naive_concat,
+    naive_geodesic,
+    naive_pieces,
+    naive_restrict_before,
+    naive_suffix_from,
+    rational_signals,
+    wire_pieces,
+    wire_signals,
+)
 
 
 def sig(*pieces) -> ControlSignal:
@@ -237,3 +248,104 @@ class TestSerialization:
             ControlSignal.from_json({"pieces": []})
         with pytest.raises(ValidationError):
             ControlSignal.from_json([[0, 1]])
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ([[1, 1, 2], [0, True, 1]], "bad rational on the wire: [True, 1]"),
+            ([[1, 1, 2], [0, 1, 0]], "zero denominator"),
+            ([[1, 1, 2], [0, -1, 2]], "negative duration: -1/2"),
+            ([[1, 1, 2], [0, 2, -4]], "negative duration: -1/2"),
+            ([[1, 1, 2], [0, 0.5, 1]], "bad rational on the wire: [0.5, 1]"),
+            ([[1, 1, 2], [0, 1]], "bad signal JSON entry: [0, 1]"),
+            ([[1, 1, 2], ["stop", 1, 1]], "bad control symbol: 'stop'"),
+            ([[1, 1, 2], [True, 1, 1]], "bad control symbol: True"),
+            # every entry is read off the wire before any symbol is checked
+            ([["stop", 1, 1], [0, 1, 0]], "zero denominator"),
+            ([[0, -1, 1], [0, 1]], "bad signal JSON entry: [0, 1]"),
+        ],
+    )
+    def test_refusal_messages(self, document, message):
+        with pytest.raises(ValidationError) as refused:
+            ControlSignal.from_json(document)
+        assert str(refused.value) == message
+
+    def test_negative_over_negative_is_positive(self):
+        assert ControlSignal.from_json([[0, -2, -4], [0, 1, 2]]) == sig((0, 1))
+
+
+class TestTickForm:
+    """The (scale, symbols, ticks) form against the Fraction oracles in
+    helpers: the same pieces, durations, equality and hashes, and the same
+    algebra."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(wire_signals())
+    def test_wire_reading_matches_oracle(self, document):
+        u = ControlSignal.from_json(document)
+        expected = naive_pieces(wire_pieces(document))
+        assert u.pieces == expected
+        assert all(type(d) is Fraction for _, d in u.pieces)
+        assert u.duration == sum((d for _, d in expected), Fraction(0))
+        assert type(u.duration) is Fraction
+        assert u.to_json() == [[s, d.numerator, d.denominator] for s, d in expected]
+        built = ControlSignal(wire_pieces(document))
+        assert built.pieces == expected
+        assert u == built and hash(u) == hash(built)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wire_signals(), wire_signals(), st.integers(1, 3))
+    def test_equality_and_hash_follow_the_pieces(self, first, second, k):
+        """Two documents are equal signals exactly when the oracle's pieces
+        agree; splitting every piece into k parts over k times the
+        denominator spells the same signal."""
+        u, v = ControlSignal.from_json(first), ControlSignal.from_json(second)
+        assert (u == v) == (naive_pieces(wire_pieces(first)) == naive_pieces(wire_pieces(second)))
+        split = [[symbol, num, den * k] for symbol, num, den in first for _ in range(k)]
+        w = ControlSignal.from_json(split)
+        assert w == u and hash(w) == hash(u)
+        assert w.to_json() == u.to_json()
+
+    @settings(max_examples=200, deadline=None)
+    @given(wire_signals(), wire_signals(), st.integers(0, 12), st.integers(1, 12))
+    def test_algebra_matches_oracle(self, first, second, num, den):
+        a, b = ControlSignal.from_json(first), ControlSignal.from_json(second)
+        pa, pb = naive_pieces(wire_pieces(first)), naive_pieces(wire_pieces(second))
+        t = min(Fraction(num, den), a.duration)
+        s = Fraction(min(num, den), den)
+        assert a.restrict_before(t).pieces == naive_restrict_before(pa, t)
+        assert a.restrict_before(t + 1).pieces == naive_restrict_before(pa, t + 1)
+        assert a.suffix_from(t).pieces == naive_suffix_from(pa, t)
+        assert a.concat(b).pieces == naive_concat(pa, pb)
+        g = geodesic(a, b, s)
+        assert g.pieces == naive_geodesic(pa, pb, s)
+        for u in (a.restrict_before(t), a.suffix_from(t), a.concat(b), g):
+            assert u == ControlSignal(u.pieces) and hash(u) == hash(ControlSignal(u.pieces))
+
+    def test_no_fraction_per_piece(self, monkeypatch):
+        """Reading two 200-piece documents, their geodesic and distance, and
+        writing the geodesic back out build a handful of Fractions, not one
+        per piece."""
+        rng = random.Random(5)
+
+        def document():
+            return [[rng.choice([0, 1, 2, HALT]), rng.randint(1, 16), rng.randint(1, 8)] for _ in range(200)]
+
+        first, second = document(), document()
+        built = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        a, b = ControlSignal.from_json(first), ControlSignal.from_json(second)
+        g = geodesic(a, b, Fraction(2, 7))
+        wire = g.to_json()
+        d = distance(a, g)
+        monkeypatch.undo()
+        assert len(built) < 10
+        assert len(a.pieces) > 100 and len(wire) > 100
+        assert ControlSignal.from_json(wire) == g
+        assert d + distance(g, b) == distance(a, b)

@@ -27,6 +27,7 @@ from covertrace import (
     FilteredSensor,
     LabelSensor,
     PortedGraph,
+    SensorTrace,
     VertexState,
     build_edges,
     distance,
@@ -46,6 +47,7 @@ from covertrace.generate import (
 from covertrace.signals import EMPTY
 
 from helpers import (
+    labelled_triangles,
     naive_distance,
     naive_first_divergence,
     naive_legs,
@@ -276,3 +278,69 @@ def test_trace_of_builds_no_leg_and_no_fraction_per_leg(monkeypatch):
     assert len(legs) >= 100
     assert traj.legs == tuple(legs)
     assert traj.final == legs[-1].end and traj.duration == legs[-1].t1
+
+
+@settings(max_examples=150, deadline=None)
+@given(environments(), st.data())
+def test_trace_equality_and_hash_follow_the_fraction_fields(env, data):
+    """Traces compare and hash on their ticks as they would on their
+    Fraction fields; a trace rebuilt from those fields is the same trace,
+    and its document is the fields' wire form."""
+    width = env.alphabet_width
+    t1 = trace_of(env, data.draw(signals(width)), data.draw(starts(env.graph)))
+    t2 = trace_of(env, data.draw(signals(width)), data.draw(starts(env.graph)))
+
+    def fields(trace):
+        return trace.duration, trace.segments, trace.events
+
+    assert (t1 == t2) == (fields(t1) == fields(t2))
+    rebuilt = SensorTrace(*fields(t1))
+    assert rebuilt == t1 and hash(rebuilt) == hash(t1)
+    def pair(t):
+        return [t.numerator, t.denominator]
+
+    duration, segments, events = fields(t1)
+    assert t1.to_json() == {
+        "duration": pair(duration),
+        "segments": [{"from": pair(a), "to": pair(b), "value": v} for a, b, v in segments],
+        "events": [{"time": pair(t), "value": v} for t, v in events],
+    }
+
+
+def test_trace_form_is_canonical():
+    """One walk simulated on ticks of 1 and of 1/2 gives one trace, equal
+    and of equal hash; a reading held over [0, 1/2] and over [0, 1] gives
+    the same tick lists on scales 2 and 1, and two different traces."""
+    triangle, pendant = labelled_triangles()
+    u = ControlSignal([(0, 2), (HALT, 1), (1, 1)])
+    a, b = trace_of(triangle, u), trace_of(pendant, u)
+    assert a == b and hash(a) == hash(b)
+    assert first_divergence(a, b) is None
+    half = trace_of(triangle, ControlSignal([(HALT, Fraction(1, 2))]))
+    whole = trace_of(triangle, ControlSignal([(HALT, 1)]))
+    assert half != whole
+    assert half.to_json()["duration"] == [1, 2] and whole.to_json()["duration"] == [1, 1]
+
+
+def test_trace_document_builds_no_fraction_per_segment(monkeypatch):
+    """A 200-piece signal through a beam environment: simulating, tracing
+    and writing the trace's document build a handful of Fractions, not one
+    per segment or event."""
+    rng = random.Random(11)
+    graph = random_ported_graph(rng, unit_lengths=False, max_denominator=7)
+    env = Environment(graph, graph.vertices[0], random_beam_sensor(rng, graph))
+    u = ControlSignal.from_json(
+        [[rng.choice([0, 1, HALT]), rng.randint(1, 14), rng.randint(1, 7)] for _ in range(200)]
+    )
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    document = trace_of(env, u).to_json()
+    monkeypatch.undo()
+    assert len(built) < 10
+    assert len(document["segments"]) + len(document["events"]) > 50
