@@ -253,9 +253,11 @@ def lift_state_path(
     f: GraphMap, source: Environment, target: Environment, signal: ControlSignal
 ) -> Trajectory:
     """The unique lift of the target trajectory of `signal`: run the same
-    signal upstairs.  Port preservation makes the projection commute."""
+    signal upstairs, with the target's alphabet width deciding which ports
+    move the robot.  Port preservation makes the projection commute."""
     _require_covering(f, source, target)
-    return trajectory(source, signal)
+    upstairs = Environment(source.graph, source.initial, source.sensor, target.alphabet_width)
+    return trajectory(upstairs, signal)
 
 
 # --- cover constructions -------------------------------------------------

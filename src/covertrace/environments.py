@@ -2,10 +2,11 @@
 
 The robot interprets a control signal piece by piece.  Under Port(k) it moves
 at unit speed toward the head of its current dart; arriving at a vertex it
-enters the port-k dart if the vertex has one, else it waits for the symbol to
-change.  Mid-edge the specific port index is irrelevant: turning around inside
-an edge is impossible, only at vertices.  Under Halt it stays put.  All times
-and offsets are exact rationals.
+enters the port-k dart if the vertex has one and k is below the alphabet
+width, else it waits for the symbol to change.  Mid-edge the specific port
+index is irrelevant: turning around inside an edge is impossible, only at
+vertices.  Under Halt it stays put.  All times and offsets are exact
+rationals.
 
 Times and offsets are exact Fractions at the API: in every Leg, Trajectory
 and SensorTrace and in every returned time.  Inside, the simulation runs on
@@ -15,9 +16,12 @@ on the lcm of the signal's scale and the graph's tick denominator, one
 multiply per piece; it walks vertex positions and dart ids in O(steps) int
 operations and keeps its legs in those ticks, and a Trajectory builds its
 Leg objects from them only when they are first read.
+Each environment reads its sensor through one table, `_Readings`, filled
+from the sensor protocol in one pass the first time the environment traces
+a signal or builds a state space: the reading per vertex, the interior
+reading per edge and the beam marks per dart, in ticks along the dart.
 `trace_of_trajectory` reads the legs' ticks directly and takes every reading
-from the environment's reading table (filled on demand from the sensor
-protocol, beam marks as ticks along each dart orientation).  A SensorTrace
+from that table, as equivalence.DiscreteStateSpace does.  A SensorTrace
 keeps the result in one canonical form, its segments and events in ticks of
 a reduced scale, so traces compare and hash as ints and readings, and its
 Fraction fields are built only when they are read.  `first_divergence`
@@ -92,77 +96,51 @@ class Environment:
         initial = check_vertex_name(data["initial"])
         return cls(graph, initial, sensor_from_json(data["sensor"]), width)
 
-    @property
+    @cached_property
     def _readings(self) -> "_Readings":
-        # made on a trace's first use and kept; the instance dict takes it,
-        # as cached_property would, without that descriptor's lock
-        table = self.__dict__.get("_reading_table")
-        if table is None:
-            table = self.__dict__["_reading_table"] = _Readings(self.graph, self.sensor)
-        return table
+        return _Readings(self.graph, self.sensor)
 
 
 class _Readings:
-    """What an environment's sensor reads, on the graph's ids.
-
-    Each slot is filled from the sensor protocol the first time it is read,
-    so a trace pays only for the vertices, edges and darts it meets:
-    vertex[v] is the reading at vertex position v, interior[e] the reading
-    inside edge e away from its beam marks, and marks[d] the marks met
-    along dart d as (den, ((pos, label), ...)), each pos the mark's distance
-    from the dart's tail in ticks of 1/den, or () on an edge without marks.
-    An unfilled slot holds None, which is no sensor reading.  Inside an edge
-    a sensor reads the label of the mark at that point, if any, and else its
-    interior value."""
+    """What an environment's sensor reads, on the graph's ids, as three
+    lists filled from the sensor protocol in one pass: vertex[v] is the
+    reading at vertex position v, interior[e] the reading inside edge e
+    away from its beam marks, and marks[d] the marks met along dart d as
+    (den, ((pos, label), ...)), each pos the mark's distance from the
+    dart's tail in ticks of 1/den, or () on an edge without marks.  Inside
+    an edge a sensor reads the label of the mark at that point, if any, and
+    else its interior reading (see `at`)."""
 
     def __init__(self, graph: PortedGraph, sensor: SensorSpec):
-        self.graph, self.sensor = graph, sensor
-        self.vertex = [None] * len(graph.vertices)
-        self.interior = [None] * len(graph.edges)
-        self.marks = [None] * (2 * len(graph.edges))
-
-    def at_vertex(self, v: int):
-        reading = self.vertex[v]
-        if reading is None:
-            state = VertexState(self.graph.vertices[v])
-            reading = self.vertex[v] = self.sensor.value(self.graph, state)
-        return reading
-
-    def inside(self, e: int):
-        reading = self.interior[e]
-        if reading is None:
-            reading = self.interior[e] = self.sensor.interior_value(self.graph, e)
-        return reading
-
-    def marks_along(self, d: int):
-        found = self.marks[d]
-        if found is None:
-            marks = self.sensor.marks_on(d >> 1)
-            found = ()
-            if marks:
-                length = self.graph.edges[d >> 1].length
-                den = lcm(length.denominator, *[pos.denominator for pos, _ in marks])
-                ticks = [pos.numerator * (den // pos.denominator) for pos, _ in marks]
-                if d & 1:
-                    full = length.numerator * (den // length.denominator)
-                    ticks = [full - pos for pos in ticks]
-                found = (den, tuple(zip(ticks, [label for _, label in marks])))
-            self.marks[d] = found
-        return found
+        self.vertex = [sensor.value(graph, VertexState(v)) for v in graph.vertices]
+        self.interior = [sensor.interior_value(graph, e) for e in range(len(graph.edges))]
+        self.marks = []
+        for e, edge in enumerate(graph.edges):
+            marks = sensor.marks_on(e)
+            if not marks:
+                self.marks += [(), ()]
+                continue
+            length = edge.length
+            den = lcm(length.denominator, *[pos.denominator for pos, _ in marks])
+            forward = [(pos.numerator * (den // pos.denominator), label) for pos, label in marks]
+            # against the stored orientation a mark at pos lies at length - pos
+            full = length.numerator * (den // length.denominator)
+            backward = [(full - pos, label) for pos, label in forward]
+            self.marks += [(den, tuple(forward)), (den, tuple(backward))]
 
     def at(self, d: int, off: int, scale: int):
         """Reading at the tick position (d, off) on a grid of 1/scale that
-        the den of marks_along(d) divides (see Trajectory)."""
+        the den of marks[d] divides (see Trajectory)."""
         if d < 0:
-            return self.at_vertex(~d)
-        marks = self.marks_along(d)
+            return self.vertex[~d]
+        marks = self.marks[d]
         if marks:
             den, along = marks
             q = scale // den
             for pos, label in along:
                 if pos * q == off:
                     return label
-        return self.inside(d >> 1)
+        return self.interior[d >> 1]
 
 
 @dataclass(frozen=True)
@@ -358,6 +336,7 @@ def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphSta
         d, off = ~graph.vertex_index[start.vertex], 0
     at = (d, off)
     star, head, lengths = graph.star, graph.dart_head, graph.edge_ticks()
+    width = env.alphabet_width
     factor, q = scale // unit, scale // signal._scale
     # a rest in the position of the rest before it, or a move that continues
     # the move before it along its dart, extends that leg
@@ -366,7 +345,7 @@ def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphSta
     for symbol, remaining in zip(signal._symbols, signal._ticks):
         remaining *= q
         while remaining > 0:
-            if symbol == HALT or d < 0 and symbol >= len(star[~d]):
+            if symbol == HALT or d < 0 and (symbol >= width or symbol >= len(star[~d])):
                 prev = legs[-1] if legs else None
                 if prev and not prev[4] and prev[2] == d and prev[3] == off:
                     prev[1] = t + remaining
@@ -518,12 +497,13 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
     """Sensor readout along a trajectory on env's graph, read off its legs
     in ticks."""
     graph, table = env.graph, env._readings
+    at, vertex, interior, dart_marks = table.at, table.vertex, table.interior, table.marks
     scale, legs, (d0, off0) = traj._scale, traj._ticks, traj._start_at
     # The grid must also hold the beam marks on every dart the robot is on.
     darts = {leg[2] for leg in legs if leg[2] >= 0}
     if d0 >= 0:
         darts.add(d0)
-    fine = lcm(scale, *[marks[0] for marks in map(table.marks_along, darts) if marks])
+    fine = lcm(scale, *[dart_marks[d][0] for d in darts if dart_marks[d]])
     if fine != scale:
         q = fine // scale
         legs = [(t0 * q, t1 * q, d, off * q, moving) for t0, t1, d, off, moving in legs]
@@ -531,16 +511,15 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
         scale = fine
     lengths, factor = graph.edge_ticks(), scale // graph.tick_denominator()
     head = graph.dart_head
-    at, inside, marks_along = table.at, table.inside, table.marks_along
 
     end = 0
     instants = {0: at(d0, off0, scale)}
     merged = []
     for t0, end, d, off, moving in legs:
         if moving:
-            v = inside(d >> 1)
+            v = interior[d >> 1]
             off_hi = off + (end - t0)
-            marks = marks_along(d)
+            marks = dart_marks[d]
             if marks:
                 den, along = marks
                 k = scale // den
@@ -549,7 +528,7 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
                     if off < pos < off_hi:
                         instants[t0 + (pos - off)] = label
             if off_hi == lengths[d >> 1] * factor:
-                instants[end] = table.at_vertex(head[d])
+                instants[end] = vertex[head[d]]
             else:
                 instants[end] = at(d, off_hi, scale)
         else:

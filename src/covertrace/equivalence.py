@@ -10,15 +10,17 @@ DiscreteStateSpace: per state its sensor value (`values`), and per action
 the successor's position (`succ`) and the id of the readout chunk
 (`chunks`) in the space's `chunk_table` of distinct chunks.  Both are read
 off the graph's integer tables (vertex positions and dart ids) and the
-sensor protocol instead of simulated, and a chunk is built only the first
-time its Fraction-free key (readings and integer mark positions) is met.
+environment's one reading table, which the environment fills from its
+sensor once and its traces read too, instead of simulated; a chunk is built
+only the first time its key of table entries is met.
 compute_bisimulation then maps the two chunk tables to common ids by value,
 so equal chunks from different keys (a rest and a traversal that read
 alike) are one chunk.
 verify_bisimulation re-checks a relation by replaying every move through the
-simulation (trajectory and trace_of_trajectory), deliberately not through
-those tables, so that the certificate check shares no code with the table
-that decided.  Simulated unit moves are memoized in one place, _unit_moves,
+simulation (trajectory and trace_of_trajectory) instead of reading the
+state-space tables; the simulation's traces read the same reading table as
+the decider, so tests hold that table against the sensor protocol on its
+own.  Simulated unit moves are memoized in one place, _unit_moves,
 which both verify_bisimulation and check_equiv_sampled use.  The two
 environments of one check share a table of the distinct unit traces, so
 check_equiv_sampled tells two moves apart by the identity of their traces
@@ -237,15 +239,6 @@ def _require_unit_lengths(env: Environment) -> None:
         )
 
 
-def _along(marks, backward: int) -> tuple:
-    """Beam marks on a unit edge as (numerator, denominator, label) of their
-    position along one of its darts: against the stored orientation a mark
-    at p lies at 1 - p, which is in lowest terms when p is."""
-    if backward:
-        return tuple((q.denominator - q.numerator, q.denominator, label) for q, label in marks)
-    return tuple((q.numerator, q.denominator, label) for q, label in marks)
-
-
 class DiscreteStateSpace:
     """Unit-time behaviour of a unit-length environment, as one table.
 
@@ -262,23 +255,24 @@ class DiscreteStateSpace:
 
     On unit-length edges a unit action either rests at its vertex or
     traverses one dart from end to end, so each move is read off the graph's
-    id tables and the sensor protocol instead of being simulated.  The
-    breadth-first pass runs over vertex positions: port k < width of vertex
-    v is dart d = star[v][k], with successor dart_head[d], edge d >> 1 and
-    stored orientation when d & 1 is 0; ports from the degree up to the
-    width, and HALT, rest.  A chunk is looked up by a key without Fractions:
-    (reading,) for a rest, (reading, interior reading) for a traversal of an
-    edge without marks, and (reading, interior reading, marks) for one with
-    marks, each mark as the numerator, denominator and label of its
-    position along the dart.  Only a new key builds its chunk, which is then
-    numbered by value, so keys that read alike (a rest, and a traversal on
-    which nothing changes) share one id.  The chunks equal those the
-    simulation gives, and a property test holds the two together.
+    id tables and the environment's reading table instead of being
+    simulated; that table is the one its traces read.  The breadth-first
+    pass runs over vertex positions: port k < width of vertex v is dart
+    d = star[v][k], with successor dart_head[d] and edge d >> 1; ports from
+    the degree up to the width, and HALT, rest.  A chunk is looked up by a
+    key of table entries, with no Fraction in it: (vertex[v],) for a rest
+    and (vertex[v], interior[d >> 1], marks[d]) for a traversal of dart d,
+    whose marks the table lists along d.  Only a new key builds its chunk,
+    which is then numbered by value, so keys that read alike (a rest, and a
+    traversal on which nothing changes) share one id.  The chunks equal
+    those the simulation gives and those the Fraction oracle reads off the
+    sensor protocol, and a property test holds the three together.
     """
 
     def __init__(self, env: Environment):
         _require_unit_lengths(env)
-        graph, sensor = env.graph, env.sensor
+        graph, table = env.graph, env._readings
+        vertex, interior, marks = table.vertex, table.interior, table.marks
         self.actions = tuple(env.actions())
         width = len(self.actions) - 1  # ports 0..width-1, then HALT
         vertices, star, head = graph.vertices, graph.star, graph.dart_head
@@ -301,11 +295,12 @@ class DiscreteStateSpace:
             if len(key) == 1:
                 chunk = (((_ZERO, _ONE, key[0]),), ())
             else:
-                here, inside = key[0], key[1]
+                here, inside, along = key
                 events = [(_ZERO, here)] if here != inside else []
-                if len(key) == 3:
+                if along:
+                    den, along = along
                     events += sorted(
-                        (Fraction(n, q), label) for n, q, label in key[2] if label != inside
+                        (Fraction(pos, den), label) for pos, label in along if label != inside
                     )
                 chunk = (((_ZERO, _ONE, inside),), tuple(events))
             c = numbered.get(chunk)
@@ -317,14 +312,11 @@ class DiscreteStateSpace:
 
         # The loop visits the states appended while it runs: a FIFO queue.
         for i, v in enumerate(order):
-            here = sensor.value(graph, VertexState(vertices[v]))
+            here = vertex[v]
             succ, chunks = [], []
             darts = star[v][:width]
             for d in darts:
-                e = d >> 1
-                inside = sensor.interior_value(graph, e)
-                marks = sensor.marks_on(e)
-                key = (here, inside, _along(marks, d & 1)) if marks else (here, inside)
+                key = (here, interior[d >> 1], marks[d])
                 c = known.get(key)
                 chunks.append(number(key) if c is None else c)
                 w = head[d]
@@ -498,8 +490,13 @@ def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
     readout chunks agree, and every action keeps pairs inside the relation.
 
     Each move is replayed through the simulation (`trajectory` and
-    `trace_of_trajectory`), once per (vertex, action) of each side, so the
-    check shares no code with the table that compute_bisimulation refines."""
+    `trace_of_trajectory`), once per (vertex, action) of each side, not read
+    off the DiscreteStateSpace that compute_bisimulation refines.  The
+    replayed traces read the environment's reading table, which the decider
+    reads too; test_readings_match_sensor_value and
+    test_trace_matches_fraction_oracle in tests/test_ticks.py, and
+    TestDiscreteStateSpace.test_table_matches_simulation in
+    tests/test_equivalence.py, hold that table against `sensor.value`."""
     _require_shared_interface(e1, e2)
     for env in (e1, e2):
         _require_unit_lengths(env)

@@ -176,39 +176,38 @@ class ControlSignal:
 
     @classmethod
     def from_json(cls, data) -> "ControlSignal":
+        """The signal a list of [symbol, num, den] triples spells, read in
+        one pass with the checks of `from_wire` and the constructor: a bad
+        entry or wire pair is refused at once, in document order; the first
+        bad symbol or negative duration, in entry order and the symbol
+        before the sign, is refused after every pair has been read."""
         if not isinstance(data, list):
             raise ValidationError("signal JSON must be a list of [symbol, num, den] triples")
         symbols, nums, dens = [], [], []
+        refused = None
         for entry in data:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ValidationError(f"bad signal JSON entry: {entry!r}")
             symbol, num, den = entry
-            if type(num) is not int or type(den) is not int or num < 0 or den <= 0:
-                return cls._from_wire(data)
+            if type(num) is not int or type(den) is not int or den <= 0:
+                value = from_wire([num, den])
+                num, den = value.numerator, value.denominator
             if type(symbol) is not int or symbol < 0:
-                if symbol != HALT:
-                    return cls._from_wire(data)
-                symbol = HALT
-            if num:
+                try:
+                    symbol = check_symbol(symbol)
+                except ValidationError as exc:
+                    refused = refused or exc
+                    continue
+            if num < 0:
+                refused = refused or ValidationError(f"negative duration: {Fraction(num, den)}")
+            elif num:
                 symbols.append(symbol)
                 nums.append(num)
                 dens.append(den)
+        if refused:
+            raise refused
         scale = lcm(*dens)
         return cls._from_ticks(scale, symbols, [n * (scale // d) for n, d in zip(nums, dens)])
-
-    @classmethod
-    def _from_wire(cls, data: list) -> "ControlSignal":
-        """from_json through a Fraction per piece and the checking
-        constructor, for documents the integer path does not take as they
-        are (a negative denominator, or an entry to refuse), so every
-        document gets the same value or the same error."""
-        pieces = []
-        for entry in data:
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ValidationError(f"bad signal JSON entry: {entry!r}")
-            symbol, num, den = entry
-            pieces.append((symbol, from_wire([num, den])))
-        return cls(pieces)
 
 
 def _canonical(scale: int, symbols, ticks) -> tuple:

@@ -26,7 +26,7 @@ from covertrace import (
     trace_of,
 )
 from covertrace.environments import Leg
-from covertrace.rationals import as_fraction
+from covertrace.rationals import as_fraction, from_wire
 from covertrace.signals import check_symbol
 from covertrace.equivalence import DiscreteStateSpace
 
@@ -281,6 +281,21 @@ def wire_signals(draw, width: int = 3, max_pieces: int = 8):
     return document
 
 
+def naive_from_json(data) -> ControlSignal:
+    """ControlSignal.from_json in two stages: every entry's shape and its
+    [num, den] pair read by from_wire, in document order, and then the
+    checking constructor on the Fraction pieces."""
+    if not isinstance(data, list):
+        raise ValidationError("signal JSON must be a list of [symbol, num, den] triples")
+    pieces = []
+    for entry in data:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ValidationError(f"bad signal JSON entry: {entry!r}")
+        symbol, num, den = entry
+        pieces.append((symbol, from_wire([num, den])))
+    return ControlSignal(pieces)
+
+
 def wire_pieces(document) -> tuple:
     """The (symbol, Fraction) pairs a signal document spells."""
     return tuple((symbol, Fraction(num, den)) for symbol, num, den in document)
@@ -316,7 +331,8 @@ def naive_trajectory(env: Environment, signal: ControlSignal, start=None) -> Tra
 def naive_legs(env: Environment, signal: ControlSignal, start=None) -> tuple:
     """(start state, legs): the robot's motion simulated step by step on
     Fractions, every step through PortedGraph.state_on, then merged into
-    maximal legs."""
+    maximal legs.  At a vertex, port k enters a dart when k is below both
+    the degree and the alphabet width, and waits otherwise."""
     graph = env.graph
     start = env.initial_state if start is None else graph.check_state(start)
     legs = []
@@ -332,7 +348,7 @@ def naive_legs(env: Environment, signal: ControlSignal, start=None) -> tuple:
         while remaining > 0:
             if isinstance(cur, VertexState):
                 v = cur.vertex
-                if k < graph.degree(v):
+                if k < min(graph.degree(v), env.alphabet_width):
                     d = Dart(v, k)
                     step = min(remaining, graph.length(d))
                     cur = graph.state_on(d, step)

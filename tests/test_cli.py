@@ -95,6 +95,19 @@ class TestSignalCommands:
             {"time": [1, 1], "value": BLANK},
         ]
 
+    def test_trace_waits_on_a_port_past_the_width(self, capsys, tmp_path, gallery_dir):
+        """circle_a at alphabet width 1: port 1 exists at x0 but is not an
+        action, so the robot rests at x0 and reads its degree throughout."""
+        env = json.loads((gallery_dir / "circle_a.json").read_text())
+        env["alphabet_width"] = 1
+        sig = write_json(tmp_path / "sig.json", [[1, 3, 2]])
+        code, out, _ = run(capsys, ["trace", write_json(tmp_path / "env.json", env), sig])
+        assert code == 0
+        assert out == (
+            '{"duration": [3, 2], "events": [{"time": [3, 2], "value": 2}], '
+            '"segments": [{"from": [0, 1], "to": [3, 2], "value": 2}]}\n'
+        )
+
     def test_metric_frozen(self, capsys, tmp_path):
         a = write_json(tmp_path / "a.json", [[0, 2, 1]])
         b = write_json(tmp_path / "b.json", [[1, 4, 1]])

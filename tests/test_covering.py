@@ -354,13 +354,15 @@ class TestLiftStatePath:
         pairs = [
             (identity_map(three_cycle()), three_cycle_env(), three_cycle_env()),
             (doubling_map(), six_cycle_env(), three_cycle_env()),
+            # port 1 is no action downstairs, so it must not move the lift
+            (doubling_map(), six_cycle_env(), three_cycle_env(width=1)),
         ]
         fig8 = figure_eight_env()
         cover, proj = cyclic_cover(fig8, 2, (1, 0))
         pairs.append((proj, cover, fig8))
         for _ in range(200):
             f, src, dst = rng.choice(pairs)
-            u = random_signal(rng, dst.alphabet_width, max_pieces=4)
+            u = random_signal(rng, dst.alphabet_width + 1, max_pieces=4)
             lifted = lift_state_path(f, src, dst, u)
             base = trajectory(dst, u)
             assert lifted.duration == base.duration

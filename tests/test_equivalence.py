@@ -51,6 +51,8 @@ from helpers import (
     marked_cycle_env,
     naive_bisimulation,
     naive_discrete_search,
+    naive_legs,
+    naive_trace,
     path_middle_env,
     three_cycle,
     three_cycle_env,
@@ -304,6 +306,8 @@ class TestDiscreteStateSpace:
         """Every row of env's table equals the simulated unit moves (apply
         and trace_of): successor, segments and the events but the final
         instant, with exact Fraction times; and each value is the sensor's.
+        Both read the environment's reading table, so each chunk is also
+        held against naive_trace, which reads the sensor protocol itself.
         Counts what the moves met into seen."""
         graph, sensor = env.graph, env.sensor
         space = DiscreteStateSpace(env)
@@ -323,6 +327,8 @@ class TestDiscreteStateSpace:
                 tr = trace_of(env, u, VertexState(v))
                 chunk = space.chunk_table[space.chunks[i][k]]
                 assert chunk == (tr.segments, tr.events[:-1])
+                oracle = naive_trace(env, *naive_legs(env, u, VertexState(v)))
+                assert chunk == (oracle.segments, oracle.events[:-1])
                 segments, events = chunk
                 times = [t for t, _, _ in segments] + [t for _, t, _ in segments]
                 times += [t for t, _ in events]

@@ -14,7 +14,18 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertrace import BeamMark, BeamSensor, Environment, PortedGraph, build_edges, cli
+from covertrace import (
+    BeamMark,
+    BeamSensor,
+    ControlSignal,
+    Environment,
+    PortedGraph,
+    ValidationError,
+    build_edges,
+    cli,
+)
+
+from helpers import naive_from_json
 
 # One vertex with a loop of length 2**200 and a beam mark on it: ports 0 and
 # 1 run the loop either way and higher ports wait, so a signal of any
@@ -92,6 +103,22 @@ def test_arbitrary_signal_documents_exit_cleanly(first, second, at):
             ["geodesic", a, b, "--at", at],
         ):
             assert_clean(*run(argv))
+
+
+def read(reader, document):
+    try:
+        return reader(document)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_from_json_matches_the_two_stage_oracle(document):
+    """One pass gives the signal, or the refusal message, of reading each
+    entry's pair with from_wire and then checking the pieces."""
+    got, expected = read(ControlSignal.from_json, document), read(naive_from_json, document)
+    assert type(got) is type(expected) and got == expected
 
 
 def test_integer_past_the_digit_limit_exits_2():

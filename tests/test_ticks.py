@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covertrace import (
@@ -155,6 +155,24 @@ def test_trace_matches_fraction_oracle(env, data):
     assert_fraction_trace(trace)
     # the same trace from a Trajectory built from Legs
     assert trace_of_trajectory(env, naive_trajectory(env, u, start)) == trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(environments(), st.data())
+def test_ports_past_the_width_match_fraction_oracle(env, data):
+    """With an alphabet narrower than the maximum degree, a port at or past
+    the width waits at a vertex as a missing port does, and keeps moving
+    inside an edge: the trajectory and its trace match the oracles."""
+    top = env.graph.max_degree()
+    assume(top > 1)
+    env = Environment(env.graph, env.initial, env.sensor, data.draw(st.integers(1, top - 1)))
+    start = data.draw(starts(env.graph))
+    u = data.draw(signals(top))
+    traj = trajectory(env, u, start)
+    first, legs = naive_legs(env, u, start)
+    assert traj.legs == tuple(legs)
+    assert traj.final == (legs[-1].end if legs else first)
+    assert trace_of_trajectory(env, traj) == naive_trace(env, first, legs)
 
 
 @settings(max_examples=150, deadline=None)
