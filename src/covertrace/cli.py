@@ -6,8 +6,11 @@ short human-readable summaries go to standard error.  Exit codes: 0 success or
 verdict "related", 1 verdict "distinguished" (or a failed covering check),
 2 malformed input, 3 precondition violation.
 
-Each call builds the parser of the invoked command only (every command when
-the first argument names none, so help and errors read the same).
+A process builds the parser of each command it runs once, the first time
+`main` needs it, and reuses it on later calls (every command in one parser
+when the first argument names none, so help and errors read the same).  A
+kept parser holds nothing read from a command line, help is formatted when it
+is printed, and the handler is looked up by name on every call.
 """
 from __future__ import annotations
 
@@ -249,7 +252,8 @@ def cmd_gallery(args) -> int:
 
 
 def _args(p, *positionals, **defaults) -> argparse.ArgumentParser:
-    """Add the positionals to p and set its defaults (func: the handler)."""
+    """Add the positionals to p and set its defaults (handler: the name of
+    the cmd_* function that runs the command)."""
     for name in positionals:
         p.add_argument(name)
     p.set_defaults(**defaults)
@@ -257,14 +261,14 @@ def _args(p, *positionals, **defaults) -> argparse.ArgumentParser:
 
 
 def _check_cover(p) -> None:
-    _args(p, "map", "source", "target", func=cmd_check_cover)
+    _args(p, "map", "source", "target", handler="cmd_check_cover")
     p.add_argument("--skip-star", action="append", default=[], metavar="VERTEX",
                    help="skip the star condition at this source vertex (truncated covers); "
                    "an integer vertex is named by its digits")
 
 
 def _gen_cyclic(p) -> None:
-    _args(p, "environment", func=cmd_gen_cyclic)
+    _args(p, "environment", handler="cmd_gen_cyclic")
     p.add_argument("k", type=int)
     p.add_argument("--voltages", help="comma-separated, one per edge, e.g. 0,0,1")
     p.add_argument("--seed", type=int, default=0)
@@ -273,7 +277,7 @@ def _gen_cyclic(p) -> None:
 def _sampled(max_len, n_random, found_note, missing_note):
     """equiv and distinguish: one handler, each with its own defaults and notes."""
     def add(p) -> None:
-        _args(p, "first", "second", func=cmd_equiv, found_note=found_note, missing_note=missing_note)
+        _args(p, "first", "second", handler="cmd_equiv", found_note=found_note, missing_note=missing_note)
         p.add_argument("--max-len", type=int, default=max_len)
         p.add_argument("--random", type=int, default=n_random)
         p.add_argument("--seed", type=int, default=0)
@@ -283,35 +287,39 @@ def _sampled(max_len, n_random, found_note, missing_note):
 def _gallery(p) -> None:
     p.add_argument("--out", required=True)
     p.add_argument("--no-dot", action="store_true")
-    p.set_defaults(func=cmd_gallery)
+    p.set_defaults(handler="cmd_gallery")
 
 
 # Every command once, in help order: its name, its help and the function that
-# adds its arguments.  Those functions read the cmd_* globals when they run, so
-# a handler rebound after import (a tracer's wrapper) is the one dispatched.
+# adds its arguments.  A parser names its handler and main looks the name up
+# on every call, so a handler rebound after import (a tracer's wrapper) is the
+# one dispatched, even by a parser built before.
 _COMMANDS = (
     ("trace", "sensor trace of a signal in an environment",
-     lambda p: _args(p, "environment", "signal", func=cmd_trace)),
+     lambda p: _args(p, "environment", "signal", handler="cmd_trace")),
     ("metric", "exact distance between two signals",
-     lambda p: _args(p, "first", "second", func=cmd_metric)),
+     lambda p: _args(p, "first", "second", handler="cmd_metric")),
     ("geodesic", "point on the geodesic between two signals",
-     lambda p: _args(p, "first", "second", func=cmd_geodesic)
+     lambda p: _args(p, "first", "second", handler="cmd_geodesic")
      .add_argument("--at", default="1/2", help="parameter s in [0, 1], e.g. 1/3")),
     ("check-cover", "grade a candidate covering map", _check_cover),
     ("lift", "lift a signal's trajectory through a covering",
-     lambda p: _args(p, "map", "source", "target", "signal", func=cmd_lift)),
+     lambda p: _args(p, "map", "source", "target", "signal", handler="cmd_lift")),
     ("gen-cyclic", "cyclic cover from voltages", _gen_cyclic),
     ("gen-universal", "truncated universal cover",
-     lambda p: _args(p, "environment", func=cmd_gen_universal)
+     lambda p: _args(p, "environment", handler="cmd_gen_universal")
      .add_argument("radius", help="positive rational, e.g. 6 or 13/2")),
     ("equiv", "sampled equivalence check",
      _sampled(8, 200, "distinguished at t = {t}", "no divergence found (sampled check only)")),
     ("bisim", "exact bisimulation on unit-length graphs",
-     lambda p: _args(p, "first", "second", func=cmd_bisim)),
+     lambda p: _args(p, "first", "second", handler="cmd_bisim")),
     ("distinguish", "search for a distinguishing signal",
      _sampled(6, 0, "witness found, divergence at t = {t}", "no witness up to length {max_len}")),
     ("gallery", "write the built-in example pairs", _gallery),
 )
+
+
+_NAMES = tuple(name for name, _, _ in _COMMANDS)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -322,10 +330,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Exact tools for telling apart sensor-driven graph environments.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    names = [name for name, _, _ in _COMMANDS]
-    narrow = command in names
+    narrow = command in _NAMES
     # a metavar also renames "argument command" in errors, which only the full parser prints
-    metavar = {"metavar": "{" + ",".join(names) + "}"} if narrow else {}
+    metavar = {"metavar": "{" + ",".join(_NAMES) + "}"} if narrow else {}
     sub = parser.add_subparsers(dest="command", required=True, **metavar)
     for name, help_text, add_arguments in _COMMANDS:
         if not narrow or name == command:
@@ -333,11 +340,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# The parsers main has built in this process, by command name (None: the full
+# parser), so at most one per command plus one.  They hold no value read from
+# a command line: each call parses into a fresh namespace.
+_PARSERS: dict = {}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    command = argv[0] if argv and argv[0] in _NAMES else None
+    parser = _PARSERS.get(command)
+    if parser is None:
+        parser = _PARSERS[command] = build_parser(command)
+    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except ValidationError as exc:
         _note(f"invalid input: {exc}")
         return 2

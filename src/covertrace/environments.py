@@ -105,11 +105,11 @@ class _Readings:
     """What an environment's sensor reads, on the graph's ids, as three
     lists filled from the sensor protocol in one pass: vertex[v] is the
     reading at vertex position v, interior[e] the reading inside edge e
-    away from its beam marks, and marks[d] the marks met along dart d as
-    (den, ((pos, label), ...)), each pos the mark's distance from the
-    dart's tail in ticks of 1/den, or () on an edge without marks.  Inside
-    an edge a sensor reads the label of the mark at that point, if any, and
-    else its interior reading (see `at`)."""
+    away from its beam marks, and marks[d] the marks met along dart d, in
+    the order met, as (den, ((pos, label), ...)), each pos the mark's
+    distance from the dart's tail in ticks of 1/den, or () on an edge
+    without marks.  Inside an edge a sensor reads the label of the mark at
+    that point, if any, and else its interior reading (see `at`)."""
 
     def __init__(self, graph: PortedGraph, sensor: SensorSpec):
         self.vertex = [sensor.value(graph, VertexState(v)) for v in graph.vertices]
@@ -122,10 +122,11 @@ class _Readings:
                 continue
             length = edge.length
             den = lcm(length.denominator, *[pos.denominator for pos, _ in marks])
-            forward = [(pos.numerator * (den // pos.denominator), label) for pos, label in marks]
+            # marks lie at distinct points, so no label is compared
+            forward = sorted((pos.numerator * (den // pos.denominator), label) for pos, label in marks)
             # against the stored orientation a mark at pos lies at length - pos
             full = length.numerator * (den // length.denominator)
-            backward = [(full - pos, label) for pos, label in forward]
+            backward = [(full - pos, label) for pos, label in reversed(forward)]
             self.marks += [(den, tuple(forward)), (den, tuple(backward))]
 
     def at(self, d: int, off: int, scale: int):

@@ -299,9 +299,7 @@ class DiscreteStateSpace:
                 events = [(_ZERO, here)] if here != inside else []
                 if along:
                     den, along = along
-                    events += sorted(
-                        (Fraction(pos, den), label) for pos, label in along if label != inside
-                    )
+                    events += [(Fraction(pos, den), label) for pos, label in along if label != inside]
                 chunk = (((_ZERO, _ONE, inside),), tuple(events))
             c = numbered.get(chunk)
             if c is None:
@@ -596,23 +594,18 @@ def homomorphism_search(e1: Environment, e2: Environment) -> Optional[GraphMap]:
     candidate = structure_map(g1, g2, e1.initial, e2.initial)
     if candidate is None:
         return None
+    r1, r2 = e1._readings, e2._readings
     for v, fv in candidate.vertex_map.items():
         if min(g1.degree(v), width) != min(g2.degree(fv), width):
             return None
-        if e1.sensor.value(g1, VertexState(v)) != e2.sensor.value(g2, VertexState(fv)):
+        if r1.vertex[g1.vertex_index[v]] != r2.vertex[g2.vertex_index[fv]]:
             return None
-    for idx in range(len(g1.edges)):
-        image = candidate.dart_map[g1.forward_dart(idx)]
-        jdx = g2.edge_of(image)
-        if e1.sensor.interior_value(g1, idx) != e2.sensor.interior_value(g2, jdx):
+    for dart, image in candidate.dart_map.items():
+        d, i = g1.dart_index[dart], g2.dart_index[image]
+        if r1.interior[d >> 1] != r2.interior[i >> 1]:
             return None
-        length = g1.edges[idx].length
-        forward = image == g2.forward_dart(jdx)
-        source_marks = sorted(e1.sensor.marks_on(idx))
-        target_marks = sorted(
-            (q if forward else length - q, label)
-            for q, label in e2.sensor.marks_on(jdx)
-        )
-        if source_marks != target_marks:
+        # the edges have equal lengths, so equal marks have equal tick
+        # denominators and compare as ints
+        if r1.marks[d] != r2.marks[i]:
             return None
     return candidate

@@ -650,8 +650,9 @@ def _parse_cases():
 
 
 class TestDispatch:
-    """main builds only the invoked command's parser; nothing it prints or
-    returns may tell that apart from the full parser."""
+    """main builds only the invoked command's parser, once per process;
+    nothing it prints or returns may tell that apart from the full parser,
+    and nothing one call parses carries over to the next."""
 
     @staticmethod
     def outcome(capsys, parse, argv):
@@ -674,7 +675,10 @@ class TestDispatch:
         assert (code, out) == (2, "")
         assert "covertrace: error: argument command: invalid choice: 'bis'" in err
 
-    def test_builds_two_parsers_for_a_command(self, capsys, monkeypatch, env_file):
+    def test_builds_each_parser_once_per_process(self, capsys, monkeypatch, tmp_path, env_file):
+        """From an empty cache: a command's first call builds the top-level
+        parser and its own subparser, a repeated call builds none, and a
+        first argument naming no command builds the full parser once."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -683,16 +687,78 @@ class TestDispatch:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        code, _, _ = run(capsys, ["bisim", env_file, env_file])
-        assert code == 0
-        assert len(built) == 2
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        sig = write_json(tmp_path / "sig.json", [[0, 1, 1]])
 
-    def test_dispatches_to_the_current_handler(self, monkeypatch):
-        """A handler rebound after import (as a tracer does) is the one called."""
+        def parsers_built(argv, expected_code):
+            before = len(built)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            capsys.readouterr()
+            assert code == expected_code
+            return len(built) - before
+
+        assert parsers_built(["bisim", env_file, env_file], 0) == 2
+        assert parsers_built(["bisim", env_file, env_file], 0) == 0
+        assert parsers_built(["metric", sig, sig], 0) == 2
+        assert parsers_built([], 2) == 1 + len(cli._NAMES)
+        assert parsers_built(["bogus"], 2) == 0
+        assert parsers_built([], 2) == 0
+        assert set(cli._PARSERS) == {None, "bisim", "metric"}
+
+    def test_dispatches_to_the_current_handler(self, monkeypatch, capsys, env_file):
+        """A handler rebound after import (as a tracer does) is the one
+        called, through a parser built before it was rebound, and the
+        original is called again once it is restored."""
+        assert run(capsys, ["bisim", env_file, env_file])[0] == 0
         calls = []
         monkeypatch.setattr(cli, "cmd_bisim", lambda args: calls.append(args) or 7)
         assert cli.main(["bisim", "a.json", "b.json"]) == 7
         assert [(a.first, a.second) for a in calls] == [("a.json", "b.json")]
+        monkeypatch.undo()
+        code, out, _ = run(capsys, ["bisim", env_file, env_file])
+        assert (code, json.loads(out)["verdict"]) == (0, "related")
+        assert len(calls) == 1
+
+    def test_skip_star_does_not_carry_over(self, capsys, tmp_path):
+        """The --skip-star list of one call is not the default of the next."""
+        files = TestCoverCommands.integer_path_on_cycle(tmp_path)
+        code, _, _ = run(capsys, ["check-cover", *files, "--skip-star", "10", "--skip-star", "13"])
+        assert code == 0
+        code, out, _ = run(capsys, ["check-cover", *files])
+        assert code == 1
+        assert json.loads(out)["covering"] is False
+
+    @pytest.mark.parametrize("pair, notes", [
+        ("circle", {"equiv": "no divergence found (sampled check only)",
+                    "distinguish": "no witness up to length 6"}),
+        ("crossing", {"equiv": "distinguished at t = 1",
+                      "distinguish": "witness found, divergence at t = 1"}),
+    ])
+    def test_equiv_and_distinguish_keep_their_notes(self, capsys, gallery_dir, pair, notes):
+        """The two commands share a handler; each call reads its own
+        command's defaults and notes, whichever ran before."""
+        files = [str(gallery_dir / f"{pair}_{side}.json") for side in "ab"]
+        for command in ("equiv", "distinguish", "equiv"):
+            _, _, err = run(capsys, [command, *files])
+            assert err == notes[command] + "\n"
+
+    def test_parse_error_leaves_no_trace(self, capsys, gallery_dir):
+        """A call that argparse refuses, then a valid call: the valid call
+        prints and returns what it does in a fresh process."""
+        files = [str(gallery_dir / f"circle_{side}.json") for side in "ab"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bisim", files[0]])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "covertrace.cli", "bisim", *files],
+            capture_output=True,
+            text=True,
+        )
+        assert run(capsys, ["bisim", *files]) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 class TestDotExport:

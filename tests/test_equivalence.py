@@ -10,6 +10,8 @@ import pytest
 
 from covertrace import (
     HALT,
+    BeamMark,
+    BeamSensor,
     ControlSignal,
     Dart,
     DegreeSensor,
@@ -535,6 +537,24 @@ class TestHomomorphisms:
         for _ in range(50):
             u = random_signal(rng, a.alphabet_width, max_pieces=4)
             assert traces_equal(b, a, u).equal
+
+    @pytest.mark.parametrize("flip, found", [(True, True), (False, False)])
+    def test_marks_meet_against_the_stored_orientation(self, flip, found):
+        """e2 stores the one edge b -> a where e1 stores it a -> b, and e1
+        lists its marks in descending order.  e2's marks match e1's only at
+        length - q."""
+        length = Fraction(2)
+        marks = [(Fraction(1), "blue"), (Fraction(1, 3), "red")]
+
+        def env(edge, marks):
+            graph = PortedGraph(["a", "b"], build_edges([edge]))
+            return Environment(graph, "a", BeamSensor([BeamMark(0, q, label) for q, label in marks]), 2)
+
+        e1 = env(("a", "b", 0, 0, length), marks)
+        e2 = env(("b", "a", 0, 0, length), [(length - q if flip else q, label) for q, label in marks])
+        for source, target in ((e1, e2), (e2, e1)):
+            assert (homomorphism_search(source, target) is not None) == found
+        assert traces_equal(e1, e2, sig((0, 2), (1, 1), (0, 2))).equal == found
 
     def test_random_cyclic_cover_projections_are_found(self):
         rng = random.Random(55)
