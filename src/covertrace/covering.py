@@ -12,11 +12,12 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .environments import Environment, Trajectory, trajectory
 from .errors import PreconditionError, ValidationError
-from .graphs import Dart, Edge, GraphState, PortedGraph, VertexState, check_port, check_vertex_name
+from .graphs import Dart, GraphState, PortedGraph, VertexState, check_port, check_vertex_name
 from .rationals import as_fraction
 from .sensors import SensorSpec
 from .signals import ControlSignal
@@ -53,11 +54,20 @@ class GraphMap:
         return target.state_on(self.dart(state.dart), state.offset)
 
     def to_json(self) -> dict:
-        vertex_items = sorted(self.vertex_map.items(), key=lambda kv: str(kv[0]))
-        dart_items = sorted(self.dart_map.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
+        # sorted by printed vertex name, then port; a string prints as
+        # itself, so when every name is a string the keys sort as they are
+        key = itemgetter(0)
+        if set(map(type, self.vertex_map)) <= {str}:
+            vertex_items = sorted(self.vertex_map.items(), key=key)
+        else:
+            vertex_items = sorted(self.vertex_map.items(), key=lambda kv: str(kv[0]))
+        if set(map(type, map(key, self.dart_map))) <= {str}:
+            dart_items = sorted(self.dart_map.items(), key=key)
+        else:
+            dart_items = sorted(self.dart_map.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
         return {
             "vertex_map": [[src, dst] for src, dst in vertex_items],
-            "dart_map": [[list(d), list(e)] for d, e in dart_items],
+            "dart_map": [[[v, p], [w, q]] for (v, p), (w, q) in dart_items],
         }
 
     @classmethod
@@ -71,26 +81,36 @@ class GraphMap:
             vpairs = raw_v.items() if isinstance(raw_v, dict) else raw_v
             vitems = {}
             for s, d in vpairs:
-                s = check_vertex_name(s)
+                if type(s) is not str and type(s) is not int:
+                    check_vertex_name(s)
                 if s in vitems:
                     raise ValidationError(f"vertex {s!r} is mapped twice")
-                vitems[s] = check_vertex_name(d)
+                if type(d) is not str and type(d) is not int:
+                    check_vertex_name(d)
+                vitems[s] = d
             if "dart_map" not in data:
                 return cls.from_vertex_map(source, vitems)
+            # each dart is a (vertex, port) pair, with the checks of
+            # check_vertex_name and check_port
             ditems = {}
             for d, e in data["dart_map"]:
-                d = _dart_from_json(d)
+                vertex, port = d
+                if type(vertex) is not str and type(vertex) is not int:
+                    check_vertex_name(vertex)
+                if type(port) is not int:
+                    check_port(port)
+                d = (vertex, port)
                 if d in ditems:
                     raise ValidationError(f"dart {Dart._make(d)!r} is mapped twice")
-                ditems[d] = _dart_from_json(e)
+                vertex, port = e
+                if type(vertex) is not str and type(vertex) is not int:
+                    check_vertex_name(vertex)
+                if type(port) is not int:
+                    check_port(port)
+                ditems[d] = (vertex, port)
             return cls(vitems, ditems)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad graph map JSON: {exc!r}") from exc
-
-
-def _dart_from_json(raw) -> tuple:
-    vertex, port = raw
-    return (check_vertex_name(vertex), check_port(port))
 
 
 @dataclass(frozen=True)
@@ -140,12 +160,23 @@ def _check_structure(f: GraphMap, source: PortedGraph, target: PortedGraph) -> t
             raise ValidationError(f"vertex {v!r} maps outside the target")
         vimg.append(w)
     keys = source.dart_keys
-    for d in keys:
-        if d not in dmap:
-            raise ValidationError(f"dart {Dart._make(d)!r} unmapped")
-    images = [dmap[d] for d in keys]
+    images = list(map(dmap.get, keys))
+    if None in images:
+        for d in keys:
+            if d not in dmap:
+                raise ValidationError(f"dart {Dart._make(d)!r} unmapped")
     dimg = list(map(target.dart_index.get, images))
     head, target_head = source.dart_head, target.dart_head
+    # Every image a dart, reversal kept and every head mapped to the image
+    # of the head: then every tail is too (the tail of s is the head of
+    # s ^ 1), so the dart-by-dart loop below, which names the first dart
+    # that fails, has nothing to find.
+    if (
+        None not in dimg
+        and [t ^ 1 for t in dimg[::2]] == dimg[1::2]
+        and [vimg[v] for v in head] == [target_head[t] for t in dimg]
+    ):
+        return vimg, dimg
     for s, t in enumerate(dimg):
         if t is None:
             raise ValidationError(
@@ -187,25 +218,41 @@ def verify_covering(
         failures.append("not surjective")
 
     # with the tails checked, the star at v is a port-preserving bijection
-    # exactly when its images, in port order, are the star at the image
+    # exactly when its images, in port order, are the star at the image.
+    # That holds at every vertex exactly when every dart keeps its port and
+    # every vertex its degree, which whole-list comparisons read; the loop
+    # over the vertices runs only to name the stars that fail.
     local_bijection = True
     target_star = tg.star
-    for v, w, row in zip(sg.vertices, vimg, sg.star):
-        if v in skip:
-            continue
-        if [dimg[d] for d in row] != target_star[w]:
-            local_bijection = False
-            failures.append(f"star at {v!r} is not a port-preserving bijection")
+    if not (
+        not skip
+        and [len(row) for row in sg.star] == [len(target_star[w]) for w in vimg]
+        and [key[1] for key in sg.dart_keys] == [tg.dart_keys[t][1] for t in dimg]
+    ):
+        for v, w, row in zip(sg.vertices, vimg, sg.star):
+            if v in skip:
+                continue
+            if [dimg[d] for d in row] != target_star[w]:
+                local_bijection = False
+                failures.append(f"star at {v!r} is not a port-preserving bijection")
 
     # a dart and its reverse lie on one edge and so do their images, so the
-    # forward darts 2e decide
+    # forward darts 2e decide; lengths are in lowest terms, so they are
+    # equal exactly when their numerators and denominators are.  The copies
+    # of a base edge are numbered together and share length objects, so the
+    # last pair found equal is kept and not compared again.
     lengths_preserved = True
-    target_edges = tg.edges
-    for e, (edge, t) in enumerate(zip(sg.edges, dimg[::2])):
-        if edge.length != target_edges[t >> 1].length:
+    target_lengths = tg.lengths
+    equal = (None, None)
+    for e, (length, t) in enumerate(zip(sg.lengths, dimg[::2])):
+        image = target_lengths[t >> 1]
+        if length is image or (length is equal[0] and image is equal[1]):
+            continue
+        if length.numerator != image.numerator or length.denominator != image.denominator:
             lengths_preserved = False
             failures.append(f"dart {Dart._make(sg.dart_keys[2 * e])!r} changes length")
             break
+        equal = (length, image)
 
     base_point = vmap.get(source.initial) == target.initial
     if not base_point:
@@ -230,9 +277,9 @@ def pullback_sensor(
     Beam marks reappear once on every preimage edge."""
     target_index, dmap = target_graph.dart_index, f.dart_map
     edge_image = []
-    for key, e in zip(source_graph.dart_keys[::2], source_graph.edges):
+    for key, length in zip(source_graph.dart_keys[::2], source_graph.lengths):
         t = target_index[dmap[key]]
-        edge_image.append((t >> 1, not t & 1, e.length))
+        edge_image.append((t >> 1, not t & 1, length))
     return sensor.pullback({v: f.vertex_map[v] for v in source_graph.vertices}, edge_image)
 
 
@@ -269,7 +316,7 @@ def _normalize_voltages(env: Environment, k: int, voltages) -> list:
     graph = env.graph
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValidationError(f"cover order must be a positive integer, got {k!r}")
-    per_edge = [None] * len(graph.edges)
+    per_edge = [None] * len(graph.lengths)
     if isinstance(voltages, Mapping):
         for d, value in voltages.items():
             d = Dart(*d)
@@ -287,9 +334,9 @@ def _normalize_voltages(env: Environment, k: int, voltages) -> list:
             raise ValidationError(f"edges without a voltage: {missing}")
     else:
         values = list(voltages)
-        if len(values) != len(graph.edges):
+        if len(values) != len(graph.lengths):
             raise ValidationError(
-                f"{len(values)} voltages for {len(graph.edges)} edges"
+                f"{len(values)} voltages for {len(graph.lengths)} edges"
             )
         per_edge = [v % k for v in values]
     return per_edge
@@ -331,7 +378,7 @@ def cyclic_cover(env: Environment, k: int, voltages):
     # v*m + m - 1, and each base edge e has m copies, edges e*m .. e*m + m - 1,
     # ordered like the copies of its stored tail.
     m = len(nodes) // len(base_vertices)
-    cover_head = [0] * (2 * m * len(graph.edges))
+    cover_head = [0] * (2 * m * len(graph.lengths))
     cover_star = []
     for p, node in enumerate(nodes):
         v, i = divmod(node, k)
@@ -343,20 +390,21 @@ def cyclic_cover(env: Environment, k: int, voltages):
             row.append(c)
         cover_star.append(row)
 
-    edges, dart_keys, images = [], [], []
-    for e, base_edge in enumerate(graph.edges):
-        pt, ph, length = base_edge.port_at_tail, base_edge.port_at_head, base_edge.length
+    # copy c of base edge e keeps its ports and shares its length
+    dart_keys, images = [], []
+    for e in range(len(graph.lengths)):
+        forward, backward = base_keys[2 * e], base_keys[2 * e + 1]
+        pt, ph = forward[1], backward[1]
         for c in range(2 * e * m, 2 * (e + 1) * m, 2):
-            tail, to = names[cover_head[c + 1]], names[cover_head[c]]
-            edges.append(Edge(tail, to, pt, ph, length))
-            dart_keys += ((tail, pt), (to, ph))
-            images += (base_keys[2 * e], base_keys[2 * e + 1])
+            dart_keys += ((names[cover_head[c + 1]], pt), (names[cover_head[c]], ph))
+            images += (forward, backward)
+    lengths = [length for length in graph.lengths for _ in range(m)]
 
-    cover_graph = PortedGraph._derived(names, edges, dart_keys, cover_head, cover_star)
+    cover_graph = PortedGraph._derived(names, lengths, dart_keys, cover_head, cover_star)
     vertex_map = dict(zip(names, [base_vertices[node // k] for node in nodes]))
     projection = GraphMap(vertex_map, dict(zip(dart_keys, images)))
     sensor = pullback_sensor(projection, cover_graph, graph, env.sensor)
-    cover = Environment(cover_graph, names[position[start]], sensor, env.alphabet_width)
+    cover = Environment._derived(cover_graph, names[position[start]], sensor, env.alphabet_width)
     return cover, projection
 
 
@@ -387,18 +435,18 @@ def universal_cover_truncation(env: Environment, radius):
     if radius <= 0:
         raise PreconditionError(f"radius must be positive, got {radius}")
     graph = env.graph
-    head, star, base_keys = graph.dart_head, graph.star, graph.dart_keys
+    head, star, base_keys, base_lengths = graph.dart_head, graph.star, graph.dart_keys, graph.lengths
     # walk lengths in ticks of 1/scale
     scale = lcm(radius.denominator, graph.tick_denominator())
     limit = radius.numerator * (scale // radius.denominator)
-    ticks = [e.length.numerator * (scale // e.length.denominator) for e in graph.edges]
+    ticks = [x.numerator * (scale // x.denominator) for x in base_lengths]
 
     # per tree node: its name, its base vertex position and its darts in
     # port order; tree edge c has darts 2c (parent to child) and 2c + 1
     names = ["t0"]
     base_of = [graph.vertex_index[env.initial]]
     cover_star = [None]
-    edges, dart_keys, images, cover_head = [], [], [], []
+    lengths, dart_keys, images, cover_head = [], [], [], []
     boundary = set()
     # (tree node, walk length, base dart and tree dart from the node back to
     # its parent)
@@ -414,7 +462,7 @@ def universal_cover_truncation(env: Environment, radius):
             names.append(f"t{child}")
             base_of.append(head[d])
             child_dist = dist + ticks[d >> 1]
-            c = 2 * len(edges)
+            c = 2 * len(lengths)
             if child_dist < limit:
                 queue.append((child, child_dist, d ^ 1, c + 1))
                 child_port = base_keys[d ^ 1][1]
@@ -426,18 +474,18 @@ def universal_cover_truncation(env: Environment, radius):
                 cover_star.append([c + 1])
                 if len(star[head[d]]) > 1:
                     boundary.add(names[child])
-            edges.append(Edge(names[node], names[child], port, child_port, graph.edges[d >> 1].length))
+            lengths.append(base_lengths[d >> 1])
             dart_keys += ((names[node], port), (names[child], child_port))
             images += (base_keys[d], base_keys[d ^ 1])
             cover_head += (child, node)
             row.append(c)
         cover_star[node] = row
 
-    cover_graph = PortedGraph._derived(names, edges, dart_keys, cover_head, cover_star)
+    cover_graph = PortedGraph._derived(names, lengths, dart_keys, cover_head, cover_star)
     vertex_map = dict(zip(names, [graph.vertices[b] for b in base_of]))
     projection = GraphMap(vertex_map, dict(zip(dart_keys, images)))
     sensor = pullback_sensor(projection, cover_graph, graph, env.sensor)
-    cover = Environment(cover_graph, "t0", sensor, env.alphabet_width)
+    cover = Environment._derived(cover_graph, "t0", sensor, env.alphabet_width)
     return cover, projection, frozenset(boundary)
 
 
@@ -446,11 +494,12 @@ def relabel_environment(env: Environment, vertex_renaming: Mapping) -> Environme
     With a renaming that is a graph automorphism this realizes the isometry."""
     renaming = dict(vertex_renaming)
     graph = env.graph
-    new_edges = [
-        Edge(renaming[e.tail], renaming[e.head], e.port_at_tail, e.port_at_head, e.length)
-        for e in graph.edges
+    keys = graph.dart_keys
+    rows = [
+        (renaming[tail], renaming[head], port_at_tail, port_at_head, length)
+        for (tail, port_at_tail), (head, port_at_head), length in zip(keys[::2], keys[1::2], graph.lengths)
     ]
-    new_graph = PortedGraph([renaming[v] for v in graph.vertices], new_edges)
+    new_graph = PortedGraph([renaming[v] for v in graph.vertices], rows)
     sensor = env.sensor.rename(renaming)
     return Environment(new_graph, renaming[env.initial], sensor, env.alphabet_width)
 

@@ -29,10 +29,10 @@ def _vertex_label(v) -> str:
 
 
 def _edge_label(graph: PortedGraph, sensor, idx: int) -> str:
-    e = graph.edges[idx]
-    parts = [f"{e.port_at_tail}:{e.port_at_head}"]
-    if e.length != 1:
-        parts.append(f"len {e.length}")
+    length = graph.lengths[idx]
+    parts = [f"{graph.dart_keys[2 * idx][1]}:{graph.dart_keys[2 * idx + 1][1]}"]
+    if length != 1:
+        parts.append(f"len {length}")
     if sensor is not None:
         interior = sensor.interior_value(graph, idx)
         if interior not in (EDGE, BLANK):
@@ -53,9 +53,10 @@ def graph_to_dot(graph: PortedGraph, sensor: SensorSpec = None, initial=None, na
         if v == initial:
             attrs.append("shape=doublecircle")
         lines.append(f"  {node[v]} [{', '.join(attrs)}];")
-    for idx, e in enumerate(graph.edges):
+    for idx in range(len(graph.lengths)):
         label = _edge_label(graph, sensor, idx)
-        lines.append(f"  {node[e.tail]} -- {node[e.head]} [label={_quote(label)}];")
+        tail, head = graph.dart_keys[2 * idx][0], graph.dart_keys[2 * idx + 1][0]
+        lines.append(f"  {node[tail]} -- {node[head]} [label={_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

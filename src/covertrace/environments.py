@@ -68,6 +68,17 @@ class Environment:
         if not isinstance(width, int) or isinstance(width, bool) or not 1 <= width <= sys.maxsize:
             raise ValidationError(f"alphabet_width must be an integer from 1 to {sys.maxsize}, got {width!r}")
 
+    @classmethod
+    def _derived(cls, graph, initial, sensor, alphabet_width) -> "Environment":
+        """An environment a construction (a cover) proves valid, built with
+        no check: its initial vertex is in the graph, its sensor is pulled
+        back along a covering from a validated one, whose marks, labels and
+        readings it repeats on edges of the same lengths, and its width was
+        checked on the environment it covers."""
+        self = cls.__new__(cls)
+        self.__dict__.update(graph=graph, initial=initial, sensor=sensor, alphabet_width=alphabet_width)
+        return self
+
     @property
     def initial_state(self) -> VertexState:
         return VertexState(self.initial)
@@ -113,14 +124,13 @@ class _Readings:
 
     def __init__(self, graph: PortedGraph, sensor: SensorSpec):
         self.vertex = [sensor.value(graph, VertexState(v)) for v in graph.vertices]
-        self.interior = [sensor.interior_value(graph, e) for e in range(len(graph.edges))]
+        self.interior = [sensor.interior_value(graph, e) for e in range(len(graph.lengths))]
         self.marks = []
-        for e, edge in enumerate(graph.edges):
+        for e, length in enumerate(graph.lengths):
             marks = sensor.marks_on(e)
             if not marks:
                 self.marks += [(), ()]
                 continue
-            length = edge.length
             den = lcm(length.denominator, *[pos.denominator for pos, _ in marks])
             # marks lie at distinct points, so no label is compared
             forward = sorted((pos.numerator * (den // pos.denominator), label) for pos, label in marks)
@@ -618,8 +628,8 @@ def _end_distances(graph, desc):
     if desc[0] == "V":
         return [(desc[1], ZERO, ZERO)]
     _, idx, c, m = desc
-    e = graph.edges[idx]
-    return [(e.tail, c, m), (e.head, e.length - c, -m)]
+    keys = graph.dart_keys
+    return [(keys[2 * idx][0], c, m), (keys[2 * idx + 1][0], graph.lengths[idx] - c, -m)]
 
 
 def trajectory_distance(a: Trajectory, b: Trajectory) -> Fraction:

@@ -90,9 +90,12 @@ def traces_equal(e1: Environment, e2: Environment, u: ControlSignal) -> TraceCom
 
 
 def _unit_moves(env: Environment, traces: dict):
-    """A function move(state, action) giving the (final state, sensor trace)
-    of the unit action from state.  Each (state, action) is simulated once,
-    by one trajectory and its trace_of_trajectory, and then remembered.
+    """A function move(position, action) giving the (final position, sensor
+    trace) of the unit action from a position: vertex position v of the
+    graph as the int ~v, as in Trajectory, and a point inside an edge as
+    its EdgeState.  Each (position, action) is simulated once, by one
+    trajectory and its trace_of_trajectory, and then remembered; on a
+    unit-length graph every key is a pair of ints.
 
     traces keeps one copy of each distinct trace, keyed by itself; shared
     by the moves of two environments, it makes two moves read alike exactly
@@ -100,15 +103,20 @@ def _unit_moves(env: Environment, traces: dict):
     compares its canonical ticks, so equal traces meet there whatever scale
     each simulation ran on."""
     unit = {a: ControlSignal([(a, _ONE)]) for a in env.actions()}
+    vertices, index = env.graph.vertices, env.graph.vertex_index
     memo: dict = {}
 
-    def move(state, a):
-        key = (state, a)
+    def move(position, a):
+        key = (position, a)
         found = memo.get(key)
         if found is None:
-            traj = trajectory(env, unit[a], state)
+            start = VertexState(vertices[~position]) if type(position) is int else position
+            traj = trajectory(env, unit[a], start)
             trace = trace_of_trajectory(env, traj)
-            found = memo[key] = traj.final, traces.setdefault(trace, trace)
+            end = traj.final
+            if isinstance(end, VertexState):
+                end = ~index[end.vertex]
+            found = memo[key] = end, traces.setdefault(trace, trace)
         return found
 
     return move
@@ -183,12 +191,15 @@ def check_equiv_sampled(
 
     # Depth-first on an explicit stack of [x1, x2, remaining, next action
     # index] frames, so a horizon past the recursion limit is searched too;
-    # prefix holds the actions taken from the root frame to the top one.
+    # x1 and x2 are positions as _unit_moves keys them, and budget_seen is
+    # keyed by their pairs; prefix holds the actions taken from the root
+    # frame to the top one.
     budget_seen: dict = {}
     traces: dict = {}
     move1, move2 = _unit_moves(e1, traces), _unit_moves(e2, traces)
     prefix: list = []
-    stack = [[e1.initial_state, e2.initial_state, max_len, 0]] if max_len else []
+    start1, start2 = ~e1.graph.vertex_index[e1.initial], ~e2.graph.vertex_index[e2.initial]
+    stack = [[start1, start2, max_len, 0]] if max_len else []
     while stack:
         top = stack[-1]
         x1, x2, remaining, k = top
@@ -509,16 +520,18 @@ def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
     actions = e1.actions()
     traces: dict = {}
     move1, move2 = _unit_moves(e1, traces), _unit_moves(e2, traces)
+    g1, g2 = e1.graph, e2.graph
     for v1, v2 in pairs:
-        x1, x2 = VertexState(v1), VertexState(v2)
-        if e1.sensor.value(e1.graph, x1) != e2.sensor.value(e2.graph, x2):
+        if e1.sensor.value(g1, VertexState(v1)) != e2.sensor.value(g2, VertexState(v2)):
             return False
+        x1, x2 = ~g1.vertex_index[v1], ~g2.vertex_index[v2]
         for a in actions:
+            # unit lengths: a unit move ends at a vertex, position ~w
             w1, tr1 = move1(x1, a)
             w2, tr2 = move2(x2, a)
             if (tr1.segments, tr1.events[:-1]) != (tr2.segments, tr2.events[:-1]):
                 return False
-            if (w1.vertex, w2.vertex) not in pairs:
+            if (g1.vertices[~w1], g2.vertices[~w2]) not in pairs:
                 return False
     return True
 

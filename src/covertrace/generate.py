@@ -101,10 +101,10 @@ def random_ported_graph(
 
 def random_beam_sensor(rng: random.Random, graph: PortedGraph, labels=("red", "green")) -> BeamSensor:
     marks = []
-    for idx, e in enumerate(graph.edges):
+    for idx, length in enumerate(graph.lengths):
         for _ in range(rng.randint(0, 2)):
             den = rng.randint(2, 4)
-            offset = e.length * Fraction(rng.randint(1, den - 1), den)
+            offset = length * Fraction(rng.randint(1, den - 1), den)
             if any(m.edge == idx and m.offset == offset for m in marks):
                 continue
             marks.append(BeamMark(idx, offset, rng.choice(labels)))
@@ -114,7 +114,7 @@ def random_beam_sensor(rng: random.Random, graph: PortedGraph, labels=("red", "g
 def random_label_sensor(rng: random.Random, graph: PortedGraph, labels=(0, 1, 2)) -> LabelSensor:
     return LabelSensor(
         {v: rng.choice(labels) for v in graph.vertices},
-        tuple(rng.choice(labels) for _ in graph.edges),
+        tuple(rng.choice(labels) for _ in graph.lengths),
     )
 
 
@@ -151,15 +151,14 @@ def random_unit_environment(
 def random_state(rng: random.Random, graph: PortedGraph):
     """Random point: a vertex, or a strictly interior edge point with a
     rational offset."""
-    if not graph.edges or rng.random() < 0.4:
+    if not graph.lengths or rng.random() < 0.4:
         return VertexState(rng.choice(graph.vertices))
-    idx = rng.randrange(len(graph.edges))
-    e = graph.edges[idx]
+    idx = rng.randrange(len(graph.lengths))
     den = rng.randint(2, 6)
-    offset = e.length * Fraction(rng.randint(1, den - 1), den)
+    offset = graph.lengths[idx] * Fraction(rng.randint(1, den - 1), den)
     return graph.state_on(graph.forward_dart(idx), offset)
 
 
 def random_voltages(rng: random.Random, graph: PortedGraph, k: int) -> list:
     """One voltage per stored edge orientation, for cyclic covers of order k."""
-    return [rng.randrange(k) for _ in graph.edges]
+    return [rng.randrange(k) for _ in graph.lengths]

@@ -12,23 +12,32 @@ stored orientation and 2e+1 its reverse, so a dart's edge is id >> 1, its
 reverse is id ^ 1 and it is stored-forward when id & 1 == 0.  The tables
 are `vertex_index` (name -> i), `dart_keys` (id -> (vertex, port) tuple),
 `dart_index` (its inverse, in which a Dart looks up as the tuple it is),
-`dart_head` (id -> head vertex) and `star` (vertex -> dart ids in port
-order); a dart's tail is dart_head[id ^ 1] and its length that of
-edges[id >> 1], which edge_ticks() holds as an int.  Code in this package
-reads the tables and never writes them.  Loaded graphs are validated in
-O(V + E) while the tables are built; covers are assembled straight into
-them (PortedGraph._derived).
+`dart_head` (id -> head vertex), `star` (vertex -> dart ids in port
+order) and `lengths` (edge -> its length, a Fraction); a dart's tail is
+dart_head[id ^ 1] and its length lengths[id >> 1], which edge_ticks() holds
+as an int.  Edge e is dart_keys[2e] and dart_keys[2e + 1] with
+lengths[e], so the public `edges`, a tuple of Edge objects, is built from
+those columns only when it is first read.  Code in this package reads the
+tables and never writes them, and reads no `edges`.
+
+`from_json` reads each edge object into a plain row (tail, head,
+port_at_tail, port_at_head, length), with one Fraction per distinct wire
+length, and hands the rows to the constructor, which also takes Edges;
+either way one loop validates them in O(V + E) while it builds the tables.
+`to_json` writes the columns.  Covers are assembled straight into the
+tables (PortedGraph._derived).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import ValidationError
-from .rationals import as_fraction, from_wire, to_pair
+from .rationals import as_fraction, shared_from_wire
 
 
 def check_vertex_name(name):
@@ -63,15 +72,6 @@ class Edge:
     port_at_tail: int
     port_at_head: int
     length: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "tail": self.tail,
-            "head": self.head,
-            "port_at_tail": self.port_at_tail,
-            "port_at_head": self.port_at_head,
-            "length": to_pair(self.length),
-        }
 
 
 @dataclass(frozen=True)
@@ -118,31 +118,42 @@ class PortedGraph:
     The id tables are described in the module docstring.
     """
 
-    def __init__(self, vertices: Iterable, edges: Iterable[Edge]):
+    def __init__(self, vertices: Iterable, edges: Iterable):
+        """The graph on the vertices with the given edges: Edge objects or
+        (tail, head, port_at_tail, port_at_head, length) tuples."""
         self.vertices = tuple(vertices)
         index = _vertex_index(self.vertices)
-        self.edges = tuple(edges)
 
         # one pass builds the dart tables and finds a reused port
         dart_index = {}
         dart_head = []
+        lengths = []
         at = [[] for _ in self.vertices]
-        for idx, e in enumerate(self.edges):
-            tail, head = index.get(e.tail), index.get(e.head)
+        checked = None  # edges often share one length object: check it once
+        for idx, e in enumerate(edges):
+            if type(e) is not tuple:
+                e = (e.tail, e.head, e.port_at_tail, e.port_at_head, e.length)
+            tail_name, head_name, port_at_tail, port_at_head, length = e
+            tail, head = index.get(tail_name), index.get(head_name)
             if tail is None or head is None:
                 raise ValidationError(f"edge {idx} touches an unknown vertex")
             # Fraction or int: its sign is the numerator's
-            if e.length.numerator <= 0:
-                raise ValidationError(f"edge {idx} has non-positive length {e.length}")
-            fwd = (e.tail, e.port_at_tail)
-            bwd = (e.head, e.port_at_head)
-            if fwd == bwd:
+            if length is not checked:
+                if length.numerator <= 0:
+                    raise ValidationError(f"edge {idx} has non-positive length {length}")
+                checked = length
+            if tail == head and port_at_tail == port_at_head:
                 raise ValidationError(f"edge {idx} is a self-loop reusing one port")
-            for d in (fwd, bwd):
-                if d in dart_index:
-                    raise ValidationError(f"port {d[1]} at vertex {d[0]!r} used twice")
-                dart_index[d] = len(dart_index)
+            fwd = (tail_name, port_at_tail)
+            if fwd in dart_index:
+                raise ValidationError(f"port {port_at_tail} at vertex {tail_name!r} used twice")
+            dart_index[fwd] = 2 * idx
+            bwd = (head_name, port_at_head)
+            if bwd in dart_index:
+                raise ValidationError(f"port {port_at_head} at vertex {head_name!r} used twice")
+            dart_index[bwd] = 2 * idx + 1
             dart_head += (head, tail)
+            lengths.append(length)
             at[tail].append(2 * idx)
             at[head].append(2 * idx + 1)
         dart_keys = list(dart_index)
@@ -161,12 +172,12 @@ class PortedGraph:
                 row[port] = d
             star.append(row)
 
-        self._set_tables(index, dart_keys, dart_index, dart_head, star)
+        self._set_tables(index, lengths, dart_keys, dart_index, dart_head, star)
         if not self._connected():
             raise ValidationError("graph is not connected")
 
     @classmethod
-    def _derived(cls, vertices, edges, dart_keys, dart_head, star) -> "PortedGraph":
+    def _derived(cls, vertices, lengths, dart_keys, dart_head, star) -> "PortedGraph":
         """A graph from tables its caller built, for a construction (a cover)
         that proves what __init__ would check beyond the names: the darts at
         each vertex are listed in port order with ports 0..deg-1, dart 2e is
@@ -175,13 +186,13 @@ class PortedGraph:
         self = cls.__new__(cls)
         self.vertices = tuple(vertices)
         index = _vertex_index(self.vertices)
-        self.edges = tuple(edges)
         dart_index = dict(zip(dart_keys, range(len(dart_keys))))
-        self._set_tables(index, dart_keys, dart_index, dart_head, star)
+        self._set_tables(index, list(lengths), dart_keys, dart_index, dart_head, star)
         return self
 
-    def _set_tables(self, index, dart_keys, dart_index, dart_head, star) -> None:
+    def _set_tables(self, index, lengths, dart_keys, dart_index, dart_head, star) -> None:
         self.vertex_index = index
+        self.lengths = lengths
         self.dart_keys = dart_keys
         self.dart_index = dart_index
         self.dart_head = dart_head
@@ -189,6 +200,15 @@ class PortedGraph:
         self._vertex_dist: Optional[dict] = None
         self._tick_denominator: Optional[int] = None
         self._edge_ticks: Optional[list] = None
+
+    @cached_property
+    def edges(self) -> tuple:
+        """The edges in order, each in its stored orientation."""
+        keys = self.dart_keys
+        return tuple(
+            Edge(tail, head, port_at_tail, port_at_head, length)
+            for (tail, port_at_tail), (head, port_at_head), length in zip(keys[::2], keys[1::2], self.lengths)
+        )
 
     def _connected(self) -> bool:
         if not self.vertices:
@@ -229,7 +249,7 @@ class PortedGraph:
         return self.vertices[self.dart_head[self.dart_index[d]]]
 
     def length(self, d: Dart) -> Fraction:
-        return self.edges[self.dart_index[d] >> 1].length
+        return self.lengths[self.dart_index[d] >> 1]
 
     def reverse(self, d: Dart) -> Dart:
         return Dart._make(self.dart_keys[self.dart_index[d] ^ 1])
@@ -238,18 +258,17 @@ class PortedGraph:
         return self.dart_index[d] >> 1
 
     def forward_dart(self, edge_index: int) -> Dart:
-        e = self.edges[edge_index]
-        return Dart(e.tail, e.port_at_tail)
+        return Dart._make(self.dart_keys[2 * edge_index])
 
     def unit_lengths(self) -> bool:
         # lengths are in lowest terms, so 1 is exactly 1/1
-        return all(e.length.numerator == 1 == e.length.denominator for e in self.edges)
+        return all(x.numerator == 1 == x.denominator for x in self.lengths)
 
     def tick_denominator(self) -> int:
         """Least common denominator of the edge lengths, computed on first use
         (a simulation's integer grid is a multiple of it)."""
         if self._tick_denominator is None:
-            self._tick_denominator = lcm(*[e.length.denominator for e in self.edges])
+            self._tick_denominator = lcm(*[x.denominator for x in self.lengths])
         return self._tick_denominator
 
     def edge_ticks(self) -> list:
@@ -257,7 +276,7 @@ class PortedGraph:
         order, computed on first use and kept."""
         if self._edge_ticks is None:
             unit = self.tick_denominator()
-            self._edge_ticks = [e.length.numerator * (unit // e.length.denominator) for e in self.edges]
+            self._edge_ticks = [x.numerator * (unit // x.denominator) for x in self.lengths]
         return self._edge_ticks
 
     # --- states ----------------------------------------------------------
@@ -274,7 +293,7 @@ class PortedGraph:
         if i is None:
             raise ValidationError(f"unknown dart {d!r}")
         offset = as_fraction(offset)
-        length = self.edges[i >> 1].length
+        length = self.lengths[i >> 1]
         if offset < 0 or offset > length:
             raise ValidationError(f"offset {offset} outside [0, {length}]")
         if offset == 0:
@@ -306,7 +325,7 @@ class PortedGraph:
             return ("V", state.vertex)
         i = self.dart_index[state.dart]
         if i & 1:
-            return ("E", i >> 1, self.edges[i >> 1].length - state.offset)
+            return ("E", i >> 1, self.lengths[i >> 1] - state.offset)
         return ("E", i >> 1, state.offset)
 
     # --- metric ----------------------------------------------------------
@@ -345,8 +364,7 @@ class PortedGraph:
             if p[0] == "V":
                 return [(p[1], Fraction(0))]
             _, idx, pos = p
-            e = self.edges[idx]
-            return [(e.tail, pos), (e.head, e.length - pos)]
+            return [(self.dart_keys[2 * idx][0], pos), (self.dart_keys[2 * idx + 1][0], self.lengths[idx] - pos)]
 
         best = None
         if p1[0] == "E" and p2[0] == "E" and p1[1] == p2[1]:
@@ -361,23 +379,40 @@ class PortedGraph:
     # --- equality and serialization --------------------------------------
 
     def __eq__(self, other) -> bool:
+        # the dart keys in id order and the lengths spell the edges in order
         return (
             isinstance(other, PortedGraph)
             and self.vertices == other.vertices
-            and self.edges == other.edges
+            and self.dart_keys == other.dart_keys
+            and self.lengths == other.lengths
         )
 
     def __repr__(self) -> str:
-        return f"PortedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        return f"PortedGraph({len(self.vertices)} vertices, {len(self.lengths)} edges)"
 
     def to_json(self) -> dict:
+        keys = self.dart_keys
         return {
             "vertices": list(self.vertices),
-            "edges": [e.to_json() for e in self.edges],
+            "edges": [
+                {
+                    "tail": tail,
+                    "head": head,
+                    "port_at_tail": port_at_tail,
+                    "port_at_head": port_at_head,
+                    "length": [length.numerator, length.denominator],
+                }
+                for (tail, port_at_tail), (head, port_at_head), length in zip(keys[::2], keys[1::2], self.lengths)
+            ],
         }
 
     @classmethod
     def from_json(cls, data) -> "PortedGraph":
+        """The graph a document spells.  Every edge object is read into a
+        row, with the checks of check_vertex_name, check_port and from_wire
+        field by field, before the constructor checks the rows; so the first
+        malformed field in document order is refused before any bad name,
+        port or length in the graph's structure."""
         if not isinstance(data, dict):
             raise ValidationError("graph JSON must be an object")
         try:
@@ -388,38 +423,31 @@ class PortedGraph:
         if not isinstance(vertices, list) or not isinstance(raw_edges, list):
             raise ValidationError("graph JSON: vertices and edges must be lists")
         for v in vertices:
-            check_vertex_name(v)
-        edges = []
+            if type(v) is not str and type(v) is not int:
+                check_vertex_name(v)
+        rows = []
         lengths = {}
         for raw in raw_edges:
             if not isinstance(raw, dict):
                 raise ValidationError(f"bad edge entry: {raw!r}")
             try:
-                edges.append(
-                    Edge(
-                        tail=check_vertex_name(raw["tail"]),
-                        head=check_vertex_name(raw["head"]),
-                        port_at_tail=check_port(raw["port_at_tail"]),
-                        port_at_head=check_port(raw["port_at_head"]),
-                        length=_length_from_wire(raw["length"], lengths),
-                    )
-                )
+                tail = raw["tail"]
+                if type(tail) is not str and type(tail) is not int:
+                    check_vertex_name(tail)
+                head = raw["head"]
+                if type(head) is not str and type(head) is not int:
+                    check_vertex_name(head)
+                port_at_tail = raw["port_at_tail"]
+                if type(port_at_tail) is not int:
+                    check_port(port_at_tail)
+                port_at_head = raw["port_at_head"]
+                if type(port_at_head) is not int:
+                    check_port(port_at_head)
+                length = shared_from_wire(raw["length"], lengths)
             except KeyError as exc:
                 raise ValidationError(f"edge entry missing key {exc}") from exc
-        return cls(vertices, edges)
-
-
-def _length_from_wire(wire, seen: dict) -> Fraction:
-    """from_wire, with one Fraction per distinct [int, int] pair in `seen`:
-    a cover's edges repeat its base's lengths, and Fraction() normalizes
-    with a gcd."""
-    if type(wire) is list and len(wire) == 2 and type(wire[0]) is int and type(wire[1]) is int:
-        key = (wire[0], wire[1])
-        length = seen.get(key)
-        if length is None:
-            length = seen[key] = from_wire(wire)
-        return length
-    return from_wire(wire)
+            rows.append((tail, head, port_at_tail, port_at_head, length))
+        return cls(vertices, rows)
 
 
 def build_edges(specs: Iterable) -> list:

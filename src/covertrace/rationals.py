@@ -59,3 +59,19 @@ def from_wire(value) -> Fraction:
                 raise ValidationError("zero denominator")
             return Fraction(num, den)
     raise ValidationError(f"bad rational on the wire: {value!r}")
+
+
+def shared_from_wire(value, seen: dict) -> Fraction:
+    """from_wire, with one Fraction per distinct [int, int] pair or bare
+    int kept in `seen`: a cover's lengths and beam offsets repeat its
+    base's, and Fraction() normalizes with a gcd."""
+    if type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
+        key = (value[0], value[1])
+    elif type(value) is int:
+        key = value
+    else:
+        return from_wire(value)
+    found = seen.get(key)
+    if found is None:
+        found = seen[key] = from_wire(value)
+    return found

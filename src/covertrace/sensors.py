@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .errors import ValidationError
 from .graphs import EdgeState, GraphState, PortedGraph, VertexState
-from .rationals import from_wire, to_pair
+from .rationals import shared_from_wire
 
 EDGE = "edge"
 BLANK = "blank"
@@ -99,13 +100,14 @@ class LabelSensor(_Sensor):
         extra = [v for v in table if v not in known]
         if extra:
             raise ValidationError(f"label sensor labels unknown vertices {extra!r}")
-        if len(self.edge_labels) != len(graph.edges):
+        if len(self.edge_labels) != len(graph.lengths):
             raise ValidationError(
                 f"label sensor has {len(self.edge_labels)} edge labels "
-                f"for {len(graph.edges)} edges"
+                f"for {len(graph.lengths)} edges"
             )
         for value in list(table.values()) + list(self.edge_labels):
-            _check_scalar(value)
+            if type(value) is not str and type(value) is not int:
+                _check_scalar(value)
 
     def value(self, graph: PortedGraph, state: GraphState):
         if isinstance(state, VertexState):
@@ -148,61 +150,98 @@ class BeamMark:
     label: object
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class BeamSensor(_Sensor):
     """Reads BLANK everywhere except exactly on a beam mark, where it reads the
-    mark's label.  Crossing a mark mid-flight shows up as a trace event."""
+    mark's label.  Crossing a mark mid-flight shows up as a trace event.
 
-    marks: tuple
+    Inside, a beam sensor keeps its marks as plain (edge, offset, label)
+    rows in the order given, which equality, hash, validate and to_json
+    read, and as a per-edge table of (offset, label) pairs in that order,
+    which marks_on and pullback read.  A sensor read from JSON shares one
+    offset Fraction per distinct wire pair.  The public `marks`, a tuple of
+    BeamMarks, is built from the rows only when it is first read; equality
+    and hash have the values they would have on that tuple.
+    """
 
     def __init__(self, marks):
-        object.__setattr__(self, "marks", tuple(marks))
-        by_edge = {}
-        for mark in self.marks:
+        rows = []
+        for mark in marks:
             if (
                 not isinstance(mark, BeamMark)
                 or isinstance(mark.edge, bool)
                 or not isinstance(mark.edge, int)
             ):
                 raise ValidationError(f"bad beam mark: {mark!r}")
-            by_edge.setdefault(mark.edge, []).append((mark.offset, mark.label))
-        object.__setattr__(self, "_marks_by_edge", {e: tuple(ms) for e, ms in by_edge.items()})
+            rows.append((mark.edge, mark.offset, mark.label))
+        self._set(rows)
+
+    @classmethod
+    def _from_rows(cls, rows) -> "BeamSensor":
+        """The sensor with these (edge, offset, label) rows, each edge an int
+        (not a bool), checked no further."""
+        self = cls.__new__(cls)
+        self._set(rows)
+        return self
+
+    def _set(self, rows) -> None:
+        by_edge = {}
+        for edge, offset, label in rows:
+            by_edge.setdefault(edge, []).append((offset, label))
+        self.__dict__.update(_rows=tuple(rows), _by_edge={e: tuple(ms) for e, ms in by_edge.items()})
+
+    @cached_property
+    def marks(self) -> tuple:
+        return tuple(BeamMark(*row) for row in self._rows)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __hash__(self) -> int:
+        # a BeamMark hashes as its (edge, offset, label) tuple
+        return hash((self._rows,))
+
+    def __repr__(self) -> str:
+        return f"BeamSensor(marks={self.marks!r})"
 
     def validate(self, graph: PortedGraph) -> None:
         # offsets and lengths are compared as numerators and denominators,
         # and a point is keyed by them: both are in lowest terms
-        edges = graph.edges
+        lengths = graph.lengths
+        count = len(lengths)
         seen = set()
-        for mark in self.marks:
-            if not 0 <= mark.edge < len(edges):
-                raise ValidationError(f"beam mark on unknown edge {mark.edge}")
-            length = edges[mark.edge].length
-            n, q = mark.offset.numerator, mark.offset.denominator
+        for edge, offset, label in self._rows:
+            if not 0 <= edge < count:
+                raise ValidationError(f"beam mark on unknown edge {edge}")
+            length = lengths[edge]
+            n, q = offset.numerator, offset.denominator
             if n <= 0 or n * length.denominator >= length.numerator * q:
-                raise ValidationError(
-                    f"beam mark offset {mark.offset} not strictly inside edge {mark.edge}"
-                )
-            key = (mark.edge, n, q)
+                raise ValidationError(f"beam mark offset {offset} not strictly inside edge {edge}")
+            key = (edge, n, q)
             if key in seen:
-                raise ValidationError(f"two beam marks at one point: edge {mark.edge} offset {mark.offset}")
+                raise ValidationError(f"two beam marks at one point: edge {edge} offset {offset}")
             seen.add(key)
-            _check_scalar(mark.label)
+            if type(label) is not str and type(label) is not int:
+                _check_scalar(label)
 
     def marks_on(self, edge_index: int):
-        return self._marks_by_edge.get(edge_index, ())
+        return self._by_edge.get(edge_index, ())
 
     def pullback(self, vertex_image: dict, edge_image: list) -> "BeamSensor":
         """Beam marks reappear once on every preimage edge."""
-        marks = []
+        by_edge = self._by_edge
+        rows = []
         for idx, (j, same_orientation, length) in enumerate(edge_image):
-            for offset, label in self.marks_on(j):
-                marks.append(BeamMark(idx, offset if same_orientation else length - offset, label))
-        return BeamSensor(marks)
+            for offset, label in by_edge.get(j, ()):
+                rows.append((idx, offset if same_orientation else length - offset, label))
+        return BeamSensor._from_rows(rows)
 
     def value(self, graph: PortedGraph, state: GraphState):
         if isinstance(state, EdgeState):
             kind, idx, pos = graph.point_of(state)
-            for offset, label in self._marks_by_edge.get(idx, ()):
+            for offset, label in self._by_edge.get(idx, ()):
                 if offset == pos:
                     return label
         return BLANK
@@ -217,8 +256,8 @@ class BeamSensor(_Sensor):
         return {
             "type": "beam",
             "marks": [
-                {"edge": m.edge, "offset": to_pair(m.offset), "label": m.label}
-                for m in self.marks
+                {"edge": edge, "offset": [offset.numerator, offset.denominator], "label": label}
+                for edge, offset, label in self._rows
             ],
         }
 
@@ -243,7 +282,7 @@ class FilteredSensor(_Sensor):
         # every reading the base gives here: at vertices in graph order, inside
         # edges, on marks; listed in order of first appearance, so the message
         # does not depend on the hash seed
-        edges = range(len(graph.edges))
+        edges = range(len(graph.lengths))
         readings = [base.value(graph, VertexState(v)) for v in graph.vertices]
         readings += [base.interior_value(graph, idx) for idx in edges]
         readings += [label for idx in edges for _, label in base.marks_on(idx)]
@@ -297,14 +336,19 @@ def sensor_from_json(data) -> SensorSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad label sensor JSON: {data!r}") from exc
     if kind == "beam":
+        # every mark is read, with the checks of from_wire, before the first
+        # edge that is not an int is refused, as BeamSensor(marks) would
+        rows = []
+        offsets = {}
         try:
-            marks = [
-                BeamMark(raw["edge"], from_wire(raw["offset"]), raw["label"])
-                for raw in data.get("marks", [])
-            ]
+            for raw in data.get("marks", []):
+                rows.append((raw["edge"], shared_from_wire(raw["offset"], offsets), raw["label"]))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad beam sensor JSON: {data!r}") from exc
-        return BeamSensor(marks)
+        for row in rows:
+            if type(row[0]) is not int:
+                raise ValidationError(f"bad beam mark: {BeamMark(*row)!r}")
+        return BeamSensor._from_rows(rows)
     if kind == "filtered":
         try:
             base = sensor_from_json(data["base"])

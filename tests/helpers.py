@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 
 from covertrace import (
     HALT,
+    BeamMark,
+    BeamSensor,
     ControlSignal,
     CoveringCertificate,
     Dart,
     DegreeSensor,
+    Edge,
     Environment,
+    FilteredSensor,
+    GraphMap,
     LabelSensor,
     PortedGraph,
     SensorTrace,
@@ -26,6 +31,8 @@ from covertrace import (
     trace_of,
 )
 from covertrace.environments import Leg
+from covertrace.graphs import check_port, check_vertex_name
+from covertrace.sensors import _check_scalar, sensor_from_json
 from covertrace.rationals import as_fraction, from_wire
 from covertrace.signals import check_symbol
 from covertrace.equivalence import DiscreteStateSpace
@@ -294,6 +301,140 @@ def naive_from_json(data) -> ControlSignal:
         symbol, num, den = entry
         pieces.append((symbol, from_wire([num, den])))
     return ControlSignal(pieces)
+
+
+def naive_graph_from_json(data) -> PortedGraph:
+    """PortedGraph.from_json in two stages: every edge object read into an
+    Edge, field by field with check_vertex_name, check_port and from_wire,
+    in document order, and then the checking constructor on the Edges."""
+    if not isinstance(data, dict):
+        raise ValidationError("graph JSON must be an object")
+    try:
+        vertices = data["vertices"]
+        raw_edges = data["edges"]
+    except KeyError as exc:
+        raise ValidationError(f"graph JSON missing key {exc}") from exc
+    if not isinstance(vertices, list) or not isinstance(raw_edges, list):
+        raise ValidationError("graph JSON: vertices and edges must be lists")
+    for v in vertices:
+        check_vertex_name(v)
+    edges = []
+    for raw in raw_edges:
+        if not isinstance(raw, dict):
+            raise ValidationError(f"bad edge entry: {raw!r}")
+        try:
+            edges.append(
+                Edge(
+                    tail=check_vertex_name(raw["tail"]),
+                    head=check_vertex_name(raw["head"]),
+                    port_at_tail=check_port(raw["port_at_tail"]),
+                    port_at_head=check_port(raw["port_at_head"]),
+                    length=from_wire(raw["length"]),
+                )
+            )
+        except KeyError as exc:
+            raise ValidationError(f"edge entry missing key {exc}") from exc
+    return PortedGraph(vertices, edges)
+
+
+def naive_sensor_from_json(data):
+    """sensors.sensor_from_json in two stages for beam marks: every mark
+    read into a BeamMark with from_wire, in document order, and then the
+    checking BeamSensor constructor on the BeamMarks."""
+    if not isinstance(data, dict) or "type" not in data:
+        raise ValidationError(f"bad sensor JSON: {data!r}")
+    kind = data["type"]
+    if kind == "beam":
+        try:
+            marks = [
+                BeamMark(raw["edge"], from_wire(raw["offset"]), raw["label"])
+                for raw in data.get("marks", [])
+            ]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"bad beam sensor JSON: {data!r}") from exc
+        return BeamSensor(marks)
+    if kind == "filtered":
+        try:
+            base = naive_sensor_from_json(data["base"])
+            pairs = [(_check_scalar(src), dst) for src, dst in data["relabel"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"bad filtered sensor JSON: {data!r}") from exc
+        return FilteredSensor(base, pairs)
+    return sensor_from_json(data)
+
+
+def naive_validate_beams(marks, graph: PortedGraph) -> None:
+    """BeamSensor.validate on BeamMarks, against the lengths of graph.edges,
+    with Fraction comparisons and a set of Fractions."""
+    seen = set()
+    for mark in marks:
+        if not 0 <= mark.edge < len(graph.edges):
+            raise ValidationError(f"beam mark on unknown edge {mark.edge}")
+        length = graph.edges[mark.edge].length
+        if not 0 < mark.offset < length:
+            raise ValidationError(f"beam mark offset {mark.offset} not strictly inside edge {mark.edge}")
+        if (mark.edge, mark.offset) in seen:
+            raise ValidationError(f"two beam marks at one point: edge {mark.edge} offset {mark.offset}")
+        seen.add((mark.edge, mark.offset))
+        _check_scalar(mark.label)
+
+
+def naive_environment_from_json(data) -> Environment:
+    """Environment.from_json on the two-stage graph and sensor readers."""
+    if not isinstance(data, dict):
+        raise ValidationError("environment JSON must be an object")
+    graph = naive_graph_from_json(data)
+    if "initial" not in data:
+        raise ValidationError("environment JSON missing initial vertex")
+    if "sensor" not in data:
+        raise ValidationError("environment JSON missing sensor")
+    width = data.get("alphabet_width")
+    initial = check_vertex_name(data["initial"])
+    return Environment(graph, initial, naive_sensor_from_json(data["sensor"]), width)
+
+
+def naive_map_from_json(data, source=None) -> GraphMap:
+    """GraphMap.from_json with each dart pair read by a call per dart."""
+
+    def dart(raw):
+        vertex, port = raw
+        return (check_vertex_name(vertex), check_port(port))
+
+    if not isinstance(data, dict) or "vertex_map" not in data:
+        raise ValidationError("graph map JSON must carry vertex_map")
+    if "dart_map" not in data and source is None:
+        raise ValidationError("dart_map omitted and no source graph to derive it from")
+    raw_v = data["vertex_map"]
+    try:
+        vpairs = raw_v.items() if isinstance(raw_v, dict) else raw_v
+        vitems = {}
+        for s, d in vpairs:
+            s = check_vertex_name(s)
+            if s in vitems:
+                raise ValidationError(f"vertex {s!r} is mapped twice")
+            vitems[s] = check_vertex_name(d)
+        if "dart_map" not in data:
+            return GraphMap.from_vertex_map(source, vitems)
+        ditems = {}
+        for d, e in data["dart_map"]:
+            d = dart(d)
+            if d in ditems:
+                raise ValidationError(f"dart {Dart._make(d)!r} is mapped twice")
+            ditems[d] = dart(e)
+        return GraphMap(vitems, ditems)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad graph map JSON: {exc!r}") from exc
+
+
+def naive_map_to_json(f: GraphMap) -> dict:
+    """GraphMap.to_json with every item sorted by its printed vertex name
+    and port through a key function."""
+    vertex_items = sorted(f.vertex_map.items(), key=lambda kv: str(kv[0]))
+    dart_items = sorted(f.dart_map.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
+    return {
+        "vertex_map": [[src, dst] for src, dst in vertex_items],
+        "dart_map": [[list(d), list(e)] for d, e in dart_items],
+    }
 
 
 def wire_pieces(document) -> tuple:

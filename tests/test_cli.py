@@ -580,6 +580,30 @@ class TestCoverCommands:
         assert len(data["environment"]["vertices"]) == 5
         assert len(data["boundary"]) == 2
 
+    def test_universal_ball_checks_with_its_boundary_skipped(self, capsys, tmp_path, gallery_dir):
+        base = str(gallery_dir / "crossing_a.json")
+        code, out, _ = run(capsys, ["gen-universal", base, "5"])
+        assert code == 0
+        ball = json.loads(out)
+        cover = write_json(tmp_path / "ball.json", ball["environment"])
+        mapping = write_json(tmp_path / "ball_map.json", ball["projection"])
+        skips = [arg for v in ball["boundary"] for arg in ("--skip-star", v)]
+        assert skips
+        code, out, _ = run(capsys, ["check-cover", mapping, cover, base, *skips])
+        assert code == 0 and json.loads(out)["covering"] is True
+        code, out, _ = run(capsys, ["check-cover", mapping, cover, base])
+        assert code == 1 and json.loads(out)["covering"] is False
+
+    def test_cyclic_cover_of_beams_checks(self, capsys, tmp_path, gallery_dir):
+        base = str(gallery_dir / "beams_a.json")
+        code, out, _ = run(capsys, ["gen-cyclic", base, "7"])
+        assert code == 0
+        bundle = json.loads(out)
+        cover = write_json(tmp_path / "cover.json", bundle["environment"])
+        mapping = write_json(tmp_path / "map.json", bundle["projection"])
+        code, out, _ = run(capsys, ["check-cover", mapping, cover, base])
+        assert code == 0 and json.loads(out)["covering"] is True
+
 
 class TestGalleryCommand:
     def test_file_inventory(self, gallery_dir):

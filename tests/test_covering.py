@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -27,6 +28,7 @@ from covertrace import (
     ValidationError,
     VertexState,
     build_edges,
+    cli,
     cyclic_cover,
     degree_refinement,
     lift_environment,
@@ -677,3 +679,79 @@ class TestDegreeRefinement:
             rng.shuffle(shuffled)
             renamed = relabel_environment(env, dict(zip(names, shuffled)))
             assert degree_refinement(renamed) == degree_refinement(env)
+
+
+class TestWireObjects:
+    """Covers read from and written to JSON through the integer tables:
+    no Edge, no BeamMark and no Fraction per element."""
+
+    @staticmethod
+    def beams_base() -> Environment:
+        """The gallery's beam-marked unit triangle: 3 edges, 3 marks."""
+        marks = (
+            BeamMark(0, Fraction(1, 2), "green"),
+            BeamMark(1, Fraction(1, 3), "blue"),
+            BeamMark(1, Fraction(2, 3), "blue"),
+        )
+        return Environment(three_cycle(), "x0", BeamSensor(marks), 2)
+
+    @staticmethod
+    def wire_pairs(doc) -> set:
+        """The distinct [num, den] pairs of a beam environment document."""
+        return {tuple(e["length"]) for e in doc["edges"]} | {
+            tuple(m["offset"]) for m in doc["sensor"]["marks"]
+        }
+
+    @staticmethod
+    def counting(monkeypatch) -> Counter:
+        """Count Edge, BeamMark and Fraction constructions until undo."""
+        counts = Counter()
+        for cls in (Edge, BeamMark):
+            def init(self, *args, _original=cls.__init__, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        original_new = Fraction.__new__
+
+        def new(cls, *args, **kwargs):
+            counts["Fraction"] += 1
+            return original_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", new)
+        return counts
+
+    def test_loading_a_cover_builds_a_fraction_per_wire_pair_only(self, monkeypatch):
+        cover, _ = cyclic_cover(self.beams_base(), 150, [1, 0, 0])
+        doc = json.loads(json.dumps(cover.to_json()))
+        assert len(doc["edges"]) == len(doc["sensor"]["marks"]) == 450
+        counts = self.counting(monkeypatch)
+        loaded = Environment.from_json(doc)
+        monkeypatch.undo()
+        assert counts["Edge"] == counts["BeamMark"] == 0
+        assert counts["Fraction"] <= len(self.wire_pairs(doc)) == 4
+        assert loaded == cover
+        assert loaded.graph.edges == cover.graph.edges and loaded.sensor.marks == cover.sensor.marks
+
+    def test_cover_commands_build_no_edge_and_no_mark(self, monkeypatch, tmp_path, capsys):
+        base = self.beams_base()
+        base_path = tmp_path / "base.json"
+        base_path.write_text(json.dumps(base.to_json()))
+        counts = self.counting(monkeypatch)
+        code = cli.main(["gen-cyclic", str(base_path), "150", "--voltages", "1,0,0"])
+        monkeypatch.undo()
+        assert code == 0
+        assert counts["Edge"] == counts["BeamMark"] == 0
+        assert counts["Fraction"] <= len(self.wire_pairs(base.to_json())) == 4
+
+        written = json.loads(capsys.readouterr().out)
+        paths = {}
+        for key in ("environment", "projection"):
+            paths[key] = tmp_path / f"{key}.json"
+            paths[key].write_text(json.dumps(written[key]))
+        counts = self.counting(monkeypatch)
+        code = cli.main(["check-cover", str(paths["projection"]), str(paths["environment"]), str(base_path)])
+        monkeypatch.undo()
+        assert code == 0 and json.loads(capsys.readouterr().out)["covering"] is True
+        assert counts["Edge"] == counts["BeamMark"] == 0
+        assert counts["Fraction"] <= 2 * len(self.wire_pairs(written["environment"]))

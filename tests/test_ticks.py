@@ -7,6 +7,7 @@ offset they return must still be a Fraction: an int would pass `==`.
 """
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -252,6 +253,33 @@ def test_readings_match_sensor_value(env):
                 assert trace_of(env, EMPTY, state).events == ((0, expected),)
                 reached = trace_of(env, ControlSignal([(dart.port, offset)]), VertexState(dart.vertex))
                 assert reached.events[-1] == (offset, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(environments(), st.integers(1, 6))
+def test_environment_document_round_trip(env, k):
+    """Environment.from_json reads back what to_json writes, also with every
+    length and beam offset pair multiplied through by k (unreduced on the
+    wire): the same environment, the same edges and marks, and the same
+    document written again, byte for byte."""
+    text = json.dumps(env.to_json(), sort_keys=True)
+    doc = json.loads(text)
+    for edge in doc["edges"]:
+        edge["length"] = [k * n for n in edge["length"]]
+    sensor = doc["sensor"]
+    while sensor["type"] == "filtered":
+        sensor = sensor["base"]
+    for mark in sensor.get("marks", ()):
+        mark["offset"] = [k * n for n in mark["offset"]]
+    loaded = Environment.from_json(doc)
+    assert loaded == env
+    assert loaded.graph.edges == env.graph.edges
+    beams, original = loaded.sensor, env.sensor
+    while isinstance(beams, FilteredSensor):
+        beams, original = beams.base, original.base
+    if isinstance(beams, BeamSensor):
+        assert beams.marks == original.marks and hash(beams) == hash(original)
+    assert json.dumps(loaded.to_json(), sort_keys=True) == text
 
 
 def test_trace_of_builds_no_leg_and_no_fraction_per_leg(monkeypatch):
