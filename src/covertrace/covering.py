@@ -263,8 +263,8 @@ def verify_covering(
     )
 
 
-def _require_covering(f, source, target, skip_star_at=()):
-    cert = verify_covering(f, source, target, skip_star_at)
+def _require_covering(f, source, target):
+    cert = verify_covering(f, source, target)
     if not cert.positive:
         raise PreconditionError(f"map is not a verified covering: {cert.failures}")
     return cert
@@ -500,34 +500,37 @@ def relabel_environment(env: Environment, vertex_renaming: Mapping) -> Environme
         for (tail, port_at_tail), (head, port_at_head), length in zip(keys[::2], keys[1::2], graph.lengths)
     ]
     new_graph = PortedGraph([renaming[v] for v in graph.vertices], rows)
-    sensor = env.sensor.rename(renaming)
+    # the pullback along the inverse renaming, with every edge its own image
+    sensor = env.sensor.pullback(
+        {renaming[v]: v for v in graph.vertices}, [(e, True, length) for e, length in enumerate(graph.lengths)]
+    )
     return Environment(new_graph, renaming[env.initial], sensor, env.alphabet_width)
 
 
 # --- partition refinement ------------------------------------------------
 
 
-def refine(part: list, signature) -> list:
+def refine(part: list, signature) -> tuple:
     """Split the blocks of `part` (one int per element) until stable.
 
-    Each round keys element i by (prev[i], *signature(prev, i)) and numbers
+    Each round keys element i by (part[i], *signature(part, i)) and numbers
     the distinct keys in sorted order, so block ids depend only on the keys,
     not on the element order.  Stops when the block count stops growing or
-    every block is a singleton; returns `part` and each partition after it.
+    every block is a singleton.  Only the current partition is kept: returns
+    the stable partition and the block count after round 0 and after each
+    refining round.
     """
-    history = [part]
-    count = len(set(part))
+    counts = [len(set(part))]
     indices = range(len(part))
-    while count < len(part):
-        prev = history[-1]
-        keys = [(prev[i], *signature(prev, i)) for i in indices]
+    while counts[-1] < len(part):
+        keys = [(part[i], *signature(part, i)) for i in indices]
         distinct = dict.fromkeys(keys)
-        if len(distinct) == count:
+        if len(distinct) == counts[-1]:
             break
-        count = len(distinct)
+        counts.append(len(distinct))
         ranks = {key: rank for rank, key in enumerate(sorted(distinct))}
-        history.append([ranks[key] for key in keys])
-    return history
+        part = [ranks[key] for key in keys]
+    return part, counts
 
 
 def degree_refinement(env: Environment) -> tuple:
@@ -543,7 +546,7 @@ def degree_refinement(env: Environment) -> tuple:
     """
     graph = env.graph
     heads = [[graph.dart_head[d] for d in row] for row in graph.star]
-    colour = refine([len(row) for row in heads], lambda prev, i: sorted(prev[j] for j in heads[i]))[-1]
+    colour, _ = refine([len(row) for row in heads], lambda prev, i: sorted(prev[j] for j in heads[i]))
     member = {c: i for i, c in enumerate(colour)}
     index = {c: rank for rank, c in enumerate(sorted(member))}
     rows = [heads[member[c]] for c in index]

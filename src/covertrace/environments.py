@@ -523,12 +523,18 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
     lengths, factor = graph.edge_ticks(), scale // graph.tick_denominator()
     head = graph.dart_head
 
+    # Legs, and the marks met along each dart, come in time order, so each
+    # instant is kept or dropped as it is met: the reading at a leg's start
+    # when it differs from the leg's reading, a mark when its label differs
+    # from the interior reading, and always the final instant.
     end = 0
-    instants = {0: at(d0, off0, scale)}
-    merged = []
+    reading = at(d0, off0, scale)  # at the start of the next leg
+    merged, events = [], []
     for t0, end, d, off, moving in legs:
+        v = interior[d >> 1] if moving else reading
+        if reading != v:
+            events.append((t0, reading))
         if moving:
-            v = interior[d >> 1]
             off_hi = off + (end - t0)
             marks = dart_marks[d]
             if marks:
@@ -536,31 +542,17 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
                 k = scale // den
                 for pos, label in along:
                     pos *= k
-                    if off < pos < off_hi:
-                        instants[t0 + (pos - off)] = label
+                    if off < pos < off_hi and label != v:
+                        events.append((t0 + (pos - off), label))
             if off_hi == lengths[d >> 1] * factor:
-                instants[end] = vertex[head[d]]
+                reading = vertex[head[d]]
             else:
-                instants[end] = at(d, off_hi, scale)
-        else:
-            v = instants[end] = at(d, off, scale)
+                reading = at(d, off_hi, scale)
         if merged and merged[-1][2] == v and merged[-1][1] == t0:
             merged[-1][1] = end
         else:
             merged.append([t0, end, v])
-
-    # Instants and segments are both in time order, so one forward pointer
-    # finds the segment each instant sits in.
-    events = []
-    k = 0
-    for t in sorted(instants):
-        reading = instants[t]
-        if t != end:
-            while merged[k][1] <= t:
-                k += 1
-            if merged[k][2] == reading:
-                continue
-        events.append((t, reading))
+    events.append((end, reading))
     return SensorTrace._from_ticks(scale, end, list(map(tuple, merged)), events)
 
 

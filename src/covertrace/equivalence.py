@@ -4,15 +4,16 @@ traces_equal compares the readouts of one signal.  check_equiv_sampled
 enumerates every discrete signal up to a horizon and samples random
 rational-breakpoint signals; it can refute equivalence but not prove it.
 compute_bisimulation decides discrete-time equivalence exactly on unit-length
-graphs by partition refinement and reconstructs a shortest distinguishing
-signal on failure.  It refines one table per environment, a
-DiscreteStateSpace: per state its sensor value (`values`), and per action
-the successor's position (`succ`) and the id of the readout chunk
-(`chunks`) in the space's `chunk_table` of distinct chunks.  Both are read
-off the graph's integer tables (vertex positions and dart ids) and the
-environment's one reading table, which the environment fills from its
-sensor once and its traces read too, instead of simulated; a chunk is built
-only the first time its key of table entries is met.
+graphs by partition refinement, which keeps only the current partition, and
+on failure walks pairs of final blocks breadth-first for the
+lexicographically first shortest distinguishing signal.  It refines one
+table per environment, a DiscreteStateSpace: per state its sensor value
+(`values`), and per action the successor's position (`succ`) and the id of
+the readout chunk (`chunks`) in the space's `chunk_table` of distinct
+chunks.  Both are read off the graph's integer tables (vertex positions and
+dart ids) and the environment's one reading table, which the environment
+fills from its sensor once and its traces read too, instead of simulated; a
+chunk is built only the first time its key of table entries is met.
 compute_bisimulation then maps the two chunk tables to common ids by value,
 so equal chunks from different keys (a rest and a traversal that read
 alike) are one chunk.
@@ -162,10 +163,10 @@ def check_equiv_sampled(
     max_len: int = 8,
     n_random: int = 200,
     seed: int = 0,
-    max_denominator: int = 8,
 ) -> SampledVerdict:
     """Compare traces over every discrete signal with at most max_len unit
-    pieces, then over n_random random rational-breakpoint signals.
+    pieces, then over n_random random rational-breakpoint signals whose
+    piece durations have denominators at most 8.
 
     The discrete part shares work between signals with a common prefix: since
     dynamics are deterministic and time-invariant, all continuations of a
@@ -227,12 +228,7 @@ def check_equiv_sampled(
 
     rng = random.Random(seed)
     for i in range(n_random):
-        u = random_signal(
-            rng,
-            e1.alphabet_width,
-            max_pieces=max(1, max_len),
-            max_denominator=max_denominator,
-        )
+        u = random_signal(rng, e1.alphabet_width, max_pieces=max(1, max_len), max_denominator=8)
         cmp = traces_equal(e1, e2, u)
         if not cmp.equal:
             return SampledVerdict(True, u, cmp.divergence, max_len, checked, i + 1)
@@ -389,15 +385,17 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     output, then repeatedly by (readout chunk, successor block) over every
     action until stable.  The initial vertices share a block exactly when the
     environments are equivalent for all discrete signals; the cross pairs of
-    each block then form a bisimulation.  Otherwise the round at which the
-    initial pair separated equals the length of a shortest distinguishing
-    signal, which is rebuilt action by action, lexicographically first.
+    each block then form a bisimulation.  Otherwise a breadth-first walk over
+    pairs of final blocks finds the lexicographically first shortest
+    distinguishing signal (see _first_witness), which is replayed for its
+    divergence time.
 
     States are numbered s1 first, then s2.  Each space numbers its distinct
     chunks in its own chunk_table; one dict maps both tables to common ids by
     value, so a chunk that the two spaces reached under different keys gets
     one id, and the rounds compare tuples of ints.  They run in `refine`,
-    the loop degree_refinement uses too.
+    the loop degree_refinement uses too, which keeps one partition at a
+    time and reports the block counts that `rounds` and `blocks` read.
     """
     _require_shared_interface(e1, e2)
     s1, s2 = DiscreteStateSpace(e1), DiscreteStateSpace(e2)
@@ -417,57 +415,52 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     part = [values.setdefault(x, len(values)) for x in s1.values + s2.values]
     # there are always at least two actions, so each getter returns a tuple
     successor_blocks = [itemgetter(*row) for row in succs]
-    history = refine(part, lambda prev, i: (chunks[i], successor_blocks[i](prev)))
-    blocks = [len(set(p)) for p in history]
-
-    final = history[-1]
+    final, counts = refine(part, lambda prev, i: (chunks[i], successor_blocks[i](prev)))
+    stats = {"states": n_states, "rounds": len(counts) - 1, "blocks": tuple(counts)}
     x0, y0 = 0, n1  # each space lists its initial vertex first
-    n_rounds = len(history) - 1
 
     if final[x0] == final[y0]:
         relation = _cross_pairs(s1.states, s2.states, final)
-        return BisimulationResult(
-            True, tuple(relation), states=n_states, rounds=n_rounds, blocks=tuple(blocks)
-        )
+        return BisimulationResult(True, tuple(relation), **stats)
 
-    def separation(x, y):
-        for r, p in enumerate(history):
-            if p[x] != p[y]:
-                return r
-        return None
-
-    r = separation(x0, y0)
-    x, y = x0, y0
-    pieces = []
-    while r > 0:
-        chosen = None
-        terminal = False
-        for k, a in enumerate(actions):
-            if chunks[x][k] != chunks[y][k]:
-                chosen, terminal = a, True
-                break
-            s = separation(succs[x][k], succs[y][k])
-            if s is not None and s <= r - 1:
-                chosen = a
-                break
-        assert chosen is not None, "separated pair with no separating action"
-        pieces.append(chosen)
-        if terminal:
-            break
-        x, y = succs[x][k], succs[y][k]
-        r -= 1
-
-    witness = ControlSignal([(a, Fraction(1)) for a in pieces])
+    word = _first_witness(actions, part, chunks, succs, final, x0, y0)
+    witness = ControlSignal([(a, _ONE) for a in word])
     replay = traces_equal(e1, e2, witness)
     assert not replay.equal, "reconstructed witness failed to distinguish"
-    return BisimulationResult(
-        False,
-        witness=witness,
-        divergence=replay.divergence,
-        states=n_states,
-        rounds=n_rounds,
-        blocks=tuple(blocks),
-    )
+    return BisimulationResult(False, witness=witness, divergence=replay.divergence, **stats)
+
+
+def _first_witness(actions, part, chunks, succs, final, x0, y0) -> list:
+    """The lexicographically first shortest word of actions telling states
+    x0 and y0 apart, for x0 and y0 in different blocks of the stable
+    partition `final`; `part` is the partition by sensor value.
+
+    The stable partition is the minimal machine of both sides, so the walk
+    runs breadth-first over pairs of final blocks, each entered once with a
+    back pointer (previous pair, action) and read off the two states it was
+    entered by, since all states of a final block move and read alike.  In
+    action order, breadth-first enters each pair by its lexicographically
+    first shortest word, so the first (pair, action) whose chunks differ,
+    or whose successors differ in value, ends that word."""
+    if part[x0] != part[y0]:
+        return []
+    back: dict = {(final[x0], final[y0]): None}
+    # the loop visits the pairs appended while it runs: a FIFO queue
+    queue = [(x0, y0)]
+    for x, y in queue:
+        for k, a in enumerate(actions):
+            nx, ny = succs[x][k], succs[y][k]
+            if chunks[x][k] != chunks[y][k] or part[nx] != part[ny]:
+                word, step = [a], back[final[x], final[y]]
+                while step is not None:
+                    pair, b = step
+                    word.append(b)
+                    step = back[pair]
+                return word[::-1]
+            pair = (final[nx], final[ny])
+            if pair not in back:
+                back[pair] = ((final[x], final[y]), a)
+                queue.append((nx, ny))
 
 
 def _cross_pairs(states1: list, states2: list, final: list) -> list:

@@ -21,10 +21,10 @@ def random_signal(
     width: int,
     max_pieces: int = 6,
     max_denominator: int = 8,
-    allow_halt: bool = True,
 ) -> ControlSignal:
-    """Random signal with rational piece durations in (0, 2]."""
-    symbols = list(range(width)) + ([HALT] if allow_halt else [])
+    """Random signal of ports below width and HALT, with rational piece
+    durations in (0, 2]."""
+    symbols = list(range(width)) + [HALT]
     nums, dens, chosen = [], [], []
     for _ in range(rng.randint(1, max_pieces)):
         den = rng.randint(1, max_denominator)

@@ -6,10 +6,10 @@ values must be JSON scalars so traces serialize losslessly.
 
 Every sensor answers the same protocol, so no other module dispatches on the
 sensor type: value and interior_value read it, marks_on lists its beam marks
-inside an edge, pullback pulls it back along a graph map and rename moves it
-along a vertex renaming.  Inside an edge, value is the label of the mark at
-that point if there is one, else interior_value; traces tabulate readings
-on that rule.
+inside an edge, and pullback pulls it back along a graph map, a vertex
+renaming being the pullback along the inverse renaming.  Inside an edge,
+value is the label of the mark at that point if there is one, else
+interior_value; traces tabulate readings on that rule.
 """
 from __future__ import annotations
 
@@ -45,10 +45,6 @@ class _Sensor:
         sends each source vertex to its image; edge_image gives, for each
         source edge in order, (image edge index, whether the stored
         orientations agree, source edge length)."""
-        return self
-
-    def rename(self, renaming: dict) -> "SensorSpec":
-        """The same sensor with its vertex data moved along a vertex renaming."""
         return self
 
 
@@ -122,11 +118,6 @@ class LabelSensor(_Sensor):
         return LabelSensor(
             {v: table[w] for v, w in vertex_image.items()},
             [self.edge_labels[j] for j, _, _ in edge_image],
-        )
-
-    def rename(self, renaming: dict) -> "LabelSensor":
-        return LabelSensor(
-            {renaming[v]: label for v, label in self.vertex_labels}, self.edge_labels
         )
 
     def kind(self) -> str:
@@ -304,9 +295,6 @@ class FilteredSensor(_Sensor):
 
     def pullback(self, vertex_image: dict, edge_image: list) -> "FilteredSensor":
         return FilteredSensor(self.base.pullback(vertex_image, edge_image), self.relabel)
-
-    def rename(self, renaming: dict) -> "FilteredSensor":
-        return FilteredSensor(self.base.rename(renaming), self.relabel)
 
     def kind(self) -> str:
         return self.base.kind()

@@ -636,8 +636,15 @@ def naive_bisimulation(e1: Environment, e2: Environment):
     disjoint union, reading only the `values`, `succ`, `chunks` and
     `chunk_table` lists of the two state spaces and comparing chunks by
     value.  Returns the related cross pairs in s1 x s2 order, stably sorted
-    by their names as strings, the number of strictly refining rounds, and
-    the round at which the initial pair is removed (None if never)."""
+    by their names as strings, the number of strictly refining rounds, the
+    round at which the initial pair is removed (None if never), and the
+    lexicographically first shortest witness as a list of actions (None if
+    never removed).
+
+    The witness is rebuilt greedily from the removal rounds: from a pair
+    removed at round r > 0, take the first action whose chunks differ
+    (which ends the word) or whose successor pair was removed by round
+    r - 1, and go on from that successor pair."""
     spaces = (DiscreteStateSpace(e1), DiscreteStateSpace(e2))
     tagged = [(side, i) for side, space in enumerate(spaces) for i in range(len(space.states))]
     n_actions = len(spaces[0].actions)
@@ -656,7 +663,7 @@ def naive_bisimulation(e1: Environment, e2: Environment):
         if spaces[x[0]].values[x[1]] == spaces[y[0]].values[y[1]]
     }
     initial = ((0, spaces[0].index[e1.initial]), (1, spaces[1].index[e2.initial]))
-    separation = None if initial in related else 0
+    removed_at = {(x, y): 0 for x in tagged for y in tagged if (x, y) not in related}
     rounds = 0
     while True:
         kept = {
@@ -670,9 +677,23 @@ def naive_bisimulation(e1: Environment, e2: Environment):
         if kept == related:
             break
         rounds += 1
+        for pair in related - kept:
+            removed_at[pair] = rounds
         related = kept
-        if separation is None and initial not in related:
-            separation = rounds
+    separation = removed_at.get(initial)
+    witness = None
+    if separation is not None:
+        witness, (x, y), r = [], initial, separation
+        while r > 0:
+            k = next(
+                k
+                for k in range(n_actions)
+                if chunk(x, k) != chunk(y, k) or removed_at.get((step(x, k), step(y, k)), r) < r
+            )
+            witness.append(spaces[0].actions[k])
+            if chunk(x, k) != chunk(y, k):
+                break
+            x, y, r = step(x, k), step(y, k), r - 1
     pairs = [
         (v1, v2)
         for i, v1 in enumerate(spaces[0].states)
@@ -680,7 +701,7 @@ def naive_bisimulation(e1: Environment, e2: Environment):
         if ((0, i), (1, j)) in related
     ]
     pairs.sort(key=lambda p: (str(p[0]), str(p[1])))
-    return pairs, rounds, separation
+    return pairs, rounds, separation, witness
 
 
 def naive_degree_refinement(env: Environment) -> tuple:

@@ -43,6 +43,7 @@ from covertrace.covering import pullback_sensor
 from covertrace.equivalence import DiscreteStateSpace
 from covertrace.gallery import GALLERY, beams_pair, circle_pair, crossing_pair, kite_pair
 from covertrace.generate import (
+    random_ported_graph,
     random_signal,
     random_unit_environment,
     random_voltages,
@@ -388,7 +389,7 @@ class TestRefinementOracle:
 
     def assert_matches_oracle(self, e1, e2):
         res = compute_bisimulation(e1, e2)
-        pairs, rounds, separation = naive_bisimulation(e1, e2)
+        pairs, rounds, separation, witness = naive_bisimulation(e1, e2)
         states = len(DiscreteStateSpace(e1).states) + len(DiscreteStateSpace(e2).states)
         assert (res.states, res.rounds) == (states, rounds)
         assert res.related == (separation is None)
@@ -398,6 +399,7 @@ class TestRefinementOracle:
             assert list(res.relation) == pairs
         else:
             assert res.witness.duration == separation
+            assert res.witness == ControlSignal([(a, 1) for a in witness])
         return res
 
     def test_random_unit_environments(self):
@@ -417,6 +419,40 @@ class TestRefinementOracle:
                 c1, _ = cyclic_cover(base, k1, random_voltages(rng, base.graph, k1))
                 c2, _ = cyclic_cover(base, k2, random_voltages(rng, base.graph, k2))
                 assert self.assert_matches_oracle(c1, c2).related
+
+    def test_one_flipped_mark(self):
+        """A sparse graph of 8 to 24 vertices, about one in five marked,
+        against itself with one more vertex flipped: a witness must reach
+        the flipped vertex, so words run longer than in the small pools,
+        and most of them are not palindromes, so a witness read backwards
+        would show."""
+        rng = random.Random(58)
+        words = []
+        for _ in range(30):
+            n = rng.randint(8, 24)
+            g = random_ported_graph(rng, n_min=n, n_max=n, extra_max=1, max_degree=3)
+            labels = {v: int(rng.random() < 0.2) for v in g.vertices}
+            flipped = dict(labels)
+            v = rng.choice(g.vertices[1:])
+            flipped[v] = 1 - flipped[v]
+            e1, e2 = (
+                Environment(g, g.vertices[0], LabelSensor(marks, [0] * len(g.lengths)), 3)
+                for marks in (labels, flipped)
+            )
+            assert not self.assert_matches_oracle(e1, e2).related
+            words.append(naive_bisimulation(e1, e2)[3])
+        assert sum(word != word[::-1] for word in words) >= 10
+        assert max(map(len, words)) >= 5
+
+    def test_marked_cycles_need_the_whole_way_round(self):
+        """A marked n-cycle against an (n+1)-cycle: only n forward steps
+        reach a vertex read differently, so the witness is n pieces of
+        action 0 and refinement takes n rounds, far past the lengths a brute
+        force over all words reaches."""
+        for n in range(4, 41):
+            res = self.assert_matches_oracle(marked_cycle_env(n), marked_cycle_env(n + 1))
+            assert res.witness.to_json() == [[0, n, 1]]
+            assert (res.divergence, res.rounds) == (n, n)
 
     def test_names_sharing_a_string(self):
         """1 and "1" print alike, so only a stable sort of the pairs in
