@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional
 
 from .environments import Environment, Trajectory, trajectory
 from .errors import PreconditionError, ValidationError
-from .graphs import Dart, GraphState, PortedGraph, VertexState, check_port, check_vertex_name
+from .graphs import Dart, GraphState, PortedGraph, VertexState, check_port, check_vertex_name, sorted_by_name
 from .rationals import as_fraction
 from .sensors import SensorSpec
 from .signals import ControlSignal
@@ -56,11 +56,8 @@ class GraphMap:
     def to_json(self) -> dict:
         # sorted by printed vertex name, then port; a string prints as
         # itself, so when every name is a string the keys sort as they are
+        vertex_items = sorted_by_name(self.vertex_map.items())
         key = itemgetter(0)
-        if set(map(type, self.vertex_map)) <= {str}:
-            vertex_items = sorted(self.vertex_map.items(), key=key)
-        else:
-            vertex_items = sorted(self.vertex_map.items(), key=lambda kv: str(kv[0]))
         if set(map(type, map(key, self.dart_map))) <= {str}:
             dart_items = sorted(self.dart_map.items(), key=key)
         else:

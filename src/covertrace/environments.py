@@ -8,14 +8,14 @@ index is irrelevant: turning around inside an edge is impossible, only at
 vertices.  Under Halt it stays put.  All times and offsets are exact
 rationals.
 
-Times and offsets are exact Fractions at the API: in every Leg, Trajectory
-and SensorTrace and in every returned time.  Inside, the simulation runs on
-the graph's integer tables and on one integer grid per call.  `trajectory`
-reads the signal's ticks (see signals) and puts them, with a start offset,
-on the lcm of the signal's scale and the graph's tick denominator, one
-multiply per piece; it walks vertex positions and dart ids in O(steps) int
-operations and keeps its legs in those ticks, and a Trajectory builds its
-Leg objects from them only when they are first read.
+Times and offsets are exact Fractions at the API.  Inside, the simulation
+runs on the graph's integer tables and on one integer grid per call.
+`trajectory` reads the signal's ticks (see signals) and puts them, with a
+start offset, on the lcm of the signal's scale and the graph's tick
+denominator, one multiply per piece; it walks vertex positions and dart ids
+in O(steps) int operations and keeps its legs in those ticks.  A Trajectory
+builds its Leg objects only when they are first read, as Trajectory.at,
+breakpoints and trajectory_distance (and the benchmark's spans) read them.
 Each environment reads its sensor through one table, `_Readings`, filled
 from the sensor protocol in one pass the first time the environment traces
 a signal or builds a state space: the reading per vertex, the interior
@@ -23,9 +23,9 @@ reading per edge and the beam marks per dart, in ticks along the dart.
 `trace_of_trajectory` reads the legs' ticks directly and takes every reading
 from that table, as equivalence.DiscreteStateSpace does.  A SensorTrace
 keeps the result in one canonical form, its segments and events in ticks of
-a reduced scale, so traces compare and hash as ints and readings, and its
-Fraction fields are built only when they are read.  `first_divergence`
-brings two traces to the lcm of their scales with int multiplies.
+a reduced scale, so traces compare and hash as ints and readings; only its
+`duration` is a Fraction.  `first_divergence` brings two traces to the lcm
+of their scales with int multiplies; it and `value_at` read by `_readings`.
 """
 from __future__ import annotations
 
@@ -387,16 +387,16 @@ def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphSta
 class SensorTrace:
     """Canonical sensor readout over [0, duration].
 
-    segments partition [0, duration) into maximal half-open intervals of
+    Its segments partition [0, duration) into maximal half-open intervals of
     almost-everywhere constant value; adjacent segments carry distinct values.
-    events record every instant whose reading differs from the segment it sits
-    in (vertex passes, beam crossings) plus always the final instant.
+    Its events record every instant whose reading differs from the segment it
+    sits in (vertex passes, beam crossings) plus always the final instant.
 
-    Inside, a trace keeps one form, (scale, duration, segments, events) with
-    every time in ticks of 1/scale, the scale reduced by the gcd of all the
-    ticks.  The form is canonical, so `==` and `hash` compare ints and
-    readings.  duration, segments and events are built from it on first
-    read, and to_json reduces each time with one gcd.
+    A trace keeps one form, (scale, duration, segments, events) with every
+    time in ticks of 1/scale, the scale reduced by the gcd of all the ticks.
+    The form is canonical, so `==` and `hash` compare ints and readings.
+    duration is built from it on first read, and to_json reduces each time
+    with one gcd.
     """
 
     def __init__(self, duration, segments, events):
@@ -431,16 +431,6 @@ class SensorTrace:
     def duration(self) -> Fraction:
         return Fraction(self._ticks[1], self._ticks[0])
 
-    @cached_property
-    def segments(self) -> tuple:
-        scale, _, segments, _ = self._ticks
-        return tuple((Fraction(a, scale), Fraction(b, scale), v) for a, b, v in segments)
-
-    @cached_property
-    def events(self) -> tuple:
-        scale, _, _, events = self._ticks
-        return tuple((Fraction(t, scale), v) for t, v in events)
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -450,39 +440,38 @@ class SensorTrace:
         return hash(self._ticks)
 
     def __repr__(self) -> str:
-        return f"SensorTrace(duration={self.duration!r}, segments={self.segments!r}, events={self.events!r})"
+        scale, _, segments, events = self._ticks
+        segments = tuple((Fraction(a, scale), Fraction(b, scale), v) for a, b, v in segments)
+        events = tuple((Fraction(t, scale), v) for t, v in events)
+        return f"SensorTrace(duration={self.duration!r}, segments={segments!r}, events={events!r})"
+
+    def _check_time(self, t, what: str) -> Fraction:
+        t = as_fraction(t)
+        if t < 0 or t * self._ticks[0] > self._ticks[1]:
+            raise PreconditionError(f"{what} {t} outside [0, {self.duration}]")
+        return t
 
     def value_at(self, t) -> object:
-        t = as_fraction(t)
-        for te, ve in self.events:
-            if te == t:
-                return ve
-        for a, b, v in self.segments:
-            if a <= t < b:
-                return v
-        raise PreconditionError(f"time {t} outside [0, {self.duration}]")
-
-    def segment_value_after(self, t) -> Optional[object]:
-        """Almost-everywhere value just after t, None at the final instant."""
-        for a, b, v in self.segments:
-            if a <= t < b:
-                return v
-        return None
+        """The reading at time t in [0, duration]: the event there, if any,
+        else the value of the segment holding t."""
+        t = self._check_time(t, "time")
+        scale, _, segments, events = self._ticks
+        tick, off_grid = divmod(t.numerator * scale, t.denominator)
+        # no event sits between two ticks, and the segment holding t holds
+        # the tick before it
+        return next(_readings(segments, {} if off_grid else dict(events), [tick]))[0]
 
     def truncate(self, t) -> "SensorTrace":
         """The trace of the restricted signal: cut at t and close with a final
         instant reading."""
-        t = as_fraction(t)
-        if t < 0 or t > self.duration:
-            raise PreconditionError(f"cut time {t} outside [0, {self.duration}]")
+        t = self._check_time(t, "cut time")
         final_value = self.value_at(t)
-        segments = []
-        for a, b, v in self.segments:
-            if a >= t:
-                break
-            segments.append((a, min(b, t), v))
-        events = tuple((te, ve) for te, ve in self.events if te < t) + ((t, final_value),)
-        return SensorTrace(t, tuple(segments), events)
+        scale, _, segments, events = self._ticks
+        fine = lcm(scale, t.denominator)
+        q, cut = fine // scale, t.numerator * (fine // t.denominator)
+        segments = [(a * q, min(b * q, cut), v) for a, b, v in segments if a * q < cut]
+        events = [(te * q, v) for te, v in events if te * q < cut]
+        return SensorTrace._from_ticks(fine, cut, segments, events + [(cut, final_value)])
 
     def to_json(self) -> dict:
         scale, duration, segments, events = self._ticks
@@ -588,9 +577,9 @@ def first_divergence(a: SensorTrace, b: SensorTrace) -> Optional[Fraction]:
 
 
 def _readings(segments, events: dict, times):
-    """(instant value, value just after) at each of the sorted times, as
-    SensorTrace.value_at and segment_value_after give them, for a trace in
-    ticks; one forward pointer over the segments instead of a scan per time."""
+    """(instant value, value just after) at each of the sorted times, for a
+    trace in ticks: the event there, else the segment holding it (None at
+    the end); one forward pointer over the segments, not a scan per time."""
     k = 0
     for t in times:
         while k < len(segments) and segments[k][1] <= t:

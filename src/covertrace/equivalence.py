@@ -493,7 +493,9 @@ def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
 
     Each move is replayed through the simulation (`trajectory` and
     `trace_of_trajectory`), once per (vertex, action) of each side, not read
-    off the DiscreteStateSpace that compute_bisimulation refines.  The
+    off the DiscreteStateSpace that compute_bisimulation refines.  Two
+    replayed traces are compared as tick forms without their final instant:
+    both last 1, so their reduced scales agree when their readings do.  The
     replayed traces read the environment's reading table, which the decider
     reads too; test_readings_match_sensor_value and
     test_trace_matches_fraction_oracle in tests/test_ticks.py, and
@@ -522,7 +524,8 @@ def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
             # unit lengths: a unit move ends at a vertex, position ~w
             w1, tr1 = move1(x1, a)
             w2, tr2 = move2(x2, a)
-            if (tr1.segments, tr1.events[:-1]) != (tr2.segments, tr2.events[:-1]):
+            (s1, _, segments1, events1), (s2, _, segments2, events2) = tr1._ticks, tr2._ticks
+            if (s1, segments1, events1[:-1]) != (s2, segments2, events2[:-1]):
                 return False
             if (g1.vertices[~w1], g2.vertices[~w2]) not in pairs:
                 return False

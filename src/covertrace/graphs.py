@@ -16,9 +16,8 @@ are `vertex_index` (name -> i), `dart_keys` (id -> (vertex, port) tuple),
 order) and `lengths` (edge -> its length, a Fraction); a dart's tail is
 dart_head[id ^ 1] and its length lengths[id >> 1], which edge_ticks() holds
 as an int.  Edge e is dart_keys[2e] and dart_keys[2e + 1] with
-lengths[e], so the public `edges`, a tuple of Edge objects, is built from
-those columns only when it is first read.  Code in this package reads the
-tables and never writes them, and reads no `edges`.
+lengths[e]; a graph keeps no Edge objects.  Code in this package reads the
+tables and never writes them.
 
 `from_json` reads each edge object into a plain row (tail, head,
 port_at_tail, port_at_head, length), with one Fraction per distinct wire
@@ -31,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from heapq import heappop, heappush
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import ValidationError
@@ -47,6 +46,15 @@ def check_vertex_name(name):
     if isinstance(name, bool) or not isinstance(name, (int, str)):
         raise ValidationError(f"vertex names must be strings or integers, got {name!r}")
     return name
+
+
+def sorted_by_name(items) -> list:
+    """(vertex name, value) items stably sorted by the printed name; a
+    string prints as itself, so names that are all strings are the keys."""
+    items = list(items)
+    if set(map(type, map(itemgetter(0), items))) <= {str}:
+        return sorted(items, key=itemgetter(0))
+    return sorted(items, key=lambda kv: str(kv[0]))
 
 
 def check_port(port):
@@ -200,15 +208,6 @@ class PortedGraph:
         self._vertex_dist: Optional[dict] = None
         self._tick_denominator: Optional[int] = None
         self._edge_ticks: Optional[list] = None
-
-    @cached_property
-    def edges(self) -> tuple:
-        """The edges in order, each in its stored orientation."""
-        keys = self.dart_keys
-        return tuple(
-            Edge(tail, head, port_at_tail, port_at_head, length)
-            for (tail, port_at_tail), (head, port_at_head), length in zip(keys[::2], keys[1::2], self.lengths)
-        )
 
     def _connected(self) -> bool:
         if not self.vertices:

@@ -9,17 +9,18 @@ sensor type: value and interior_value read it, marks_on lists its beam marks
 inside an edge, and pullback pulls it back along a graph map, a vertex
 renaming being the pullback along the inverse renaming.  Inside an edge,
 value is the label of the mark at that point if there is one, else
-interior_value; traces tabulate readings on that rule.
+interior_value; traces tabulate readings on that rule.  A beam sensor
+keeps its marks as plain rows; a BeamMark is built only for its
+constructor, its repr and its error messages.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Union
 
 from .errors import ValidationError
-from .graphs import EdgeState, GraphState, PortedGraph, VertexState
+from .graphs import EdgeState, GraphState, PortedGraph, VertexState, sorted_by_name
 from .rationals import shared_from_wire
 
 EDGE = "edge"
@@ -74,7 +75,7 @@ class DegreeSensor(_Sensor):
 class LabelSensor(_Sensor):
     """Reads a fixed label at each vertex and along each edge interior.
 
-    edge_labels is ordered like graph.edges.
+    edge_labels[e] is the label inside edge e, in the graph's edge order.
     """
 
     vertex_labels: tuple
@@ -82,7 +83,7 @@ class LabelSensor(_Sensor):
 
     def __init__(self, vertex_labels, edge_labels):
         items = vertex_labels.items() if isinstance(vertex_labels, dict) else vertex_labels
-        items = sorted(((v, label) for v, label in items), key=lambda kv: str(kv[0]))
+        items = sorted_by_name((v, label) for v, label in items)
         object.__setattr__(self, "vertex_labels", tuple(items))
         object.__setattr__(self, "edge_labels", tuple(edge_labels))
         object.__setattr__(self, "_vertex_table", dict(items))
@@ -146,13 +147,11 @@ class BeamSensor(_Sensor):
     """Reads BLANK everywhere except exactly on a beam mark, where it reads the
     mark's label.  Crossing a mark mid-flight shows up as a trace event.
 
-    Inside, a beam sensor keeps its marks as plain (edge, offset, label)
-    rows in the order given, which equality, hash, validate and to_json
+    A beam sensor keeps its marks as plain (edge, offset, label) rows in
+    the order given, which equality, hash, validate, to_json and __repr__
     read, and as a per-edge table of (offset, label) pairs in that order,
-    which marks_on and pullback read.  A sensor read from JSON shares one
-    offset Fraction per distinct wire pair.  The public `marks`, a tuple of
-    BeamMarks, is built from the rows only when it is first read; equality
-    and hash have the values they would have on that tuple.
+    which marks_on and pullback read; it keeps no BeamMark objects.  A
+    sensor read from JSON shares one offset Fraction per distinct wire pair.
     """
 
     def __init__(self, marks):
@@ -181,21 +180,17 @@ class BeamSensor(_Sensor):
             by_edge.setdefault(edge, []).append((offset, label))
         self.__dict__.update(_rows=tuple(rows), _by_edge={e: tuple(ms) for e, ms in by_edge.items()})
 
-    @cached_property
-    def marks(self) -> tuple:
-        return tuple(BeamMark(*row) for row in self._rows)
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._rows == other._rows
 
     def __hash__(self) -> int:
-        # a BeamMark hashes as its (edge, offset, label) tuple
+        # as on the tuple of BeamMarks, each hashing as its row
         return hash((self._rows,))
 
     def __repr__(self) -> str:
-        return f"BeamSensor(marks={self.marks!r})"
+        return f"BeamSensor(marks={tuple(BeamMark(*row) for row in self._rows)!r})"
 
     def validate(self, graph: PortedGraph) -> None:
         # offsets and lengths are compared as numerators and denominators,

@@ -11,14 +11,16 @@ units.  The form is canonical as well: every tick is positive, runs are
 merged, and the scale is reduced by the gcd of the ticks (gcd(scale,
 *ticks) == 1, and the empty signal has scale 1), so the scale is the least
 common denominator of the durations and `==` and `hash` compare ints.
-`from_json` reads the [symbol, num, den] triples straight into ticks,
-reducing each pair and merging runs pair by pair, so the lcm of the
-denominators is already the reduced scale and no gcd over the ticks is run;
-`pieces` and `duration` are built from the ticks on first read, and
-`to_json` reduces each tick with one gcd.  `restrict_before`, `suffix_from`,
-`concat`, `distance` and `geodesic` cut and join ticks on the lcm of their
-operands' scales and build no Fraction per piece; their results are made
-by `_from_ticks`, which merges and reduces but checks nothing again.
+`from_json` reads the [symbol, num, den] triples into ticks on the lcm of
+the reduced denominators, the reduced scale when no run of one symbol needs
+merging, so no gcd over the ticks is run then; a document with runs goes
+through `_canonical` like every other constructor.  `pieces` (read by
+__repr__ and the benchmark's span sizes) and `duration` are built from the
+ticks on first read, and `to_json` reduces each tick with one gcd.
+`restrict_before`, `suffix_from`, `concat`, `distance` and `geodesic` cut
+and join ticks on the lcm of their operands' scales and build no Fraction
+per piece; their results are made by `_from_ticks`, which merges and
+reduces but checks nothing again.
 """
 from __future__ import annotations
 
@@ -208,36 +210,20 @@ class ControlSignal:
                 dens.append(den)
         if refused:
             raise refused
-        # With every pair reduced and no run left, the lcm of the
+        # With every pair reduced and no run to merge, the lcm of the
         # denominators is the least common denominator, so the form is
         # canonical with no gcd over the ticks (on a scale that is a product
         # of many primes, that gcd costs a big-int gcd per piece).
         common = list(map(gcd, nums, dens))
         if common.count(1) != len(common):
             nums, dens = list(map(floordiv, nums, common)), list(map(floordiv, dens, common))
-        if any(map(eq, symbols, symbols[1:])):
-            symbols, nums, dens = _merge_runs(symbols, nums, dens)
         scale = lcm(*dens)
+        ticks = [n * (scale // d) for n, d in zip(nums, dens)]
+        if any(map(eq, symbols, symbols[1:])):
+            return cls._from_ticks(scale, symbols, ticks)
         self = cls.__new__(cls)
-        self._set(scale, tuple(symbols), tuple([n * (scale // d) for n, d in zip(nums, dens)]))
+        self._set(scale, tuple(symbols), tuple(ticks))
         return self
-
-
-def _merge_runs(symbols, nums, dens) -> tuple:
-    """(symbols, nums, dens) with each run of one symbol made one piece,
-    whose duration is the sum of the run's reduced pairs, reduced."""
-    merged_symbols, merged_nums, merged_dens = [], [], []
-    for symbol, num, den in zip(symbols, nums, dens):
-        if merged_symbols and merged_symbols[-1] == symbol:
-            d = lcm(merged_dens[-1], den)
-            num = merged_nums[-1] * (d // merged_dens[-1]) + num * (d // den)
-            g = gcd(num, d)
-            merged_nums[-1], merged_dens[-1] = num // g, d // g
-        else:
-            merged_symbols.append(symbol)
-            merged_nums.append(num)
-            merged_dens.append(den)
-    return merged_symbols, merged_nums, merged_dens
 
 
 def _canonical(scale: int, symbols, ticks) -> tuple:

@@ -21,13 +21,13 @@ from covertrace import (
     GraphMap,
     LabelSensor,
     PortedGraph,
+    PreconditionError,
     SensorTrace,
     Trajectory,
     ValidationError,
     VertexState,
     apply,
     build_edges,
-    first_divergence,
     trace_of,
 )
 from covertrace.environments import Leg
@@ -137,7 +137,7 @@ def naive_vertex_distances(graph: PortedGraph) -> dict:
     no path yet."""
     vertices = graph.vertices
     dist = {(u, w): Fraction(0) if u == w else None for u in vertices for w in vertices}
-    for e in graph.edges:
+    for e in graph_edges(graph):
         for pair in ((e.tail, e.head), (e.head, e.tail)):
             if dist[pair] is None or e.length < dist[pair]:
                 dist[pair] = e.length
@@ -171,17 +171,85 @@ def graph_states(draw, graph: PortedGraph):
     return graph.state_on(dart, graph.length(dart) * Fraction(draw(st.integers(1, den - 1)), den))
 
 
+# --- Fraction fields of traces, graphs and beam sensors --------------------
+#
+# Traces, graphs and beam sensors keep ticks and rows; these read their
+# Fraction fields back from the objects' documents and public tables.
+
+
+def trace_segments(trace: SensorTrace) -> tuple:
+    """The trace's (start, end, value) segments with Fraction times, read
+    from its document."""
+    return tuple(
+        (Fraction(*s["from"]), Fraction(*s["to"]), s["value"]) for s in trace.to_json()["segments"]
+    )
+
+
+def trace_events(trace: SensorTrace) -> tuple:
+    """The trace's (time, value) events with Fraction times, read from its
+    document."""
+    return tuple((Fraction(*e["time"]), e["value"]) for e in trace.to_json()["events"])
+
+
+def graph_edges(graph: PortedGraph) -> tuple:
+    """The graph's Edges in order, each in its stored orientation, read from
+    its dart keys and lengths: edge e is darts 2e and 2e + 1."""
+    keys = graph.dart_keys
+    return tuple(
+        Edge(tail, head, port_at_tail, port_at_head, length)
+        for (tail, port_at_tail), (head, port_at_head), length in zip(keys[::2], keys[1::2], graph.lengths)
+    )
+
+
+def beam_marks(sensor: BeamSensor) -> tuple:
+    """The beam sensor's BeamMarks in order, read from its document."""
+    return tuple(BeamMark(m["edge"], Fraction(*m["offset"]), m["label"]) for m in sensor.to_json()["marks"])
+
+
+def scan_value_at(trace: SensorTrace, t) -> object:
+    """The reading at time t by a scan of the Fraction events, then of the
+    segments; PreconditionError outside [0, duration]."""
+    for te, value in trace_events(trace):
+        if te == t:
+            return value
+    for a, b, value in trace_segments(trace):
+        if a <= t < b:
+            return value
+    raise PreconditionError(f"time {t} outside [0, {trace.duration}]")
+
+
+def scan_value_after(trace: SensorTrace, t) -> object:
+    """The almost-everywhere value just after t by a scan of the Fraction
+    segments, None at the final instant."""
+    for a, b, value in trace_segments(trace):
+        if a <= t < b:
+            return value
+    return None
+
+
+def scan_truncate(trace: SensorTrace, t) -> SensorTrace:
+    """The trace cut at t on Fractions, closed with the reading at t; the
+    checking constructor puts it in canonical form."""
+    t = as_fraction(t)
+    if t < 0 or t > trace.duration:
+        raise PreconditionError(f"cut time {t} outside [0, {trace.duration}]")
+    segments = tuple((a, min(b, t), value) for a, b, value in trace_segments(trace) if a < t)
+    events = tuple((te, value) for te, value in trace_events(trace) if te < t)
+    return SensorTrace(t, segments, events + ((t, scan_value_at(trace, t)),))
+
+
 def scan_first_divergence(a, b):
     """First-divergence oracle: compare instant and just-after readings,
     each found by a scan of the trace, at every segment start and event time
     of either trace, in time order."""
     criticals = sorted(
-        {t for t, _, _ in a.segments + b.segments} | {t for t, _ in a.events + b.events}
+        {t for t, _, _ in trace_segments(a) + trace_segments(b)}
+        | {t for t, _ in trace_events(a) + trace_events(b)}
     )
     for t in criticals:
-        if a.value_at(t) != b.value_at(t):
+        if scan_value_at(a, t) != scan_value_at(b, t):
             return t
-        if a.segment_value_after(t) != b.segment_value_after(t):
+        if scan_value_after(a, t) != scan_value_after(b, t):
             return t
     return None
 
@@ -364,13 +432,13 @@ def naive_sensor_from_json(data):
 
 
 def naive_validate_beams(marks, graph: PortedGraph) -> None:
-    """BeamSensor.validate on BeamMarks, against the lengths of graph.edges,
-    with Fraction comparisons and a set of Fractions."""
+    """BeamSensor.validate on BeamMarks, against graph.lengths, with
+    Fraction comparisons and a set of Fractions."""
     seen = set()
     for mark in marks:
-        if not 0 <= mark.edge < len(graph.edges):
+        if not 0 <= mark.edge < len(graph.lengths):
             raise ValidationError(f"beam mark on unknown edge {mark.edge}")
-        length = graph.edges[mark.edge].length
+        length = graph.lengths[mark.edge]
         if not 0 < mark.offset < length:
             raise ValidationError(f"beam mark offset {mark.offset} not strictly inside edge {mark.edge}")
         if (mark.edge, mark.offset) in seen:
@@ -557,15 +625,15 @@ def naive_first_divergence(a: SensorTrace, b: SensorTrace):
     """First divergence by one forward pointer per trace over the sorted
     Fraction critical times."""
     criticals = sorted(
-        {t for t, _, _ in a.segments}
-        | {t for t, _, _ in b.segments}
-        | {t for t, _ in a.events}
-        | {t for t, _ in b.events}
+        {t for t, _, _ in trace_segments(a)}
+        | {t for t, _, _ in trace_segments(b)}
+        | {t for t, _ in trace_events(a)}
+        | {t for t, _ in trace_events(b)}
     )
 
     def readings(trace):
-        events = dict(trace.events)
-        segments = trace.segments
+        events = dict(trace_events(trace))
+        segments = trace_segments(trace)
         k = 0
         for t in criticals:
             while k < len(segments) and segments[k][1] <= t:
@@ -583,10 +651,10 @@ def naive_discrete_search(e1: Environment, e2: Environment, max_len: int):
     """Oracle for the discrete part of check_equiv_sampled: the same
     depth-first search over unit-action signals with the same budget pruning,
     but every unit action is simulated afresh (trace_of, then apply) and every
-    pair of traces goes through first_divergence.  Returns (witness pieces or
-    None, divergence or None, signals checked)."""
+    pair of traces goes through naive_first_divergence.  Returns (witness
+    pieces or None, divergence or None, signals checked)."""
     empty = ControlSignal([])
-    d = first_divergence(trace_of(e1, empty), trace_of(e2, empty))
+    d = naive_first_divergence(trace_of(e1, empty), trace_of(e2, empty))
     if d is not None:
         return [], d, 1
     checked = 1
@@ -599,7 +667,7 @@ def naive_discrete_search(e1: Environment, e2: Environment, max_len: int):
         for a in e1.actions():
             unit = ControlSignal([(a, Fraction(1))])
             checked += 1
-            d = first_divergence(trace_of(e1, unit, x1), trace_of(e2, unit, x2))
+            d = naive_first_divergence(trace_of(e1, unit, x1), trace_of(e2, unit, x2))
             if d is not None:
                 return prefix + [a], len(prefix) + d
             found = search(apply(e1, unit, x1), apply(e2, unit, x2), remaining - 1, prefix + [a])

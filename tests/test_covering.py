@@ -51,7 +51,9 @@ from covertrace.generate import (
 )
 
 from helpers import (
+    beam_marks,
     figure_eight_env,
+    graph_edges,
     naive_degree_refinement,
     naive_verify_covering,
     path_middle_env,
@@ -153,7 +155,7 @@ class TestVerifyCovering:
             ["x0", "x1", "x2"],
             [
                 replace(e, length=Fraction(2)) if i == 0 else e
-                for i, e in enumerate(three_cycle().edges)
+                for i, e in enumerate(graph_edges(three_cycle()))
             ],
         )
         env = Environment(stretched, "x0", DegreeSensor(), 2)
@@ -218,8 +220,8 @@ class TestVerifyCoveringOracle:
             d = rng.choice(darts)
             dmap[d] = (dmap[d][0], tg.max_degree() + 1)
         elif kind == "length":
-            idx = rng.randrange(len(sg.edges))
-            edges = [replace(e, length=e.length * 2) if i == idx else e for i, e in enumerate(sg.edges)]
+            idx = rng.randrange(len(sg.lengths))
+            edges = [replace(e, length=e.length * 2) if i == idx else e for i, e in enumerate(graph_edges(sg))]
             source = Environment(PortedGraph(sg.vertices, edges), cover.initial, DegreeSensor())
         elif kind == "base":
             source = Environment(sg, rng.choice(sg.vertices), DegreeSensor())
@@ -263,7 +265,7 @@ class TestSensorPullback:
         )
         lifted = lift_sensor(doubling_map(), six_cycle_env(), base)
         assert isinstance(lifted, BeamSensor)
-        found = {(m.edge, m.offset, m.label) for m in lifted.marks}
+        found = {(m.edge, m.offset, m.label) for m in beam_marks(lifted)}
         assert found == {(0, Fraction(1, 2), "green"), (3, Fraction(1, 2), "green")}
 
     def test_identity_pullback_is_unchanged(self):
@@ -321,7 +323,7 @@ class TestSensorProtocol:
             cover, _ = cyclic_cover(env, k, random_voltages(rng, g, k))
             flipped = PortedGraph(
                 g.vertices,
-                [Edge(e.head, e.tail, e.port_at_head, e.port_at_tail, e.length) for e in g.edges],
+                [Edge(e.head, e.tail, e.port_at_head, e.port_at_tail, e.length) for e in graph_edges(g)],
             )
             flipped_env = lift_environment(
                 identity_map(flipped), Environment(flipped, env.initial, DegreeSensor()), env
@@ -389,7 +391,7 @@ class TestCyclicCover:
         env = three_cycle_env()
         cover, proj = cyclic_cover(env, 1, (0, 0, 0))
         assert len(cover.graph.vertices) == 3
-        assert len(cover.graph.edges) == 3
+        assert len(cover.graph.lengths) == 3
         assert cover.initial == "x0@0"
         assert verify_covering(proj, cover, env).positive
 
@@ -397,7 +399,7 @@ class TestCyclicCover:
         env = three_cycle_env()
         cover, proj = cyclic_cover(env, 2, (1, 1, 1))
         assert len(cover.graph.vertices) == 6
-        assert len(cover.graph.edges) == 6
+        assert len(cover.graph.lengths) == 6
         assert all(cover.graph.degree(v) == 2 for v in cover.graph.vertices)
         assert verify_covering(proj, cover, env).positive
 
@@ -405,7 +407,7 @@ class TestCyclicCover:
         env = figure_eight_env()
         cover, proj = cyclic_cover(env, 2, (1, 0))
         assert len(cover.graph.vertices) == 2
-        assert len(cover.graph.edges) == 4
+        assert len(cover.graph.lengths) == 4
         assert verify_covering(proj, cover, env).positive
 
     def test_trivial_voltages_keep_base_component(self):
@@ -456,7 +458,7 @@ class TestCyclicCover:
 def _tables(g: PortedGraph) -> tuple:
     return (
         g.vertices,
-        g.edges,
+        graph_edges(g),
         list(g.vertex_index.items()),
         g.dart_keys,
         list(g.dart_index.items()),
@@ -480,10 +482,10 @@ class TestDerivedConstruction:
             # vertex; zero voltages keep one
             for k, step in ((1, 1), (2, 1), (2, 2), (5, 1), (5, 5), (17, 1), (17, 17), (12, 3), (12, 4)):
                 for _ in range(3):
-                    voltages = [rng.randrange(k) * step % k for _ in g.edges]
+                    voltages = [rng.randrange(k) * step % k for _ in g.lengths]
                     cover, _ = cyclic_cover(env, k, voltages)
                     c = cover.graph
-                    assert _tables(c) == _tables(PortedGraph(c.vertices, c.edges))
+                    assert _tables(c) == _tables(PortedGraph(c.vertices, graph_edges(c)))
                     # vertices by base vertex then copy, edges by base edge
                     # then copy of the stored tail, as a scan of all k
                     # copies lists them
@@ -491,16 +493,16 @@ class TestDerivedConstruction:
                     assert c.vertices == tuple(
                         f"{v}@{i}" for v in g.vertices for i in range(k) if f"{v}@{i}" in kept
                     )
-                    assert c.edges == tuple(
+                    assert graph_edges(c) == tuple(
                         Edge(f"{e.tail}@{i}", f"{e.head}@{(i + x) % k}", e.port_at_tail, e.port_at_head, e.length)
-                        for e, x in zip(g.edges, voltages)
+                        for e, x in zip(graph_edges(g), voltages)
                         for i in range(k)
                         if f"{e.tail}@{i}" in kept
                     )
                     sizes.add((k, len(c.vertices) // len(g.vertices)))
             for radius in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 3), Fraction(4)):
                 c = universal_cover_truncation(env, radius)[0].graph
-                assert _tables(c) == _tables(PortedGraph(c.vertices, c.edges))
+                assert _tables(c) == _tables(PortedGraph(c.vertices, graph_edges(c)))
         assert {(12, 3), (12, 4), (17, 1), (17, 17)} <= sizes
 
     def test_derived_graph_still_rejects_a_repeated_name(self):
@@ -528,7 +530,7 @@ class TestUniversalCoverTruncation:
         cover, proj, boundary = universal_cover_truncation(env, 2)
         assert boundary == frozenset()
         assert len(cover.graph.vertices) == 3
-        assert len(cover.graph.edges) == 2
+        assert len(cover.graph.lengths) == 2
         assert verify_covering(proj, cover, env).positive
 
     def test_figure_eight_ball(self):
@@ -609,7 +611,7 @@ def _shuffled_copy(rng: random.Random, env: Environment) -> Environment:
         Edge(e.head, e.tail, e.port_at_head, e.port_at_tail, e.length)
         if rng.random() < 0.5
         else e
-        for e in g.edges
+        for e in graph_edges(g)
     ]
     rng.shuffle(edges)
     return Environment(PortedGraph(vertices, edges), env.initial, DegreeSensor())
@@ -731,7 +733,8 @@ class TestWireObjects:
         assert counts["Edge"] == counts["BeamMark"] == 0
         assert counts["Fraction"] <= len(self.wire_pairs(doc)) == 4
         assert loaded == cover
-        assert loaded.graph.edges == cover.graph.edges and loaded.sensor.marks == cover.sensor.marks
+        assert graph_edges(loaded.graph) == graph_edges(cover.graph)
+        assert beam_marks(loaded.sensor) == beam_marks(cover.sensor)
 
     def test_cover_commands_build_no_edge_and_no_mark(self, monkeypatch, tmp_path, capsys):
         base = self.beams_base()

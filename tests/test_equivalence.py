@@ -50,6 +50,7 @@ from covertrace.generate import (
 )
 
 from helpers import (
+    graph_edges,
     labelled_triangles,
     marked_cycle_env,
     naive_bisimulation,
@@ -59,6 +60,8 @@ from helpers import (
     path_middle_env,
     three_cycle,
     three_cycle_env,
+    trace_events,
+    trace_segments,
 )
 
 
@@ -329,9 +332,9 @@ class TestDiscreteStateSpace:
                 assert successor == apply(env, u, VertexState(v))
                 tr = trace_of(env, u, VertexState(v))
                 chunk = space.chunk_table[space.chunks[i][k]]
-                assert chunk == (tr.segments, tr.events[:-1])
+                assert chunk == (trace_segments(tr), trace_events(tr)[:-1])
                 oracle = naive_trace(env, *naive_legs(env, u, VertexState(v)))
-                assert chunk == (oracle.segments, oracle.events[:-1])
+                assert chunk == (trace_segments(oracle), trace_events(oracle)[:-1])
                 segments, events = chunk
                 times = [t for t, _, _ in segments] + [t for _, t, _ in segments]
                 times += [t for t, _ in events]
@@ -340,7 +343,7 @@ class TestDiscreteStateSpace:
                     continue
                 d = Dart(v, a)
                 idx = graph.edge_of(d)
-                edge = graph.edges[idx]
+                edge = graph_edges(graph)[idx]
                 seen["self-loop"] += edge.tail == edge.head
                 if sensor.marks_on(idx) and d != graph.forward_dart(idx):
                     seen["mark against stored orientation"] += 1
@@ -621,8 +624,8 @@ def has_common_cover(a: Environment, b: Environment) -> bool:
     """Try small cyclic covers of `a` as pointed common covers of both sides."""
     candidates = []
     for k in (1, 2):
-        for idx in range(2 ** len(a.graph.edges)):
-            volts = [(idx >> i) & 1 for i in range(len(a.graph.edges))]
+        for idx in range(2 ** len(a.graph.lengths)):
+            volts = [(idx >> i) & 1 for i in range(len(a.graph.lengths))]
             candidates.append(cyclic_cover(a, k, volts)[0])
     for cand in candidates:
         f = structure_map(cand.graph, b.graph, cand.initial, b.initial)

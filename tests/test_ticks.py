@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,7 @@ from covertrace import (
     FilteredSensor,
     LabelSensor,
     PortedGraph,
+    PreconditionError,
     SensorTrace,
     VertexState,
     build_edges,
@@ -48,6 +51,8 @@ from covertrace.generate import (
 from covertrace.signals import EMPTY
 
 from helpers import (
+    beam_marks,
+    graph_edges,
     labelled_triangles,
     naive_distance,
     naive_first_divergence,
@@ -55,7 +60,11 @@ from helpers import (
     naive_trace,
     naive_trajectory,
     rational_signals,
+    scan_truncate,
+    scan_value_at,
     three_cycle,
+    trace_events,
+    trace_segments,
 )
 
 PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
@@ -117,11 +126,14 @@ def assert_fraction_state(state):
 
 
 def assert_fraction_trace(trace):
+    """The duration is a Fraction, and the document writes every time as
+    the [numerator, denominator] ints of a Fraction in lowest terms."""
     assert type(trace.duration) is Fraction
-    for start, end, _ in trace.segments:
-        assert type(start) is Fraction and type(end) is Fraction
-    for t, _ in trace.events:
-        assert type(t) is Fraction
+    doc = trace.to_json()
+    pairs = [doc["duration"], *[s[k] for s in doc["segments"] for k in ("from", "to")]]
+    pairs += [e["time"] for e in doc["events"]]
+    for n, d in pairs:
+        assert type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -212,7 +224,7 @@ def test_mark_crossed_against_the_stored_orientation():
     u = ControlSignal([(1, Fraction(5, 7))])
     for start, met in ((None, Fraction(2, 3)), (EdgeState(Dart("x1", 1), Fraction(1, 4)), Fraction(5, 12))):
         trace = trace_of(env, u, start)
-        assert trace.events == ((met, "red"), (Fraction(5, 7), BLANK))
+        assert trace_events(trace) == ((met, "red"), (Fraction(5, 7), BLANK))
         assert trace == naive_trace(env, *naive_legs(env, u, start))
         assert_fraction_trace(trace)
 
@@ -224,7 +236,7 @@ def test_mark_crossed_at_a_whole_time():
     env = Environment(graph, "a", BeamSensor((BeamMark(0, Fraction(1), "red"),)), 1)
     u = ControlSignal([(0, Fraction(3, 2))])
     trace = trace_of(env, u)
-    assert trace.events == ((1, "red"), (Fraction(3, 2), BLANK))
+    assert trace_events(trace) == ((1, "red"), (Fraction(3, 2), BLANK))
     assert trace == naive_trace(env, *naive_legs(env, u))
     assert_fraction_trace(trace)
 
@@ -240,8 +252,8 @@ def test_readings_match_sensor_value(env):
     graph, sensor = env.graph, env.sensor
     for v in graph.vertices:
         state = VertexState(v)
-        assert trace_of(env, EMPTY, state).events == ((0, sensor.value(graph, state)),)
-    for idx, edge in enumerate(graph.edges):
+        assert trace_events(trace_of(env, EMPTY, state)) == ((0, sensor.value(graph, state)),)
+    for idx, edge in enumerate(graph_edges(graph)):
         ends = sorted({Fraction(0), edge.length, *[pos for pos, _ in sensor.marks_on(idx)]})
         points = set(ends[1:]) | {(a + b) / 2 for a, b in zip(ends, ends[1:])}
         forward = graph.forward_dart(idx)
@@ -250,9 +262,9 @@ def test_readings_match_sensor_value(env):
                 offset = pos if dart == forward else edge.length - pos
                 state = graph.state_on(dart, offset)
                 expected = sensor.value(graph, state)
-                assert trace_of(env, EMPTY, state).events == ((0, expected),)
+                assert trace_events(trace_of(env, EMPTY, state)) == ((0, expected),)
                 reached = trace_of(env, ControlSignal([(dart.port, offset)]), VertexState(dart.vertex))
-                assert reached.events[-1] == (offset, expected)
+                assert trace_events(reached)[-1] == (offset, expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -273,12 +285,13 @@ def test_environment_document_round_trip(env, k):
         mark["offset"] = [k * n for n in mark["offset"]]
     loaded = Environment.from_json(doc)
     assert loaded == env
-    assert loaded.graph.edges == env.graph.edges
+    assert graph_edges(loaded.graph) == graph_edges(env.graph)
     beams, original = loaded.sensor, env.sensor
     while isinstance(beams, FilteredSensor):
         beams, original = beams.base, original.base
     if isinstance(beams, BeamSensor):
-        assert beams.marks == original.marks and hash(beams) == hash(original)
+        assert beam_marks(beams) == beam_marks(original) and hash(beams) == hash(original)
+        assert repr(beams) == f"BeamSensor(marks={beam_marks(original)!r})"
     assert json.dumps(loaded.to_json(), sort_keys=True) == text
 
 
@@ -289,7 +302,7 @@ def test_trace_of_builds_no_leg_and_no_fraction_per_leg(monkeypatch):
     legs, final state and duration."""
     rng = random.Random(7)
     graph = random_ported_graph(rng, unit_lengths=False, max_denominator=7)
-    sensor = LabelSensor({v: 0 for v in graph.vertices}, [0] * len(graph.edges))
+    sensor = LabelSensor({v: 0 for v in graph.vertices}, [0] * len(graph.lengths))
     env = Environment(graph, graph.vertices[0], sensor)
     u = ControlSignal(
         [(rng.choice([0, 1, HALT]), Fraction(rng.randint(1, 14), rng.randint(1, 7))) for _ in range(300)]
@@ -317,7 +330,7 @@ def test_trace_of_builds_no_leg_and_no_fraction_per_leg(monkeypatch):
     monkeypatch.undo()
 
     (traj,) = simulated
-    assert trace.segments == ((0, u.duration, 0),)
+    assert trace_segments(trace) == ((0, u.duration, 0),)
     assert not legs_built
     assert len(gcds) < 10
     _, legs = naive_legs(env, u)
@@ -337,7 +350,7 @@ def test_trace_equality_and_hash_follow_the_fraction_fields(env, data):
     t2 = trace_of(env, data.draw(signals(width)), data.draw(starts(env.graph)))
 
     def fields(trace):
-        return trace.duration, trace.segments, trace.events
+        return trace.duration, trace_segments(trace), trace_events(trace)
 
     assert (t1 == t2) == (fields(t1) == fields(t2))
     rebuilt = SensorTrace(*fields(t1))
@@ -351,6 +364,30 @@ def test_trace_equality_and_hash_follow_the_fraction_fields(env, data):
         "segments": [{"from": pair(a), "to": pair(b), "value": v} for a, b, v in segments],
         "events": [{"time": pair(t), "value": v} for t, v in events],
     }
+
+
+@settings(max_examples=150, deadline=None)
+@given(environments(), st.data())
+def test_value_at_and_truncate_match_the_fraction_scan(env, data):
+    """value_at and truncate agree with the Fraction scans at every segment
+    start and event time and at the midpoints between them; outside
+    [0, duration] both refuse with the scans' PreconditionError.  The repr
+    spells the Fraction fields."""
+    trace = trace_of(env, data.draw(signals(env.alphabet_width)), data.draw(starts(env.graph)))
+    segments, events = trace_segments(trace), trace_events(trace)
+    assert repr(trace) == f"SensorTrace(duration={trace.duration!r}, segments={segments!r}, events={events!r})"
+    times = sorted({a for a, _, _ in segments} | {t for t, _ in events})
+    for t in times + [(a + b) / 2 for a, b in zip(times, times[1:])]:
+        assert trace.value_at(t) == scan_value_at(trace, t)
+        cut = trace.truncate(t)
+        assert cut == scan_truncate(trace, t)
+        assert_fraction_trace(cut)
+    for t in (Fraction(-1, 2), trace.duration + Fraction(1, 7), trace.duration + 1):
+        for method, oracle in ((trace.value_at, scan_value_at), (trace.truncate, scan_truncate)):
+            with pytest.raises(PreconditionError) as expected:
+                oracle(trace, t)
+            with pytest.raises(PreconditionError, match=f"^{re.escape(str(expected.value))}$"):
+                method(t)
 
 
 def test_trace_form_is_canonical():
