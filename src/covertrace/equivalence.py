@@ -4,19 +4,24 @@ traces_equal compares the readouts of one signal.  check_equiv_sampled
 enumerates every discrete signal up to a horizon and samples random
 rational-breakpoint signals; it can refute equivalence but not prove it.
 compute_bisimulation decides discrete-time equivalence exactly on unit-length
-graphs by partition refinement, which keeps only the current partition, and
-on failure walks pairs of final blocks breadth-first for the
-lexicographically first shortest distinguishing signal.  It refines one
-table per environment, a DiscreteStateSpace: per state its sensor value
-(`values`), and per action the successor's position (`succ`) and the id of
-the readout chunk (`chunks`) in the space's `chunk_table` of distinct
-chunks.  Both are read off the graph's integer tables (vertex positions and
-dart ids) and the environment's one reading table, which the environment
-fills from its sensor once and its traces read too, instead of simulated; a
-chunk is built only the first time its key of table entries is met.
-compute_bisimulation then maps the two chunk tables to common ids by value,
-so equal chunks from different keys (a rest and a traversal that read
-alike) are one chunk.
+graphs, from the initial pair: a breadth-first walk over pairs of states in
+action order, with one union-find over the states of both environments,
+queues a pair only when it joins two classes, so it reads
+O((V1 + V2) * actions) table entries.  The pairs it queues are a
+bisimulation up to equivalence when no step tells a pair apart; otherwise
+the first step that does ends the lexicographically first shortest
+distinguishing signal.  Only a related verdict runs partition refinement,
+which keeps only the current partition, because it prints the maximal
+bisimulation.  Both read one table per environment, a DiscreteStateSpace:
+per state its sensor value (`values`), and per action the successor's
+position (`succ`) and the id of the readout chunk (`chunks`) in the
+space's `chunk_table` of distinct chunks.  Both are read off the graph's
+integer tables (vertex positions and dart ids) and the environment's one
+reading table, which the environment fills from its sensor once and its
+traces read too, instead of simulated; a chunk is built only the first
+time its key of table entries is met.  compute_bisimulation then maps the
+second chunk table onto the first by value, so equal chunks from
+different keys (a rest and a traversal that read alike) are one chunk.
 verify_bisimulation re-checks a relation by replaying every move through the
 simulation (trajectory and trace_of_trajectory) instead of reading the
 state-space tables; the simulation's traces read the same reading table as
@@ -344,32 +349,36 @@ class DiscreteStateSpace:
 @dataclass(frozen=True)
 class BisimulationResult:
     """Either a relation witnessing equivalence or a shortest
-    distinguishing signal with its first divergence time.  blocks holds the
-    block count after round 0 and after each refining round."""
+    distinguishing signal with its first divergence time.
+
+    pairs counts the pairs of states the walk from the initial pair queued,
+    the initial pair included; on either verdict it is at most states - 1.
+    rounds and blocks are counted only on a related verdict, the one
+    verdict that runs partition refinement: blocks holds the block count
+    after round 0 and after each refining round.  A distinguished verdict
+    leaves them None and prints neither."""
 
     related: bool
     relation: tuple = ()
     witness: Optional[ControlSignal] = None
     divergence: Optional[Fraction] = None
     states: int = 0
-    rounds: int = 0
-    blocks: tuple = ()
+    pairs: int = 0
+    rounds: Optional[int] = None
+    blocks: Optional[tuple] = None
 
     @property
     def verdict(self) -> str:
         return "related" if self.related else "distinguished"
 
     def to_json(self) -> dict:
-        data = {
-            "verdict": self.verdict,
-            "stats": {
-                "states": self.states,
-                "rounds": self.rounds,
-                "blocks": list(self.blocks),
-                # a distinguished verdict replays its witness once
-                "signals_checked": 0 if self.related else 1,
-            },
-        }
+        stats = {"states": self.states, "pairs": self.pairs}
+        if self.related:
+            stats["rounds"] = self.rounds
+            stats["blocks"] = list(self.blocks)
+        # a distinguished verdict replays its witness once
+        stats["signals_checked"] = 0 if self.related else 1
+        data = {"verdict": self.verdict, "stats": stats}
         if self.related:
             data["relation"] = [[a, b] for a, b in self.relation]
         else:
@@ -379,88 +388,139 @@ class BisimulationResult:
 
 
 def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult:
-    """Decide discrete-time equivalence by partition refinement.
+    """Decide discrete-time equivalence from the initial pair.
 
-    States of both environments are partitioned together, first by sensor
-    output, then repeatedly by (readout chunk, successor block) over every
-    action until stable.  The initial vertices share a block exactly when the
-    environments are equivalent for all discrete signals; the cross pairs of
-    each block then form a bisimulation.  Otherwise a breadth-first walk over
-    pairs of final blocks finds the lexicographically first shortest
-    distinguishing signal (see _first_witness), which is replayed for its
-    divergence time.
+    The two environments are deterministic Moore machines over the unit
+    actions, so a walk over pairs of states from (x0, y0) decides (see
+    _pair_walk) in O((V1 + V2) * actions) steps, queueing at most
+    V1 + V2 - 1 pairs.  A distinguished verdict ends the walk with the
+    lexicographically first shortest distinguishing signal, which is
+    replayed for its divergence time; no partition is refined.
 
-    States are numbered s1 first, then s2.  Each space numbers its distinct
-    chunks in its own chunk_table; one dict maps both tables to common ids by
-    value, so a chunk that the two spaces reached under different keys gets
-    one id, and the rounds compare tuples of ints.  They run in `refine`,
-    the loop degree_refinement uses too, which keeps one partition at a
-    time and reports the block counts that `rounds` and `blocks` read.
+    A related verdict prints the maximal bisimulation, which the walk's
+    pairs do not give, so only then are the states of both environments
+    partitioned together, first by sensor output, then repeatedly by
+    (readout chunk, successor block) over every action until stable; the
+    cross pairs of each block are the relation.  States are numbered s1
+    first, then s2.  The rounds run in `refine`, the loop degree_refinement
+    uses too, which reports the block counts that `rounds` and `blocks`
+    read.
+
+    Each space numbers its distinct chunks in its own chunk_table.  s1's
+    ids are the common ids, and one dict maps s2's table onto them by
+    value, once per distinct chunk and not per row, so a chunk that the two
+    spaces reached under different keys gets one id; the walk and the
+    rounds read ids through the tables.
     """
     _require_shared_interface(e1, e2)
     s1, s2 = DiscreteStateSpace(e1), DiscreteStateSpace(e2)
-    actions = s1.actions
     n1 = len(s1.states)
-    ids: dict = {}
+    n_states = n1 + len(s2.states)
+    ids = dict(zip(s1.chunk_table, range(len(s1.chunk_table))))
+    common = [ids.setdefault(c, len(ids)) for c in s2.chunk_table]
+    word, pairs = _pair_walk(s1, s2, common)
 
-    def common_rows(space):
-        common = [ids.setdefault(c, len(ids)) for c in space.chunk_table]
-        return [tuple(map(common.__getitem__, row)) for row in space.chunks]
+    if word is not None:
+        witness = ControlSignal([(a, _ONE) for a in word])
+        replay = traces_equal(e1, e2, witness)
+        assert not replay.equal, "reconstructed witness failed to distinguish"
+        return BisimulationResult(
+            False, witness=witness, divergence=replay.divergence, states=n_states, pairs=pairs
+        )
 
-    chunks = common_rows(s1) + common_rows(s2)
+    chunks = list(map(tuple, s1.chunks))
+    chunks += [tuple(map(common.__getitem__, row)) for row in s2.chunks]
     succs = s1.succ + [[w + n1 for w in row] for row in s2.succ]
-    n_states = len(succs)
-
     values: dict = {}
     part = [values.setdefault(x, len(values)) for x in s1.values + s2.values]
     # there are always at least two actions, so each getter returns a tuple
     successor_blocks = [itemgetter(*row) for row in succs]
     final, counts = refine(part, lambda prev, i: (chunks[i], successor_blocks[i](prev)))
-    stats = {"states": n_states, "rounds": len(counts) - 1, "blocks": tuple(counts)}
-    x0, y0 = 0, n1  # each space lists its initial vertex first
+    # each space lists its initial vertex first
+    assert final[0] == final[n1], "the pair walk and refinement disagree"
+    relation = _cross_pairs(s1.states, s2.states, final)
+    return BisimulationResult(
+        True,
+        tuple(relation),
+        states=n_states,
+        pairs=pairs,
+        rounds=len(counts) - 1,
+        blocks=tuple(counts),
+    )
 
-    if final[x0] == final[y0]:
-        relation = _cross_pairs(s1.states, s2.states, final)
-        return BisimulationResult(True, tuple(relation), **stats)
 
-    word = _first_witness(actions, part, chunks, succs, final, x0, y0)
-    witness = ControlSignal([(a, _ONE) for a in word])
-    replay = traces_equal(e1, e2, witness)
-    assert not replay.equal, "reconstructed witness failed to distinguish"
-    return BisimulationResult(False, witness=witness, divergence=replay.divergence, **stats)
+def _pair_walk(s1, s2, common) -> tuple:
+    """(word, pairs): the lexicographically first shortest word of actions
+    telling the initial states of s1 and s2 apart, or None when there is
+    none, and the number of pairs queued.  common maps s2's chunk ids to
+    s1's.
 
+    Pairs (x, y), x a state of s1 and y one of s2, are walked breadth-first
+    from (x0, y0) in action order.  One union-find runs over the states of
+    both spaces, s2's numbered after s1's.  A successor pair is queued, with
+    a back pointer (previous pair, action), only when its two states are in
+    different classes, and queueing unites them; so at most V1 + V2 - 1
+    pairs are queued (Hopcroft & Karp 1971), and the walk reads
+    O((V1 + V2) * actions) table entries, with near-constant union-find
+    work per entry.  The first (pair, action) whose chunks differ, or whose
+    successors differ in sensor value, ends the word, read back along the
+    back pointers.  Successor values are compared only for a pair about to
+    be queued: a class holds states of one value, since each pair was
+    compared before it joined two classes.
 
-def _first_witness(actions, part, chunks, succs, final, x0, y0) -> list:
-    """The lexicographically first shortest word of actions telling states
-    x0 and y0 apart, for x0 and y0 in different blocks of the stable
-    partition `final`; `part` is the partition by sensor value.
+    When no step fails, the queued pairs R read alike and every action
+    leads each pair of R into the equivalence closure of R: R is a
+    bisimulation up to equivalence, so that closure is a bisimulation
+    holding (x0, y0) (Bonchi & Pous, POPL 2013).
 
-    The stable partition is the minimal machine of both sides, so the walk
-    runs breadth-first over pairs of final blocks, each entered once with a
-    back pointer (previous pair, action) and read off the two states it was
-    entered by, since all states of a final block move and read alike.  In
-    action order, breadth-first enters each pair by its lexicographically
-    first shortest word, so the first (pair, action) whose chunks differ,
-    or whose successors differ in value, ends that word."""
-    if part[x0] != part[y0]:
-        return []
-    back: dict = {(final[x0], final[y0]): None}
-    # the loop visits the pairs appended while it runs: a FIFO queue
-    queue = [(x0, y0)]
-    for x, y in queue:
-        for k, a in enumerate(actions):
-            nx, ny = succs[x][k], succs[y][k]
-            if chunks[x][k] != chunks[y][k] or part[nx] != part[ny]:
-                word, step = [a], back[final[x], final[y]]
-                while step is not None:
-                    pair, b = step
-                    word.append(b)
-                    step = back[pair]
-                return word[::-1]
-            pair = (final[nx], final[ny])
-            if pair not in back:
-                back[pair] = ((final[x], final[y]), a)
+    The word found, f, is the shortlex-first one.  Queued pairs get their
+    words, and (pair, action) steps are tested, in shortlex order.  Suppose
+    s = u v < f told the initial pair apart, u the word of a queued pair
+    (p, q) and v a word telling p and q apart; take s least, then u
+    longest.  The step (p, q, v[0]), of word u v[0], comes no later than s
+    and so before f: it passed, so v is longer than v[0].  If that step
+    queued its successor pair, u v[0] is a longer u.  If not, the
+    successor states were already joined by a chain of queued pairs, and
+    the rest of v tells apart one link of the chain, queued earlier, by a
+    word shortlex-smaller than u v[0]: a smaller s.  Either way the choice
+    of s is contradicted."""
+    n1 = len(s1.states)
+    parent = list(range(n1 + len(s2.states)))
+    values1, values2 = s1.values, s2.values
+    succ1, succ2, chunks1, chunks2 = s1.succ, s2.succ, s1.chunks, s2.chunks
+    # each space lists its initial vertex first; the loop visits the pairs
+    # appended while it runs, a FIFO queue, and back[i] is queue[i]'s back
+    # pointer
+    queue = [(0, 0)]
+    back = [None]
+
+    def read_back(q, a):
+        word = [a]
+        while q:
+            q, a = back[q]
+            word.append(a)
+        return word[::-1], len(queue)
+
+    if values1[0] != values2[0]:
+        return [], 1
+    parent[0] = n1
+    for q, (x, y) in enumerate(queue):
+        for a, cx, cy, nx, ny in zip(s1.actions, chunks1[x], chunks2[y], succ1[x], succ2[y]):
+            if cx != common[cy]:
+                return read_back(q, a)
+            # find both roots, halving the paths walked
+            rx, ry = nx, n1 + ny
+            while parent[rx] != rx:
+                parent[rx] = rx = parent[parent[rx]]
+            while parent[ry] != ry:
+                parent[ry] = ry = parent[parent[ry]]
+            if rx != ry:
+                if values1[nx] != values2[ny]:
+                    return read_back(q, a)
+                parent[rx] = ry
                 queue.append((nx, ny))
+                back.append((q, a))
+    return None, len(queue)
 
 
 def _cross_pairs(states1: list, states2: list, final: list) -> list:

@@ -65,6 +65,27 @@ from helpers import (
 )
 
 
+def one_flipped_mark_pairs() -> list:
+    """30 sparse graphs of 8 to 24 vertices, about one in five marked, each
+    against itself with one more vertex flipped, as environment pairs."""
+    rng = random.Random(58)
+    pairs = []
+    for _ in range(30):
+        n = rng.randint(8, 24)
+        g = random_ported_graph(rng, n_min=n, n_max=n, extra_max=1, max_degree=3)
+        labels = {v: int(rng.random() < 0.2) for v in g.vertices}
+        flipped = dict(labels)
+        v = rng.choice(g.vertices[1:])
+        flipped[v] = 1 - flipped[v]
+        pairs.append(
+            tuple(
+                Environment(g, g.vertices[0], LabelSensor(marks, [0] * len(g.lengths)), 3)
+                for marks in (labels, flipped)
+            )
+        )
+    return pairs
+
+
 def sig(*pieces) -> ControlSignal:
     return ControlSignal(pieces)
 
@@ -243,12 +264,15 @@ class TestBisimulation:
 
     def test_stats_count_blocks_and_replays(self):
         related = compute_bisimulation(*circle_pair()).to_json()["stats"]
-        assert related == {"states": 9, "rounds": 0, "blocks": [1], "signals_checked": 0}
-        # degree 1 {l, r} against degree 2 {m, x0, x1, x2}; then port 0
-        # leads m to a degree-1 end and every x_i to a degree-2 vertex.
+        assert list(related) == ["states", "pairs", "rounds", "blocks", "signals_checked"]
+        assert list(related.values()) == [9, 6, 0, [1], 0]
+        # m and x0 both have degree 2; port 0 then leads m to a degree-1
+        # end and x0 to the degree-2 x1, so the walk stops at its first
+        # step, with only the initial pair queued and no refinement run.
         distinguished = compute_bisimulation(path_middle_env(), three_cycle_env())
         stats = distinguished.to_json()["stats"]
-        assert stats == {"states": 6, "rounds": 1, "blocks": [2, 3], "signals_checked": 1}
+        assert stats == {"states": 6, "pairs": 1, "signals_checked": 1}
+        assert (distinguished.rounds, distinguished.blocks) == (None, None)
 
     def test_non_unit_lengths_rejected(self):
         g = PortedGraph(
@@ -394,13 +418,18 @@ class TestRefinementOracle:
         res = compute_bisimulation(e1, e2)
         pairs, rounds, separation, witness = naive_bisimulation(e1, e2)
         states = len(DiscreteStateSpace(e1).states) + len(DiscreteStateSpace(e2).states)
-        assert (res.states, res.rounds) == (states, rounds)
+        assert res.states == states
+        # each queued pair unites two classes of the union-find
+        assert 1 <= res.pairs <= states - 1
         assert res.related == (separation is None)
-        assert len(res.blocks) == res.rounds + 1
-        assert all(a < b for a, b in zip(res.blocks, res.blocks[1:]))
         if res.related:
+            # only a related verdict runs refinement
+            assert res.rounds == rounds
+            assert len(res.blocks) == res.rounds + 1
+            assert all(a < b for a, b in zip(res.blocks, res.blocks[1:]))
             assert list(res.relation) == pairs
         else:
+            assert (res.rounds, res.blocks) == (None, None)
             assert res.witness.duration == separation
             assert res.witness == ControlSignal([(a, 1) for a in witness])
         return res
@@ -429,19 +458,8 @@ class TestRefinementOracle:
         the flipped vertex, so words run longer than in the small pools,
         and most of them are not palindromes, so a witness read backwards
         would show."""
-        rng = random.Random(58)
         words = []
-        for _ in range(30):
-            n = rng.randint(8, 24)
-            g = random_ported_graph(rng, n_min=n, n_max=n, extra_max=1, max_degree=3)
-            labels = {v: int(rng.random() < 0.2) for v in g.vertices}
-            flipped = dict(labels)
-            v = rng.choice(g.vertices[1:])
-            flipped[v] = 1 - flipped[v]
-            e1, e2 = (
-                Environment(g, g.vertices[0], LabelSensor(marks, [0] * len(g.lengths)), 3)
-                for marks in (labels, flipped)
-            )
+        for e1, e2 in one_flipped_mark_pairs():
             assert not self.assert_matches_oracle(e1, e2).related
             words.append(naive_bisimulation(e1, e2)[3])
         assert sum(word != word[::-1] for word in words) >= 10
@@ -450,12 +468,44 @@ class TestRefinementOracle:
     def test_marked_cycles_need_the_whole_way_round(self):
         """A marked n-cycle against an (n+1)-cycle: only n forward steps
         reach a vertex read differently, so the witness is n pieces of
-        action 0 and refinement takes n rounds, far past the lengths a brute
-        force over all words reaches."""
+        action 0, far past the lengths a brute force over all words
+        reaches."""
         for n in range(4, 41):
             res = self.assert_matches_oracle(marked_cycle_env(n), marked_cycle_env(n + 1))
             assert res.witness.to_json() == [[0, n, 1]]
-            assert (res.divergence, res.rounds) == (n, n)
+            assert res.divergence == n
+
+    def test_distinguished_verdicts_run_no_refinement(self, monkeypatch):
+        """With refine made to raise, distinguished verdicts still give the
+        oracle's witness: the marked 40- against the 41-cycle, a cover of
+        one crossing against a cover of the other, and the flipped-mark
+        pool."""
+
+        def refuse(*args):
+            raise AssertionError("refine ran")
+
+        monkeypatch.setattr(equivalence, "refine", refuse)
+        a, b = crossing_pair()
+        rng = random.Random(60)
+        covers = [
+            cyclic_cover(env, k, random_voltages(rng, env.graph, k))[0]
+            for env, k in ((a, 3), (b, 2))
+        ]
+        pairs = [(marked_cycle_env(40), marked_cycle_env(41)), covers, *one_flipped_mark_pairs()]
+        for e1, e2 in pairs:
+            assert not self.assert_matches_oracle(e1, e2).related
+        with pytest.raises(AssertionError, match="refine ran"):
+            compute_bisimulation(*circle_pair())
+
+    def test_marked_cycles_of_thousands_of_states(self):
+        """The marked 4000- against the 4001-cycle: the walk queues at most
+        one pair per state but one, where refinement would take 4000
+        rounds over 8001 states."""
+        res = compute_bisimulation(marked_cycle_env(4000), marked_cycle_env(4001))
+        assert not res.related
+        assert res.witness.to_json() == [[0, 4000, 1]]
+        assert res.divergence == 4000
+        assert res.states == 8001 and res.pairs <= 8000
 
     def test_names_sharing_a_string(self):
         """1 and "1" print alike, so only a stable sort of the pairs in
