@@ -66,7 +66,7 @@ def _pairs_if_repeated(pairs: list):
     form and is refused by the same check instead of keeping the last
     value."""
     data = dict(pairs)
-    return data if len(data) == len(pairs) else _RepeatedKeys(pairs)
+    return data if len(data) == len(pairs) else _RepeatedKeys(map(list, pairs))
 
 
 def _load_map(path: str, source: Environment) -> GraphMap:

@@ -17,7 +17,9 @@ from typing import Iterable, Mapping, Optional
 
 from .environments import Environment, Trajectory, trajectory
 from .errors import PreconditionError, ValidationError
-from .graphs import Dart, GraphState, PortedGraph, VertexState, check_port, check_vertex_name, sorted_by_name
+from .graphs import (
+    Dart, GraphState, PortedGraph, VertexState, check_port, check_vertex_name, sorted_by_name, wire_pairs
+)
 from .rationals import as_fraction
 from .sensors import SensorSpec
 from .signals import ControlSignal
@@ -75,7 +77,7 @@ class GraphMap:
             raise ValidationError("dart_map omitted and no source graph to derive it from")
         raw_v = data["vertex_map"]
         try:
-            vpairs = raw_v.items() if isinstance(raw_v, dict) else raw_v
+            vpairs = raw_v.items() if isinstance(raw_v, dict) else wire_pairs(raw_v)
             vitems = {}
             for s, d in vpairs:
                 if type(s) is not str and type(s) is not int:

@@ -12,16 +12,15 @@ bisimulation up to equivalence when no step tells a pair apart; otherwise
 the first step that does ends the lexicographically first shortest
 distinguishing signal.  Only a related verdict runs partition refinement,
 which keeps only the current partition, because it prints the maximal
-bisimulation.  Both read one table per environment, a DiscreteStateSpace:
-per state its sensor value (`values`), and per action the successor's
-position (`succ`) and the id of the readout chunk (`chunks`) in the
-space's `chunk_table` of distinct chunks.  Both are read off the graph's
-integer tables (vertex positions and dart ids) and the environment's one
-reading table, which the environment fills from its sensor once and its
-traces read too, instead of simulated; a chunk is built only the first
-time its key of table entries is met.  compute_bisimulation then maps the
-second chunk table onto the first by value, so equal chunks from
-different keys (a rest and a traversal that read alike) are one chunk.
+bisimulation.  Both read one table over the two environments, a
+DiscreteStateSpace: per state its sensor value (`values`), and per action
+the successor's row (`succ`) and the id of the readout chunk (`chunks`) in
+one `chunk_table` of the distinct chunks of both.  Both are read off the
+graphs' integer tables (vertex positions and dart ids) and each
+environment's one reading table, which the environment fills from its
+sensor once and its traces read too, instead of simulated; a chunk is
+built only the first time its key of table entries is met, and numbered
+by value.
 verify_bisimulation re-checks a relation by replaying every move through the
 simulation (trajectory and trace_of_trajectory) instead of reading the
 state-space tables; the simulation's traces read the same reading table as
@@ -54,7 +53,7 @@ from .errors import PreconditionError, ValidationError
 from .covering import GraphMap, refine
 from .graphs import Dart, VertexState
 from .rationals import to_pair
-from .signals import EMPTY, ControlSignal
+from .signals import EMPTY, HALT, ControlSignal
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -252,50 +251,50 @@ def _require_unit_lengths(env: Environment) -> None:
 
 
 class DiscreteStateSpace:
-    """Unit-time behaviour of a unit-length environment, as one table.
+    """Unit-time behaviour of unit-length environments, as one table over
+    their disjoint union; the environments share a width and sensor kind.
 
     States are the vertices reachable at integer times (a finished edge
     traversal hands off at the head vertex, so integer-time states are always
-    vertices), listed in breadth-first order; `index` maps each state to its
-    position in `states`.  Row i of the table is three parallel lists:
-    `values[i]` is state i's sensor reading, and per action, in `actions`
-    order, `succ[i]` holds the successor's position in `states` and
-    `chunks[i]` the id of the readout chunk in `chunk_table`.  A chunk is
-    the trace of the unit action with its final instant dropped, so that
-    chunks concatenate into full traces without double counting the seams;
-    `chunk_table` lists the distinct chunks in order of first appearance.
+    vertices).  Each environment in turn appends its states, in breadth-first
+    order, to `states`, and `starts[i]` is the row of environment i's initial
+    vertex.  Row r of the table is three parallel entries: `values[r]` is
+    state r's sensor reading, and per action, in `actions` order, the tuple
+    `succ[r]` holds the successor's row and the tuple `chunks[r]` the id of
+    the readout chunk in `chunk_table`.  A chunk is the trace of the unit
+    action with its final instant dropped, so that chunks concatenate into
+    full traces without double counting the seams; `chunk_table` lists the
+    distinct chunks of all the environments in order of first appearance.
+    `actions` are the ports below min(width, M + 1), M the largest degree,
+    then HALT: every port from M on rests at every vertex, as port M does.
 
     On unit-length edges a unit action either rests at its vertex or
     traverses one dart from end to end, so each move is read off the graph's
     id tables and the environment's reading table instead of being
     simulated; that table is the one its traces read.  The breadth-first
-    pass runs over vertex positions: port k < width of vertex v is dart
+    pass runs over vertex positions: port k of vertex v is dart
     d = star[v][k], with successor dart_head[d] and edge d >> 1; ports from
-    the degree up to the width, and HALT, rest.  A chunk is looked up by a
-    key of table entries, with no Fraction in it: (vertex[v],) for a rest
-    and (vertex[v], interior[d >> 1], marks[d]) for a traversal of dart d,
-    whose marks the table lists along d.  Only a new key builds its chunk,
-    which is then numbered by value, so keys that read alike (a rest, and a
-    traversal on which nothing changes) share one id.  The chunks equal
-    those the simulation gives and those the Fraction oracle reads off the
-    sensor protocol, and a property test holds the three together.
+    the degree on, and HALT, rest.  A chunk is looked up by a key of
+    readings, with no Fraction in it, shared by all the environments:
+    (vertex[v],) for a rest and (vertex[v], interior[d >> 1], marks[d]) for
+    a traversal of dart d, whose marks the table lists along d.  Only a new
+    key builds its chunk, which is then numbered by value, so keys that read
+    alike (a rest, and a traversal on which nothing changes) share one id.
+    The chunks equal those the simulation gives and those the Fraction
+    oracle reads off the sensor protocol, and a property test holds the
+    three together.
     """
 
-    def __init__(self, env: Environment):
-        _require_unit_lengths(env)
-        graph, table = env.graph, env._readings
-        vertex, interior, marks = table.vertex, table.interior, table.marks
-        self.actions = tuple(env.actions())
+    def __init__(self, *envs: Environment):
+        for env in envs[1:]:
+            _require_shared_interface(envs[0], env)
+        for env in envs:
+            _require_unit_lengths(env)
+        top = max(env.graph.max_degree() for env in envs)
+        self.actions = (*range(min(envs[0].alphabet_width, top + 1)), HALT)
         width = len(self.actions) - 1  # ports 0..width-1, then HALT
-        vertices, star, head = graph.vertices, graph.star, graph.dart_head
-        start = graph.vertex_index[env.initial]
-        order = [start]  # vertex positions, breadth-first
-        at = [-1] * len(vertices)  # vertex position -> state index
-        at[start] = 0
-        self.values: list = []
-        self.succ: list = []
-        self.chunks: list = []
-        self.chunk_table: list = []
+        self.states, self.starts, self.values = [], [], []
+        self.succ, self.chunks = [], []
         known: dict = {}  # key -> chunk id
         numbered: dict = {}  # chunk -> chunk id
 
@@ -313,37 +312,41 @@ class DiscreteStateSpace:
                     den, along = along
                     events += [(Fraction(pos, den), label) for pos, label in along if label != inside]
                 chunk = (((_ZERO, _ONE, inside),), tuple(events))
-            c = numbered.get(chunk)
-            if c is None:
-                c = numbered[chunk] = len(self.chunk_table)
-                self.chunk_table.append(chunk)
-            known[key] = c
+            c = known[key] = numbered.setdefault(chunk, len(numbered))
             return c
 
-        # The loop visits the states appended while it runs: a FIFO queue.
-        for i, v in enumerate(order):
-            here = vertex[v]
-            succ, chunks = [], []
-            darts = star[v][:width]
-            for d in darts:
-                key = (here, interior[d >> 1], marks[d])
-                c = known.get(key)
-                chunks.append(number(key) if c is None else c)
-                w = head[d]
-                j = at[w]
-                if j < 0:
-                    j = at[w] = len(order)
-                    order.append(w)
-                succ.append(j)
-            rests = width + 1 - len(darts)
-            c = known.get((here,))
-            chunks += [number((here,)) if c is None else c] * rests
-            succ += [i] * rests
-            self.values.append(here)
-            self.succ.append(succ)
-            self.chunks.append(chunks)
-        self.states: list = [vertices[v] for v in order]
-        self.index: dict = dict(zip(self.states, range(len(order))))
+        for env in envs:
+            graph, table = env.graph, env._readings
+            vertex, interior, marks = table.vertex, table.interior, table.marks
+            vertices, star, head = graph.vertices, graph.star, graph.dart_head
+            first = len(self.states)
+            start = graph.vertex_index[env.initial]
+            order = [start]  # vertex positions, breadth-first
+            at = [-1] * len(vertices)  # vertex position -> row
+            at[start] = first
+            self.starts.append(first)
+            # The loop visits the states appended while it runs: a FIFO queue.
+            for i, v in enumerate(order, first):
+                here = vertex[v]
+                succ, chunks = [], []
+                darts = star[v][:width]
+                for d in darts:
+                    key = (here, interior[d >> 1], marks[d])
+                    c = known.get(key)
+                    chunks.append(number(key) if c is None else c)
+                    w = head[d]
+                    j = at[w]
+                    if j < 0:
+                        j = at[w] = first + len(order)
+                        order.append(w)
+                    succ.append(j)
+                rests = width + 1 - len(darts)
+                c = known.get((here,))
+                self.values.append(here)
+                self.succ.append((*succ, *(i,) * rests))
+                self.chunks.append((*chunks, *(number((here,)) if c is None else c,) * rests))
+            self.states += [vertices[v] for v in order]
+        self.chunk_table = list(numbered)
 
 
 @dataclass(frozen=True)
@@ -401,24 +404,14 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     pairs do not give, so only then are the states of both environments
     partitioned together, first by sensor output, then repeatedly by
     (readout chunk, successor block) over every action until stable; the
-    cross pairs of each block are the relation.  States are numbered s1
-    first, then s2.  The rounds run in `refine`, the loop degree_refinement
-    uses too, which reports the block counts that `rounds` and `blocks`
-    read.
-
-    Each space numbers its distinct chunks in its own chunk_table.  s1's
-    ids are the common ids, and one dict maps s2's table onto them by
-    value, once per distinct chunk and not per row, so a chunk that the two
-    spaces reached under different keys gets one id; the walk and the
-    rounds read ids through the tables.
+    cross pairs of each block are the relation.  The rounds run in `refine`,
+    the loop degree_refinement uses too, which reports the block counts that
+    `rounds` and `blocks` read.  The walk and the rounds read one
+    DiscreteStateSpace of (e1, e2), whose rows and chunk ids span both.
     """
-    _require_shared_interface(e1, e2)
-    s1, s2 = DiscreteStateSpace(e1), DiscreteStateSpace(e2)
-    n1 = len(s1.states)
-    n_states = n1 + len(s2.states)
-    ids = dict(zip(s1.chunk_table, range(len(s1.chunk_table))))
-    common = [ids.setdefault(c, len(ids)) for c in s2.chunk_table]
-    word, pairs = _pair_walk(s1, s2, common)
+    space = DiscreteStateSpace(e1, e2)
+    n_states = len(space.states)
+    word, pairs = _pair_walk(space)
 
     if word is not None:
         witness = ControlSignal([(a, _ONE) for a in word])
@@ -428,17 +421,15 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
             False, witness=witness, divergence=replay.divergence, states=n_states, pairs=pairs
         )
 
-    chunks = list(map(tuple, s1.chunks))
-    chunks += [tuple(map(common.__getitem__, row)) for row in s2.chunks]
-    succs = s1.succ + [[w + n1 for w in row] for row in s2.succ]
+    chunks = space.chunks
     values: dict = {}
-    part = [values.setdefault(x, len(values)) for x in s1.values + s2.values]
+    part = [values.setdefault(x, len(values)) for x in space.values]
     # there are always at least two actions, so each getter returns a tuple
-    successor_blocks = [itemgetter(*row) for row in succs]
+    successor_blocks = [itemgetter(*row) for row in space.succ]
     final, counts = refine(part, lambda prev, i: (chunks[i], successor_blocks[i](prev)))
-    # each space lists its initial vertex first
-    assert final[0] == final[n1], "the pair walk and refinement disagree"
-    relation = _cross_pairs(s1.states, s2.states, final)
+    x0, y0 = space.starts
+    assert final[x0] == final[y0], "the pair walk and refinement disagree"
+    relation = _cross_pairs(space.states, y0, final)
     return BisimulationResult(
         True,
         tuple(relation),
@@ -449,18 +440,17 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     )
 
 
-def _pair_walk(s1, s2, common) -> tuple:
+def _pair_walk(space) -> tuple:
     """(word, pairs): the lexicographically first shortest word of actions
-    telling the initial states of s1 and s2 apart, or None when there is
-    none, and the number of pairs queued.  common maps s2's chunk ids to
-    s1's.
+    telling apart the initial states of the two environments of space, or
+    None when there is none, and the number of pairs queued.
 
-    Pairs (x, y), x a state of s1 and y one of s2, are walked breadth-first
-    from (x0, y0) in action order.  One union-find runs over the states of
-    both spaces, s2's numbered after s1's.  A successor pair is queued, with
-    a back pointer (previous pair, action), only when its two states are in
-    different classes, and queueing unites them; so at most V1 + V2 - 1
-    pairs are queued (Hopcroft & Karp 1971), and the walk reads
+    Pairs (x, y), x a state of the first environment and y one of the
+    second, are walked breadth-first from (x0, y0) in action order.  One
+    union-find runs over the rows of space.  A successor pair is queued,
+    with a back pointer (previous pair, action), only when its two states
+    are in different classes, and queueing unites them; so at most
+    V1 + V2 - 1 pairs are queued (Hopcroft & Karp 1971), and the walk reads
     O((V1 + V2) * actions) table entries, with near-constant union-find
     work per entry.  The first (pair, action) whose chunks differ, or whose
     successors differ in sensor value, ends the word, read back along the
@@ -484,14 +474,12 @@ def _pair_walk(s1, s2, common) -> tuple:
     the rest of v tells apart one link of the chain, queued earlier, by a
     word shortlex-smaller than u v[0]: a smaller s.  Either way the choice
     of s is contradicted."""
-    n1 = len(s1.states)
-    parent = list(range(n1 + len(s2.states)))
-    values1, values2 = s1.values, s2.values
-    succ1, succ2, chunks1, chunks2 = s1.succ, s2.succ, s1.chunks, s2.chunks
-    # each space lists its initial vertex first; the loop visits the pairs
-    # appended while it runs, a FIFO queue, and back[i] is queue[i]'s back
-    # pointer
-    queue = [(0, 0)]
+    values, succ, chunks = space.values, space.succ, space.chunks
+    parent = list(range(len(values)))
+    x0, y0 = space.starts
+    # the loop visits the pairs appended while it runs, a FIFO queue, and
+    # back[i] is queue[i]'s back pointer
+    queue = [(x0, y0)]
     back = [None]
 
     def read_back(q, a):
@@ -501,21 +489,21 @@ def _pair_walk(s1, s2, common) -> tuple:
             word.append(a)
         return word[::-1], len(queue)
 
-    if values1[0] != values2[0]:
+    if values[x0] != values[y0]:
         return [], 1
-    parent[0] = n1
+    parent[x0] = y0
     for q, (x, y) in enumerate(queue):
-        for a, cx, cy, nx, ny in zip(s1.actions, chunks1[x], chunks2[y], succ1[x], succ2[y]):
-            if cx != common[cy]:
+        for a, cx, cy, nx, ny in zip(space.actions, chunks[x], chunks[y], succ[x], succ[y]):
+            if cx != cy:
                 return read_back(q, a)
             # find both roots, halving the paths walked
-            rx, ry = nx, n1 + ny
+            rx, ry = nx, ny
             while parent[rx] != rx:
                 parent[rx] = rx = parent[parent[rx]]
             while parent[ry] != ry:
                 parent[ry] = ry = parent[parent[ry]]
             if rx != ry:
-                if values1[nx] != values2[ny]:
+                if values[nx] != values[ny]:
                     return read_back(q, a)
                 parent[rx] = ry
                 queue.append((nx, ny))
@@ -523,23 +511,22 @@ def _pair_walk(s1, s2, common) -> tuple:
     return None, len(queue)
 
 
-def _cross_pairs(states1: list, states2: list, final: list) -> list:
-    """The pairs (v1, v2) of states1 x states2 that share a block of final
-    (states1's blocks first, then states2's), in the order of a stable sort
-    by (str(v1), str(v2)) of the pairs listed in breadth-first order.
+def _cross_pairs(states: list, split: int, final: list) -> list:
+    """The pairs (v1, v2) of states[:split] x states[split:] that share a
+    block of final, in the order of a stable sort by (str(v1), str(v2)) of
+    the pairs listed in breadth-first order.
 
     Both sides are walked in (str, breadth-first) order, so no pair is
-    sorted.  Only names of states1 that print alike (1 and "1") need their
-    pairs merged, by str(v2), then breadth-first as they are listed."""
-    n1 = len(states1)
-    text1, text2 = list(map(str, states1)), list(map(str, states2))
+    sorted.  Only names of the first side that print alike (1 and "1") need
+    their pairs merged, by str(v2), then breadth-first as they are listed."""
+    text = list(map(str, states))
     by_block: dict = {}
-    for j in sorted(range(len(states2)), key=text2.__getitem__):
-        by_block.setdefault(final[n1 + j], []).append(states2[j])
+    for j in sorted(range(split, len(states)), key=text.__getitem__):
+        by_block.setdefault(final[j], []).append(states[j])
     relation: list = []
-    for _, group in groupby(sorted(range(n1), key=text1.__getitem__), text1.__getitem__):
+    for _, group in groupby(sorted(range(split), key=text.__getitem__), text.__getitem__):
         group = list(group)
-        pairs = [(states1[i], v2) for i in group for v2 in by_block.get(final[i], ())]
+        pairs = [(states[i], v2) for i in group for v2 in by_block.get(final[i], ())]
         if len(group) > 1:
             pairs.sort(key=lambda p: str(p[1]))
         relation += pairs

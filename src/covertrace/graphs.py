@@ -66,6 +66,15 @@ def check_port(port):
     return port
 
 
+def wire_pairs(raw):
+    """The entries of a JSON array of [key, value] pairs; one that is not an
+    array of two (a 2-character string unpacks too) raises TypeError."""
+    for entry in raw:
+        if type(entry) is not list or len(entry) != 2:
+            raise TypeError(f"{entry!r} is not a [key, value] pair")
+        yield entry
+
+
 class Dart(NamedTuple):
     vertex: object
     port: int

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ValidationError
-from .graphs import EdgeState, GraphState, PortedGraph, VertexState, sorted_by_name
+from .graphs import EdgeState, GraphState, PortedGraph, VertexState, sorted_by_name, wire_pairs
 from .rationals import shared_from_wire
 
 EDGE = "edge"
@@ -313,9 +313,10 @@ def sensor_from_json(data) -> SensorSpec:
         return DegreeSensor()
     if kind == "label":
         try:
-            raw = data["vertex_labels"]
-            pairs = raw.items() if isinstance(raw, dict) else [(v, label) for v, label in raw]
-            return LabelSensor(pairs, list(data["edge_labels"]))
+            raw, edge_labels = data["vertex_labels"], data["edge_labels"]
+            if type(edge_labels) is not list:
+                raise TypeError("edge_labels is not an array")
+            return LabelSensor(raw if isinstance(raw, dict) else wire_pairs(raw), edge_labels)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad label sensor JSON: {data!r}") from exc
     if kind == "beam":
@@ -335,7 +336,7 @@ def sensor_from_json(data) -> SensorSpec:
     if kind == "filtered":
         try:
             base = sensor_from_json(data["base"])
-            pairs = [(_check_scalar(src), dst) for src, dst in data["relabel"]]
+            pairs = [(_check_scalar(src), dst) for src, dst in wire_pairs(data["relabel"])]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad filtered sensor JSON: {data!r}") from exc
         return FilteredSensor(base, pairs)

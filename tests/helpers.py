@@ -408,7 +408,8 @@ def naive_graph_from_json(data) -> PortedGraph:
 def naive_sensor_from_json(data):
     """sensors.sensor_from_json in two stages for beam marks: every mark
     read into a BeamMark with from_wire, in document order, and then the
-    checking BeamSensor constructor on the BeamMarks."""
+    checking BeamSensor constructor on the BeamMarks.  A relabel entry that
+    is not an array of two is refused where it is met."""
     if not isinstance(data, dict) or "type" not in data:
         raise ValidationError(f"bad sensor JSON: {data!r}")
     kind = data["type"]
@@ -424,7 +425,11 @@ def naive_sensor_from_json(data):
     if kind == "filtered":
         try:
             base = naive_sensor_from_json(data["base"])
-            pairs = [(_check_scalar(src), dst) for src, dst in data["relabel"]]
+            pairs = []
+            for entry in data["relabel"]:
+                if not (isinstance(entry, list) and len(entry) == 2):
+                    raise TypeError(f"{entry!r} is not a [key, value] pair")
+                pairs.append((_check_scalar(entry[0]), entry[1]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad filtered sensor JSON: {data!r}") from exc
         return FilteredSensor(base, pairs)
@@ -462,7 +467,9 @@ def naive_environment_from_json(data) -> Environment:
 
 
 def naive_map_from_json(data, source=None) -> GraphMap:
-    """GraphMap.from_json with each dart pair read by a call per dart."""
+    """GraphMap.from_json with each dart pair read by a call per dart; a
+    vertex_map array entry that is not an array of two is refused where it
+    is met."""
 
     def dart(raw):
         vertex, port = raw
@@ -476,7 +483,10 @@ def naive_map_from_json(data, source=None) -> GraphMap:
     try:
         vpairs = raw_v.items() if isinstance(raw_v, dict) else raw_v
         vitems = {}
-        for s, d in vpairs:
+        for entry in vpairs:
+            if not isinstance(raw_v, dict) and not (isinstance(entry, list) and len(entry) == 2):
+                raise TypeError(f"{entry!r} is not a [key, value] pair")
+            s, d = entry
             s = check_vertex_name(s)
             if s in vitems:
                 raise ValidationError(f"vertex {s!r} is mapped twice")
@@ -701,37 +711,31 @@ def universal_ball_size(graph: PortedGraph, base, radius) -> int:
 
 def naive_bisimulation(e1: Environment, e2: Environment):
     """Bisimulation oracle by synchronous pair removal over all pairs of the
-    disjoint union, reading only the `values`, `succ`, `chunks` and
-    `chunk_table` lists of the two state spaces and comparing chunks by
-    value.  Returns the related cross pairs in s1 x s2 order, stably sorted
-    by their names as strings, the number of strictly refining rounds, the
-    round at which the initial pair is removed (None if never), and the
-    lexicographically first shortest witness as a list of actions (None if
-    never removed).
+    disjoint union, reading only the `values`, `succ`, `chunks`,
+    `chunk_table` and `starts` lists of the state space of (e1, e2) and
+    comparing chunks by value, not by id.  Returns the related cross pairs
+    in e1 x e2 state order, stably sorted by their names as strings, the
+    number of strictly refining rounds, the round at which the initial pair
+    is removed (None if never), and the lexicographically first shortest
+    witness as a list of actions (None if never removed).
 
     The witness is rebuilt greedily from the removal rounds: from a pair
     removed at round r > 0, take the first action whose chunks differ
     (which ends the word) or whose successor pair was removed by round
     r - 1, and go on from that successor pair."""
-    spaces = (DiscreteStateSpace(e1), DiscreteStateSpace(e2))
-    tagged = [(side, i) for side, space in enumerate(spaces) for i in range(len(space.states))]
-    n_actions = len(spaces[0].actions)
+    space = DiscreteStateSpace(e1, e2)
+    rows = range(len(space.states))
+    n_actions = len(space.actions)
 
     def step(x, k):
-        return (x[0], spaces[x[0]].succ[x[1]][k])
+        return space.succ[x][k]
 
     def chunk(x, k):
-        space = spaces[x[0]]
-        return space.chunk_table[space.chunks[x[1]][k]]
+        return space.chunk_table[space.chunks[x][k]]
 
-    related = {
-        (x, y)
-        for x in tagged
-        for y in tagged
-        if spaces[x[0]].values[x[1]] == spaces[y[0]].values[y[1]]
-    }
-    initial = ((0, spaces[0].index[e1.initial]), (1, spaces[1].index[e2.initial]))
-    removed_at = {(x, y): 0 for x in tagged for y in tagged if (x, y) not in related}
+    related = {(x, y) for x in rows for y in rows if space.values[x] == space.values[y]}
+    initial = tuple(space.starts)
+    removed_at = {(x, y): 0 for x in rows for y in rows if (x, y) not in related}
     rounds = 0
     while True:
         kept = {
@@ -758,15 +762,16 @@ def naive_bisimulation(e1: Environment, e2: Environment):
                 for k in range(n_actions)
                 if chunk(x, k) != chunk(y, k) or removed_at.get((step(x, k), step(y, k)), r) < r
             )
-            witness.append(spaces[0].actions[k])
+            witness.append(space.actions[k])
             if chunk(x, k) != chunk(y, k):
                 break
             x, y, r = step(x, k), step(y, k), r - 1
+    split = space.starts[1]
     pairs = [
-        (v1, v2)
-        for i, v1 in enumerate(spaces[0].states)
-        for j, v2 in enumerate(spaces[1].states)
-        if ((0, i), (1, j)) in related
+        (space.states[i], space.states[j])
+        for i in range(split)
+        for j in rows[split:]
+        if (i, j) in related
     ]
     pairs.sort(key=lambda p: (str(p[0]), str(p[1])))
     return pairs, rounds, separation, witness

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from fractions import Fraction
 
@@ -169,6 +170,25 @@ class TestVerdictCommands:
         assert data["verdict"] == "related"
         assert len(data["relation"]) == 18
         assert data["stats"]["states"] == 9
+
+    @pytest.mark.parametrize("pair", sorted(GALLERY))
+    def test_bisim_at_the_widest_alphabet_reads_as_port_m_plus_one(self, capsys, tmp_path, gallery_dir, pair):
+        """At alphabet_width sys.maxsize bisim prints what it prints at width
+        M + 1, M the larger maximum degree, and takes well under a second:
+        every port from M on rests at every vertex, as port M does."""
+        docs = [json.loads((gallery_dir / f"{pair}_{side}.json").read_text()) for side in "ab"]
+        top = max(Environment.from_json(doc).graph.max_degree() for doc in docs)
+        outputs = []
+        for width in (top + 1, sys.maxsize):
+            paths = [
+                write_json(tmp_path / f"{width}_{side}.json", {**doc, "alphabet_width": width})
+                for side, doc in zip("ab", docs)
+            ]
+            start = time.perf_counter()
+            outputs.append(run(capsys, ["bisim", *paths]))
+            assert time.perf_counter() - start < 1
+        assert outputs[0][0] in (0, 1)
+        assert outputs[1] == outputs[0]
 
     def test_bisim_note_counts_unit_actions(self, capsys, tmp_path):
         """Marked 5- and 6-cycles are told apart only by walking once round

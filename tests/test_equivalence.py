@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -332,46 +333,56 @@ class TestBisimulation:
 
 class TestDiscreteStateSpace:
     @staticmethod
-    def assert_table_matches(env, seen):
-        """Every row of env's table equals the simulated unit moves (apply
-        and trace_of): successor, segments and the events but the final
-        instant, with exact Fraction times; and each value is the sensor's.
-        Both read the environment's reading table, so each chunk is also
-        held against naive_trace, which reads the sensor protocol itself.
-        Counts what the moves met into seen."""
-        graph, sensor = env.graph, env.sensor
-        space = DiscreteStateSpace(env)
+    def assert_table_matches(envs, seen):
+        """Every row of the table of envs (one environment or two) equals
+        the simulated unit moves (apply and trace_of) of its own side:
+        successor, segments and the events but the final instant, with
+        exact Fraction times; and each value is the sensor's.  Both read the
+        environment's reading table, so each chunk is also held against
+        naive_trace, which reads the sensor protocol itself.  Counts what
+        the moves met into seen."""
+        space = DiscreteStateSpace(*envs)
         assert len(space.values) == len(space.succ) == len(space.chunks) == len(space.states)
+        top = max(env.graph.max_degree() for env in envs)
+        assert space.actions == (*range(min(envs[0].alphabet_width, top + 1)), HALT)
         # the table lists each chunk once, in order of first appearance
         assert len(set(space.chunk_table)) == len(space.chunk_table)
         first_seen = dict.fromkeys(c for row in space.chunks for c in row)
         assert list(first_seen) == list(range(len(space.chunk_table)))
-        for i, v in enumerate(space.states):
-            assert space.index[v] == i
-            assert space.values[i] == sensor.value(graph, VertexState(v))
-            assert len(space.succ[i]) == len(space.chunks[i]) == len(space.actions)
-            for k, a in enumerate(space.actions):
-                u = ControlSignal([(a, 1)])
-                successor = VertexState(space.states[space.succ[i][k]])
-                assert successor == apply(env, u, VertexState(v))
-                tr = trace_of(env, u, VertexState(v))
-                chunk = space.chunk_table[space.chunks[i][k]]
-                assert chunk == (trace_segments(tr), trace_events(tr)[:-1])
-                oracle = naive_trace(env, *naive_legs(env, u, VertexState(v)))
-                assert chunk == (trace_segments(oracle), trace_events(oracle)[:-1])
-                segments, events = chunk
-                times = [t for t, _, _ in segments] + [t for _, t, _ in segments]
-                times += [t for t, _ in events]
-                assert all(type(t) is Fraction for t in times)
-                if a == HALT or a >= graph.degree(v):
-                    continue
-                d = Dart(v, a)
-                idx = graph.edge_of(d)
-                edge = graph_edges(graph)[idx]
-                seen["self-loop"] += edge.tail == edge.head
-                if sensor.marks_on(idx) and d != graph.forward_dart(idx):
-                    seen["mark against stored orientation"] += 1
-                seen["event at 0", bool(events) and events[0][0] == 0] += 1
+        assert len(space.starts) == len(envs) and space.starts[0] == 0
+        ends = [*space.starts[1:], len(space.states)]
+        for env, start, end in zip(envs, space.starts, ends):
+            graph, sensor = env.graph, env.sensor
+            rows = range(start, end)
+            assert space.states[start] == env.initial
+            assert len(set(space.states[start:end])) == end - start
+            for i in rows:
+                v = space.states[i]
+                assert space.values[i] == sensor.value(graph, VertexState(v))
+                assert len(space.succ[i]) == len(space.chunks[i]) == len(space.actions)
+                for k, a in enumerate(space.actions):
+                    u = ControlSignal([(a, 1)])
+                    assert space.succ[i][k] in rows
+                    successor = VertexState(space.states[space.succ[i][k]])
+                    assert successor == apply(env, u, VertexState(v))
+                    tr = trace_of(env, u, VertexState(v))
+                    chunk = space.chunk_table[space.chunks[i][k]]
+                    assert chunk == (trace_segments(tr), trace_events(tr)[:-1])
+                    oracle = naive_trace(env, *naive_legs(env, u, VertexState(v)))
+                    assert chunk == (trace_segments(oracle), trace_events(oracle)[:-1])
+                    segments, events = chunk
+                    times = [t for t, _, _ in segments] + [t for _, t, _ in segments]
+                    times += [t for t, _ in events]
+                    assert all(type(t) is Fraction for t in times)
+                    if a == HALT or a >= graph.degree(v):
+                        continue
+                    d = Dart(v, a)
+                    idx = graph.edge_of(d)
+                    edge = graph_edges(graph)[idx]
+                    seen["self-loop"] += edge.tail == edge.head
+                    if sensor.marks_on(idx) and d != graph.forward_dart(idx):
+                        seen["mark against stored orientation"] += 1
+                    seen["event at 0", bool(events) and events[0][0] == 0] += 1
 
     def test_table_matches_simulation(self):
         """The table matches the simulation on random environments covering
@@ -393,7 +404,7 @@ class TestDiscreteStateSpace:
                 for sensor in (base.sensor, filtered):
                     for width in sorted({max(1, w) for w in (top - 1, top, top + 1)}):
                         env = Environment(graph, base.initial, sensor, width)
-                        self.assert_table_matches(env, seen)
+                        self.assert_table_matches([env], seen)
                         seen[kind, sensor is filtered] += 1
                         seen["width", (width > top) - (width < top)] += 1
         for kind in ("degree", "label", "beam"):
@@ -407,12 +418,83 @@ class TestDiscreteStateSpace:
         unit_envs = [env for env in envs if env.graph.unit_lengths()]
         assert unit_envs
         for env in unit_envs:
-            self.assert_table_matches(env, Counter())
+            self.assert_table_matches([env], Counter())
+
+    def test_two_environment_table_matches_simulation(self):
+        """One table over two environments holds every row of both sides
+        against the simulation of its own side, on the gallery pairs and on
+        random pairs of each sensor kind, widths below and above the larger
+        maximum degree."""
+        pairs = [pair() for _, pair in sorted(GALLERY.items())]
+        pairs = [(a, b) for a, b in pairs if a.graph.unit_lengths() and b.graph.unit_lengths()]
+        rng = random.Random(61)
+        seen = Counter()
+        for kind in ("degree", "label", "beam"):
+            for _ in range(15):
+                e1, e2 = (random_unit_environment(rng, kind=kind) for _ in "ab")
+                top = max(e1.graph.max_degree(), e2.graph.max_degree())
+                width = max(1, top + rng.choice((-1, 0, 1)))
+                seen["width", (width > top) - (width < top)] += 1
+                pairs.append(tuple(Environment(e.graph, e.initial, e.sensor, width) for e in (e1, e2)))
+        for e1, e2 in pairs:
+            self.assert_table_matches([e1, e2], seen)
+            self.assert_table_matches([e2, e1], seen)
+        assert seen["width", -1] and seen["width", 1]
+        assert seen["self-loop"] and seen["event at 0", True]
+
+    def test_shared_table_is_the_tables_built_alone(self):
+        """The table of (e1, e2) is e1's table followed by e2's, e2's rows
+        offset by e1's state count, and every chunk id names the chunk of
+        the table built alone: the shared chunk table is e1's, then e2's
+        chunks that e1 lacks, in e2's order.  Ports past a table's own
+        cap rest, so they read as its last port."""
+        rng = random.Random(62)
+        for kind in ("degree", "label", "beam"):
+            for _ in range(40):
+                width = rng.randint(2, 4)
+                e1, e2 = (random_unit_environment(rng, width=width, kind=kind) for _ in "ab")
+                shared = DiscreteStateSpace(e1, e2)
+                alone = DiscreteStateSpace(e1), DiscreteStateSpace(e2)
+                n1 = len(alone[0].states)
+                assert shared.states == alone[0].states + alone[1].states
+                assert shared.starts == [0, n1]
+                assert shared.values == alone[0].values + alone[1].values
+                table = list(alone[0].chunk_table)
+                table += [c for c in alone[1].chunk_table if c not in table]
+                assert shared.chunk_table == table
+                for side, space in enumerate(alone):
+                    columns = [-1 if a == HALT else min(a, len(space.actions) - 2) for a in shared.actions]
+                    for i in range(len(space.states)):
+                        row = i + side * n1
+                        assert shared.succ[row] == tuple(space.succ[i][k] + side * n1 for k in columns)
+                        assert [shared.chunk_table[c] for c in shared.chunks[row]] == [
+                            space.chunk_table[space.chunks[i][k]] for k in columns
+                        ]
+
+    def test_ports_past_the_largest_degree_rest_like_port_m(self):
+        """At width sys.maxsize the table lists ports 0..M and halt, M the
+        largest degree over its graphs, and a port past M + 1 gives port
+        M's successor and unit trace at every state."""
+        for a, b in (circle_pair(), beams_pair(), kite_pair(), crossing_pair()):
+            top = max(a.graph.max_degree(), b.graph.max_degree())
+            wide = [Environment(e.graph, e.initial, e.sensor, sys.maxsize) for e in (a, b)]
+            space = DiscreteStateSpace(*wide)
+            assert space.actions == (*range(top + 1), HALT)
+            ends = [*space.starts[1:], len(space.states)]
+            for env, start, end in zip(wide, space.starts, ends):
+                for i in range(start, end):
+                    here = VertexState(space.states[i])
+                    chunk = space.chunk_table[space.chunks[i][top]]
+                    for port in (top + 2, 10**9, sys.maxsize - 1):
+                        u = ControlSignal([(port, 1)])
+                        assert apply(env, u, here) == VertexState(space.states[space.succ[i][top]])
+                        tr = trace_of(env, u, here)
+                        assert (trace_segments(tr), trace_events(tr)[:-1]) == chunk
 
 
 class TestRefinementOracle:
     """compute_bisimulation against the pair-removal oracle, which shares
-    nothing with it but the values/succ/chunks table of the state spaces."""
+    nothing with it but the values/succ/chunks table of the state space."""
 
     def assert_matches_oracle(self, e1, e2):
         res = compute_bisimulation(e1, e2)
@@ -547,11 +629,12 @@ class TestRefinementOracle:
         """Every vertex and edge of the three-cycle reads 0, so its first
         chunk comes from a traversal, while an edgeless vertex reading 0
         only rests.  The two chunks are equal, so the environments are
-        related: the chunks are matched by value, not by how they arose."""
+        related: the chunks are numbered by value, not by how they arose."""
         a = three_cycle_env(LabelSensor({"x0": 0, "x1": 0, "x2": 0}, (0, 0, 0)))
         b = Environment(PortedGraph(["p"], []), "p", LabelSensor({"p": 0}, ()), 2)
         rest = (((Fraction(0), Fraction(1), 0),), ())
         assert DiscreteStateSpace(a).chunk_table == DiscreteStateSpace(b).chunk_table == [rest]
+        assert DiscreteStateSpace(a, b).chunk_table == [rest]
         for e1, e2 in ((a, b), (b, a)):
             res = self.assert_matches_oracle(e1, e2)
             assert res.related and len(res.relation) == 3
@@ -596,9 +679,10 @@ class TestVerifyBisimulation:
         right = (((zero, one, 0),), ())
         real = DiscreteStateSpace.__init__
 
-        def corrupted(self, env):
-            real(self, env)
-            self.chunk_table = [right if c == wrong else c for c in self.chunk_table]
+        def corrupted(self, *envs):
+            real(self, *envs)
+            bad, good = self.chunk_table.index(wrong), self.chunk_table.index(right)
+            self.chunks = [tuple(good if c == bad else c for c in row) for row in self.chunks]
 
         monkeypatch.setattr(DiscreteStateSpace, "__init__", corrupted)
         res = compute_bisimulation(a, b)

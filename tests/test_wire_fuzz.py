@@ -359,3 +359,61 @@ def test_label_sensor_orders_names_as_printed():
     assert LabelSensor({"1": "b", 1: "d"}, []).vertex_labels == (("1", "b"), (1, "d"))
     named = LabelSensor({"b": 0, "a9": 1, "a10": 2}, [])
     assert named.to_json()["vertex_labels"] == [["a10", 2], ["a9", 1], ["b", 0]]
+
+
+def two_vertices(sensor):
+    """A document of one unit edge a - b read by sensor."""
+    return {
+        "vertices": ["a", "b"],
+        "edges": [{"tail": "a", "head": "b", "port_at_tail": 0, "port_at_head": 0, "length": [1, 1]}],
+        "initial": "a",
+        "sensor": sensor,
+    }
+
+
+@pytest.mark.parametrize(
+    "vertex_map",
+    [["aa", "bb"], [["a", "a"], "bb"], [["a", "a"], ["b", "b", "b"]], [["a", "a"], ["b"]], "ab"],
+)
+def test_map_entries_must_be_pairs(tmp_path, vertex_map):
+    """A vertex_map entry that is not an array of two is refused, though a
+    2-character string unpacks as a pair: ["aa", "bb"] on vertices a and b
+    would read as the identity map."""
+    doc = {"vertex_map": vertex_map}
+    graph = PortedGraph.from_json(two_vertices({"type": "degree"}))
+    for reader in (GraphMap.from_json, naive_map_from_json):
+        with pytest.raises(ValidationError, match=r"is not a \[key, value\] pair|bad graph map JSON"):
+            reader(doc, graph)
+    env = write(tmp_path, "env.json", two_vertices({"type": "degree"}))
+    mapping = write(tmp_path, "map.json", doc)
+    code, out, err = run(["check-cover", mapping, env, env])
+    assert (code, out) == (2, "") and "bad graph map JSON" in err
+
+
+LABEL = {"type": "label", "vertex_labels": [["a", "1"], ["b", "1"]], "edge_labels": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "sensor",
+    [
+        {**LABEL, "vertex_labels": ["a0", "b1"]},
+        {**LABEL, "vertex_labels": [["a", "0"], "b1"]},
+        {**LABEL, "vertex_labels": [["a", "0"], ["b", "1", "2"]]},
+        {**LABEL, "edge_labels": "x"},
+        {**LABEL, "edge_labels": {"x": 0}},
+        {"type": "filtered", "base": LABEL, "relabel": ["1x"]},
+        {"type": "filtered", "base": LABEL, "relabel": {"1x": 0}},
+        {"type": "filtered", "base": LABEL, "relabel": [["1", "x", "y"]]},
+    ],
+)
+def test_sensor_entries_must_be_pairs_and_edge_labels_an_array(tmp_path, sensor):
+    """Label pairs and relabel pairs must be arrays of two and edge_labels an
+    array; read as iterables, each document here would load, with its
+    strings or object keys split into labels."""
+    for reader in (sensor_from_json, naive_sensor_from_json):
+        with pytest.raises(ValidationError, match="^bad (label|filtered) sensor JSON"):
+            reader(sensor)
+    env = write(tmp_path, "env.json", two_vertices(sensor))
+    signal = write(tmp_path, "signal.json", SIGNAL)
+    code, out, err = run(["trace", env, signal])
+    assert (code, out) == (2, "") and "sensor JSON" in err
