@@ -6,6 +6,13 @@ short human-readable summaries go to standard error.  Exit codes: 0 success or
 verdict "related", 1 verdict "distinguished" (or a failed covering check),
 2 malformed input, 3 precondition violation.
 
+Every document a command prints is a fresh tree of dicts, lists, strings,
+ints, bools and None that the command's `to_json` calls (or the handler
+itself) built for that one print, and no container in it holds itself or
+an ancestor; so `_emit` encodes it with the encoder's cycle scan switched
+off (`check_circular=False`), which prints the same text without one dict
+insert and delete per list and dict.
+
 A process builds the parser of each command it runs once, the first time
 `main` needs it, and reuses it on later calls (every command in one parser
 when the first argument names none, so help and errors read the same).  A
@@ -46,6 +53,9 @@ def _load_json(path: str, object_pairs_hook=None):
         # malformed JSON, or an integer literal longer than
         # sys.get_int_max_str_digits() digits
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # arrays or objects nested deeper than the decoder's recursion limit
+        raise ValidationError(f"{path} is nested too deeply to read: {exc}") from exc
 
 
 def _load_environment(path: str) -> Environment:
@@ -78,7 +88,8 @@ def _load_map(path: str, source: Environment) -> GraphMap:
 
 def _emit(data) -> None:
     try:
-        text = json.dumps(data, sort_keys=True)
+        # no cycle scan: see the module docstring
+        text = json.dumps(data, sort_keys=True, check_circular=False)
     except ValueError as exc:
         # an integer longer than sys.get_int_max_str_digits() digits
         raise PreconditionError(f"the result cannot be printed: {exc}") from exc

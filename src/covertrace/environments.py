@@ -17,9 +17,9 @@ in O(steps) int operations and keeps its legs in those ticks.  A Trajectory
 builds its Leg objects only when they are first read, as Trajectory.at,
 breakpoints and trajectory_distance (and the benchmark's spans) read them.
 Each environment reads its sensor through one table, `_Readings`, filled
-from the sensor protocol in one pass the first time the environment traces
-a signal or builds a state space: the reading per vertex, the interior
-reading per edge and the beam marks per dart, in ticks along the dart.
+from the sensor's columns the first time the environment traces a signal
+or builds a state space: the reading per vertex, the interior reading per
+edge and the beam marks per dart, in ticks along the dart.
 `trace_of_trajectory` reads the legs' ticks directly and takes every reading
 from that table, as equivalence.DiscreteStateSpace does.  A SensorTrace
 keeps the result in one canonical form, its segments and events in ticks of
@@ -114,30 +114,30 @@ class Environment:
 
 class _Readings:
     """What an environment's sensor reads, on the graph's ids, as three
-    lists filled from the sensor protocol in one pass: vertex[v] is the
-    reading at vertex position v, interior[e] the reading inside edge e
-    away from its beam marks, and marks[d] the marks met along dart d, in
-    the order met, as (den, ((pos, label), ...)), each pos the mark's
-    distance from the dart's tail in ticks of 1/den, or () on an edge
-    without marks.  Inside an edge a sensor reads the label of the mark at
+    lists: vertex[v] is the reading at vertex position v, interior[e] the
+    reading inside edge e away from its beam marks, and marks[d] the marks
+    met along dart d, in the order met, as (den, ((pos, label), ...)), each
+    pos the mark's distance from the dart's tail in ticks of 1/den, or ()
+    on an edge without marks.  vertex and interior are the sensor's
+    columns as they come (see sensors), and marks is built from its dict of
+    marked edges, so an edge without marks costs nothing beyond its two
+    empty entries.  Inside an edge a sensor reads the label of the mark at
     that point, if any, and else its interior reading (see `at`)."""
 
     def __init__(self, graph: PortedGraph, sensor: SensorSpec):
-        self.vertex = [sensor.value(graph, VertexState(v)) for v in graph.vertices]
-        self.interior = [sensor.interior_value(graph, e) for e in range(len(graph.lengths))]
-        self.marks = []
-        for e, length in enumerate(graph.lengths):
-            marks = sensor.marks_on(e)
-            if not marks:
-                self.marks += [(), ()]
-                continue
+        self.vertex, self.interior, marked = sensor.columns(graph)
+        lengths = graph.lengths
+        self.marks = table = [()] * (2 * len(lengths))
+        for e, marks in marked.items():
+            length = lengths[e]
             den = lcm(length.denominator, *[pos.denominator for pos, _ in marks])
             # marks lie at distinct points, so no label is compared
             forward = sorted((pos.numerator * (den // pos.denominator), label) for pos, label in marks)
             # against the stored orientation a mark at pos lies at length - pos
             full = length.numerator * (den // length.denominator)
             backward = [(full - pos, label) for pos, label in reversed(forward)]
-            self.marks += [(den, tuple(forward)), (den, tuple(backward))]
+            table[2 * e] = (den, tuple(forward))
+            table[2 * e + 1] = (den, tuple(backward))
 
     def at(self, d: int, off: int, scale: int):
         """Reading at the tick position (d, off) on a grid of 1/scale that

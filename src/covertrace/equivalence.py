@@ -94,20 +94,32 @@ def traces_equal(e1: Environment, e2: Environment, u: ControlSignal) -> TraceCom
     return TraceComparison(d is None, d)
 
 
-def _unit_moves(env: Environment, traces: dict):
+def _searched_actions(*envs: Environment) -> tuple:
+    """The actions a search over unit actions needs, in canonical order:
+    the ports below min(width, M + 1), M the largest degree of the graphs,
+    then HALT.  Every port from M on moves like port M from every state
+    (along the current edge to its head, then resting, as at a vertex),
+    and port M comes first, so listing the ports above it would only
+    repeat its moves."""
+    top = max(env.graph.max_degree() for env in envs)
+    return (*range(min(envs[0].alphabet_width, top + 1)), HALT)
+
+
+def _unit_moves(env: Environment, actions, traces: dict):
     """A function move(position, action) giving the (final position, sensor
-    trace) of the unit action from a position: vertex position v of the
-    graph as the int ~v, as in Trajectory, and a point inside an edge as
-    its EdgeState.  Each (position, action) is simulated once, by one
-    trajectory and its trace_of_trajectory, and then remembered; on a
-    unit-length graph every key is a pair of ints.
+    trace) of the unit action from a position, for each of the given
+    actions: vertex position v of the graph as the int ~v, as in
+    Trajectory, and a point inside an edge as its EdgeState.  Each
+    (position, action) is simulated once, by one trajectory and its
+    trace_of_trajectory, and then remembered; on a unit-length graph every
+    key is a pair of ints.
 
     traces keeps one copy of each distinct trace, keyed by itself; shared
     by the moves of two environments, it makes two moves read alike exactly
     when they return the same trace object.  A SensorTrace hashes and
     compares its canonical ticks, so equal traces meet there whatever scale
     each simulation ran on."""
-    unit = {a: ControlSignal([(a, _ONE)]) for a in env.actions()}
+    unit = {a: ControlSignal([(a, _ONE)]) for a in actions}
     vertices, index = env.graph.vertices, env.graph.vertex_index
     memo: dict = {}
 
@@ -172,6 +184,12 @@ def check_equiv_sampled(
     pieces, then over n_random random rational-breakpoint signals whose
     piece durations have denominators at most 8.
 
+    The discrete part searches the ports below min(width, M + 1), M the
+    largest degree, then HALT (see _searched_actions): a port above M moves
+    like port M, so the verdict and witness are those of the whole
+    alphabet, and signals_checked counts the signals of those actions.
+    The random part draws each symbol as rng.randrange(width + 1), the
+    value width standing for HALT, so a wide alphabet is never listed.
     The discrete part shares work between signals with a common prefix: since
     dynamics are deterministic and time-invariant, all continuations of a
     product state revisited with no larger budget are already covered, and
@@ -186,7 +204,7 @@ def check_equiv_sampled(
         raise ValidationError(
             f"search budgets must be at least 0, got max_len={max_len}, n_random={n_random}"
         )
-    actions = e1.actions()
+    actions = _searched_actions(e1, e2)
     checked = 0
 
     cmp = traces_equal(e1, e2, EMPTY)
@@ -201,7 +219,7 @@ def check_equiv_sampled(
     # frame to the top one.
     budget_seen: dict = {}
     traces: dict = {}
-    move1, move2 = _unit_moves(e1, traces), _unit_moves(e2, traces)
+    move1, move2 = _unit_moves(e1, actions, traces), _unit_moves(e2, actions, traces)
     prefix: list = []
     start1, start2 = ~e1.graph.vertex_index[e1.initial], ~e2.graph.vertex_index[e2.initial]
     stack = [[start1, start2, max_len, 0]] if max_len else []
@@ -290,8 +308,7 @@ class DiscreteStateSpace:
             _require_shared_interface(envs[0], env)
         for env in envs:
             _require_unit_lengths(env)
-        top = max(env.graph.max_degree() for env in envs)
-        self.actions = (*range(min(envs[0].alphabet_width, top + 1)), HALT)
+        self.actions = _searched_actions(*envs)
         width = len(self.actions) - 1  # ports 0..width-1, then HALT
         self.states, self.starts, self.values = [], [], []
         self.succ, self.chunks = [], []
@@ -561,7 +578,7 @@ def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
         return False
     actions = e1.actions()
     traces: dict = {}
-    move1, move2 = _unit_moves(e1, traces), _unit_moves(e2, traces)
+    move1, move2 = _unit_moves(e1, actions, traces), _unit_moves(e2, actions, traces)
     g1, g2 = e1.graph, e2.graph
     for v1, v2 in pairs:
         if e1.sensor.value(g1, VertexState(v1)) != e2.sensor.value(g2, VertexState(v2)):

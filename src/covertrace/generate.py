@@ -23,14 +23,16 @@ def random_signal(
     max_denominator: int = 8,
 ) -> ControlSignal:
     """Random signal of ports below width and HALT, with rational piece
-    durations in (0, 2]."""
-    symbols = list(range(width)) + [HALT]
+    durations in (0, 2].  Each symbol is drawn as rng.randrange(width + 1),
+    the value width standing for HALT, so no list of the alphabet is built
+    and the draws are those of rng.choice over ports 0..width-1 then HALT."""
     nums, dens, chosen = [], [], []
     for _ in range(rng.randint(1, max_pieces)):
         den = rng.randint(1, max_denominator)
         nums.append(rng.randint(1, 2 * den))
         dens.append(den)
-        chosen.append(rng.choice(symbols))
+        symbol = rng.randrange(width + 1)
+        chosen.append(HALT if symbol == width else symbol)
     # the durations straight onto ticks of their lcm, as from_json reads them
     scale = lcm(*dens)
     return ControlSignal._from_ticks(scale, chosen, [n * (scale // d) for n, d in zip(nums, dens)])

@@ -9,7 +9,13 @@ sensor type: value and interior_value read it, marks_on lists its beam marks
 inside an edge, and pullback pulls it back along a graph map, a vertex
 renaming being the pullback along the inverse renaming.  Inside an edge,
 value is the label of the mark at that point if there is one, else
-interior_value; traces tabulate readings on that rule.  A beam sensor
+interior_value; traces tabulate readings on that rule.  columns(graph)
+gives the same readings whole, from the table each sensor keeps: the
+vertex readings in vertex-position order, the interior readings in edge
+order, and a dict from each edge that carries beam marks (and no other) to
+its marks_on pairs.  The environment's reading table, a filter's
+validation and the DOT export read the columns; value, interior_value and
+marks_on stay the per-state protocol.  A beam sensor
 keeps its marks as plain rows; a BeamMark is built only for its
 constructor, its repr and its error messages.
 """
@@ -34,7 +40,13 @@ def _check_scalar(value):
 
 
 class _Sensor:
-    """Protocol defaults for a sensor without beam marks or vertex data."""
+    """Protocol defaults for a sensor without beam marks or vertex data.
+
+    columns(graph), on a graph the sensor validates, returns (vertex,
+    interior, marks): vertex[i] is value at vertex position i, interior[e]
+    is interior_value(graph, e), and marks maps each edge with a beam mark,
+    and no other edge, to marks_on of that edge.  The lists are new; the
+    marks dict and its tuples may be the sensor's own and are read only."""
 
     def marks_on(self, edge_index: int):
         """Instant-readout points inside the edge as (position from stored
@@ -63,6 +75,9 @@ class DegreeSensor(_Sensor):
 
     def interior_value(self, graph: PortedGraph, edge_index: int):
         return EDGE
+
+    def columns(self, graph: PortedGraph):
+        return list(map(len, graph.star)), [EDGE] * len(graph.lengths), {}
 
     def kind(self) -> str:
         return "degree"
@@ -113,6 +128,9 @@ class LabelSensor(_Sensor):
 
     def interior_value(self, graph: PortedGraph, edge_index: int):
         return self.edge_labels[edge_index]
+
+    def columns(self, graph: PortedGraph):
+        return list(map(self._vertex_table.__getitem__, graph.vertices)), list(self.edge_labels), {}
 
     def pullback(self, vertex_image: dict, edge_image: list) -> "LabelSensor":
         table = self._vertex_table
@@ -235,6 +253,9 @@ class BeamSensor(_Sensor):
     def interior_value(self, graph: PortedGraph, edge_index: int):
         return BLANK
 
+    def columns(self, graph: PortedGraph):
+        return [BLANK] * len(graph.vertices), [BLANK] * len(graph.lengths), self._by_edge
+
     def kind(self) -> str:
         return "beam"
 
@@ -266,12 +287,11 @@ class FilteredSensor(_Sensor):
         base, table = self.base, self._table
         base.validate(graph)
         # every reading the base gives here: at vertices in graph order, inside
-        # edges, on marks; listed in order of first appearance, so the message
-        # does not depend on the hash seed
-        edges = range(len(graph.lengths))
-        readings = [base.value(graph, VertexState(v)) for v in graph.vertices]
-        readings += [base.interior_value(graph, idx) for idx in edges]
-        readings += [label for idx in edges for _, label in base.marks_on(idx)]
+        # edges, on marks in edge order; listed in order of first appearance,
+        # so the message does not depend on the hash seed
+        readings, interior, marks = base.columns(graph)
+        readings += interior
+        readings += [label for e in sorted(marks) for _, label in marks[e]]
         missing = [v for v in dict.fromkeys(readings) if v not in table]
         if missing:
             raise ValidationError(f"relabelling not total, missing {missing!r}")
@@ -287,6 +307,15 @@ class FilteredSensor(_Sensor):
     def marks_on(self, edge_index: int):
         table = self._table
         return [(pos, table[label]) for pos, label in self.base.marks_on(edge_index)]
+
+    def columns(self, graph: PortedGraph):
+        read = self._table.__getitem__
+        vertex, interior, marks = self.base.columns(graph)
+        return (
+            list(map(read, vertex)),
+            list(map(read, interior)),
+            {e: [(pos, read(label)) for pos, label in ms] for e, ms in marks.items()},
+        )
 
     def pullback(self, vertex_image: dict, edge_image: list) -> "FilteredSensor":
         return FilteredSensor(self.base.pullback(vertex_image, edge_image), self.relabel)

@@ -662,13 +662,19 @@ def naive_discrete_search(e1: Environment, e2: Environment, max_len: int):
     depth-first search over unit-action signals with the same budget pruning,
     but every unit action is simulated afresh (trace_of, then apply) and every
     pair of traces goes through naive_first_divergence.  Returns (witness
-    pieces or None, divergence or None, signals checked)."""
+    pieces or None, divergence or None, signals checked).
+
+    The search runs over the whole alphabet, so the verdict, witness and
+    divergence do not lean on ports above the largest degree M moving like
+    port M; only the count leaves them out, as the library searches the
+    ports up to M and HALT alone."""
     empty = ControlSignal([])
     d = naive_first_divergence(trace_of(e1, empty), trace_of(e2, empty))
     if d is not None:
         return [], d, 1
     checked = 1
     budget_seen = {}
+    top = max(e1.graph.max_degree(), e2.graph.max_degree())
 
     def search(x1, x2, remaining, prefix):
         nonlocal checked
@@ -676,7 +682,7 @@ def naive_discrete_search(e1: Environment, e2: Environment, max_len: int):
             return None
         for a in e1.actions():
             unit = ControlSignal([(a, Fraction(1))])
-            checked += 1
+            checked += a == HALT or a <= top
             d = naive_first_divergence(trace_of(e1, unit, x1), trace_of(e2, unit, x2))
             if d is not None:
                 return prefix + [a], len(prefix) + d

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -23,11 +24,14 @@ from covertrace import (
     LabelSensor,
     PortedGraph,
     ValidationError,
+    VertexState,
     build_edges,
     cli,
+    cyclic_cover,
 )
-from covertrace.dot import graph_to_dot
+from covertrace.dot import environment_to_dot, graph_to_dot
 from covertrace.gallery import GALLERY
+from covertrace.generate import random_beam_sensor, random_ported_graph, random_voltages
 
 from helpers import marked_cycle_env, path_middle_env, three_cycle_env
 
@@ -217,6 +221,32 @@ class TestVerdictCommands:
         assert data["witness"] == [[0, 1, 1]]
         assert data["divergence"] == [1, 1]
 
+    @pytest.mark.parametrize("pair", sorted(GALLERY))
+    def test_sampled_search_at_the_widest_alphabet_reads_as_port_m_plus_one(
+        self, capsys, tmp_path, gallery_dir, pair
+    ):
+        """At alphabet_width sys.maxsize the discrete search of distinguish
+        and equiv prints what it prints at width M + 1, M the larger maximum
+        degree, signals_checked included: every port from M on moves like
+        port M, so the search lists no port above it.  The random phase
+        draws its symbols without listing the alphabet, so equiv with
+        random signals finishes too."""
+        docs = [json.loads((gallery_dir / f"{pair}_{side}.json").read_text()) for side in "ab"]
+        top = max(Environment.from_json(doc).graph.max_degree() for doc in docs)
+        outputs = []
+        for width in (top + 1, sys.maxsize):
+            paths = [
+                write_json(tmp_path / f"{width}_{side}.json", {**doc, "alphabet_width": width})
+                for side, doc in zip("ab", docs)
+            ]
+            start = time.perf_counter()
+            outputs.append([run(capsys, [command, *paths, "--random", "0"]) for command in ("distinguish", "equiv")])
+            code, out, _ = run(capsys, ["equiv", *paths, "--random", "20"])
+            assert time.perf_counter() - start < 2
+            assert code in (0, 1) and json.loads(out)["stats"]["random_checked"] <= 20
+        assert all(code in (0, 1) for code, _, _ in outputs[0])
+        assert outputs[1] == outputs[0]
+
     @pytest.mark.parametrize("pair, checked", [("circle", 26974), ("kite", 22483)])
     def test_distinguish_searches_deeper_than_the_recursion_limit(
         self, capsys, gallery_dir, pair, checked
@@ -282,6 +312,29 @@ class TestVerdictCommands:
     def test_missing_file_exits_2(self, capsys, tmp_path, env_file):
         code, _, _ = run(capsys, ["bisim", str(tmp_path / "void.json"), env_file])
         assert code == 2
+
+    @pytest.mark.parametrize("loader", ["signal", "environment", "vertices", "map"])
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path, env_file, loader):
+        """Arrays nested 100000 deep overrun the decoder's recursion limit;
+        each loader refuses the file as invalid input (exit 2), where a
+        traceback would exit 1 and read as "distinguished"."""
+        nest = "[" * 100000 + "]" * 100000
+        deep = tmp_path / "deep.json"
+        if loader == "vertices":
+            text = json.dumps({**three_cycle_env().to_json(), "vertices": "X"})
+            deep.write_text(text.replace('"X"', nest))
+        else:
+            deep.write_text(nest)
+        argv = {
+            "signal": ["metric", str(deep), str(deep)],
+            "environment": ["trace", str(deep), env_file],
+            "vertices": ["bisim", str(deep), env_file],
+            "map": ["check-cover", str(deep), env_file, env_file],
+        }[loader]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"invalid input: {deep} is nested too deeply to read: ")
+        assert "recursion" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "patch",
@@ -821,6 +874,36 @@ class TestDotExport:
         labels = [line.split("label=")[1] for line in lines[:3]]
         assert labels == ['"1"];', '"\\"1\\""];', '"2"];']
 
+    def test_labels_show_the_readings_of_each_state(self):
+        """Each node label ends with the vertex's reading and each edge
+        label lists its interior reading (unless edge or blank) and its
+        marks as label@pos, read state by state through the sensor
+        protocol: gallery environments, their 3-fold covers and seeded beam
+        environments, bare and behind a filter."""
+        rng = random.Random(24)
+        pool = [env for name in sorted(GALLERY) for env in GALLERY[name]()]
+        pool += [cyclic_cover(env, 3, random_voltages(rng, env.graph, 3))[0] for env in list(pool)]
+        for _ in range(20):
+            graph = random_ported_graph(rng, n_max=6, extra_max=4, unit_lengths=False)
+            beams = random_beam_sensor(rng, graph)
+            relabel = {BLANK: "quiet", "red": "r", "green": "g"}
+            for sensor in (beams, FilteredSensor(beams, relabel)):
+                pool.append(Environment(graph, graph.vertices[0], sensor))
+        for env in pool:
+            graph, sensor = env.graph, env.sensor
+            lines = environment_to_dot(env).splitlines()[1:-1]
+            nodes = [line for line in lines if " -- " not in line]
+            edges = [line for line in lines if " -- " in line]
+            for v, line in zip(graph.vertices, nodes):
+                assert f" [{sensor.value(graph, VertexState(v))}]\"" in line
+            for idx, line in enumerate(edges):
+                parts = line.split('label="')[1].split('"]')[0].split()[1:]
+                interior = sensor.interior_value(graph, idx)
+                expected = [] if graph.lengths[idx] == 1 else ["len", str(graph.lengths[idx])]
+                expected += [] if interior in (EDGE, BLANK) else [str(interior)]
+                expected += [f"{label}@{pos}" for pos, label in sensor.marks_on(idx)]
+                assert parts == expected
+
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, capsys, gallery_dir, tmp_path):
@@ -851,6 +934,59 @@ class TestDeterminism:
         assert code == 0
         for path in sorted(gallery_dir.iterdir()):
             assert path.read_bytes() == (again / path.name).read_bytes()
+
+
+class TestEmit:
+    """Every document a command prints is a fresh tree with no cycle, so
+    _emit encodes it without the encoder's cycle scan; the text must be
+    what the scan-checked encoding gives."""
+
+    def assert_emits_the_checked_encoding(self, capsys, monkeypatch, argv):
+        documents = []
+        real = cli._emit
+
+        def checked(data):
+            # the default check_circular raises ValueError on a cyclic document
+            documents.append(json.dumps(data, sort_keys=True))
+            real(data)
+
+        monkeypatch.setattr(cli, "_emit", checked)
+        code, out, _ = run(capsys, argv)
+        monkeypatch.setattr(cli, "_emit", real)
+        if out:
+            assert out == documents[0] + "\n" and len(documents) == 1
+        else:
+            assert code in (2, 3) and not documents
+        return code, out
+
+    def test_every_command_on_the_gallery_and_seeded_covers(self, capsys, monkeypatch, tmp_path, gallery_dir):
+        emit = lambda *argv: self.assert_emits_the_checked_encoding(capsys, monkeypatch, list(argv))
+        a = write_json(tmp_path / "a.json", [[0, 3, 2], ["halt", 1, 3], [1, 5, 4]])
+        b = write_json(tmp_path / "b.json", [[1, 2, 1], [0, 1, 7]])
+        assert emit("metric", a, b)[0] == 0
+        assert emit("geodesic", a, b, "--at", "1/3")[0] == 0
+        assert emit("gallery", "--out", str(tmp_path / "again"))[0] == 0
+        printed = set()
+        for pair in sorted(GALLERY):
+            first, second = (str(gallery_dir / f"{pair}_{side}.json") for side in "ab")
+            for command in ("equiv", "distinguish", "bisim"):
+                printed.add(command)
+                emit(command, first, second, *(["--random", "20"] if command == "equiv" else []))
+            for base in (first, second):
+                printed.update(("trace", "gen-universal"))
+                assert emit("trace", base, a)[0] == 0
+                assert emit("gen-universal", base, "3")[0] == 0
+                for k, seed in ((2, 1), (3, 2), (5, 3)):
+                    code, out = emit("gen-cyclic", base, str(k), "--seed", str(seed))
+                    assert code == 0
+                    bundle = json.loads(out)
+                    cover = write_json(tmp_path / f"{pair}_{k}.json", bundle["environment"])
+                    mapping = write_json(tmp_path / f"{pair}_{k}_map.json", bundle["projection"])
+                    assert emit("check-cover", mapping, cover, base)[0] == 0
+                    assert emit("lift", mapping, cover, base, a)[0] == 0
+                    assert emit("bisim", cover, base)[0] in (0, 1, 3)
+                    printed.update(("gen-cyclic", "check-cover", "lift"))
+        assert printed | {"metric", "geodesic", "gallery"} == set(cli._NAMES)
 
 
 class TestProcessEntry:

@@ -201,6 +201,21 @@ class TestSampledCheck:
         assert verdict.verdict == "related" and verdict.signals_checked > 40
         assert len(compared) == 1 and not equalities
 
+    def test_random_signals_draw_as_choice_over_the_alphabet(self):
+        """random_signal lists no alphabet, yet its draws are those of
+        rng.choice over ports 0..width-1 then HALT, so the random phase of
+        the sampled search checks the signals it always checked."""
+        for seed in range(60):
+            width = 1 + seed % 7
+            got = random_signal(random.Random(seed), width, max_pieces=6, max_denominator=8)
+            rng = random.Random(seed)
+            pieces = []
+            for _ in range(rng.randint(1, 6)):
+                den = rng.randint(1, 8)
+                num = rng.randint(1, 2 * den)
+                pieces.append((rng.choice([*range(width), HALT]), Fraction(num, den)))
+            assert got == ControlSignal(pieces)
+
     def test_witness_found_after_backing_out_of_branches(self):
         """One vertex label changed away from the start: some witnesses
         take an action other than the first before their last piece, so the

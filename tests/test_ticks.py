@@ -32,8 +32,10 @@ from covertrace import (
     PortedGraph,
     PreconditionError,
     SensorTrace,
+    ValidationError,
     VertexState,
     build_edges,
+    cyclic_cover,
     distance,
     first_divergence,
     trace_of,
@@ -42,11 +44,14 @@ from covertrace import (
 )
 from covertrace import environments as simulation
 from covertrace.environments import Leg
+from covertrace.gallery import GALLERY
 from covertrace.generate import (
     random_beam_sensor,
     random_label_sensor,
     random_ported_graph,
     random_state,
+    random_unit_environment,
+    random_voltages,
 )
 from covertrace.signals import EMPTY
 
@@ -265,6 +270,89 @@ def test_readings_match_sensor_value(env):
                 assert trace_events(trace_of(env, EMPTY, state)) == ((0, expected),)
                 reached = trace_of(env, ControlSignal([(dart.port, offset)]), VertexState(dart.vertex))
                 assert trace_events(reached)[-1] == (offset, expected)
+
+
+def assert_columns_match_protocol(graph, sensor):
+    """sensor.columns(graph) against value, interior_value and marks_on,
+    state by state: every vertex, every edge, and a marks dict holding
+    exactly the edges with marks, in marks_on order."""
+    vertex, interior, marks = sensor.columns(graph)
+    edges = range(len(graph.lengths))
+    assert vertex == [sensor.value(graph, VertexState(v)) for v in graph.vertices]
+    assert interior == [sensor.interior_value(graph, e) for e in edges]
+    expected = {e: list(sensor.marks_on(e)) for e in edges if sensor.marks_on(e)}
+    assert {e: list(ms) for e, ms in marks.items()} == expected
+    # the lists are the caller's: growing them leaves the sensor as it was
+    vertex.append("extra")
+    interior.append("extra")
+    again = sensor.columns(graph)
+    assert len(again[0]) == len(graph.vertices) and len(again[1]) == len(graph.lengths)
+
+
+def protocol_readings(graph, sensor) -> list:
+    """Every reading of sensor on graph, state by state through value,
+    interior_value and marks_on: at vertices in graph order, inside edges,
+    then on marks edge by edge in edge order."""
+    edges = range(len(graph.lengths))
+    readings = [sensor.value(graph, VertexState(v)) for v in graph.vertices]
+    readings += [sensor.interior_value(graph, e) for e in edges]
+    return readings + [label for e in edges for _, label in sensor.marks_on(e)]
+
+
+def filtered_twice(graph, sensor):
+    """The sensor behind two relabelling filters: each reading it gives on
+    graph sent to a string, and each string to an int."""
+    names = {r: f"<{r!r}>" for r in protocol_readings(graph, sensor)}
+    once = FilteredSensor(sensor, names)
+    return FilteredSensor(once, {name: i for i, name in enumerate(sorted(set(names.values())))})
+
+
+@settings(max_examples=150, deadline=None)
+@given(environments())
+def test_columns_match_the_sensor_protocol(env):
+    assert_columns_match_protocol(env.graph, env.sensor)
+
+
+def test_columns_match_the_sensor_protocol_on_gallery_and_generated_environments():
+    """Every sensor kind, also behind a filter nested twice, on the gallery
+    pairs, their seeded cyclic covers (sensors pulled back) and seeded
+    random_unit_environment pools of each kind."""
+    rng = random.Random(24)
+    pool = [env for name in sorted(GALLERY) for env in GALLERY[name]()]
+    pool += [cyclic_cover(env, k, random_voltages(rng, env.graph, k))[0] for env in list(pool) for k in (2, 3)]
+    pool += [random_unit_environment(rng, kind=kind) for kind in ("degree", "label", "beam") for _ in range(20)]
+    kinds = set()
+    for env in pool:
+        for sensor in (env.sensor, filtered_twice(env.graph, env.sensor)):
+            Environment(env.graph, env.initial, sensor, env.alphabet_width)  # validates
+            assert_columns_match_protocol(env.graph, sensor)
+            kinds.add(type(sensor.base.base if isinstance(sensor, FilteredSensor) else sensor).__name__)
+    assert kinds == {"DegreeSensor", "LabelSensor", "BeamSensor"}
+
+
+def test_filter_names_missing_readings_in_edge_order():
+    """A filter that is not total names the readings it lacks in order of
+    first appearance with the marks listed edge by edge, whatever order the
+    beam sensor was given its marks in."""
+    rng = random.Random(25)
+    seen = 0
+    for _ in range(200):
+        graph = random_ported_graph(rng, n_max=6, extra_max=4, unit_lengths=rng.random() < 0.5)
+        sensor = random_beam_sensor(rng, graph, labels=("red", "green", "blue", 7))
+        rows = list(beam_marks(sensor))
+        rng.shuffle(rows)
+        sensor = BeamSensor(rows)
+        table = {r: "x" for r in (BLANK, "red", "green", "blue", 7) if rng.random() < 0.5}
+        missing = [r for r in dict.fromkeys(protocol_readings(graph, sensor)) if r not in table]
+        for base in (sensor, FilteredSensor(sensor, {r: r for r in (BLANK, "red", "green", "blue", 7)})):
+            if not missing:
+                FilteredSensor(base, table).validate(graph)
+                continue
+            seen += 1
+            with pytest.raises(ValidationError) as caught:
+                FilteredSensor(base, table).validate(graph)
+            assert str(caught.value) == f"relabelling not total, missing {missing!r}"
+    assert seen > 100
 
 
 @settings(max_examples=150, deadline=None)
