@@ -23,13 +23,14 @@ built only the first time its key of table entries is met, and numbered
 by value.
 verify_bisimulation re-checks a relation by replaying every move through the
 simulation (trajectory and trace_of_trajectory) instead of reading the
-state-space tables; the simulation's traces read the same reading table as
-the decider, so tests hold that table against the sensor protocol on its
-own.  Simulated unit moves are memoized in one place, _unit_moves,
-which both verify_bisimulation and check_equiv_sampled use.  The two
-environments of one check share a table of the distinct unit traces, so
-check_equiv_sampled tells two moves apart by the identity of their traces
-and calls first_divergence only on traces that differ.
+state-space tables; it and the simulation's traces read the same reading
+table as the decider, so tests hold that table against an oracle that
+reads the sensor's wire form (to_json) alone.  Simulated unit moves are
+memoized in one place, _unit_moves, which both verify_bisimulation and
+check_equiv_sampled use.  The two environments of one check share a table
+of the distinct unit traces, so check_equiv_sampled tells two moves apart
+by the identity of their traces and calls first_divergence only on traces
+that differ.
 homomorphism_search looks for a trace-preserving structure map, a
 sufficient but not necessary condition for equivalence.
 """
@@ -299,7 +300,7 @@ class DiscreteStateSpace:
     key builds its chunk, which is then numbered by value, so keys that read
     alike (a rest, and a traversal on which nothing changes) share one id.
     The chunks equal those the simulation gives and those the Fraction
-    oracle reads off the sensor protocol, and a property test holds the
+    oracle reads off the sensor's wire form, and a property test holds the
     three together.
     """
 
@@ -557,14 +558,17 @@ def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
 
     Each move is replayed through the simulation (`trajectory` and
     `trace_of_trajectory`), once per (vertex, action) of each side, not read
-    off the DiscreteStateSpace that compute_bisimulation refines.  Two
+    off the DiscreteStateSpace that compute_bisimulation refines.  The
+    actions are those the decider searches (see _searched_actions): a port
+    from M on moves like port M, so a wide alphabet is never listed.  Two
     replayed traces are compared as tick forms without their final instant:
     both last 1, so their reduced scales agree when their readings do.  The
-    replayed traces read the environment's reading table, which the decider
-    reads too; test_readings_match_sensor_value and
+    vertex readings and the replayed traces read the environment's reading
+    table, which the decider reads too; test_readings_match_sensor_value and
     test_trace_matches_fraction_oracle in tests/test_ticks.py, and
     TestDiscreteStateSpace.test_table_matches_simulation in
-    tests/test_equivalence.py, hold that table against `sensor.value`."""
+    tests/test_equivalence.py, hold that table against an oracle that reads
+    the sensor's wire form."""
     _require_shared_interface(e1, e2)
     for env in (e1, e2):
         _require_unit_lengths(env)
@@ -576,14 +580,16 @@ def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
             raise ValidationError(f"relation mentions unknown vertices ({v1!r}, {v2!r})")
     if (e1.initial, e2.initial) not in pairs:
         return False
-    actions = e1.actions()
+    actions = _searched_actions(e1, e2)
     traces: dict = {}
     move1, move2 = _unit_moves(e1, actions, traces), _unit_moves(e2, actions, traces)
     g1, g2 = e1.graph, e2.graph
+    read1, read2 = e1._readings.vertex, e2._readings.vertex
     for v1, v2 in pairs:
-        if e1.sensor.value(g1, VertexState(v1)) != e2.sensor.value(g2, VertexState(v2)):
+        i1, i2 = g1.vertex_index[v1], g2.vertex_index[v2]
+        if read1[i1] != read2[i2]:
             return False
-        x1, x2 = ~g1.vertex_index[v1], ~g2.vertex_index[v2]
+        x1, x2 = ~i1, ~i2
         for a in actions:
             # unit lengths: a unit move ends at a vertex, position ~w
             w1, tr1 = move1(x1, a)

@@ -4,20 +4,24 @@ Four families: degree readout, vertex/edge labellings, beam marks strictly
 inside edges, and a total relabelling filter over any of the others.  Sensor
 values must be JSON scalars so traces serialize losslessly.
 
-Every sensor answers the same protocol, so no other module dispatches on the
-sensor type: value and interior_value read it, marks_on lists its beam marks
-inside an edge, and pullback pulls it back along a graph map, a vertex
-renaming being the pullback along the inverse renaming.  Inside an edge,
-value is the label of the mark at that point if there is one, else
-interior_value; traces tabulate readings on that rule.  columns(graph)
-gives the same readings whole, from the table each sensor keeps: the
-vertex readings in vertex-position order, the interior readings in edge
-order, and a dict from each edge that carries beam marks (and no other) to
-its marks_on pairs.  The environment's reading table, a filter's
-validation and the DOT export read the columns; value, interior_value and
-marks_on stay the per-state protocol.  A beam sensor
-keeps its marks as plain rows; a BeamMark is built only for its
-constructor, its repr and its error messages.
+Every sensor is read one way, so no other module dispatches on the sensor
+type: columns(graph), on a graph the sensor validates, returns (vertex,
+interior, marks).  vertex[i] is the reading at vertex position i,
+interior[e] the reading inside edge e away from its beam marks, and marks
+maps each edge that carries beam marks, and no other edge, to its
+(position from the stored tail, label) pairs in the order given.  Inside
+an edge a sensor reads the label of the mark at that point if there is
+one, else the interior reading.  The lists are new; the marks dict and its
+tuples may be the sensor's own and are read only.  The environment's
+reading table, a filter's validation and the DOT export read the columns.
+
+pullback(vertex_image, edge_image) is the sensor read through a graph map,
+h' = h after f: vertex_image sends each source vertex to its image, and
+edge_image gives, for each source edge in order, (image edge index,
+whether the stored orientations agree, source edge length).  A vertex
+renaming is the pullback along the inverse renaming.  A beam sensor keeps
+its marks as plain rows; a BeamMark is built only for its constructor, its
+repr and its error messages.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ValidationError
-from .graphs import EdgeState, GraphState, PortedGraph, VertexState, sorted_by_name, wire_pairs
+from .graphs import PortedGraph, sorted_by_name, wire_pairs
 from .rationals import shared_from_wire
 
 EDGE = "edge"
@@ -39,45 +43,18 @@ def _check_scalar(value):
     return value
 
 
-class _Sensor:
-    """Protocol defaults for a sensor without beam marks or vertex data.
-
-    columns(graph), on a graph the sensor validates, returns (vertex,
-    interior, marks): vertex[i] is value at vertex position i, interior[e]
-    is interior_value(graph, e), and marks maps each edge with a beam mark,
-    and no other edge, to marks_on of that edge.  The lists are new; the
-    marks dict and its tuples may be the sensor's own and are read only."""
-
-    def marks_on(self, edge_index: int):
-        """Instant-readout points inside the edge as (position from stored
-        tail, output value) pairs."""
-        return ()
-
-    def pullback(self, vertex_image: dict, edge_image: list) -> "SensorSpec":
-        """The sensor read through a graph map, h' = h after f.  vertex_image
-        sends each source vertex to its image; edge_image gives, for each
-        source edge in order, (image edge index, whether the stored
-        orientations agree, source edge length)."""
-        return self
-
-
 @dataclass(frozen=True)
-class DegreeSensor(_Sensor):
+class DegreeSensor:
     """Reads deg(v) at a vertex and the marker EDGE strictly inside edges."""
 
     def validate(self, graph: PortedGraph) -> None:
         pass
 
-    def value(self, graph: PortedGraph, state: GraphState):
-        if isinstance(state, VertexState):
-            return graph.degree(state.vertex)
-        return EDGE
-
-    def interior_value(self, graph: PortedGraph, edge_index: int):
-        return EDGE
-
     def columns(self, graph: PortedGraph):
         return list(map(len, graph.star)), [EDGE] * len(graph.lengths), {}
+
+    def pullback(self, vertex_image: dict, edge_image: list) -> "DegreeSensor":
+        return self
 
     def kind(self) -> str:
         return "degree"
@@ -87,7 +64,7 @@ class DegreeSensor(_Sensor):
 
 
 @dataclass(frozen=True, init=False)
-class LabelSensor(_Sensor):
+class LabelSensor:
     """Reads a fixed label at each vertex and along each edge interior.
 
     edge_labels[e] is the label inside edge e, in the graph's edge order.
@@ -121,14 +98,6 @@ class LabelSensor(_Sensor):
             if type(value) is not str and type(value) is not int:
                 _check_scalar(value)
 
-    def value(self, graph: PortedGraph, state: GraphState):
-        if isinstance(state, VertexState):
-            return self._vertex_table[state.vertex]
-        return self.edge_labels[graph.edge_of(state.dart)]
-
-    def interior_value(self, graph: PortedGraph, edge_index: int):
-        return self.edge_labels[edge_index]
-
     def columns(self, graph: PortedGraph):
         return list(map(self._vertex_table.__getitem__, graph.vertices)), list(self.edge_labels), {}
 
@@ -161,14 +130,14 @@ class BeamMark:
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
-class BeamSensor(_Sensor):
+class BeamSensor:
     """Reads BLANK everywhere except exactly on a beam mark, where it reads the
     mark's label.  Crossing a mark mid-flight shows up as a trace event.
 
     A beam sensor keeps its marks as plain (edge, offset, label) rows in
     the order given, which equality, hash, validate, to_json and __repr__
     read, and as a per-edge table of (offset, label) pairs in that order,
-    which marks_on and pullback read; it keeps no BeamMark objects.  A
+    which columns and pullback read; it keeps no BeamMark objects.  A
     sensor read from JSON shares one offset Fraction per distinct wire pair.
     """
 
@@ -230,9 +199,6 @@ class BeamSensor(_Sensor):
             if type(label) is not str and type(label) is not int:
                 _check_scalar(label)
 
-    def marks_on(self, edge_index: int):
-        return self._by_edge.get(edge_index, ())
-
     def pullback(self, vertex_image: dict, edge_image: list) -> "BeamSensor":
         """Beam marks reappear once on every preimage edge."""
         by_edge = self._by_edge
@@ -241,17 +207,6 @@ class BeamSensor(_Sensor):
             for offset, label in by_edge.get(j, ()):
                 rows.append((idx, offset if same_orientation else length - offset, label))
         return BeamSensor._from_rows(rows)
-
-    def value(self, graph: PortedGraph, state: GraphState):
-        if isinstance(state, EdgeState):
-            kind, idx, pos = graph.point_of(state)
-            for offset, label in self._by_edge.get(idx, ()):
-                if offset == pos:
-                    return label
-        return BLANK
-
-    def interior_value(self, graph: PortedGraph, edge_index: int):
-        return BLANK
 
     def columns(self, graph: PortedGraph):
         return [BLANK] * len(graph.vertices), [BLANK] * len(graph.lengths), self._by_edge
@@ -270,7 +225,7 @@ class BeamSensor(_Sensor):
 
 
 @dataclass(frozen=True, init=False)
-class FilteredSensor(_Sensor):
+class FilteredSensor:
     """A base sensor post-composed with a total relabelling of its outputs."""
 
     base: object
@@ -284,6 +239,10 @@ class FilteredSensor(_Sensor):
         object.__setattr__(self, "_table", dict(items))
 
     def validate(self, graph: PortedGraph) -> None:
+        # a source equal to a reading but of another type (2.0, True) would
+        # pass as a dict key and then be written to the wire
+        for src, _ in self.relabel:
+            _check_scalar(src)
         base, table = self.base, self._table
         base.validate(graph)
         # every reading the base gives here: at vertices in graph order, inside
@@ -297,16 +256,6 @@ class FilteredSensor(_Sensor):
             raise ValidationError(f"relabelling not total, missing {missing!r}")
         for value in table.values():
             _check_scalar(value)
-
-    def value(self, graph: PortedGraph, state: GraphState):
-        return self._table[self.base.value(graph, state)]
-
-    def interior_value(self, graph: PortedGraph, edge_index: int):
-        return self._table[self.base.interior_value(graph, edge_index)]
-
-    def marks_on(self, edge_index: int):
-        table = self._table
-        return [(pos, table[label]) for pos, label in self.base.marks_on(edge_index)]
 
     def columns(self, graph: PortedGraph):
         read = self._table.__getitem__

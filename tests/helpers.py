@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -586,25 +587,81 @@ def naive_legs(env: Environment, signal: ControlSignal, start=None) -> tuple:
     return start, _naive_merge(legs)
 
 
+class WireReadings:
+    """What a sensor reads on a graph, from sensor.to_json() and the graph's
+    vertex and dart names and Fraction lengths alone; no columns and no
+    table the sensor keeps are read.  A filtered sensor is unwrapped layer
+    by layer, and each reading of the innermost sensor is sent through the
+    relabel pairs of the layers from the inside out.
+
+    vertex[v] is the reading at vertex v, interior[e] the reading inside
+    edge e away from its marks, and marks(e) the (offset from the stored
+    tail, label) pairs of the marks on edge e in document order."""
+
+    def __init__(self, graph: PortedGraph, sensor):
+        doc = sensor.to_json()
+        relabels = []
+        while doc["type"] == "filtered":
+            relabels.append(dict(map(tuple, doc["relabel"])))
+            doc = doc["base"]
+
+        def read(value):
+            for table in reversed(relabels):
+                value = table[value]
+            return value
+
+        kind, count = doc["type"], len(graph.lengths)
+        if kind == "degree":
+            ports = Counter(v for v, _ in graph.dart_keys)
+            vertex, interior = {v: ports[v] for v in graph.vertices}, ["edge"] * count
+        elif kind == "label":
+            vertex, interior = dict(map(tuple, doc["vertex_labels"])), doc["edge_labels"]
+        else:
+            vertex, interior = dict.fromkeys(graph.vertices, "blank"), ["blank"] * count
+        self.graph = graph
+        self.vertex = {v: read(vertex[v]) for v in graph.vertices}
+        self.interior = [read(value) for value in interior]
+        self._marks = {}
+        for mark in doc.get("marks", ()):
+            self._marks.setdefault(mark["edge"], []).append((Fraction(*mark["offset"]), read(mark["label"])))
+
+    def marks(self, edge_index: int) -> list:
+        return self._marks.get(edge_index, [])
+
+    def at(self, state):
+        """The reading at a vertex or edge state: inside an edge, the label
+        of the mark at that point, else the interior reading."""
+        if isinstance(state, VertexState):
+            return self.vertex[state.vertex]
+        graph = self.graph
+        idx = graph.edge_of(state.dart)
+        pos = state.offset if state.dart == graph.forward_dart(idx) else graph.lengths[idx] - state.offset
+        for offset, label in self.marks(idx):
+            if offset == pos:
+                return label
+        return self.interior[idx]
+
+
 def naive_trace(env: Environment, start, legs) -> SensorTrace:
     """Sensor trace of the legs from start (as naive_legs gives them) with
-    Fraction instants and intervals."""
-    graph, sensor = env.graph, env.sensor
+    Fraction instants and intervals, each reading from WireReadings."""
+    graph = env.graph
+    readings = WireReadings(graph, env.sensor)
     duration = legs[-1].t1 if legs else Fraction(0)
 
-    instants = {Fraction(0): sensor.value(graph, start)}
+    instants = {Fraction(0): readings.at(start)}
     intervals = []
     for leg in legs:
-        instants[leg.t1] = sensor.value(graph, leg.end)
+        instants[leg.t1] = readings.at(leg.end)
         if not leg.moving:
-            intervals.append([leg.t0, leg.t1, sensor.value(graph, leg.state)])
+            intervals.append([leg.t0, leg.t1, readings.at(leg.state)])
             continue
         idx = graph.edge_of(leg.dart)
-        intervals.append([leg.t0, leg.t1, sensor.interior_value(graph, idx)])
+        intervals.append([leg.t0, leg.t1, readings.interior[idx]])
         length = graph.length(leg.dart)
         forward = leg.dart == graph.forward_dart(idx)
         off_hi = leg.offset0 + (leg.t1 - leg.t0)
-        for pos, label in sensor.marks_on(idx):
+        for pos, label in readings.marks(idx):
             dart_pos = pos if forward else length - pos
             if leg.offset0 < dart_pos < off_hi:
                 instants[leg.t0 + (dart_pos - leg.offset0)] = label

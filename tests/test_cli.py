@@ -24,7 +24,6 @@ from covertrace import (
     LabelSensor,
     PortedGraph,
     ValidationError,
-    VertexState,
     build_edges,
     cli,
     cyclic_cover,
@@ -33,7 +32,7 @@ from covertrace.dot import environment_to_dot, graph_to_dot
 from covertrace.gallery import GALLERY
 from covertrace.generate import random_beam_sensor, random_ported_graph, random_voltages
 
-from helpers import marked_cycle_env, path_middle_env, three_cycle_env
+from helpers import WireReadings, marked_cycle_env, path_middle_env, three_cycle_env
 
 
 def run(capsys, argv):
@@ -877,9 +876,9 @@ class TestDotExport:
     def test_labels_show_the_readings_of_each_state(self):
         """Each node label ends with the vertex's reading and each edge
         label lists its interior reading (unless edge or blank) and its
-        marks as label@pos, read state by state through the sensor
-        protocol: gallery environments, their 3-fold covers and seeded beam
-        environments, bare and behind a filter."""
+        marks as label@pos, read off the sensor's wire form by
+        WireReadings: gallery environments, their 3-fold covers and seeded
+        beam environments, bare and behind a filter."""
         rng = random.Random(24)
         pool = [env for name in sorted(GALLERY) for env in GALLERY[name]()]
         pool += [cyclic_cover(env, 3, random_voltages(rng, env.graph, 3))[0] for env in list(pool)]
@@ -890,18 +889,19 @@ class TestDotExport:
             for sensor in (beams, FilteredSensor(beams, relabel)):
                 pool.append(Environment(graph, graph.vertices[0], sensor))
         for env in pool:
-            graph, sensor = env.graph, env.sensor
+            graph = env.graph
+            wire = WireReadings(graph, env.sensor)
             lines = environment_to_dot(env).splitlines()[1:-1]
             nodes = [line for line in lines if " -- " not in line]
             edges = [line for line in lines if " -- " in line]
             for v, line in zip(graph.vertices, nodes):
-                assert f" [{sensor.value(graph, VertexState(v))}]\"" in line
+                assert f" [{wire.vertex[v]}]\"" in line
             for idx, line in enumerate(edges):
                 parts = line.split('label="')[1].split('"]')[0].split()[1:]
-                interior = sensor.interior_value(graph, idx)
+                interior = wire.interior[idx]
                 expected = [] if graph.lengths[idx] == 1 else ["len", str(graph.lengths[idx])]
                 expected += [] if interior in (EDGE, BLANK) else [str(interior)]
-                expected += [f"{label}@{pos}" for pos, label in sensor.marks_on(idx)]
+                expected += [f"{label}@{pos}" for pos, label in wire.marks(idx)]
                 assert parts == expected
 
 

@@ -1,6 +1,7 @@
 """Graph environments: validation, dynamics, traces, trajectory metric."""
 from __future__ import annotations
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -597,6 +598,30 @@ class TestEnvironmentSerialization:
             env = Environment(g, "x0", sensor, 3)
             again = Environment.from_json(env.to_json())
             assert again == env
+
+    def test_filter_sources_of_another_type_are_refused(self):
+        """A relabel source must be an int or a string, as on the wire: 2.0,
+        Fraction(2) and True equal the readings 2 and 1 as dict keys, but a
+        document naming them would not read back.  Of every filter over the
+        three-cycle's degree readings drawn from these sources, the four that
+        validate read back from their documents."""
+        g = three_cycle()
+        with pytest.raises(ValidationError, match="sensor values must be ints or strings, got 2.0"):
+            Environment(g, "x0", FilteredSensor(DegreeSensor(), {2.0: "b", "edge": "e"}), 3)
+        sources = (2, "2", 2.0, Fraction(2), True, 1, EDGE)
+        accepted = 0
+        for mask in range(1, 2 ** len(sources)):
+            pairs = [(src, f"<{i}>") for i, src in enumerate(sources) if mask >> i & 1]
+            try:
+                env = Environment(g, "x0", FilteredSensor(DegreeSensor(), pairs), 3)
+            except ValidationError:
+                continue
+            accepted += 1
+            doc = json.loads(json.dumps(env.to_json()))
+            again = Environment.from_json(doc)
+            assert again == env and again.to_json() == doc
+        # 2 and EDGE, with or without "2" and 1
+        assert accepted == 4
 
     def test_missing_fields_rejected(self):
         env = three_cycle_env()

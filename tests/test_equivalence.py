@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -51,6 +52,7 @@ from covertrace.generate import (
 )
 
 from helpers import (
+    WireReadings,
     graph_edges,
     labelled_triangles,
     marked_cycle_env,
@@ -352,10 +354,10 @@ class TestDiscreteStateSpace:
         """Every row of the table of envs (one environment or two) equals
         the simulated unit moves (apply and trace_of) of its own side:
         successor, segments and the events but the final instant, with
-        exact Fraction times; and each value is the sensor's.  Both read the
-        environment's reading table, so each chunk is also held against
-        naive_trace, which reads the sensor protocol itself.  Counts what
-        the moves met into seen."""
+        exact Fraction times; and each value is the one WireReadings reads
+        off the sensor's wire form.  Both read the environment's reading
+        table, so each chunk is also held against naive_trace, which reads
+        the wire form too.  Counts what the moves met into seen."""
         space = DiscreteStateSpace(*envs)
         assert len(space.values) == len(space.succ) == len(space.chunks) == len(space.states)
         top = max(env.graph.max_degree() for env in envs)
@@ -367,13 +369,14 @@ class TestDiscreteStateSpace:
         assert len(space.starts) == len(envs) and space.starts[0] == 0
         ends = [*space.starts[1:], len(space.states)]
         for env, start, end in zip(envs, space.starts, ends):
-            graph, sensor = env.graph, env.sensor
+            graph = env.graph
+            wire = WireReadings(graph, env.sensor)
             rows = range(start, end)
             assert space.states[start] == env.initial
             assert len(set(space.states[start:end])) == end - start
             for i in rows:
                 v = space.states[i]
-                assert space.values[i] == sensor.value(graph, VertexState(v))
+                assert space.values[i] == wire.vertex[v]
                 assert len(space.succ[i]) == len(space.chunks[i]) == len(space.actions)
                 for k, a in enumerate(space.actions):
                     u = ControlSignal([(a, 1)])
@@ -395,7 +398,7 @@ class TestDiscreteStateSpace:
                     idx = graph.edge_of(d)
                     edge = graph_edges(graph)[idx]
                     seen["self-loop"] += edge.tail == edge.head
-                    if sensor.marks_on(idx) and d != graph.forward_dart(idx):
+                    if wire.marks(idx) and d != graph.forward_dart(idx):
                         seen["mark against stored orientation"] += 1
                     seen["event at 0", bool(events) and events[0][0] == 0] += 1
 
@@ -680,6 +683,45 @@ class TestVerifyBisimulation:
         a, b = circle_pair()
         with pytest.raises(ValidationError):
             verify_bisimulation(a, b, [("nope", b.initial)])
+
+    def test_widest_alphabet_checks_as_port_m_plus_one(self, monkeypatch):
+        """The checker replays the actions the decider searches, ports up
+        to the larger maximum degree M and halt, so at width sys.maxsize it
+        gives width M + 1's verdict on each gallery pair, each in under a
+        second: for the relation bisim returns at the gallery width (every
+        pair of names for the distinguished crossing pair), which holds at
+        width M + 1 for the circle and beams pairs but not for the kite
+        pair, and for that relation with one pair dropped, which fails.  A
+        relation that holds has had every one of those actions replayed."""
+        replayed = set()
+        real = equivalence.trajectory
+
+        def recording(env, signal, start=None):
+            replayed.add(signal.pieces[0][0])
+            return real(env, signal, start)
+
+        monkeypatch.setattr(equivalence, "trajectory", recording)
+        held = []
+        for a, b in (circle_pair(), beams_pair(), kite_pair(), crossing_pair()):
+            top = max(a.graph.max_degree(), b.graph.max_degree())
+            narrow, wide = (
+                [Environment(e.graph, e.initial, e.sensor, width) for e in (a, b)] for width in (top + 1, sys.maxsize)
+            )
+            res = compute_bisimulation(a, b)
+            if res.related:
+                relation = list(res.relation)
+            else:
+                relation = [(v1, v2) for v1 in a.graph.vertices for v2 in b.graph.vertices]
+            for pairs in (relation, relation[:-1]):
+                verdict = verify_bisimulation(*narrow, pairs)
+                replayed.clear()
+                start = time.perf_counter()
+                assert verify_bisimulation(*wide, pairs) == verdict
+                assert time.perf_counter() - start < 1
+                if verdict:
+                    assert replayed == {*range(top + 1), HALT}
+                held.append(verdict)
+        assert held == [True, False, True, False, False, False, False, False]
 
     def test_rejects_relation_from_a_corrupted_table(self, monkeypatch):
         """A table with a wrong chunk on one edge's darts misleads the

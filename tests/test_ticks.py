@@ -56,6 +56,7 @@ from covertrace.generate import (
 from covertrace.signals import EMPTY
 
 from helpers import (
+    WireReadings,
     beam_marks,
     graph_edges,
     labelled_triangles,
@@ -250,38 +251,40 @@ def test_mark_crossed_at_a_whole_time():
 @given(environments())
 def test_readings_match_sensor_value(env):
     """Every reading a trace takes from the environment's reading table is
-    sensor.value of that state: at each vertex, and inside each edge on
-    every mark, between marks and at the far end, along and against the
-    edge's stored orientation, both as a start state and as the state a
-    move from the dart's tail reaches."""
-    graph, sensor = env.graph, env.sensor
+    the reading WireReadings gives at that state from the sensor's wire
+    form: at each vertex, and inside each edge on every mark, between marks
+    and at the far end, along and against the edge's stored orientation,
+    both as a start state and as the state a move from the dart's tail
+    reaches."""
+    graph = env.graph
+    wire = WireReadings(graph, env.sensor)
     for v in graph.vertices:
         state = VertexState(v)
-        assert trace_events(trace_of(env, EMPTY, state)) == ((0, sensor.value(graph, state)),)
+        assert trace_events(trace_of(env, EMPTY, state)) == ((0, wire.at(state)),)
     for idx, edge in enumerate(graph_edges(graph)):
-        ends = sorted({Fraction(0), edge.length, *[pos for pos, _ in sensor.marks_on(idx)]})
+        ends = sorted({Fraction(0), edge.length, *[pos for pos, _ in wire.marks(idx)]})
         points = set(ends[1:]) | {(a + b) / 2 for a, b in zip(ends, ends[1:])}
         forward = graph.forward_dart(idx)
         for dart in (forward, graph.reverse(forward)):
             for pos in points:
                 offset = pos if dart == forward else edge.length - pos
                 state = graph.state_on(dart, offset)
-                expected = sensor.value(graph, state)
+                expected = wire.at(state)
                 assert trace_events(trace_of(env, EMPTY, state)) == ((0, expected),)
                 reached = trace_of(env, ControlSignal([(dart.port, offset)]), VertexState(dart.vertex))
                 assert trace_events(reached)[-1] == (offset, expected)
 
 
-def assert_columns_match_protocol(graph, sensor):
-    """sensor.columns(graph) against value, interior_value and marks_on,
-    state by state: every vertex, every edge, and a marks dict holding
-    exactly the edges with marks, in marks_on order."""
+def assert_columns_match_wire_form(graph, sensor):
+    """sensor.columns(graph) against WireReadings of the sensor's wire
+    form: every vertex in vertex-position order, every edge, and a marks
+    dict holding exactly the edges with marks, in document order."""
     vertex, interior, marks = sensor.columns(graph)
+    wire = WireReadings(graph, sensor)
     edges = range(len(graph.lengths))
-    assert vertex == [sensor.value(graph, VertexState(v)) for v in graph.vertices]
-    assert interior == [sensor.interior_value(graph, e) for e in edges]
-    expected = {e: list(sensor.marks_on(e)) for e in edges if sensor.marks_on(e)}
-    assert {e: list(ms) for e, ms in marks.items()} == expected
+    assert vertex == [wire.vertex[v] for v in graph.vertices]
+    assert interior == wire.interior
+    assert {e: list(ms) for e, ms in marks.items()} == {e: wire.marks(e) for e in edges if wire.marks(e)}
     # the lists are the caller's: growing them leaves the sensor as it was
     vertex.append("extra")
     interior.append("extra")
@@ -289,20 +292,18 @@ def assert_columns_match_protocol(graph, sensor):
     assert len(again[0]) == len(graph.vertices) and len(again[1]) == len(graph.lengths)
 
 
-def protocol_readings(graph, sensor) -> list:
-    """Every reading of sensor on graph, state by state through value,
-    interior_value and marks_on: at vertices in graph order, inside edges,
-    then on marks edge by edge in edge order."""
-    edges = range(len(graph.lengths))
-    readings = [sensor.value(graph, VertexState(v)) for v in graph.vertices]
-    readings += [sensor.interior_value(graph, e) for e in edges]
-    return readings + [label for e in edges for _, label in sensor.marks_on(e)]
+def wire_readings_in_order(graph, sensor) -> list:
+    """Every reading of sensor on graph from WireReadings: at vertices in
+    graph order, inside edges, then on marks edge by edge in edge order."""
+    wire = WireReadings(graph, sensor)
+    readings = [wire.vertex[v] for v in graph.vertices] + wire.interior
+    return readings + [label for e in range(len(graph.lengths)) for _, label in wire.marks(e)]
 
 
 def filtered_twice(graph, sensor):
     """The sensor behind two relabelling filters: each reading it gives on
     graph sent to a string, and each string to an int."""
-    names = {r: f"<{r!r}>" for r in protocol_readings(graph, sensor)}
+    names = {r: f"<{r!r}>" for r in wire_readings_in_order(graph, sensor)}
     once = FilteredSensor(sensor, names)
     return FilteredSensor(once, {name: i for i, name in enumerate(sorted(set(names.values())))})
 
@@ -310,7 +311,8 @@ def filtered_twice(graph, sensor):
 @settings(max_examples=150, deadline=None)
 @given(environments())
 def test_columns_match_the_sensor_protocol(env):
-    assert_columns_match_protocol(env.graph, env.sensor)
+    """columns, the one way a sensor is read, against its wire form."""
+    assert_columns_match_wire_form(env.graph, env.sensor)
 
 
 def test_columns_match_the_sensor_protocol_on_gallery_and_generated_environments():
@@ -325,7 +327,7 @@ def test_columns_match_the_sensor_protocol_on_gallery_and_generated_environments
     for env in pool:
         for sensor in (env.sensor, filtered_twice(env.graph, env.sensor)):
             Environment(env.graph, env.initial, sensor, env.alphabet_width)  # validates
-            assert_columns_match_protocol(env.graph, sensor)
+            assert_columns_match_wire_form(env.graph, sensor)
             kinds.add(type(sensor.base.base if isinstance(sensor, FilteredSensor) else sensor).__name__)
     assert kinds == {"DegreeSensor", "LabelSensor", "BeamSensor"}
 
@@ -343,7 +345,7 @@ def test_filter_names_missing_readings_in_edge_order():
         rng.shuffle(rows)
         sensor = BeamSensor(rows)
         table = {r: "x" for r in (BLANK, "red", "green", "blue", 7) if rng.random() < 0.5}
-        missing = [r for r in dict.fromkeys(protocol_readings(graph, sensor)) if r not in table]
+        missing = [r for r in dict.fromkeys(wire_readings_in_order(graph, sensor)) if r not in table]
         for base in (sensor, FilteredSensor(sensor, {r: r for r in (BLANK, "red", "green", "blue", 7)})):
             if not missing:
                 FilteredSensor(base, table).validate(graph)
