@@ -18,10 +18,24 @@ A process builds the parser of each command it runs once, the first time
 when the first argument names none, so help and errors read the same).  A
 kept parser holds nothing read from a command line, help is formatted when it
 is printed, and the handler is looked up by name on every call.
+
+`main` switches Python's cyclic garbage collector off while it parses the
+command line and runs the handler, and switches it back on afterwards only
+if it was on when `main` was called, however `main` ends (a return, a
+SystemExit from parsing, or an exception).  What a command builds (graph
+tables, state spaces, covers, signals, traces and the printed documents)
+holds no reference cycle, so reference counting frees all of it, and the
+collections its allocations would trigger only re-scan live objects and
+find nothing.  The one exception is `gallery`: the indented `json.dump`
+builds its encoder from closures that refer to one another, a fixed few
+dozen objects per file, which the collector frees once it runs again.  The
+switch is process-wide: another thread of a program that calls `main`
+runs without cyclic collection until `main` returns.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -359,19 +373,26 @@ _PARSERS: dict = {}
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _NAMES else None
-    parser = _PARSERS.get(command)
-    if parser is None:
-        parser = _PARSERS[command] = build_parser(command)
-    args = parser.parse_args(argv)
+    # no cyclic collection while a command runs: see the module docstring
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return globals()[args.handler](args)
-    except ValidationError as exc:
-        _note(f"invalid input: {exc}")
-        return 2
-    except PreconditionError as exc:
-        _note(f"precondition violated: {exc}")
-        return 3
+        command = argv[0] if argv and argv[0] in _NAMES else None
+        parser = _PARSERS.get(command)
+        if parser is None:
+            parser = _PARSERS[command] = build_parser(command)
+        args = parser.parse_args(argv)
+        try:
+            return globals()[args.handler](args)
+        except ValidationError as exc:
+            _note(f"invalid input: {exc}")
+            return 2
+        except PreconditionError as exc:
+            _note(f"precondition violated: {exc}")
+            return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

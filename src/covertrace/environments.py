@@ -83,10 +83,6 @@ class Environment:
     def initial_state(self) -> VertexState:
         return VertexState(self.initial)
 
-    def actions(self) -> list:
-        """Canonical action order: ports ascending, halt last."""
-        return list(range(self.alphabet_width)) + [HALT]
-
     def to_json(self) -> dict:
         data = self.graph.to_json()
         data["initial"] = self.initial

@@ -568,7 +568,12 @@ def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
     test_trace_matches_fraction_oracle in tests/test_ticks.py, and
     TestDiscreteStateSpace.test_table_matches_simulation in
     tests/test_equivalence.py, hold that table against an oracle that reads
-    the sensor's wire form."""
+    the sensor's wire form.
+
+    The vertex-reading clause is a cheap early exit, not a separate
+    condition: halt is always among the actions, and the one segment of its
+    chunk reads the vertex reading, so the chunk clause refuses every pair
+    this clause refuses."""
     _require_shared_interface(e1, e2)
     for env in (e1, e2):
         _require_unit_lengths(env)

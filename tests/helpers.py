@@ -737,7 +737,7 @@ def naive_discrete_search(e1: Environment, e2: Environment, max_len: int):
         nonlocal checked
         if remaining == 0 or budget_seen.get((x1, x2), -1) >= remaining:
             return None
-        for a in e1.actions():
+        for a in [*range(e1.alphabet_width), HALT]:
             unit = ControlSignal([(a, Fraction(1))])
             checked += a == HALT or a <= top
             d = naive_first_divergence(trace_of(e1, unit, x1), trace_of(e2, unit, x2))

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import argparse
+import gc
+import io
 import json
 import os
 import random
@@ -23,6 +25,7 @@ from covertrace import (
     FilteredSensor,
     LabelSensor,
     PortedGraph,
+    PreconditionError,
     ValidationError,
     build_edges,
     cli,
@@ -987,6 +990,136 @@ class TestEmit:
                     assert emit("bisim", cover, base)[0] in (0, 1, 3)
                     printed.update(("gen-cyclic", "check-cover", "lift"))
         assert printed | {"metric", "geodesic", "gallery"} == set(cli._NAMES)
+
+
+class TestCollectorPause:
+    """main runs with the cyclic collector off and then leaves it as it
+    found it, on every way out: a returned exit code, a SystemExit from
+    parsing, and an exception that escapes the handler."""
+
+    @pytest.fixture(params=[True, False], ids=["collecting", "paused"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @staticmethod
+    def handler(outcome):
+        def run_handler(args):
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+        return run_handler
+
+    def test_handler_runs_paused(self, monkeypatch, collecting):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_bisim", lambda args: seen.append(gc.isenabled()) or 0)
+        assert cli.main(["bisim", "a.json", "b.json"]) == 0
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("outcome, code", [
+        (0, 0),
+        (1, 1),
+        (ValidationError("bad"), 2),
+        (PreconditionError("unmet"), 3),
+    ], ids=["0", "1", "2", "3"])
+    def test_exit_codes_restore(self, capsys, monkeypatch, collecting, outcome, code):
+        monkeypatch.setattr(cli, "cmd_bisim", self.handler(outcome))
+        assert cli.main(["bisim", "a.json", "b.json"]) == code
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["bogus"], 2)])
+    def test_parse_exit_restores(self, capsys, collecting, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+        assert gc.isenabled() is collecting
+
+    def test_escaping_exception_restores(self, monkeypatch, collecting):
+        monkeypatch.setattr(cli, "cmd_bisim", self.handler(RuntimeError("boom")))
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.main(["bisim", "a.json", "b.json"])
+        assert gc.isenabled() is collecting
+
+
+class TestNoCyclicGarbage:
+    """Why the pause is safe: reference counting frees everything a command
+    builds, so a collection right after its handler finds nothing.  Each
+    handler is wrapped, which keeps the cycles argparse makes while building
+    a parser out of the count."""
+
+    @staticmethod
+    def command_lines(capsys, tmp_path, gallery_dir):
+        a = write_json(tmp_path / "a.json", [[0, 3, 2], ["halt", 1, 3], [1, 5, 4]])
+        b = write_json(tmp_path / "b.json", [[1, 2, 1], [0, 1, 7]])
+        lines = [
+            ["metric", a, b],
+            ["geodesic", a, b, "--at", "1/3"],
+            ["geodesic", a, b, "--at", "2"],
+            ["metric", str(tmp_path / "missing.json"), b],
+        ]
+        for pair in sorted(GALLERY):
+            first, second = (str(gallery_dir / f"{pair}_{side}.json") for side in "ab")
+            lines += [
+                ["bisim", first, second],
+                ["equiv", first, second, "--random", "20"],
+                ["distinguish", first, second],
+                ["trace", first, a],
+                ["gen-universal", first, "3"],
+            ]
+            bundle = json.loads(run(capsys, ["gen-cyclic", first, "3", "--seed", "1"])[1])
+            cover = [
+                write_json(tmp_path / f"{pair}_map.json", bundle["projection"]),
+                write_json(tmp_path / f"{pair}_cover.json", bundle["environment"]),
+            ]
+            lines += [
+                ["gen-cyclic", first, "3", "--seed", "1"],
+                ["check-cover", *cover, first],
+                ["lift", *cover, first, a],
+                ["lift", *cover, second, a],
+            ]
+        return lines
+
+    def test_every_command_leaves_no_cycles(self, capsys, monkeypatch, tmp_path, gallery_dir):
+        lines = self.command_lines(capsys, tmp_path, gallery_dir)
+        codes = [run(capsys, argv)[0] for argv in lines]
+        assert {0, 1, 2, 3} <= set(codes)
+        found = {}
+        for name in [n for n in vars(cli) if n.startswith("cmd_")]:
+            monkeypatch.setattr(cli, name, self.collect_around(getattr(cli, name), found))
+        for argv, code in zip(lines, codes):
+            assert run(capsys, argv)[0] == code
+            assert found.pop(argv[0]) == 0, argv
+
+    def test_gallery_leaves_only_the_indented_encoders_cycles(self, capsys, monkeypatch, tmp_path):
+        """json.dump builds its indented encoder from closures that refer to
+        one another; the gallery leaves exactly what its json.dump calls
+        alone leave, and nothing of its own."""
+        expected = 0
+        for name in sorted(GALLERY):
+            for env in GALLERY[name]():
+                gc.collect()
+                json.dump(env.to_json(), io.StringIO(), indent=2, sort_keys=True)
+                expected += gc.collect()
+        assert expected
+        found = {}
+        monkeypatch.setattr(cli, "cmd_gallery", self.collect_around(cli.cmd_gallery, found))
+        assert run(capsys, ["gallery", "--out", str(tmp_path / "g")])[0] == 0
+        assert found == {"gallery": expected}
+
+    @staticmethod
+    def collect_around(handler, found):
+        """handler with a collection before it and one after it, whose
+        count of unreachable objects goes into found under the command."""
+        def collected(args):
+            gc.collect()
+            try:
+                return handler(args)
+            finally:
+                found[args.command] = gc.collect()
+        return collected
 
 
 class TestProcessEntry:
