@@ -156,13 +156,24 @@ def cmd_geodesic(args) -> int:
 
 def _source_vertex(text: str, source: Environment):
     """The source vertex a command-line name stands for: a string vertex equal
-    to the text or an integer vertex that prints as it, exactly one of them."""
-    matches = [v for v in source.graph.vertices if (str(v) if isinstance(v, int) else v) == text]
+    to the text or an integer vertex that prints as it, exactly one of them.
+    Two lookups in the graph's name table; only an int's own spelling names
+    it, so `010`, `+10` or ` 10` never name the vertex 10."""
+    index = source.graph.vertex_index
+    matches = [text] if text in index else []
+    try:
+        number = int(text)
+    except ValueError:  # not an int, or more digits than int() reads
+        pass
+    else:
+        if str(number) == text and number in index:
+            matches.append(number)
     if not matches:
         raise ValidationError(f"--skip-star {text}: the source has no vertex of that name")
     if len(matches) > 1:
+        first, second = sorted(matches, key=index.__getitem__)
         raise ValidationError(
-            f"--skip-star {text} is ambiguous: it names the source vertices {matches[0]!r} and {matches[1]!r}"
+            f"--skip-star {text} is ambiguous: it names the source vertices {first!r} and {second!r}"
         )
     return matches[0]
 

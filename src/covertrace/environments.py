@@ -14,8 +14,8 @@ runs on the graph's integer tables and on one integer grid per call.
 start offset, on the lcm of the signal's scale and the graph's tick
 denominator, one multiply per piece; it walks vertex positions and dart ids
 in O(steps) int operations and keeps its legs in those ticks.  A Trajectory
-builds its Leg objects only when they are first read, as Trajectory.at,
-breakpoints and trajectory_distance (and the benchmark's spans) read them.
+builds its Leg objects only when they are first read, as breakpoints (and
+the benchmark's spans) read them.
 Each environment reads its sensor through one table, `_Readings`, filled
 from the sensor's columns the first time the environment traces a signal
 or builds a state space: the reading per vertex, the interior reading per
@@ -167,12 +167,6 @@ class Leg:
     def moving(self) -> bool:
         return self.dart is not None
 
-    def at(self, graph: PortedGraph, t: Fraction) -> GraphState:
-        """Canonical state at time t in [t0, t1]."""
-        if self.moving:
-            return graph.state_on(self.dart, self.offset0 + (t - self.t0))
-        return self.state
-
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class Trajectory:
@@ -288,18 +282,6 @@ class Trajectory:
 
     def __repr__(self) -> str:
         return f"Trajectory(graph={self.graph!r}, start={self.start!r}, legs={self.legs!r})"
-
-    def at(self, t) -> GraphState:
-        """State at time t in [0, duration], canonical."""
-        t = as_fraction(t)
-        if t < 0 or t > self.duration:
-            raise PreconditionError(f"time {t} outside [0, {self.duration}]")
-        if not self.legs:
-            return self.start
-        for leg in self.legs:
-            if t <= leg.t1:
-                return leg.at(self.graph, t)
-        raise AssertionError("unreachable")
 
     def breakpoints(self) -> list:
         """Canonical (time, state) list: leg boundaries with canonical states."""
@@ -582,85 +564,3 @@ def _readings(segments, events: dict, times):
             k += 1
         after = segments[k][2] if k < len(segments) and segments[k][0] <= t else None
         yield events.get(t, after), after
-
-
-# --- trajectory metric ---------------------------------------------------
-
-
-def _leg_description(graph: PortedGraph, leg: Leg):
-    """Position during the leg as ('V', v), or ('E', idx, c, m) at distance
-    c + m*t from the stored tail of edge idx; a rest inside an edge has m = 0."""
-    if not leg.moving:
-        point = graph.point_of(leg.state)
-        return point if point[0] == "V" else point + (ZERO,)
-    idx = graph.edge_of(leg.dart)
-    if leg.dart == graph.forward_dart(idx):
-        return ("E", idx, leg.offset0 - leg.t0, Fraction(1))
-    return ("E", idx, graph.length(leg.dart) - leg.offset0 + leg.t0, Fraction(-1))
-
-
-def _end_distances(graph, desc):
-    """Affine distances (alpha, beta) from the described position to candidate
-    exit vertices."""
-    if desc[0] == "V":
-        return [(desc[1], ZERO, ZERO)]
-    _, idx, c, m = desc
-    keys = graph.dart_keys
-    return [(keys[2 * idx][0], c, m), (keys[2 * idx + 1][0], graph.lengths[idx] - c, -m)]
-
-
-def trajectory_distance(a: Trajectory, b: Trajectory) -> Fraction:
-    """Exact sup-distance of positions over the common horizon plus the
-    duration gap.  The sup of the piecewise-affine pointwise distance is
-    attained at a leg boundary or at a crossing of two candidate route lines,
-    so evaluating at those finitely many times is exact."""
-    if a.graph != b.graph:
-        raise ValidationError("trajectories live on different graphs")
-    graph = a.graph
-    horizon = min(a.duration, b.duration)
-    dv = graph.vertex_distances()
-
-    cuts = {Fraction(0), horizon}
-    for traj in (a, b):
-        for leg in traj.legs:
-            for t in (leg.t0, leg.t1):
-                if t <= horizon:
-                    cuts.add(t)
-    times = sorted(cuts)
-
-    # Every leg boundary is a cut, so each interval lies inside one leg of
-    # each trajectory; one forward pointer per trajectory finds it.
-    best = graph.point_distance(a.start, b.start)
-    pa = pb = 0
-    for lo, hi in zip(times, times[1:]):
-        while a.legs[pa].t1 < hi:
-            pa += 1
-        while b.legs[pb].t1 < hi:
-            pb += 1
-        leg_a, leg_b = a.legs[pa], b.legs[pb]
-        da = _leg_description(graph, leg_a)
-        db = _leg_description(graph, leg_b)
-        sample_times = {hi}
-        lines = []
-        for u, alpha1, beta1 in _end_distances(graph, da):
-            for w, alpha2, beta2 in _end_distances(graph, db):
-                lines.append((alpha1 + alpha2 + dv[(u, w)], beta1 + beta2))
-        if da[0] == "E" and db[0] == "E" and da[1] == db[1]:
-            delta = (da[2] - db[2], da[3] - db[3])
-            lines.append(delta)
-            lines.append((-delta[0], -delta[1]))
-            if delta[1] != 0:
-                tz = -delta[0] / delta[1]
-                if lo < tz < hi:
-                    sample_times.add(tz)
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                a1, b1 = lines[i]
-                a2, b2 = lines[j]
-                if b1 != b2:
-                    tx = (a2 - a1) / (b1 - b2)
-                    if lo < tx < hi:
-                        sample_times.add(tx)
-        for t in sample_times:
-            best = max(best, graph.point_distance(leg_a.at(graph, t), leg_b.at(graph, t)))
-    return best + abs(a.duration - b.duration)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Union
@@ -214,7 +213,6 @@ class PortedGraph:
         self.dart_index = dart_index
         self.dart_head = dart_head
         self.star = star
-        self._vertex_dist: Optional[dict] = None
         self._tick_denominator: Optional[int] = None
         self._edge_ticks: Optional[list] = None
 
@@ -325,64 +323,6 @@ class PortedGraph:
                 raise ValidationError(f"interior offset {offset} out of range")
             return state if offset is state.offset else EdgeState(state.dart, offset)
         raise ValidationError(f"not a graph state: {state!r}")
-
-    def point_of(self, state: GraphState):
-        """Undirected position: ('V', v) or ('E', edge_index, distance from the
-        stored tail).  Opposite-direction states at one point coincide here."""
-        if isinstance(state, VertexState):
-            return ("V", state.vertex)
-        i = self.dart_index[state.dart]
-        if i & 1:
-            return ("E", i >> 1, self.lengths[i >> 1] - state.offset)
-        return ("E", i >> 1, state.offset)
-
-    # --- metric ----------------------------------------------------------
-
-    def vertex_distances(self) -> dict:
-        """All-pairs shortest path lengths between vertices as exact
-        Fractions, {(u, w): distance}.  One heapq Dijkstra per source on
-        integer ticks of 1/tick_denominator(), O(V * E log V) on first use,
-        then kept."""
-        if self._vertex_dist is None:
-            scale, ticks = self.tick_denominator(), self.edge_ticks()
-            head, star, vertices = self.dart_head, self.star, self.vertices
-            dist = {}
-            for src, name in enumerate(vertices):
-                settled = {}
-                heap = [(0, src)]
-                while heap:
-                    t, v = heappop(heap)
-                    if v in settled:
-                        continue
-                    settled[v] = t
-                    for d in star[v]:
-                        heappush(heap, (t + ticks[d >> 1], head[d]))
-                for w, t in settled.items():
-                    dist[(name, vertices[w])] = Fraction(t, scale)
-            self._vertex_dist = dist
-        return self._vertex_dist
-
-    def point_distance(self, s1: GraphState, s2: GraphState) -> Fraction:
-        """Path-metric distance between the positions of two states."""
-        p1 = self.point_of(self.check_state(s1))
-        p2 = self.point_of(self.check_state(s2))
-        dv = self.vertex_distances()
-
-        def ends(p):
-            if p[0] == "V":
-                return [(p[1], Fraction(0))]
-            _, idx, pos = p
-            return [(self.dart_keys[2 * idx][0], pos), (self.dart_keys[2 * idx + 1][0], self.lengths[idx] - pos)]
-
-        best = None
-        if p1[0] == "E" and p2[0] == "E" and p1[1] == p2[1]:
-            best = abs(p1[2] - p2[2])
-        for u, du in ends(p1):
-            for w, dw in ends(p2):
-                cand = du + dv[(u, w)] + dw
-                if best is None or cand < best:
-                    best = cand
-        return best
 
     # --- equality and serialization --------------------------------------
 

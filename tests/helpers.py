@@ -119,19 +119,6 @@ def grid_distance(a: ControlSignal, b: ControlSignal) -> Fraction:
     return total + abs(a.duration - b.duration)
 
 
-def dense_trajectory_distance(traj_a, traj_b, steps: int = 60) -> Fraction:
-    """Lower-bound oracle for the trajectory metric: max point distance over a
-    dense rational time grid plus the duration gap."""
-    graph = traj_a.graph
-    horizon = min(traj_a.duration, traj_b.duration)
-    best = Fraction(0)
-    for i in range(steps + 1):
-        t = horizon * Fraction(i, steps)
-        d = graph.point_distance(traj_a.at(t), traj_b.at(t))
-        best = max(best, d)
-    return best + abs(traj_a.duration - traj_b.duration)
-
-
 def naive_vertex_distances(graph: PortedGraph) -> dict:
     """Vertex-distance oracle: Floyd-Warshall over the Fraction edge lengths,
     every pair relaxed through every intermediate vertex; None stands for
@@ -150,6 +137,48 @@ def naive_vertex_distances(graph: PortedGraph) -> dict:
                     if dist[u, w] is None or via < dist[u, w]:
                         dist[u, w] = via
     return dist
+
+
+def naive_point_distance(graph: PortedGraph, s1, s2) -> Fraction:
+    """Point-distance oracle on the path metric: the shortest way between two
+    states through the ends of their edges, by naive_vertex_distances, or
+    straight along one edge when both lie inside it."""
+    dist = naive_vertex_distances(graph)
+
+    def place(state):
+        """(edge index, distance from its tail) or None at a vertex, and the
+        (end vertex, distance to it) pairs the state can leave by."""
+        if isinstance(state, VertexState):
+            return None, ((state.vertex, Fraction(0)),)
+        for i, e in enumerate(graph_edges(graph)):
+            if state.dart == (e.tail, e.port_at_tail):
+                pos = state.offset
+            elif state.dart == (e.head, e.port_at_head):
+                pos = e.length - state.offset
+            else:
+                continue
+            return (i, pos), ((e.tail, pos), (e.head, e.length - pos))
+        raise AssertionError(f"{state!r} is not on the graph")
+
+    (on1, ends1), (on2, ends2) = place(s1), place(s2)
+    best = min(d1 + dist[u, w] + d2 for u, d1 in ends1 for w, d2 in ends2)
+    if on1 is not None and on2 is not None and on1[0] == on2[0]:
+        best = min(best, abs(on1[1] - on2[1]))
+    return best
+
+
+def state_at(traj: Trajectory, t):
+    """Position oracle: a trajectory's canonical state at time t in
+    [0, duration], read off the first of its legs that reaches t; a move is
+    offset0 + (t - t0) along its dart, canonicalised by graph.state_on."""
+    t = Fraction(t)
+    assert 0 <= t <= traj.duration
+    for leg in traj.legs:
+        if t <= leg.t1:
+            if leg.moving:
+                return traj.graph.state_on(leg.dart, leg.offset0 + (t - leg.t0))
+            return leg.state
+    return traj.start
 
 
 def rational_signals(width: int = 2, max_pieces: int = 5, denominators=(1, 2, 3, 4, 6)):

@@ -515,6 +515,13 @@ class TestCoverCommands:
         code, out, err = run(capsys, ["check-cover", *files, "--skip-star", "10", "--skip-star", "14"])
         assert (code, out) == (2, "")
         assert "--skip-star 14" in err
+        # int() reads each of these as 10, or refuses a string this long, but
+        # only the text an int prints as names it
+        for text in ("010", "+10", "1_0", " 10", "\u0661\u0660", "1" * 5000):
+            code, out, err = run(capsys, ["check-cover", *files, "--skip-star", text])
+            assert (code, out) == (2, "")
+            assert f"--skip-star {text}: the source has no vertex of that name" in err
+            assert "Traceback" not in err
 
     def test_skip_star_ambiguous_name_exits_2(self, capsys, tmp_path):
         files = self.integer_path_on_cycle(tmp_path, names=(1, "1", 2, 3))
@@ -523,6 +530,14 @@ class TestCoverCommands:
         code, out, err = run(capsys, ["check-cover", *files, "--skip-star", "1"])
         assert (code, out) == (2, "")
         assert "--skip-star 1 is ambiguous" in err
+
+    @pytest.mark.parametrize("names", [(1, "1", 2, 3), ("1", 1, 2, 3)], ids=["int-first", "str-first"])
+    def test_skip_star_ambiguous_message_keeps_vertex_order(self, capsys, tmp_path, names):
+        files = self.integer_path_on_cycle(tmp_path, names=names)
+        code, _, err = run(capsys, ["check-cover", *files, "--skip-star", "1"])
+        first, second = names[:2]
+        assert code == 2
+        assert f"--skip-star 1 is ambiguous: it names the source vertices {first!r} and {second!r}" in err
 
     def test_check_cover_negative_exits_1(self, capsys, tmp_path):
         from covertrace import DegreeSensor, PortedGraph, build_edges

@@ -57,6 +57,7 @@ from helpers import (
     naive_degree_refinement,
     naive_verify_covering,
     path_middle_env,
+    state_at,
     three_cycle,
     three_cycle_env,
     universal_ball_size,
@@ -371,9 +372,9 @@ class TestLiftStatePath:
             base = trajectory(dst, u)
             assert lifted.duration == base.duration
             for t, state in lifted.breakpoints():
-                assert f.state(dst.graph, state) == base.at(t)
+                assert f.state(dst.graph, state) == state_at(base, t)
             t = u.duration * Fraction(rng.randint(0, 7), 7)
-            assert f.state(dst.graph, lifted.at(t)) == base.at(t)
+            assert f.state(dst.graph, state_at(lifted, t)) == state_at(base, t)
 
     def test_pullback_traces_match_base(self):
         rng = random.Random(42)

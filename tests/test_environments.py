@@ -33,7 +33,6 @@ from covertrace import (
     relabel_environment,
     trace_of,
     trajectory,
-    trajectory_distance,
 )
 from covertrace.equivalence import port_preserving_automorphisms
 from covertrace.gallery import GALLERY
@@ -45,13 +44,13 @@ from covertrace.generate import (
 from covertrace.signals import EMPTY
 
 from helpers import (
-    dense_trajectory_distance,
     figure_eight_env,
     graph_states,
-    naive_vertex_distances,
+    naive_point_distance,
     path_middle_env,
     rational_signals,
     scan_first_divergence,
+    state_at,
     three_cycle,
     three_cycle_env,
     trace_events,
@@ -147,15 +146,12 @@ class TestStates:
                 g.check_state(EdgeState(d, offset))
             with pytest.raises(ValidationError):
                 trajectory(env, sig((0, 1)), EdgeState(d, offset))
-            with pytest.raises(ValidationError):
-                g.point_distance(EdgeState(d, offset), VertexState("a"))
         state = g.check_state(EdgeState(d, 1))
         assert state == EdgeState(d, Fraction(1)) and type(state.offset) is Fraction
         leg = trajectory(env, sig(("halt", 1), (0, 1)), EdgeState(d, 1)).legs[0]
         assert type(leg.state.offset) is Fraction
         leg = trajectory(env, sig((0, Fraction(1, 2))), EdgeState(d, 1)).legs[0]
         assert type(leg.offset0) is Fraction
-        assert g.point_distance(EdgeState(d, 1), VertexState("b")) == 1
 
     @pytest.mark.parametrize(
         "state", [VertexState(["x0"]), EdgeState(["x0", 0], Fraction(1, 2))], ids=["vertex", "dart"]
@@ -172,47 +168,10 @@ class TestStates:
             lambda: trajectory(env, u, state),
             lambda: apply(env, u, state),
             lambda: trace_of(env, u, state),
-            lambda: g.point_distance(state, VertexState("x0")),
-            lambda: g.point_distance(VertexState("x0"), state),
         )
         for call in calls:
             with pytest.raises(ValidationError, match="unknown"):
                 call()
-
-    def test_point_distance_triangle(self):
-        g = three_cycle()
-        mid0 = g.state_on(g.forward_dart(0), Fraction(1, 2))
-        mid1 = g.state_on(g.forward_dart(1), Fraction(1, 2))
-        assert g.point_distance(mid0, VertexState("x2")) == Fraction(3, 2)
-        assert g.point_distance(mid0, mid1) == 1
-        assert g.point_distance(mid0, mid0) == 0
-
-    def test_vertex_distances_match_floyd_warshall(self):
-        rng = random.Random(17)
-        graphs = [
-            random_ported_graph(rng, n_min=1, n_max=7, extra_max=4, unit_lengths=False)
-            for _ in range(60)
-        ]
-        # from 1 the vertices "1" and 2 tie at distance 1, and names of mixed
-        # type do not compare; a longer parallel edge and a loop change nothing
-        graphs.append(
-            PortedGraph(
-                [1, "1", 2],
-                build_edges(
-                    [
-                        (1, "1", 0, 0),
-                        (1, 2, 1, 0),
-                        ("1", 2, 1, 1),
-                        (1, "1", 2, 2, Fraction(3, 2)),
-                        (2, 2, 2, 3, Fraction(1, 3)),
-                    ]
-                ),
-            )
-        )
-        for g in graphs:
-            dist = g.vertex_distances()
-            assert dist == naive_vertex_distances(g)
-            assert all(type(x) is Fraction for x in dist.values())
 
 
 class TestEnvironmentValidation:
@@ -355,8 +314,8 @@ class TestTrajectory:
     def test_stationary_tail(self):
         env = three_cycle_env()
         traj = trajectory(env, sig((0, 1), ("halt", 1)))
-        assert traj.at(Fraction(3, 2)) == VertexState("x1")
-        assert traj.at(2) == VertexState("x1")
+        assert state_at(traj, Fraction(3, 2)) == VertexState("x1")
+        assert state_at(traj, 2) == VertexState("x1")
         last = traj.legs[-1]
         assert not last.moving and (last.t0, last.t1) == (1, 2)
 
@@ -368,7 +327,7 @@ class TestTrajectory:
             traj = trajectory(env, random_signal(rng, env.alphabet_width, max_pieces=4))
             t1 = traj.duration * Fraction(rng.randint(0, 8), 8)
             t2 = traj.duration * Fraction(rng.randint(0, 8), 8)
-            d = g.point_distance(traj.at(t1), traj.at(t2))
+            d = naive_point_distance(g, state_at(traj, t1), state_at(traj, t2))
             assert d <= abs(t1 - t2)
 
     @settings(max_examples=120, deadline=None)
@@ -378,9 +337,9 @@ class TestTrajectory:
         start = data.draw(graph_states(env.graph))
         u = data.draw(rational_signals(width=env.alphabet_width))
         traj = trajectory(env, u, start)
-        assert traj.final == traj.at(traj.duration) == apply(env, u, start)
+        assert traj.final == state_at(traj, traj.duration) == apply(env, u, start)
         for t, state in traj.breakpoints():
-            assert state == traj.at(t)
+            assert state == state_at(traj, t)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.data())
@@ -395,7 +354,7 @@ class TestTrajectory:
         u = data.draw(rational_signals(width=env.alphabet_width, max_pieces=8))
         traj = trajectory(env, u, random_state(rng, graph))
         for leg in traj.legs:
-            assert leg.end == leg.at(graph, leg.t1)
+            assert leg.end == state_at(traj, leg.t1)
 
     def test_evaluation_matches_apply(self):
         rng = random.Random(33)
@@ -404,7 +363,7 @@ class TestTrajectory:
             u = random_signal(rng, 4, max_pieces=4)
             traj = trajectory(env, u)
             t = u.duration * Fraction(rng.randint(0, 5), 5)
-            assert traj.at(t) == apply(env, u.restrict_before(t))
+            assert state_at(traj, t) == apply(env, u.restrict_before(t))
 
 
 class TestTraces:
@@ -479,74 +438,6 @@ class TestTraces:
         env = three_cycle_env()
         with pytest.raises(ValidationError):
             first_divergence(trace_of(env, sig((0, 1))), trace_of(env, sig((0, 2))))
-
-
-class TestTrajectoryDistance:
-    def test_identical(self):
-        env = three_cycle_env()
-        traj = trajectory(env, sig((0, 2)))
-        assert trajectory_distance(traj, traj) == 0
-
-    def test_pure_duration_gap(self):
-        env = three_cycle_env()
-        a = trajectory(env, sig((0, 3)))
-        b = trajectory(env, sig((0, 2)))
-        assert trajectory_distance(a, b) == 1
-
-    def test_loop_against_stay(self):
-        env = three_cycle_env()
-        a = trajectory(env, sig((0, 3)))
-        b = trajectory(env, sig(("halt", 3)))
-        exact = trajectory_distance(a, b)
-        assert exact == Fraction(3, 2)
-        assert dense_trajectory_distance(a, b, steps=60) <= exact
-
-    def test_different_graphs_rejected(self):
-        a = trajectory(three_cycle_env(), sig((0, 1)))
-        b = trajectory(path_middle_env(), sig((0, 1)))
-        with pytest.raises(ValidationError):
-            trajectory_distance(a, b)
-
-    def test_metric_needs_no_networkx(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "networkx", None)
-        env = three_cycle_env()
-        a = trajectory(env, sig((0, 3)))
-        b = trajectory(env, sig(("halt", 3)))
-        assert trajectory_distance(a, b) == Fraction(3, 2)
-        g = three_cycle()
-        mid0 = g.state_on(g.forward_dart(0), Fraction(1, 2))
-        assert g.point_distance(mid0, VertexState("x2")) == Fraction(3, 2)
-
-    def test_dense_sampling_bracket(self):
-        # positions move at most at unit speed, so the pointwise distance is
-        # 2-Lipschitz in time and a grid of spacing h can miss at most h
-        def check(a, b):
-            exact = trajectory_distance(a, b)
-            steps = 48
-            horizon = min(a.duration, b.duration)
-            dense = dense_trajectory_distance(a, b, steps=steps)
-            assert dense <= exact
-            assert exact <= dense + horizon / steps
-
-        rng = random.Random(35)
-        env = figure_eight_env()
-        for _ in range(40):
-            a = trajectory(env, random_signal(rng, 4, max_pieces=3))
-            b = trajectory(env, random_signal(rng, 4, max_pieces=3))
-            check(a, b)
-        # rational lengths, and starts anywhere on the graph
-        for _ in range(30):
-            graph = random_ported_graph(rng, unit_lengths=False)
-            env = Environment(graph, graph.vertices[0], DegreeSensor())
-            a, b = (
-                trajectory(
-                    env,
-                    random_signal(rng, env.alphabet_width, max_pieces=3),
-                    random_state(rng, graph),
-                )
-                for _ in range(2)
-            )
-            check(a, b)
 
 
 class TestSensorInvariance:
