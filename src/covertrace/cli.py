@@ -13,9 +13,16 @@ an ancestor; so `_emit` encodes it with the encoder's cycle scan switched
 off (`check_circular=False`), which prints the same text without one dict
 insert and delete per list and dict.
 
-A process builds the parser of each command it runs once, the first time
-`main` needs it, and reuses it on later calls (every command in one parser
-when the first argument names none, so help and errors read the same).  A
+A process builds the parsers of each command it runs once, the first time
+`main` needs them, and reuses them on later calls: the top-level parser
+narrowed to that command and the command's own subparser (every command in
+one parser when the first argument names none, so help and errors read the
+same).  A line that names a command is parsed in one pass by that command's
+subparser alone, into a namespace that already holds `command`, so the
+handler gets the namespace that the top-level parser, handing the rest of
+the line to the subparser, would build.  Words that subparser leaves over
+are an error: `main` then hands the whole line to the narrowed top-level
+parser, which reports them in argparse's own words.  A
 kept parser holds nothing read from a command line, help is formatted when it
 is printed, and the handler is looked up by name on every call.
 
@@ -358,9 +365,9 @@ _COMMANDS = (
 _NAMES = tuple(name for name, _, _ in _COMMANDS)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command or, given a command's name, of that one
-    command alone; its usage line lists every command either way."""
+def _build(command: str | None) -> tuple:
+    """build_parser(command), and the subparser of the command it names
+    (None for the full parser)."""
     parser = argparse.ArgumentParser(
         prog="covertrace",
         description="Exact tools for telling apart sensor-driven graph environments.",
@@ -373,12 +380,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, help_text, add_arguments in _COMMANDS:
         if not narrow or name == command:
             add_arguments(sub.add_parser(name, help=help_text))
-    return parser
+    return parser, sub.choices[command] if narrow else None
 
 
-# The parsers main has built in this process, by command name (None: the full
-# parser), so at most one per command plus one.  They hold no value read from
-# a command line: each call parses into a fresh namespace.
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, given a command's name, of that one
+    command alone; its usage line lists every command either way."""
+    return _build(command)[0]
+
+
+# The parsers main has built in this process, by command name: the top-level
+# parser narrowed to the command and the command's own subparser (None: the
+# full parser and None), so at most two per command plus the full parser.
+# They hold no value read from a command line: each call parses into a fresh
+# namespace.
 _PARSERS: dict = {}
 
 
@@ -389,10 +404,18 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         command = argv[0] if argv and argv[0] in _NAMES else None
-        parser = _PARSERS.get(command)
-        if parser is None:
-            parser = _PARSERS[command] = build_parser(command)
-        args = parser.parse_args(argv)
+        parsers = _PARSERS.get(command)
+        if parsers is None:
+            parsers = _PARSERS[command] = _build(command)
+        parser, own = parsers
+        if own is None:
+            args = parser.parse_args(argv)
+        else:
+            # one pass, as the top-level parser's subparser action would
+            # make it: see the module docstring
+            args, extras = own.parse_known_args(argv[1:], argparse.Namespace(command=command))
+            if extras:
+                args = parser.parse_args(argv)
         try:
             return globals()[args.handler](args)
         except ValidationError as exc:

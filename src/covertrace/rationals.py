@@ -7,14 +7,32 @@ on ints, which is exact and avoids a gcd per Fraction operation.
 """
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import lcm
 
 from .errors import ValidationError
 
 
+# The exponent of a decimal string, as Fraction(str) reads it (`\d` takes
+# any Unicode digit, as int() does).
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _exponent_too_large(text: str) -> bool:
+    """Whether text ends in an exponent above sys.get_int_max_str_digits(),
+    whose power of ten Fraction(text) would build before any check (the
+    int-digit limit reads the digits written, not the exponent)."""
+    # 0: no limit, as on Pythons before 3.10.7, which have no such function
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    match = _EXPONENT.search(text) if limit else None
+    return match is not None and abs(int(match[1])) > limit
+
+
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like "3/2", and Fractions to Fraction; reject floats."""
+    """Coerce ints, strings like "3/2" or "2.5e-1", and Fractions to
+    Fraction; reject floats, and decimal exponents past the int-digit limit."""
     if type(value) is Fraction:
         return value
     if isinstance(value, bool):
@@ -23,6 +41,8 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if _exponent_too_large(value):
+                raise ValueError("exponent too large")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational number: {value!r}") from exc

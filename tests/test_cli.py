@@ -34,6 +34,7 @@ from covertrace import (
 from covertrace.dot import environment_to_dot, graph_to_dot
 from covertrace.gallery import GALLERY
 from covertrace.generate import random_beam_sensor, random_ported_graph, random_voltages
+from covertrace.rationals import as_fraction
 
 from helpers import WireReadings, marked_cycle_env, path_middle_env, three_cycle_env
 
@@ -163,6 +164,37 @@ class TestSignalCommands:
         a = write_json(tmp_path / "a.json", [[0, 2, 1]])
         code, _, _ = run(capsys, ["geodesic", a, a, "--at", "half"])
         assert code == 2
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e-3", Fraction(1, 1000)), ("2.5E2", 250), ("13/2", Fraction(13, 2)), (" 1e+1_0 ", 10**10),
+    ])
+    def test_decimal_and_fraction_text_parse(self, text, value):
+        assert as_fraction(text) == value
+
+    def test_exponent_past_the_digit_limit_is_refused(self, monkeypatch):
+        """Fraction(str) would build the power of ten of any exponent; one
+        above sys.get_int_max_str_digits() is refused first, and a limit of
+        0 sets no bound."""
+        limit = sys.get_int_max_str_digits()
+        assert as_fraction(f"1e-{limit}") == Fraction(1, 10**limit)
+        for text in (f"1e{limit + 1}", f"1e-{limit + 1}", "1e-100000000", "1.5E+100000000 ", "1/3e100000000"):
+            with pytest.raises(ValidationError, match="^not a rational number: "):
+                as_fraction(text)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert as_fraction(f"1e{limit + 1}") == 10 ** (limit + 1)
+
+    @pytest.mark.parametrize("command", [
+        ["geodesic", "{sig}", "{sig}", "--at", "1e-100000000"],
+        ["gen-universal", "{env}", "1e100000000"],
+    ])
+    def test_huge_exponent_argument_exits_2_at_once(self, capsys, tmp_path, env_file, command):
+        sig = write_json(tmp_path / "sig.json", [[0, 1, 1]])
+        argv = [word.format(sig=sig, env=env_file) for word in command]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: not a rational number: {argv[-1]!r}\n"
 
 
 class TestVerdictCommands:
@@ -753,13 +785,36 @@ def _command_line(name, sub, bad=None):
 
 def _parse_cases():
     """Help and error command lines for every command (help, missing
-    arguments, an unknown option, a bad int), plus the top level."""
+    arguments, an unknown option, a bad int) and a valid line for each,
+    the top level, and lines whose words argparse reads in more than one
+    way: extra positionals, `--`, options inside the positionals,
+    abbreviations and values that look like negative numbers."""
     cases = [[], ["-h"], ["--version"], ["bogus"], ["bis"]]
     for name, sub in _subparsers(cli.build_parser()).items():
-        cases += [[name, "-h"], [name], _command_line(name, sub) + ["--bogus"]]
+        valid = _command_line(name, sub)
+        cases += [[name, "-h"], [name], valid, valid + ["--bogus"]]
         bad_int = next((a for a in sub._actions if a.type is int), None)
         if bad_int is not None:
             cases.append(_command_line(name, sub, bad_int))
+    cases += [
+        ["metric", "a", "b", "c"],
+        ["metric", "a", "b", "--version"],
+        ["metric", "--version"],
+        ["metric", "--", "a", "b"],
+        ["metric", "a", "--", "b"],
+        ["metric", "a", "b", "--"],
+        ["metric", "a", "-h", "b"],
+        ["metric", "-hx"],
+        ["geodesic", "a", "b", "--at=1/3"],
+        ["geodesic", "a", "b", "--at=1/3", "--at"],
+        ["equiv", "a", "b", "--ma", "x"],
+        ["equiv", "a", "b", "--ma", "3"],
+        ["gen-cyclic", "e", "-1"],
+        ["gen-cyclic", "e", "2", "--voltages", "-1,0"],
+        ["gen-cyclic", "e", "2", "--seed", "-5"],
+        ["check-cover", "m", "s", "t", "--skip-star"],
+        ["check-cover", "m", "s", "t", "--skip-star", "1", "--skip-star", "-1"],
+    ]
     return cases
 
 
@@ -770,17 +825,51 @@ class TestDispatch:
 
     @staticmethod
     def outcome(capsys, parse, argv):
-        with pytest.raises(SystemExit) as exc:
-            parse(argv)
+        """What parse returns, or the code it exits with, and what it prints."""
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
         captured = capsys.readouterr()
-        return exc.value.code, captured.out, captured.err
+        return result, captured.out, captured.err
 
     @pytest.mark.parametrize("columns", ["80", "200"])
     @pytest.mark.parametrize("argv", _parse_cases(), ids=lambda argv: " ".join(argv) or "(none)")
     def test_narrowed_parsing_matches_full_parser(self, capsys, monkeypatch, columns, argv):
+        """Each handler returns the namespace it is given, so main returns
+        what it parsed: the full parser's namespace, `command` included,
+        or its exit code and text."""
         monkeypatch.setenv("COLUMNS", columns)
+        for name in [name for name in vars(cli) if name.startswith("cmd_")]:
+            monkeypatch.setattr(cli, name, lambda args: args)
         full = self.outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
         assert self.outcome(capsys, cli.main, argv) == full
+
+    def test_parses_a_named_command_in_one_pass(self, capsys, monkeypatch, env_file):
+        """A valid line naming a command is parsed once, by that command's
+        subparser; a line it leaves words over from goes to the narrowed
+        top-level parser, which reports them; a line naming no command goes
+        to the full parser."""
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert run(capsys, ["bisim", env_file, env_file])[0] == 0
+        top, own = cli._PARSERS["bisim"]
+        assert calls == [own]
+        calls.clear()
+        code, out, err = self.outcome(capsys, cli.main, ["bisim", env_file, env_file, "extra"])
+        assert (code, out) == (2, "")
+        assert err.endswith("\ncovertrace: error: unrecognized arguments: extra\n")
+        assert calls[:2] == [own, top]
+        calls.clear()
+        code, out, _ = self.outcome(capsys, cli.main, ["-h"])
+        assert code == 0 and out.startswith("usage: covertrace")
+        assert calls == [cli._PARSERS[None][0]]
 
     def test_unknown_command_error_names_the_argument(self, capsys):
         """Only a narrowed parser gets a metavar, which would rename the
