@@ -13,6 +13,20 @@ an ancestor; so `_emit` encodes it with the encoder's cycle scan switched
 off (`check_circular=False`), which prints the same text without one dict
 insert and delete per list and dict.
 
+Every input document (environment, signal, map) is read by `_load_json`
+alone: one unbuffered binary read of the whole file (`readall`, which
+drains a FIFO or a process substitution like a file), one strict UTF-8
+decode of the bytes, and `json.loads` on the text; no text wrapper,
+incremental decoder or newline pass is built.  The bytes are decoded
+before the parse and never handed to it, since `json.loads` would guess
+UTF-16 or UTF-32 from bytes, strip a UTF-8 byte-order mark and pass
+encoded surrogates.  So bytes that are not UTF-8 (a UTF-16 document, an
+encoded surrogate) and a leading byte-order mark are invalid JSON (exit
+2), as is a syntax error; a file that cannot be opened or read exits 2
+too.  A CR is whitespace between JSON tokens, so a CRLF document reads as
+its LF twin does; only the position a syntax error names counts its CR
+characters, which no newline pass removes.
+
 A process builds the parsers of each command it runs once, the first time
 `main` needs them, and reuses them on later calls: the top-level parser
 narrowed to that command and the command's own subparser (every command in
@@ -66,13 +80,15 @@ from .signals import ControlSignal, distance, geodesic
 
 def _load_json(path: str, object_pairs_hook=None):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, object_pairs_hook=object_pairs_hook)
+        # one unbuffered read and one strict decode: see the module docstring
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.readall().decode("utf-8")
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        # malformed JSON, or an integer literal longer than
-        # sys.get_int_max_str_digits() digits
+        # bytes that are not UTF-8, malformed JSON, or an integer literal
+        # longer than sys.get_int_max_str_digits() digits
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         # arrays or objects nested deeper than the decoder's recursion limit

@@ -120,7 +120,7 @@ def _unit_moves(env: Environment, actions, traces: dict):
     when they return the same trace object.  A SensorTrace hashes and
     compares its canonical ticks, so equal traces meet there whatever scale
     each simulation ran on."""
-    unit = {a: ControlSignal([(a, _ONE)]) for a in actions}
+    unit = {a: ControlSignal._from_ticks(1, (a,), (1,)) for a in actions}
     vertices, index = env.graph.vertices, env.graph.vertex_index
     memo: dict = {}
 
@@ -241,7 +241,8 @@ def check_equiv_sampled(
         if tr1 is not tr2:
             d = first_divergence(tr1, tr2)
             if d is not None:
-                witness = ControlSignal([(b, _ONE) for b in prefix + [a]])
+                word = prefix + [a]
+                witness = ControlSignal._from_ticks(1, word, [1] * len(word))
                 return SampledVerdict(
                     True, witness, Fraction(len(prefix)) + d, max_len, checked, 0
                 )
@@ -432,7 +433,7 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     word, pairs = _pair_walk(space)
 
     if word is not None:
-        witness = ControlSignal([(a, _ONE) for a in word])
+        witness = ControlSignal._from_ticks(1, word, [1] * len(word))
         replay = traces_equal(e1, e2, witness)
         assert not replay.equal, "reconstructed witness failed to distinguish"
         return BisimulationResult(

@@ -30,13 +30,27 @@ def _exponent_too_large(text: str) -> bool:
     return match is not None and abs(int(match[1])) > limit
 
 
+# The characters of an over-long text that its refusal quotes.
+_QUOTED = 40
+
+
+def _not_rational(value) -> ValidationError:
+    """The refusal of value: a text longer than _QUOTED characters is
+    quoted by its first _QUOTED and its length, not echoed whole."""
+    if isinstance(value, str) and len(value) > _QUOTED:
+        return ValidationError(
+            f"not a rational number: {value[:_QUOTED]!r}... ({len(value)} characters)"
+        )
+    return ValidationError(f"not a rational number: {value!r}")
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, strings like "3/2" or "2.5e-1", and Fractions to
     Fraction; reject floats, and decimal exponents past the int-digit limit."""
     if type(value) is Fraction:
         return value
     if isinstance(value, bool):
-        raise ValidationError(f"not a rational number: {value!r}")
+        raise _not_rational(value)
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
@@ -45,8 +59,8 @@ def as_fraction(value) -> Fraction:
                 raise ValueError("exponent too large")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a rational number: {value!r}") from exc
-    raise ValidationError(f"not a rational number: {value!r}")
+            raise _not_rational(value) from exc
+    raise _not_rational(value)
 
 
 def on_grid(values, scale: int = 1) -> tuple:

@@ -9,9 +9,11 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +197,26 @@ class TestSignalCommands:
         assert time.perf_counter() - start < 0.1
         assert (code, out) == (2, "")
         assert err == f"invalid input: not a rational number: {argv[-1]!r}\n"
+
+    def test_refusal_quotes_an_over_long_text(self):
+        """A text of up to 40 characters is echoed whole; a longer one by its
+        first 40 characters and its length."""
+        for text, shown in (("x" * 40, repr("x" * 40)), ("x" * 41, f"{'x' * 40!r}... (41 characters)")):
+            with pytest.raises(ValidationError) as refused:
+                as_fraction(text)
+            assert str(refused.value) == f"not a rational number: {shown}"
+
+    @pytest.mark.parametrize("command", [
+        ["geodesic", "{sig}", "{sig}", "--at", "{arg}"],
+        ["gen-universal", "{env}", "{arg}"],
+    ])
+    def test_over_long_argument_is_not_echoed(self, capsys, tmp_path, env_file, command):
+        sig = write_json(tmp_path / "sig.json", [[0, 1, 1]])
+        arg = "e1" * 100000
+        code, out, err = run(capsys, [word.format(sig=sig, env=env_file, arg=arg) for word in command])
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: not a rational number: {arg[:40]!r}... (200000 characters)\n"
+        assert len(err.encode()) < 300
 
 
 class TestVerdictCommands:
@@ -762,6 +784,93 @@ class TestGalleryCommand:
         code, stdout, err = run(capsys, ["gallery", "--out", target])
         assert (code, stdout) == (2, "")
         assert f"invalid input: cannot write the gallery to {target}" in err
+
+
+class TestInputDocuments:
+    """How a command reads an input document: strict UTF-8 JSON with no
+    byte-order mark, CR as whitespace, from a file or a pipe."""
+
+    SIGNAL = [[0, 1, 2], [1, 3, 4], ["halt", 1, 1], [2, 5, 3]]
+
+    @staticmethod
+    def twins(tmp_path, name, payload):
+        """An indented document written with LF and with CRLF line ends."""
+        text = json.dumps(payload, indent=2)
+        lf, crlf = tmp_path / f"{name}_lf.json", tmp_path / f"{name}_crlf.json"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert b"\r\n" in crlf.read_bytes()
+        return str(lf), str(crlf)
+
+    @pytest.mark.parametrize("command", ["trace", "metric", "geodesic", "check-cover", "bisim"])
+    def test_crlf_document_prints_what_its_lf_twin_prints(self, capsys, tmp_path, gallery_dir, command):
+        beams = json.loads((gallery_dir / "beams_a.json").read_text())
+        env = self.twins(tmp_path, "env", beams)
+        sig = self.twins(tmp_path, "sig", self.SIGNAL)
+        cycle = self.twins(tmp_path, "cycle", three_cycle_env().to_json())
+        mapping = self.twins(tmp_path, "map", identity_map_json([["x0", 0], ["x0", 0]]))
+        lines = {
+            "trace": lambda i: ["trace", env[i], sig[i]],
+            "metric": lambda i: ["metric", sig[i], sig[0]],
+            "geodesic": lambda i: ["geodesic", sig[0], sig[i], "--at", "1/3"],
+            "check-cover": lambda i: ["check-cover", mapping[i], cycle[i], cycle[0]],
+            "bisim": lambda i: ["bisim", env[i], str(gallery_dir / "beams_b.json")],
+        }[command]
+        lf, crlf = run(capsys, lines(0)), run(capsys, lines(1))
+        assert lf[1]
+        assert crlf == lf
+
+    @pytest.mark.parametrize("body", [
+        b"\xef\xbb\xbf[[0, 1, 1]]",
+        b"[[0, 1, 1]\xff]",
+        b'[["\xed\xa0\x80", 1, 1]]',
+        "[[0, 1, 1]]".encode("utf-16"),
+        "[[0, 1, 1]]".encode("utf-16-le"),
+        "[[0, 1, 1]]".encode("utf-32"),
+    ], ids=["bom", "invalid-byte", "encoded-surrogate", "utf-16", "utf-16-le", "utf-32"])
+    def test_document_that_is_not_utf8_json_exits_2(self, capsys, tmp_path, body):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(body)
+        good = write_json(tmp_path / "good.json", [[0, 1, 1]])
+        code, out, err = run(capsys, ["metric", good, str(bad)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"invalid input: {bad} is not valid JSON: ")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_exits_2(self, capsys, tmp_path, kind):
+        path = tmp_path / "void.json"
+        if kind == "directory":
+            path.mkdir()
+        good = write_json(tmp_path / "good.json", [[0, 1, 1]])
+        code, out, err = run(capsys, ["metric", str(path), good])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"invalid input: cannot read {path}: ")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("which", ["signal", "environment"])
+    def test_document_through_a_fifo_reads_like_the_file(self, capsys, tmp_path, gallery_dir, which):
+        env = str(gallery_dir / "beams_a.json")
+        sig = write_json(tmp_path / "sig.json", self.SIGNAL)
+        source = sig if which == "signal" else env
+        fifo = tmp_path / "doc.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            # blocks until the command opens the pipe; written in pieces so
+            # the reader sees more than one chunk
+            data = Path(source).read_bytes()
+            with open(fifo, "wb", buffering=0) as pipe:
+                for at in range(0, len(data), 97):
+                    pipe.write(data[at:at + 97])
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        line = ["trace", env, str(fifo)] if which == "signal" else ["trace", str(fifo), sig]
+        through_pipe = run(capsys, line)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert through_pipe == run(capsys, ["trace", env, sig])
+        assert through_pipe[0] == 0
 
 
 def _subparsers(parser):

@@ -307,6 +307,17 @@ class TestTickForm:
         assert w.to_json() == u.to_json()
 
     @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1, 2, 3, HALT]), max_size=30))
+    def test_unit_word_from_ticks_matches_the_constructor(self, word):
+        """The bisim and sampled-search witnesses and the unit moves are
+        words of unit actions built from ticks; runs merge and the empty
+        word is the empty signal, as the checking constructor makes them."""
+        u = ControlSignal._from_ticks(1, word, [1] * len(word))
+        built = ControlSignal([(a, Fraction(1)) for a in word])
+        assert u == built and hash(u) == hash(built)
+        assert (u.to_json(), repr(u), u.duration) == (built.to_json(), repr(built), len(word))
+
+    @settings(max_examples=200, deadline=None)
     @given(wire_signals(), wire_signals(), st.integers(0, 12), st.integers(1, 12))
     def test_algebra_matches_oracle(self, first, second, num, den):
         a, b = ControlSignal.from_json(first), ControlSignal.from_json(second)
