@@ -25,12 +25,17 @@ verify_bisimulation re-checks a relation by replaying every move through the
 simulation (trajectory and trace_of_trajectory) instead of reading the
 state-space tables; it and the simulation's traces read the same reading
 table as the decider, so tests hold that table against an oracle that
-reads the sensor's wire form (to_json) alone.  Simulated unit moves are
-memoized in one place, _unit_moves, which both verify_bisimulation and
-check_equiv_sampled use.  The two environments of one check share a table
-of the distinct unit traces, so check_equiv_sampled tells two moves apart
-by the identity of their traces and calls first_divergence only on traces
-that differ.
+reads the sensor's wire form (to_json) alone.  check_equiv_sampled takes
+the steps of its bounded search from one of two sources: between two
+unit-length graphs it reads them off one DiscreteStateSpace of the pair
+(_table_step), and otherwise it simulates them (_simulated_step).
+Simulated unit moves are memoized in one place, _unit_moves, which both
+verify_bisimulation and the simulated step use; the two environments of
+one check share a table of the distinct unit traces, so the simulated step
+tells two moves apart by the identity of their traces.  Either way the
+first step that tells the sides apart ends the witness, which is replayed
+through traces_equal for its divergence, as compute_bisimulation replays
+its own.
 homomorphism_search looks for a trace-preserving structure map, a
 sufficient but not necessary condition for equivalence.
 """
@@ -140,6 +145,53 @@ def _unit_moves(env: Environment, actions, traces: dict):
     return move
 
 
+def _simulated_step(e1: Environment, e2: Environment, actions):
+    """A function step((x1, x2), k) for positions as _unit_moves keys them:
+    the pair of final positions of the unit action actions[k] from x1 on
+    e1 and from x2 on e2, or None when its two traces differ.  The two
+    sides share one copy of each distinct trace, so they are told apart by
+    identity."""
+    traces: dict = {}
+    move1, move2 = _unit_moves(e1, actions, traces), _unit_moves(e2, actions, traces)
+
+    def step(pair, k):
+        a = actions[k]
+        y1, trace1 = move1(pair[0], a)
+        y2, trace2 = move2(pair[1], a)
+        return (y1, y2) if trace1 is trace2 else None
+
+    return step
+
+
+def _table_step(space):
+    """The step of _simulated_step over the rows of a DiscreteStateSpace of
+    two unit-length environments, read off its table: a pair of rows and an
+    index into space.actions give the pair of successor rows, or None.  A
+    unit trace is its chunk and the reading at its final instant, and on
+    unit lengths that reading is the successor's value, so the two traces
+    are equal exactly when the chunk ids and the successors' values are."""
+    values, succ, chunks = space.values, space.succ, space.chunks
+
+    def step(pair, k):
+        x1, x2 = pair
+        y1, y2 = succ[x1][k], succ[x2][k]
+        if chunks[x1][k] == chunks[x2][k] and values[y1] == values[y2]:
+            return y1, y2
+        return None
+
+    return step
+
+
+def _replayed_witness(e1: Environment, e2: Environment, word) -> tuple:
+    """(witness, divergence): the signal of unit pieces of the actions in
+    word, which a search found to tell e1 and e2 apart, and the first
+    divergence of its two traces."""
+    witness = ControlSignal._from_ticks(1, word, [1] * len(word))
+    replay = traces_equal(e1, e2, witness)
+    assert not replay.equal, "reconstructed witness failed to distinguish"
+    return witness, replay.divergence
+
+
 # --- sampled equivalence checking ----------------------------------------
 
 
@@ -193,8 +245,14 @@ def check_equiv_sampled(
     value width standing for HALT, so a wide alphabet is never listed.
     The discrete part shares work between signals with a common prefix: since
     dynamics are deterministic and time-invariant, all continuations of a
-    product state revisited with no larger budget are already covered, and
-    each (state, action) of either side is simulated once per call.
+    product state revisited with no larger budget are already covered.
+    When both graphs have unit lengths, each step is read off one
+    DiscreteStateSpace of the pair, built once per call when max_len is at
+    least 1 (see _table_step); otherwise each (state, action) of either
+    side is simulated once per call (see _simulated_step).  The first step
+    that tells the sides apart ends the witness, which is replayed through
+    traces_equal for its divergence: every step before it read alike, so
+    that is len(prefix) plus the divergence inside the last step.
     """
     import random
 
@@ -213,42 +271,45 @@ def check_equiv_sampled(
     if not cmp.equal:
         return SampledVerdict(True, EMPTY, cmp.divergence, max_len, checked, 0)
 
-    # Depth-first on an explicit stack of [x1, x2, remaining, next action
+    # Depth-first on an explicit stack of [pair, remaining, next action
     # index] frames, so a horizon past the recursion limit is searched too;
-    # x1 and x2 are positions as _unit_moves keys them, and budget_seen is
-    # keyed by their pairs; prefix holds the actions taken from the root
-    # frame to the top one.
+    # a pair holds the two sides' positions as the step source keys them,
+    # and budget_seen is keyed by pairs; prefix holds the actions taken from
+    # the root frame to the top one.
+    stack: list = []
+    if max_len and e1.graph.unit_lengths() and e2.graph.unit_lengths():
+        space = DiscreteStateSpace(e1, e2)
+        step = _table_step(space)
+        stack.append([tuple(space.starts), max_len, 0])
+    elif max_len:
+        step = _simulated_step(e1, e2, actions)
+        start = (~e1.graph.vertex_index[e1.initial], ~e2.graph.vertex_index[e2.initial])
+        stack.append([start, max_len, 0])
     budget_seen: dict = {}
-    traces: dict = {}
-    move1, move2 = _unit_moves(e1, actions, traces), _unit_moves(e2, actions, traces)
     prefix: list = []
-    start1, start2 = ~e1.graph.vertex_index[e1.initial], ~e2.graph.vertex_index[e2.initial]
-    stack = [[start1, start2, max_len, 0]] if max_len else []
+    word = None
     while stack:
         top = stack[-1]
-        x1, x2, remaining, k = top
+        pair, remaining, k = top
         if k == len(actions):
-            budget_seen[(x1, x2)] = remaining
+            budget_seen[pair] = remaining
             stack.pop()
             if stack:
                 prefix.pop()
             continue
-        a = actions[k]
-        top[3] = k + 1
-        y1, tr1 = move1(x1, a)
-        y2, tr2 = move2(x2, a)
+        top[2] = k + 1
+        after = step(pair, k)
         checked += 1
-        if tr1 is not tr2:
-            d = first_divergence(tr1, tr2)
-            if d is not None:
-                word = prefix + [a]
-                witness = ControlSignal._from_ticks(1, word, [1] * len(word))
-                return SampledVerdict(
-                    True, witness, Fraction(len(prefix)) + d, max_len, checked, 0
-                )
-        if remaining > 1 and budget_seen.get((y1, y2), -1) < remaining - 1:
-            prefix.append(a)
-            stack.append([y1, y2, remaining - 1, 0])
+        if after is None:
+            word = prefix + [actions[k]]
+            break
+        if remaining > 1 and budget_seen.get(after, -1) < remaining - 1:
+            prefix.append(actions[k])
+            stack.append([after, remaining - 1, 0])
+
+    if word is not None:
+        witness, divergence = _replayed_witness(e1, e2, word)
+        return SampledVerdict(True, witness, divergence, max_len, checked, 0)
 
     rng = random.Random(seed)
     for i in range(n_random):
@@ -433,11 +494,9 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     word, pairs = _pair_walk(space)
 
     if word is not None:
-        witness = ControlSignal._from_ticks(1, word, [1] * len(word))
-        replay = traces_equal(e1, e2, witness)
-        assert not replay.equal, "reconstructed witness failed to distinguish"
+        witness, divergence = _replayed_witness(e1, e2, word)
         return BisimulationResult(
-            False, witness=witness, divergence=replay.divergence, states=n_states, pairs=pairs
+            False, witness=witness, divergence=divergence, states=n_states, pairs=pairs
         )
 
     chunks = space.chunks

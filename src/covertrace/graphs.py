@@ -267,8 +267,9 @@ class PortedGraph:
         return Dart._make(self.dart_keys[2 * edge_index])
 
     def unit_lengths(self) -> bool:
-        # lengths are in lowest terms, so 1 is exactly 1/1
-        return all(x.numerator == 1 == x.denominator for x in self.lengths)
+        # read off the cached tick tables: on ticks of 1, every edge is 1 tick
+        ticks = self.edge_ticks()
+        return self.tick_denominator() == 1 and ticks.count(1) == len(ticks)
 
     def tick_denominator(self) -> int:
         """Least common denominator of the edge lengths, computed on first use

@@ -111,6 +111,31 @@ class TestGraphValidation:
         with pytest.raises(ValidationError):
             PortedGraph(["a"], build_edges([("a", "z", 0, 0)]))
 
+    def test_unit_lengths_read_off_the_tick_tables(self):
+        """unit_lengths() reads the cached tick tables, and answers as the
+        Fraction comparison of every length with 1 does: on random unit and
+        rational graphs, on integer lengths such as 2 (ticks of 1, two of
+        them) and on a graph with no edge."""
+        rng = random.Random(30)
+        graphs = [random_ported_graph(rng, unit_lengths=bool(i % 2)) for i in range(60)]
+        graphs += [
+            PortedGraph(["a"], []),
+            PortedGraph(["a", "b"], [Edge("a", "b", 0, 0, Fraction(2))]),
+            PortedGraph(
+                ["a", "b"], [Edge("a", "b", 0, 0, Fraction(1)), Edge("a", "b", 1, 1, Fraction(2))]
+            ),
+            PortedGraph(
+                ["a", "b"], [Edge("a", "b", 0, 0, Fraction(1)), Edge("a", "b", 1, 1, Fraction(1, 2))]
+            ),
+        ]
+        answers = set()
+        for graph in graphs:
+            expected = all(length == 1 for length in graph.lengths)
+            assert graph.unit_lengths() is expected
+            answers.add(expected)
+        assert answers == {True, False}
+        assert any(length == 2 for graph in graphs for length in graph.lengths)
+
 
 class TestStates:
     def test_full_offset_is_head_vertex(self):

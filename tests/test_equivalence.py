@@ -45,6 +45,8 @@ from covertrace.covering import pullback_sensor
 from covertrace.equivalence import DiscreteStateSpace
 from covertrace.gallery import GALLERY, beams_pair, circle_pair, crossing_pair, kite_pair
 from covertrace.generate import (
+    random_beam_sensor,
+    random_label_sensor,
     random_ported_graph,
     random_signal,
     random_unit_environment,
@@ -153,8 +155,11 @@ class TestSampledCheck:
 
     def test_search_simulates_each_move_once(self, monkeypatch):
         """The discrete search reaches the oracle's verdict, witness,
-        divergence and signal count while simulating each (state, action)
-        of each side exactly once."""
+        divergence and signal count on both of its step sources.  Between
+        two unit-length graphs it reads every step off the
+        DiscreteStateSpace table and simulates nothing; when either side
+        has a rational length it simulates each (state, action) of each
+        side exactly once."""
         calls = []
         real = equivalence.trajectory
 
@@ -163,21 +168,82 @@ class TestSampledCheck:
             return real(env, signal, start)
 
         monkeypatch.setattr(equivalence, "trajectory", counting)
+
+        def agree(e1, e2):
+            calls.clear()
+            verdict = check_equiv_sampled(e1, e2, max_len=6, n_random=0)
+            pieces, divergence, checked = naive_discrete_search(e1, e2, 6)
+            assert verdict.distinguished == (pieces is not None)
+            if pieces is not None:
+                assert verdict.witness == ControlSignal([(a, 1) for a in pieces])
+            assert verdict.divergence == divergence
+            assert verdict.signals_checked == checked
+            if e1.graph.unit_lengths() and e2.graph.unit_lengths():
+                assert not calls
+            elif verdict.signals_checked > 1:
+                assert calls
+            for env in (e1, e2):
+                mine = [call for call in calls if call[0] == id(env)]
+                assert len(mine) == len(set(mine))
+            return verdict
+
+        def rational_environment(kind):
+            graph = random_ported_graph(rng, n_max=4, unit_lengths=False, max_degree=3)
+            sensor = {
+                "degree": DegreeSensor(),
+                "label": random_label_sensor(rng, graph),
+                "beam": random_beam_sensor(rng, graph),
+            }[kind]
+            return Environment(graph, rng.choice(graph.vertices), sensor, 3)
+
         rng = random.Random(58)
         for kind in ("degree", "label", "beam"):
             pool = [random_unit_environment(rng, kind=kind) for _ in range(6)]
             for e1, e2 in itertools.permutations(pool, 2):
-                calls.clear()
-                verdict = check_equiv_sampled(e1, e2, max_len=6, n_random=0)
-                pieces, divergence, checked = naive_discrete_search(e1, e2, 6)
-                assert verdict.distinguished == (pieces is not None)
-                if pieces is not None:
-                    assert verdict.witness == ControlSignal([(a, 1) for a in pieces])
-                assert verdict.divergence == divergence
-                assert verdict.signals_checked == checked
-                for env in (e1, e2):
-                    mine = [call for call in calls if call[0] == id(env)]
-                    assert len(mine) == len(set(mine))
+                agree(e1, e2)
+        # rational lengths, each base beside a 2-fold cover of it, which it
+        # is searched against to the horizon
+        related = 0
+        for kind in ("degree", "label", "beam"):
+            pool = []
+            for _ in range(3):
+                base = rational_environment(kind)
+                cover, _ = cyclic_cover(base, 2, random_voltages(rng, base.graph, 2))
+                pool += [base, cover]
+            for e1, e2 in itertools.permutations(pool, 2):
+                related += not agree(e1, e2).distinguished
+        assert related >= 3 * 6
+        # one side of unit lengths and one of rational lengths, both ways
+        mixed = [labelled_triangles()]
+        for _ in range(6):
+            mixed.append((random_unit_environment(rng, kind="label"), rational_environment("label")))
+        for e1, e2 in mixed:
+            agree(e1, e2)
+            agree(e2, e1)
+        assert not agree(*labelled_triangles()).distinguished
+        # one unit-length graph with one beam mark per environment, a third,
+        # a half or two thirds along some edge: a pair is told apart on a
+        # traversal of a marked edge, strictly inside that last unit step
+        inside = 0
+        for _ in range(4):
+            graph = random_ported_graph(rng, n_max=4, max_degree=3)
+            start = rng.choice(graph.vertices)
+            pool = [
+                Environment(
+                    graph,
+                    start,
+                    BeamSensor([BeamMark(rng.randrange(len(graph.lengths)), Fraction(k, 6), "red")]),
+                    3,
+                )
+                for k in (2, 3, 4, 2, 3)
+            ]
+            for e1, e2 in itertools.permutations(pool, 2):
+                verdict = agree(e1, e2)
+                if verdict.distinguished:
+                    n = verdict.witness.duration
+                    assert n - 1 < verdict.divergence <= n
+                    inside += n > 1 and verdict.divergence < n
+        assert inside
 
     def test_search_compares_shared_traces(self, monkeypatch):
         """Every unit trace of the two labelled triangles reads alike, on
