@@ -10,12 +10,8 @@ from .covering import (
     CoveringCertificate,
     GraphMap,
     cyclic_cover,
-    degree_refinement,
-    lift_environment,
-    lift_sensor,
     lift_state_path,
     pullback_sensor,
-    relabel_environment,
     universal_cover_truncation,
     verify_covering,
 )
@@ -37,7 +33,6 @@ from .equivalence import (
     check_equiv_sampled,
     compute_bisimulation,
     homomorphism_search,
-    port_preserving_automorphisms,
     structure_map,
     traces_equal,
     verify_bisimulation,
@@ -100,17 +95,12 @@ __all__ = [
     "check_equiv_sampled",
     "compute_bisimulation",
     "cyclic_cover",
-    "degree_refinement",
     "distance",
     "first_divergence",
     "geodesic",
     "homomorphism_search",
-    "lift_environment",
-    "lift_sensor",
     "lift_state_path",
-    "port_preserving_automorphisms",
     "pullback_sensor",
-    "relabel_environment",
     "sensor_from_json",
     "structure_map",
     "trace_of",

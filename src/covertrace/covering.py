@@ -9,7 +9,7 @@ are reported as failing, not rejected.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from math import lcm
 from operator import itemgetter
@@ -282,19 +282,6 @@ def pullback_sensor(
     return sensor.pullback({v: f.vertex_map[v] for v in source_graph.vertices}, edge_image)
 
 
-def lift_sensor(f: GraphMap, source: Environment, target: Environment) -> SensorSpec:
-    """Pullback of the target sensor along a verified covering."""
-    _require_covering(f, source, target)
-    return pullback_sensor(f, source.graph, target.graph, target.sensor)
-
-
-def lift_environment(f: GraphMap, source: Environment, target: Environment) -> Environment:
-    """The source environment re-equipped with the pulled-back sensor and the
-    target's alphabet width."""
-    sensor = lift_sensor(f, source, target)
-    return Environment(source.graph, source.initial, sensor, target.alphabet_width)
-
-
 def lift_state_path(
     f: GraphMap, source: Environment, target: Environment, signal: ControlSignal
 ) -> Trajectory:
@@ -486,69 +473,3 @@ def universal_cover_truncation(env: Environment, radius):
     sensor = pullback_sensor(projection, cover_graph, graph, env.sensor)
     cover = Environment._derived(cover_graph, "t0", sensor, env.alphabet_width)
     return cover, projection, frozenset(boundary)
-
-
-def relabel_environment(env: Environment, vertex_renaming: Mapping) -> Environment:
-    """Pure vertex renaming: same ports, lengths, sensor data, moved names.
-    With a renaming that is a graph automorphism this realizes the isometry."""
-    renaming = dict(vertex_renaming)
-    graph = env.graph
-    keys = graph.dart_keys
-    rows = [
-        (renaming[tail], renaming[head], port_at_tail, port_at_head, length)
-        for (tail, port_at_tail), (head, port_at_head), length in zip(keys[::2], keys[1::2], graph.lengths)
-    ]
-    new_graph = PortedGraph([renaming[v] for v in graph.vertices], rows)
-    # the pullback along the inverse renaming, with every edge its own image
-    sensor = env.sensor.pullback(
-        {renaming[v]: v for v in graph.vertices}, [(e, True, length) for e, length in enumerate(graph.lengths)]
-    )
-    return Environment(new_graph, renaming[env.initial], sensor, env.alphabet_width)
-
-
-# --- partition refinement ------------------------------------------------
-
-
-def refine(part: list, signature) -> tuple:
-    """Split the blocks of `part` (one int per element) until stable.
-
-    Each round keys element i by (part[i], *signature(part, i)) and numbers
-    the distinct keys in sorted order, so block ids depend only on the keys,
-    not on the element order.  Stops when the block count stops growing or
-    every block is a singleton.  Only the current partition is kept: returns
-    the stable partition and the block count after round 0 and after each
-    refining round.
-    """
-    counts = [len(set(part))]
-    indices = range(len(part))
-    while counts[-1] < len(part):
-        keys = [(part[i], *signature(part, i)) for i in indices]
-        distinct = dict.fromkeys(keys)
-        if len(distinct) == counts[-1]:
-            break
-        counts.append(len(distinct))
-        ranks = {key: rank for rank, key in enumerate(sorted(distinct))}
-        part = [ranks[key] for key in keys]
-    return part, counts
-
-
-def degree_refinement(env: Environment) -> tuple:
-    """Canonical degree refinement table.
-
-    Vertices start coloured by degree and are recoloured by the sorted
-    colours at the heads of their darts until stable.  Ports and lengths are
-    ignored, so the claim is about the underlying multigraph: two finite
-    connected graphs share a universal cover exactly when their tables
-    agree.  Colour ids are canonical ranks (see refine), independent of
-    vertex and edge order.  Rows list, per final colour in rank order: the
-    degree and the dart counts into each colour.
-    """
-    graph = env.graph
-    heads = [[graph.dart_head[d] for d in row] for row in graph.star]
-    colour, _ = refine([len(row) for row in heads], lambda prev, i: sorted(prev[j] for j in heads[i]))
-    member = {c: i for i, c in enumerate(colour)}
-    index = {c: rank for rank, c in enumerate(sorted(member))}
-    rows = [heads[member[c]] for c in index]
-    return tuple(
-        (len(row), tuple(sorted(Counter(index[colour[j]] for j in row).items()))) for row in rows
-    )

@@ -25,7 +25,7 @@ from that table, as equivalence.DiscreteStateSpace does.  A SensorTrace
 keeps the result in one canonical form, its segments and events in ticks of
 a reduced scale, so traces compare and hash as ints and readings; only its
 `duration` is a Fraction.  `first_divergence` brings two traces to the lcm
-of their scales with int multiplies; it and `value_at` read by `_readings`.
+of their scales with int multiplies and reads them by `_readings`.
 """
 from __future__ import annotations
 
@@ -36,9 +36,9 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional
 
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .graphs import Dart, EdgeState, GraphState, PortedGraph, VertexState, check_vertex_name
-from .rationals import as_fraction, on_grid, to_pair
+from .rationals import on_grid, to_pair
 from .sensors import SensorSpec, sensor_from_json
 from .signals import HALT, ControlSignal
 
@@ -422,34 +422,6 @@ class SensorTrace:
         segments = tuple((Fraction(a, scale), Fraction(b, scale), v) for a, b, v in segments)
         events = tuple((Fraction(t, scale), v) for t, v in events)
         return f"SensorTrace(duration={self.duration!r}, segments={segments!r}, events={events!r})"
-
-    def _check_time(self, t, what: str) -> Fraction:
-        t = as_fraction(t)
-        if t < 0 or t * self._ticks[0] > self._ticks[1]:
-            raise PreconditionError(f"{what} {t} outside [0, {self.duration}]")
-        return t
-
-    def value_at(self, t) -> object:
-        """The reading at time t in [0, duration]: the event there, if any,
-        else the value of the segment holding t."""
-        t = self._check_time(t, "time")
-        scale, _, segments, events = self._ticks
-        tick, off_grid = divmod(t.numerator * scale, t.denominator)
-        # no event sits between two ticks, and the segment holding t holds
-        # the tick before it
-        return next(_readings(segments, {} if off_grid else dict(events), [tick]))[0]
-
-    def truncate(self, t) -> "SensorTrace":
-        """The trace of the restricted signal: cut at t and close with a final
-        instant reading."""
-        t = self._check_time(t, "cut time")
-        final_value = self.value_at(t)
-        scale, _, segments, events = self._ticks
-        fine = lcm(scale, t.denominator)
-        q, cut = fine // scale, t.numerator * (fine // t.denominator)
-        segments = [(a * q, min(b * q, cut), v) for a, b, v in segments if a * q < cut]
-        events = [(te * q, v) for te, v in events if te * q < cut]
-        return SensorTrace._from_ticks(fine, cut, segments, events + [(cut, final_value)])
 
     def to_json(self) -> dict:
         scale, duration, segments, events = self._ticks

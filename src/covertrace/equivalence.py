@@ -56,7 +56,7 @@ from .environments import (
     trajectory,
 )
 from .errors import PreconditionError, ValidationError
-from .covering import GraphMap, refine
+from .covering import GraphMap
 from .graphs import Dart, VertexState
 from .rationals import to_pair
 from .signals import EMPTY, HALT, ControlSignal
@@ -485,9 +485,9 @@ def compute_bisimulation(e1: Environment, e2: Environment) -> BisimulationResult
     partitioned together, first by sensor output, then repeatedly by
     (readout chunk, successor block) over every action until stable; the
     cross pairs of each block are the relation.  The rounds run in `refine`,
-    the loop degree_refinement uses too, which reports the block counts that
-    `rounds` and `blocks` read.  The walk and the rounds read one
-    DiscreteStateSpace of (e1, e2), whose rows and chunk ids span both.
+    which reports the block counts that `rounds` and `blocks` read.  The
+    walk and the rounds read one DiscreteStateSpace of (e1, e2), whose rows
+    and chunk ids span both.
     """
     space = DiscreteStateSpace(e1, e2)
     n_states = len(space.states)
@@ -611,6 +611,29 @@ def _cross_pairs(states: list, split: int, final: list) -> list:
     return relation
 
 
+def refine(part: list, signature) -> tuple:
+    """Split the blocks of `part` (one int per element) until stable.
+
+    Each round keys element i by (part[i], *signature(part, i)) and numbers
+    the distinct keys in sorted order, so block ids depend only on the keys,
+    not on the element order.  Stops when the block count stops growing or
+    every block is a singleton.  Only the current partition is kept: returns
+    the stable partition and the block count after round 0 and after each
+    refining round.
+    """
+    counts = [len(set(part))]
+    indices = range(len(part))
+    while counts[-1] < len(part):
+        keys = [(part[i], *signature(part, i)) for i in indices]
+        distinct = dict.fromkeys(keys)
+        if len(distinct) == counts[-1]:
+            break
+        counts.append(len(distinct))
+        ranks = {key: rank for rank, key in enumerate(sorted(distinct))}
+        part = [ranks[key] for key in keys]
+    return part, counts
+
+
 def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
     """Independent clause-by-clause check that `relation` (pairs of vertex
     names) is a bisimulation containing the initial pair: outputs agree,
@@ -701,24 +724,6 @@ def structure_map(g1, g2, v1, v2) -> Optional[GraphMap]:
                 queue.append(head1)
             dmap[dart] = image
     return GraphMap(vmap, dmap)
-
-
-def port_preserving_automorphisms(graph) -> list:
-    """All port-preserving length-preserving automorphisms, found by
-    propagating each choice of image for one base vertex."""
-    v0 = graph.vertices[0]
-    autos = []
-    for w in graph.vertices:
-        candidate = structure_map(graph, graph, v0, w)
-        if candidate is None:
-            continue
-        vmap = candidate.vertex_map
-        if len(set(vmap.values())) != len(graph.vertices):
-            continue
-        if any(graph.degree(v) != graph.degree(fv) for v, fv in vmap.items()):
-            continue
-        autos.append(candidate)
-    return autos
 
 
 def homomorphism_search(e1: Environment, e2: Environment) -> Optional[GraphMap]:

@@ -17,10 +17,9 @@ merging, so no gcd over the ticks is run then; a document with runs goes
 through `_canonical` like every other constructor.  `pieces` (read by
 __repr__ and the benchmark's span sizes) and `duration` are built from the
 ticks on first read, and `to_json` reduces each tick with one gcd.
-`restrict_before`, `suffix_from`, `concat`, `distance` and `geodesic` cut
-and join ticks on the lcm of their operands' scales and build no Fraction
-per piece; their results are made by `_from_ticks`, which merges and
-reduces but checks nothing again.
+`distance` and `geodesic` cut and join ticks on the lcm of their operands'
+scales and build no Fraction per piece; a geodesic point is made by
+`_from_ticks`, which merges and reduces but checks nothing again.
 """
 from __future__ import annotations
 
@@ -110,65 +109,6 @@ class ControlSignal:
 
     def __repr__(self) -> str:
         return f"ControlSignal(pieces={self.pieces!r})"
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._ticks
-
-    def _on_scale(self, t: Fraction) -> tuple:
-        """(q, x): t is x ticks of a scale q times self's."""
-        scale = lcm(self._scale, t.denominator)
-        return scale // self._scale, t.numerator * (scale // t.denominator)
-
-    def symbol_at(self, t: Fraction) -> Symbol:
-        """Value of the signal at time t, defined for 0 <= t < duration."""
-        t = as_fraction(t)
-        if t < 0 or t >= self.duration:
-            raise PreconditionError(f"time {t} outside [0, {self.duration})")
-        q, x = self._on_scale(t)
-        return self._symbols[bisect_right(list(accumulate(self._ticks)), x // q)]
-
-    def breakpoints(self) -> list:
-        """Times 0 = t0 < t1 < ... < tn = duration at piece boundaries."""
-        scale = self._scale
-        return [Fraction(n, scale) for n in accumulate(self._ticks, initial=0)]
-
-    def concat(self, other: "ControlSignal") -> "ControlSignal":
-        """Play self, then other; adjacent equal symbols merge at the seam."""
-        scale = lcm(self._scale, other._scale)
-        ticks = _scaled(self._ticks, scale // self._scale) + _scaled(other._ticks, scale // other._scale)
-        return ControlSignal._from_ticks(scale, self._symbols + other._symbols, ticks)
-
-    def restrict_before(self, t) -> "ControlSignal":
-        """The initial segment on [0, t); for t >= duration this is the signal itself."""
-        t = as_fraction(t)
-        if t < 0:
-            raise PreconditionError(f"negative cut time: {t}")
-        q, x = self._on_scale(t)
-        ends = list(accumulate(self._ticks))
-        if not ends or x >= ends[-1] * q:
-            return self
-        if x == 0:
-            return EMPTY
-        return ControlSignal._from_ticks(self._scale * q, *_window(self, ends, q, 0, x))
-
-    def suffix_from(self, t) -> "ControlSignal":
-        """The tail on [t, duration), shifted to start at 0."""
-        t = as_fraction(t)
-        q, x = self._on_scale(t)
-        ends = list(accumulate(self._ticks))
-        total = ends[-1] * q if ends else 0
-        if x < 0 or x > total:
-            raise PreconditionError(f"cut time {t} outside [0, {self.duration}]")
-        if x == 0:
-            return self
-        if x == total:
-            return EMPTY
-        return ControlSignal._from_ticks(self._scale * q, *_window(self, ends, q, x, total))
-
-    def is_strict_prefix_of(self, other: "ControlSignal") -> bool:
-        """Tree order: self is a proper initial segment of other."""
-        return self.duration < other.duration and other.restrict_before(self.duration) == self
 
     def to_json(self) -> list:
         """Wire form: a list of [symbol, numerator, denominator] triples."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from covertrace import (
     VertexState,
     apply,
     build_edges,
+    structure_map,
     trace_of,
 )
 from covertrace.environments import Leg
@@ -108,12 +110,19 @@ def grid_distance(a: ControlSignal, b: ControlSignal) -> Fraction:
     horizon = min(a.duration, b.duration)
     denominators = [1]
     for u in (a, b):
-        denominators.extend(t.denominator for t in u.breakpoints())
+        denominators.extend(duration.denominator for _, duration in u.pieces)
     step = Fraction(1, lcm(*denominators))
+
+    def symbol_at(u: ControlSignal, t: Fraction):
+        for symbol, duration in u.pieces:
+            if t < duration:
+                return symbol
+            t -= duration
+
     total = Fraction(0)
     t = Fraction(0)
     while t < horizon:
-        if a.symbol_at(t) != b.symbol_at(t):
+        if symbol_at(a, t) != symbol_at(b, t):
             total += step
         t += step
     return total + abs(a.duration - b.duration)
@@ -294,7 +303,7 @@ def scan_first_divergence(a, b):
 def naive_distance(a: ControlSignal, b: ControlSignal) -> Fraction:
     """Signal distance by one merge over both piece lists, on Fractions."""
     pa, pb = a.pieces, b.pieces
-    ends_a, ends_b = a.breakpoints()[1:], b.breakpoints()[1:]
+    ends_a, ends_b = list(accumulate(d for _, d in pa)), list(accumulate(d for _, d in pb))
     total = Fraction(0)
     t = Fraction(0)
     i = j = 0
@@ -354,6 +363,21 @@ def naive_suffix_from(pieces: tuple, t: Fraction) -> tuple:
 
 def naive_concat(first: tuple, second: tuple) -> tuple:
     return naive_pieces(first + second)
+
+
+def prefix(u: ControlSignal, t) -> ControlSignal:
+    """u on [0, t), all of u for t past its end: naive_restrict_before."""
+    return ControlSignal(naive_restrict_before(u.pieces, t))
+
+
+def suffix(u: ControlSignal, t) -> ControlSignal:
+    """u on [t, duration), shifted to start at 0: naive_suffix_from."""
+    return ControlSignal(naive_suffix_from(u.pieces, t))
+
+
+def joined(a: ControlSignal, b: ControlSignal) -> ControlSignal:
+    """a, then b: naive_concat."""
+    return ControlSignal(naive_concat(a.pieces, b.pieces))
 
 
 def naive_geodesic(a: tuple, b: tuple, s: Fraction) -> tuple:
@@ -867,6 +891,42 @@ def naive_bisimulation(e1: Environment, e2: Environment):
     ]
     pairs.sort(key=lambda p: (str(p[0]), str(p[1])))
     return pairs, rounds, separation, witness
+
+
+def renamed_copy(env: Environment, renaming) -> Environment:
+    """env with each vertex v named renaming[v], read back from its wire
+    form with the names swapped: ports, lengths, edge order and sensor data
+    stay as they are, so the copy reads every trace env reads."""
+    data = env.to_json()
+    data["vertices"] = [renaming[v] for v in data["vertices"]]
+    for edge in data["edges"]:
+        edge["tail"], edge["head"] = renaming[edge["tail"]], renaming[edge["head"]]
+    data["initial"] = renaming[data["initial"]]
+    sensor = data["sensor"]
+    while sensor["type"] == "filtered":
+        sensor = sensor["base"]
+    if sensor["type"] == "label":
+        sensor["vertex_labels"] = [[renaming[v], label] for v, label in sensor["vertex_labels"]]
+    return Environment.from_json(data)
+
+
+def automorphisms(graph: PortedGraph) -> list:
+    """The port- and length-preserving automorphisms of a connected graph:
+    the structure map from the first vertex to each vertex, where it is a
+    bijection on vertices that keeps every degree."""
+    v0 = graph.vertices[0]
+    autos = []
+    for w in graph.vertices:
+        candidate = structure_map(graph, graph, v0, w)
+        if candidate is None:
+            continue
+        vmap = candidate.vertex_map
+        if len(set(vmap.values())) != len(graph.vertices):
+            continue
+        if any(graph.degree(v) != graph.degree(fv) for v, fv in vmap.items()):
+            continue
+        autos.append(candidate)
+    return autos
 
 
 def naive_degree_refinement(env: Environment) -> tuple:

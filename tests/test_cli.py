@@ -717,6 +717,34 @@ class TestCoverCommands:
         assert data["duration"] == [3, 1]
         assert data["breakpoints"][-1] == {"state": {"vertex": "x0@1"}, "time": [3, 1]}
 
+    def test_lift_through_a_non_covering_exits_3(self, capsys, tmp_path):
+        """A map folding the theta's three parallel edges onto the digon's
+        two is no covering: lift refuses it and prints nothing."""
+
+        def two_vertices(ports):
+            edges = [
+                {"tail": "u", "head": "v", "port_at_tail": p, "port_at_head": p, "length": [1, 1]}
+                for p in ports
+            ]
+            return {
+                "vertices": ["u", "v"], "initial": "u", "edges": edges,
+                "sensor": {"type": "degree"}, "alphabet_width": 3,
+            }
+
+        theta = write_json(tmp_path / "theta.json", two_vertices(range(3)))
+        digon = write_json(tmp_path / "digon.json", two_vertices(range(2)))
+        darts = [[[v, p], [v, min(p, 1)]] for v in ("u", "v") for p in range(3)]
+        mapping = {"vertex_map": [["u", "u"], ["v", "v"]], "dart_map": darts}
+        collapse = write_json(tmp_path / "collapse.json", mapping)
+        sig = write_json(tmp_path / "sig.json", [[0, 1, 1]])
+        code, out, err = run(capsys, ["lift", collapse, theta, digon, sig])
+        assert (code, out) == (3, "")
+        assert err == (
+            "precondition violated: map is not a verified covering: "
+            "(\"star at 'u' is not a port-preserving bijection\", "
+            "\"star at 'v' is not a port-preserving bijection\")\n"
+        )
+
     def test_universal_truncation(self, capsys, env_file):
         code, out, _ = run(capsys, ["gen-universal", env_file, "2"])
         assert code == 0

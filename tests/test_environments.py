@@ -30,11 +30,9 @@ from covertrace import (
     build_edges,
     cyclic_cover,
     first_divergence,
-    relabel_environment,
     trace_of,
     trajectory,
 )
-from covertrace.equivalence import port_preserving_automorphisms
 from covertrace.gallery import GALLERY
 from covertrace.generate import (
     random_ported_graph,
@@ -44,13 +42,18 @@ from covertrace.generate import (
 from covertrace.signals import EMPTY
 
 from helpers import (
+    automorphisms,
     figure_eight_env,
     graph_states,
     naive_point_distance,
     path_middle_env,
+    prefix,
     rational_signals,
+    renamed_copy,
     scan_first_divergence,
+    scan_truncate,
     state_at,
+    suffix,
     three_cycle,
     three_cycle_env,
     trace_events,
@@ -315,7 +318,7 @@ class TestApply:
             u = random_signal(rng, env.alphabet_width + 1, max_pieces=4)
             assert apply(env, EMPTY, x) == x
             t = u.duration * Fraction(rng.randint(0, 6), 6)
-            split = apply(env, u.suffix_from(t), apply(env, u.restrict_before(t), x))
+            split = apply(env, suffix(u, t), apply(env, prefix(u, t), x))
             assert split == apply(env, u, x)
 
 
@@ -388,7 +391,7 @@ class TestTrajectory:
             u = random_signal(rng, 4, max_pieces=4)
             traj = trajectory(env, u)
             t = u.duration * Fraction(rng.randint(0, 5), 5)
-            assert state_at(traj, t) == apply(env, u.restrict_before(t))
+            assert state_at(traj, t) == apply(env, prefix(u, t))
 
 
 class TestTraces:
@@ -440,7 +443,7 @@ class TestTraces:
         for _ in range(80):
             u = random_signal(rng, 4, max_pieces=4)
             t = u.duration * Fraction(rng.randint(0, 6), 6)
-            assert trace_of(env, u.restrict_before(t)) == trace_of(env, u).truncate(t)
+            assert trace_of(env, prefix(u, t)) == scan_truncate(trace_of(env, u), t)
 
     def test_first_divergence_none_for_equal(self):
         env = three_cycle_env()
@@ -468,7 +471,7 @@ class TestTraces:
 class TestSensorInvariance:
     def test_rotation_preserves_degree_traces(self):
         env = three_cycle_env()
-        autos = port_preserving_automorphisms(env.graph)
+        autos = automorphisms(env.graph)
         assert len(autos) == 3
         rng = random.Random(36)
         for auto in autos:
@@ -481,7 +484,7 @@ class TestSensorInvariance:
 
     def test_relabelling_preserves_traces(self):
         env = three_cycle_env()
-        renamed = relabel_environment(env, {"x0": "a", "x1": "b", "x2": "c"})
+        renamed = renamed_copy(env, {"x0": "a", "x1": "b", "x2": "c"})
         rng = random.Random(37)
         for _ in range(30):
             u = random_signal(rng, 2, max_pieces=4)
@@ -492,7 +495,7 @@ class TestSensorInvariance:
         inner = FilteredSensor(labels, {0: "p", 1: "q", 2: "q", 3: "e", 4: "e", 5: "f"})
         sensor = FilteredSensor(inner, {"p": 1, "q": 2, "e": 0, "f": 0})
         env = Environment(three_cycle(), "x0", sensor, 2)
-        renamed = relabel_environment(env, {"x0": "a", "x1": "b", "x2": "c"})
+        renamed = renamed_copy(env, {"x0": "a", "x1": "b", "x2": "c"})
         assert renamed.sensor.base.base == LabelSensor({"a": 0, "b": 1, "c": 2}, (3, 4, 5))
         rng = random.Random(38)
         for _ in range(30):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -30,7 +29,6 @@ from covertrace import (
     FilteredSensor,
     LabelSensor,
     PortedGraph,
-    PreconditionError,
     SensorTrace,
     ValidationError,
     VertexState,
@@ -38,6 +36,7 @@ from covertrace import (
     cyclic_cover,
     distance,
     first_divergence,
+    geodesic,
     trace_of,
     trace_of_trajectory,
     trajectory,
@@ -62,12 +61,13 @@ from helpers import (
     labelled_triangles,
     naive_distance,
     naive_first_divergence,
+    naive_geodesic,
     naive_legs,
     naive_trace,
     naive_trajectory,
+    prefix,
     rational_signals,
     scan_truncate,
-    scan_value_at,
     three_cycle,
     trace_events,
     trace_segments,
@@ -212,11 +212,10 @@ def test_signal_algebra_matches_fraction_oracle(a, b, num, den):
     d = distance(a, b)
     assert d == naive_distance(a, b)
     assert type(d) is Fraction
-    t = min(Fraction(num, den), a.duration)
-    head, tail = a.restrict_before(t), a.suffix_from(t)
-    assert head.duration == t and tail.duration == a.duration - t
-    assert head.concat(tail) == a
-    for u in (a, head, tail, head.concat(b)):
+    s = Fraction(min(num, den), den)
+    g = geodesic(a, b, s)
+    assert g.pieces == naive_geodesic(a.pieces, b.pieces, s)
+    for u in (a, g):
         assert type(u.duration) is Fraction
         assert all(type(dur) is Fraction for _, dur in u.pieces)
 
@@ -458,26 +457,20 @@ def test_trace_equality_and_hash_follow_the_fraction_fields(env, data):
 
 @settings(max_examples=150, deadline=None)
 @given(environments(), st.data())
-def test_value_at_and_truncate_match_the_fraction_scan(env, data):
-    """value_at and truncate agree with the Fraction scans at every segment
-    start and event time and at the midpoints between them; outside
-    [0, duration] both refuse with the scans' PreconditionError.  The repr
-    spells the Fraction fields."""
-    trace = trace_of(env, data.draw(signals(env.alphabet_width)), data.draw(starts(env.graph)))
+def test_trace_of_a_prefix_is_the_fraction_scan_cut(env, data):
+    """Reading stops with the signal: the trace of the signal cut at t is
+    the whole trace cut at t by the Fraction scan, at every segment start
+    and event time and at the midpoints between them.  The repr spells the
+    Fraction fields."""
+    u, start = data.draw(signals(env.alphabet_width)), data.draw(starts(env.graph))
+    trace = trace_of(env, u, start)
     segments, events = trace_segments(trace), trace_events(trace)
     assert repr(trace) == f"SensorTrace(duration={trace.duration!r}, segments={segments!r}, events={events!r})"
     times = sorted({a for a, _, _ in segments} | {t for t, _ in events})
     for t in times + [(a + b) / 2 for a, b in zip(times, times[1:])]:
-        assert trace.value_at(t) == scan_value_at(trace, t)
-        cut = trace.truncate(t)
+        cut = trace_of(env, prefix(u, t), start)
         assert cut == scan_truncate(trace, t)
         assert_fraction_trace(cut)
-    for t in (Fraction(-1, 2), trace.duration + Fraction(1, 7), trace.duration + 1):
-        for method, oracle in ((trace.value_at, scan_value_at), (trace.truncate, scan_truncate)):
-            with pytest.raises(PreconditionError) as expected:
-                oracle(trace, t)
-            with pytest.raises(PreconditionError, match=f"^{re.escape(str(expected.value))}$"):
-                method(t)
 
 
 def test_trace_form_is_canonical():
