@@ -41,17 +41,14 @@ from .errors import CovertraceError, PreconditionError, ValidationError
 from .gallery import GALLERY, write_gallery
 from .graphs import (
     Dart,
-    Edge,
     EdgeState,
     GraphState,
     PortedGraph,
     VertexState,
-    build_edges,
 )
 from .sensors import (
     BLANK,
     EDGE,
-    BeamMark,
     BeamSensor,
     DegreeSensor,
     FilteredSensor,
@@ -62,7 +59,6 @@ from .signals import EMPTY, HALT, ControlSignal, distance, geodesic
 
 __all__ = [
     "BLANK",
-    "BeamMark",
     "BeamSensor",
     "BisimulationResult",
     "ControlSignal",
@@ -73,7 +69,6 @@ __all__ = [
     "DiscreteStateSpace",
     "EDGE",
     "EMPTY",
-    "Edge",
     "EdgeState",
     "Environment",
     "FilteredSensor",
@@ -91,7 +86,6 @@ __all__ = [
     "ValidationError",
     "VertexState",
     "apply",
-    "build_edges",
     "check_equiv_sampled",
     "compute_bisimulation",
     "cyclic_cover",

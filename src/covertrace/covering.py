@@ -297,35 +297,17 @@ def lift_state_path(
 
 
 def _normalize_voltages(env: Environment, k: int, voltages) -> list:
-    """Per-edge voltage in Z_k from a dart-keyed mapping (checked antisymmetric)
-    or an edge-ordered sequence."""
+    """Per-edge voltage in Z_k from a sequence of one voltage per edge, in
+    edge order, each for the edge's stored orientation."""
     graph = env.graph
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValidationError(f"cover order must be a positive integer, got {k!r}")
-    per_edge = [None] * len(graph.lengths)
-    if isinstance(voltages, Mapping):
-        for d, value in voltages.items():
-            d = Dart(*d)
-            if not graph.has_dart(d):
-                raise ValidationError(f"voltage on unknown dart {d!r}")
-            idx = graph.edge_of(d)
-            forward = d == graph.forward_dart(idx)
-            value = value % k
-            oriented = value if forward else (-value) % k
-            if per_edge[idx] is not None and per_edge[idx] != oriented:
-                raise ValidationError(f"inconsistent voltages on edge {idx}")
-            per_edge[idx] = oriented
-        missing = [i for i, v in enumerate(per_edge) if v is None]
-        if missing:
-            raise ValidationError(f"edges without a voltage: {missing}")
-    else:
-        values = list(voltages)
-        if len(values) != len(graph.lengths):
-            raise ValidationError(
-                f"{len(values)} voltages for {len(graph.lengths)} edges"
-            )
-        per_edge = [v % k for v in values]
-    return per_edge
+    values = list(voltages)
+    if len(values) != len(graph.lengths):
+        raise ValidationError(
+            f"{len(values)} voltages for {len(graph.lengths)} edges"
+        )
+    return [v % k for v in values]
 
 
 def cyclic_cover(env: Environment, k: int, voltages):

@@ -13,19 +13,21 @@ runs on the graph's integer tables and on one integer grid per call.
 `trajectory` reads the signal's ticks (see signals) and puts them, with a
 start offset, on the lcm of the signal's scale and the graph's tick
 denominator, one multiply per piece; it walks vertex positions and dart ids
-in O(steps) int operations and keeps its legs in those ticks.  A Trajectory
-builds its Leg objects only when they are first read, as breakpoints (and
-the benchmark's spans) read them.
+in O(steps) int operations and builds its Trajectory from legs in those
+ticks, the one form a Trajectory is built from.  A Trajectory builds its Leg
+objects only when they are first read, as breakpoints (and the benchmark's
+spans) read them.
 Each environment reads its sensor through one table, `_Readings`, filled
 from the sensor's columns the first time the environment traces a signal
 or builds a state space: the reading per vertex, the interior reading per
 edge and the beam marks per dart, in ticks along the dart.
 `trace_of_trajectory` reads the legs' ticks directly and takes every reading
-from that table, as equivalence.DiscreteStateSpace does.  A SensorTrace
-keeps the result in one canonical form, its segments and events in ticks of
-a reduced scale, so traces compare and hash as ints and readings; only its
-`duration` is a Fraction.  `first_divergence` brings two traces to the lcm
-of their scales with int multiplies and reads them by `_readings`.
+from that table, as equivalence.DiscreteStateSpace does.  A SensorTrace is
+built from ticks too and keeps them in one canonical form, its segments and
+events in ticks of a reduced scale, so traces compare and hash as ints and
+readings; only its `duration` is a Fraction.  `first_divergence` brings two
+traces to the lcm of their scales with int multiplies and reads them by
+`_readings`.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from typing import Optional
 
 from .errors import ValidationError
 from .graphs import Dart, EdgeState, GraphState, PortedGraph, VertexState, check_vertex_name
-from .rationals import on_grid, to_pair
+from .rationals import to_pair
 from .sensors import SensorSpec, sensor_from_json
 from .signals import HALT, ControlSignal
 
@@ -187,45 +189,11 @@ class Trajectory:
     graph: PortedGraph
     start: GraphState
 
-    def __init__(self, graph: PortedGraph, start: GraphState, legs):
-        """The trajectory with the given Legs, contiguous from time 0 and
-        maximal, as `trajectory` builds them."""
-        legs = tuple(legs)
-        values = [start.offset] if isinstance(start, EdgeState) else []
-        for leg in legs:
-            values.append(leg.t1)
-            if leg.moving:
-                values.append(leg.offset0)
-            elif isinstance(leg.state, EdgeState):
-                values.append(leg.state.offset)
-        scale, ticks = on_grid(values, graph.tick_denominator())
-        it = iter(ticks)
-        index = graph.dart_index
-
-        def position(state):
-            if isinstance(state, EdgeState):
-                return index[state.dart], next(it)
-            return ~graph.vertex_index[state.vertex], 0
-
-        at = position(start)
-        tick_legs = []
-        t0 = 0
-        for leg in legs:
-            t1 = next(it)
-            if leg.moving:
-                tick_legs.append((t0, t1, index[leg.dart], next(it), True))
-            else:
-                tick_legs.append((t0, t1, *position(leg.state), False))
-            t0 = t1
-        self._set(graph, start, scale, at, tick_legs)
-
-    @classmethod
-    def _from_ticks(cls, graph, start, scale, at, tick_legs) -> "Trajectory":
-        self = cls.__new__(cls)
-        self._set(graph, start, scale, at, tick_legs)
-        return self
-
-    def _set(self, graph, start, scale, at, tick_legs) -> None:
+    def __init__(self, graph: PortedGraph, start: GraphState, scale: int, at: tuple, tick_legs):
+        """The trajectory from the start state, at tick position `at`, with
+        these legs in ticks of 1/scale (see above), which the graph's tick
+        denominator divides; as `trajectory` builds them, the legs are
+        contiguous from time 0 and maximal."""
         self.__dict__.update(
             graph=graph,
             start=start,
@@ -355,7 +323,7 @@ def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphSta
                 d, off = ~head[d], 0
             t += step
             remaining -= step
-    return Trajectory._from_ticks(graph, start, scale, at, legs)
+    return Trajectory(graph, start, scale, at, legs)
 
 
 # --- sensor traces -------------------------------------------------------
@@ -377,26 +345,10 @@ class SensorTrace:
     with one gcd.
     """
 
-    def __init__(self, duration, segments, events):
-        segments, events = tuple(segments), tuple(events)
-        scale, ticks = on_grid(
-            [duration, *[t for a, b, _ in segments for t in (a, b)], *[t for t, _ in events]]
-        )
-        it = iter(ticks)
-        self._set(
-            scale,
-            next(it),
-            [(next(it), next(it), v) for _, _, v in segments],
-            [(next(it), v) for _, v in events],
-        )
-
-    @classmethod
-    def _from_ticks(cls, scale: int, duration: int, segments, events) -> "SensorTrace":
-        self = cls.__new__(cls)
-        self._set(scale, duration, segments, events)
-        return self
-
-    def _set(self, scale, duration, segments, events) -> None:
+    def __init__(self, scale: int, duration: int, segments, events):
+        """The trace with these (start, end, value) segments and (time,
+        value) events, every time in ticks of 1/scale, put on the reduced
+        scale."""
         g = gcd(scale, duration, *[t for a, b, _ in segments for t in (a, b)], *[t for t, _ in events])
         if g != 1:
             scale //= g
@@ -492,7 +444,7 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
         else:
             merged.append([t0, end, v])
     events.append((end, reading))
-    return SensorTrace._from_ticks(scale, end, list(map(tuple, merged)), events)
+    return SensorTrace(scale, end, list(map(tuple, merged)), events)
 
 
 def first_divergence(a: SensorTrace, b: SensorTrace) -> Optional[Fraction]:

@@ -23,14 +23,14 @@ from typing import Callable, Dict, Tuple
 from .covering import cyclic_cover
 from .dot import environment_to_dot
 from .environments import Environment
-from .graphs import PortedGraph, build_edges
-from .sensors import BeamMark, BeamSensor, DegreeSensor, LabelSensor
+from .graphs import PortedGraph
+from .sensors import BeamSensor, DegreeSensor, LabelSensor
 
 
 def _three_cycle() -> PortedGraph:
     return PortedGraph(
         ["x0", "x1", "x2"],
-        build_edges([("x0", "x1", 0, 1), ("x1", "x2", 0, 1), ("x2", "x0", 0, 1)]),
+        [("x0", "x1", 0, 1, 1), ("x1", "x2", 0, 1, 1), ("x2", "x0", 0, 1, 1)],
     )
 
 
@@ -49,13 +49,11 @@ def crossing_pair() -> Tuple[Environment, Environment]:
     """
     four = PortedGraph(
         ["s", "c"],
-        build_edges([("s", "c", 0, 0), ("s", "c", 1, 1), ("c", "c", 2, 3)]),
+        [("s", "c", 0, 0, 1), ("s", "c", 1, 1, 1), ("c", "c", 2, 3, 1)],
     )
     three = PortedGraph(
         ["s", "d1", "d2"],
-        build_edges(
-            [("s", "d1", 0, 0), ("s", "d2", 1, 0), ("d1", "d2", 1, 1), ("d1", "d2", 2, 2)]
-        ),
+        [("s", "d1", 0, 0, 1), ("s", "d2", 1, 0, 1), ("d1", "d2", 1, 1, 1), ("d1", "d2", 2, 2, 1)],
     )
     return (
         Environment(four, "s", DegreeSensor(), 4),
@@ -65,11 +63,7 @@ def crossing_pair() -> Tuple[Environment, Environment]:
 
 def beams_pair() -> Tuple[Environment, Environment]:
     """Cyclic covers of orders 2 and 3 of a 3-cycle carrying beam marks."""
-    marks = (
-        BeamMark(0, Fraction(1, 2), "green"),
-        BeamMark(1, Fraction(1, 3), "blue"),
-        BeamMark(1, Fraction(2, 3), "blue"),
-    )
+    marks = [(0, Fraction(1, 2), "green"), (1, Fraction(1, 3), "blue"), (1, Fraction(2, 3), "blue")]
     base = Environment(_three_cycle(), "x0", BeamSensor(marks), 2)
     double, _ = cyclic_cover(base, 2, [0, 0, 1])
     triple, _ = cyclic_cover(base, 3, [0, 0, 1])
@@ -81,15 +75,11 @@ def kite_pair() -> Tuple[Environment, Environment]:
     with all labels negated and g's two usable ports exchanged."""
     first = PortedGraph(
         ["g", "a", "b", "T"],
-        build_edges(
-            [("g", "a", 0, 0), ("a", "b", 1, 1), ("b", "g", 0, 2), ("g", "T", 1, 0)]
-        ),
+        [("g", "a", 0, 0, 1), ("a", "b", 1, 1, 1), ("b", "g", 0, 2, 1), ("g", "T", 1, 0, 1)],
     )
     second = PortedGraph(
         ["g", "a", "b", "T"],
-        build_edges(
-            [("g", "a", 1, 0), ("a", "b", 1, 1), ("b", "g", 0, 2), ("g", "T", 0, 0)]
-        ),
+        [("g", "a", 1, 0, 1), ("a", "b", 1, 1, 1), ("b", "g", 0, 2, 1), ("g", "T", 0, 0, 1)],
     )
     labels_first = LabelSensor({"g": 0, "a": -1, "b": -1, "T": 1}, (-1, -1, -1, 1))
     labels_second = LabelSensor({"g": 0, "a": 1, "b": 1, "T": -1}, (1, 1, 1, -1))

@@ -1,4 +1,4 @@
-"""Seeded random instances: signals, ported graphs, environments, voltages.
+"""Seeded random instances: signals, ported graphs, sensors, voltages.
 
 All generators take an explicit random.Random so that test runs and CLI
 invocations reproduce exactly from a seed.
@@ -10,9 +10,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .environments import Environment
-from .graphs import Edge, PortedGraph, VertexState
-from .sensors import BeamMark, BeamSensor, DegreeSensor, LabelSensor
+from .graphs import PortedGraph
+from .sensors import BeamSensor, LabelSensor
 from .signals import HALT, ControlSignal
 
 
@@ -94,11 +93,11 @@ def random_ported_graph(
         den = rng.randint(1, max_denominator)
         return Fraction(rng.randint(1, 2 * den), den)
 
-    edges = [
-        Edge(vertices[a], vertices[b], port_of[(e, "tail")], port_of[(e, "head")], length(e))
+    rows = [
+        (vertices[a], vertices[b], port_of[(e, "tail")], port_of[(e, "head")], length(e))
         for e, (a, b) in enumerate(pairs)
     ]
-    return PortedGraph(vertices, edges)
+    return PortedGraph(vertices, rows)
 
 
 def random_beam_sensor(rng: random.Random, graph: PortedGraph, labels=("red", "green")) -> BeamSensor:
@@ -107,10 +106,10 @@ def random_beam_sensor(rng: random.Random, graph: PortedGraph, labels=("red", "g
         for _ in range(rng.randint(0, 2)):
             den = rng.randint(2, 4)
             offset = length * Fraction(rng.randint(1, den - 1), den)
-            if any(m.edge == idx and m.offset == offset for m in marks):
+            if any(row[:2] == (idx, offset) for row in marks):
                 continue
-            marks.append(BeamMark(idx, offset, rng.choice(labels)))
-    return BeamSensor(tuple(marks))
+            marks.append((idx, offset, rng.choice(labels)))
+    return BeamSensor(marks)
 
 
 def random_label_sensor(rng: random.Random, graph: PortedGraph, labels=(0, 1, 2)) -> LabelSensor:
@@ -118,47 +117,6 @@ def random_label_sensor(rng: random.Random, graph: PortedGraph, labels=(0, 1, 2)
         {v: rng.choice(labels) for v in graph.vertices},
         tuple(rng.choice(labels) for _ in graph.lengths),
     )
-
-
-def random_unit_environment(
-    rng: random.Random,
-    width: int = 3,
-    max_edges: int = 3,
-    kind: str = "degree",
-) -> Environment:
-    """Random unit-length environment with at most 2*max_edges darts, degree
-    capped by width, suitable for bisimulation pools."""
-    n = rng.randint(1, min(4, max_edges + 1))
-    graph = random_ported_graph(
-        rng,
-        n_min=n,
-        n_max=n,
-        extra_min=0,
-        extra_max=max(0, max_edges - (n - 1)),
-        unit_lengths=True,
-        max_degree=width,
-    )
-    if kind == "degree":
-        sensor = DegreeSensor()
-    elif kind == "label":
-        sensor = random_label_sensor(rng, graph)
-    elif kind == "beam":
-        sensor = random_beam_sensor(rng, graph)
-    else:
-        raise ValueError(f"unknown sensor kind {kind!r}")
-    initial = rng.choice(graph.vertices)
-    return Environment(graph, initial, sensor, width)
-
-
-def random_state(rng: random.Random, graph: PortedGraph):
-    """Random point: a vertex, or a strictly interior edge point with a
-    rational offset."""
-    if not graph.lengths or rng.random() < 0.4:
-        return VertexState(rng.choice(graph.vertices))
-    idx = rng.randrange(len(graph.lengths))
-    den = rng.randint(2, 6)
-    offset = graph.lengths[idx] * Fraction(rng.randint(1, den - 1), den)
-    return graph.state_on(graph.forward_dart(idx), offset)
 
 
 def random_voltages(rng: random.Random, graph: PortedGraph, k: int) -> list:

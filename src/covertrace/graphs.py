@@ -16,15 +16,14 @@ are `vertex_index` (name -> i), `dart_keys` (id -> (vertex, port) tuple),
 order) and `lengths` (edge -> its length, a Fraction); a dart's tail is
 dart_head[id ^ 1] and its length lengths[id >> 1], which edge_ticks() holds
 as an int.  Edge e is dart_keys[2e] and dart_keys[2e + 1] with
-lengths[e]; a graph keeps no Edge objects.  Code in this package reads the
-tables and never writes them.
+lengths[e].  Code in this package reads the tables and never writes them.
 
-`from_json` reads each edge object into a plain row (tail, head,
-port_at_tail, port_at_head, length), with one Fraction per distinct wire
-length, and hands the rows to the constructor, which also takes Edges;
-either way one loop validates them in O(V + E) while it builds the tables.
-`to_json` writes the columns.  Covers are assembled straight into the
-tables (PortedGraph._derived).
+A graph is built from its vertices and one row (tail, head, port_at_tail,
+port_at_head, length) per edge, in edge order; one loop validates the rows
+in O(V + E) while it builds the tables.  `from_json` reads each edge object
+into a row, with one Fraction per distinct wire length, and `to_json`
+writes the columns.  Covers are assembled straight into the tables
+(PortedGraph._derived).
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import ValidationError
-from .rationals import as_fraction, shared_from_wire
+from .rationals import as_fraction, is_rational, shared_from_wire
 
 
 def check_vertex_name(name):
@@ -80,17 +79,6 @@ class Dart(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Edge:
-    """One undirected edge given in its stored orientation."""
-
-    tail: object
-    head: object
-    port_at_tail: int
-    port_at_head: int
-    length: Fraction
-
-
-@dataclass(frozen=True)
 class VertexState:
     """Robot sitting at a vertex.  Direction is irrelevant while at a vertex:
     the next dart is chosen by the incoming symbol, so no dart is stored."""
@@ -126,17 +114,30 @@ def _vertex_index(vertices: tuple) -> dict:
     return index
 
 
+def _positive_length(idx: int, length) -> Fraction:
+    """Edge idx's length as a Fraction: an int or a Fraction (not a bool,
+    a float or a string) above 0."""
+    if type(length) is not Fraction:
+        if not is_rational(length):
+            raise ValidationError(f"edge {idx} has length {length!r}, not an int or a Fraction")
+        length = Fraction(length)
+    if length.numerator <= 0:
+        raise ValidationError(f"edge {idx} has non-positive length {length}")
+    return length
+
+
 class PortedGraph:
     """Validated immutable ported metric graph.
 
     Construction checks: ports at each vertex are exactly {0..deg-1}, self-loops
-    use two distinct ports, lengths are positive, and the graph is connected.
-    The id tables are described in the module docstring.
+    use two distinct ports, lengths are positive ints or Fractions, and the
+    graph is connected.  The id tables are described in the module docstring.
     """
 
-    def __init__(self, vertices: Iterable, edges: Iterable):
-        """The graph on the vertices with the given edges: Edge objects or
-        (tail, head, port_at_tail, port_at_head, length) tuples."""
+    def __init__(self, vertices: Iterable, rows: Iterable):
+        """The graph on the vertices with one edge per (tail, head,
+        port_at_tail, port_at_head, length) row, in edge order; an int
+        length is kept as a Fraction."""
         self.vertices = tuple(vertices)
         index = _vertex_index(self.vertices)
 
@@ -145,19 +146,13 @@ class PortedGraph:
         dart_head = []
         lengths = []
         at = [[] for _ in self.vertices]
-        checked = None  # edges often share one length object: check it once
-        for idx, e in enumerate(edges):
-            if type(e) is not tuple:
-                e = (e.tail, e.head, e.port_at_tail, e.port_at_head, e.length)
-            tail_name, head_name, port_at_tail, port_at_head, length = e
+        checked = fraction = None  # rows often share one length object: check it once
+        for idx, (tail_name, head_name, port_at_tail, port_at_head, length) in enumerate(rows):
             tail, head = index.get(tail_name), index.get(head_name)
             if tail is None or head is None:
                 raise ValidationError(f"edge {idx} touches an unknown vertex")
-            # Fraction or int: its sign is the numerator's
             if length is not checked:
-                if length.numerator <= 0:
-                    raise ValidationError(f"edge {idx} has non-positive length {length}")
-                checked = length
+                checked, fraction = length, _positive_length(idx, length)
             if tail == head and port_at_tail == port_at_head:
                 raise ValidationError(f"edge {idx} is a self-loop reusing one port")
             fwd = (tail_name, port_at_tail)
@@ -169,7 +164,7 @@ class PortedGraph:
                 raise ValidationError(f"port {port_at_head} at vertex {head_name!r} used twice")
             dart_index[bwd] = 2 * idx + 1
             dart_head += (head, tail)
-            lengths.append(length)
+            lengths.append(fraction)
             at[tail].append(2 * idx)
             at[head].append(2 * idx + 1)
         dart_keys = list(dart_index)
@@ -397,18 +392,3 @@ class PortedGraph:
                 raise ValidationError(f"edge entry missing key {exc}") from exc
             rows.append((tail, head, port_at_tail, port_at_head, length))
         return cls(vertices, rows)
-
-
-def build_edges(specs: Iterable) -> list:
-    """Convenience: edges from (tail, head, port_at_tail, port_at_head[, length])
-    tuples, length defaulting to 1."""
-    edges = []
-    for spec in specs:
-        if len(spec) == 4:
-            tail, head, pt, ph = spec
-            length = Fraction(1)
-        else:
-            tail, head, pt, ph, length = spec
-            length = as_fraction(length)
-        edges.append(Edge(tail, head, pt, ph, length))
-    return edges

@@ -63,6 +63,12 @@ def as_fraction(value) -> Fraction:
     raise _not_rational(value)
 
 
+def is_rational(value) -> bool:
+    """Whether value is an int or a Fraction (a bool is neither): what the
+    constructors take as a length or an offset."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def on_grid(values, scale: int = 1) -> tuple:
     """Exact rationals (a sequence of Fractions or ints) as integer ticks
     over one common denominator.

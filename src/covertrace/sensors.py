@@ -19,9 +19,8 @@ pullback(vertex_image, edge_image) is the sensor read through a graph map,
 h' = h after f: vertex_image sends each source vertex to its image, and
 edge_image gives, for each source edge in order, (image edge index,
 whether the stored orientations agree, source edge length).  A vertex
-renaming is the pullback along the inverse renaming.  A beam sensor keeps
-its marks as plain rows; a BeamMark is built only for its constructor, its
-repr and its error messages.
+renaming is the pullback along the inverse renaming.  A beam sensor is
+built from its marks as plain (edge, offset, label) rows.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ from typing import Union
 
 from .errors import ValidationError
 from .graphs import PortedGraph, sorted_by_name, wire_pairs
-from .rationals import shared_from_wire
+from .rationals import is_rational, shared_from_wire
 
 EDGE = "edge"
 BLANK = "blank"
@@ -119,53 +118,33 @@ class LabelSensor:
         }
 
 
-@dataclass(frozen=True)
-class BeamMark:
-    """One beam through an edge interior: 0 < offset < length, measured from
-    the stored tail of the edge."""
-
-    edge: int
-    offset: Fraction
-    label: object
-
-
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class BeamSensor:
     """Reads BLANK everywhere except exactly on a beam mark, where it reads the
     mark's label.  Crossing a mark mid-flight shows up as a trace event.
 
-    A beam sensor keeps its marks as plain (edge, offset, label) rows in
-    the order given, which equality, hash, validate, to_json and __repr__
-    read, and as a per-edge table of (offset, label) pairs in that order,
-    which columns and pullback read; it keeps no BeamMark objects.  A
-    sensor read from JSON shares one offset Fraction per distinct wire pair.
+    A beam mark is an (edge, offset, label) row: a beam through the interior
+    of the edge with that index, offset from its stored tail.  The sensor
+    keeps its rows in the order given, which equality, hash, validate,
+    to_json and __repr__ read, and a per-edge table of (offset, label) pairs
+    in that order, which columns and pullback read.  A sensor read from JSON
+    shares one offset Fraction per distinct wire pair.
     """
 
-    def __init__(self, marks):
-        rows = []
-        for mark in marks:
-            if (
-                not isinstance(mark, BeamMark)
-                or isinstance(mark.edge, bool)
-                or not isinstance(mark.edge, int)
-            ):
-                raise ValidationError(f"bad beam mark: {mark!r}")
-            rows.append((mark.edge, mark.offset, mark.label))
-        self._set(rows)
-
-    @classmethod
-    def _from_rows(cls, rows) -> "BeamSensor":
-        """The sensor with these (edge, offset, label) rows, each edge an int
-        (not a bool), checked no further."""
-        self = cls.__new__(cls)
-        self._set(rows)
-        return self
-
-    def _set(self, rows) -> None:
+    def __init__(self, rows):
+        """The sensor with these (edge, offset, label) tuples, each edge an
+        int and each offset an int or a Fraction (bools are neither);
+        validate checks them against a graph."""
+        rows = tuple(rows)
         by_edge = {}
-        for edge, offset, label in rows:
+        for row in rows:
+            if type(row) is not tuple or len(row) != 3 or isinstance(row[0], bool) or not isinstance(row[0], int):
+                raise ValidationError(f"bad beam mark: {row!r}")
+            edge, offset, label = row
+            if type(offset) is not Fraction and not is_rational(offset):
+                raise ValidationError(f"beam mark offset {offset!r} is not an int or a Fraction")
             by_edge.setdefault(edge, []).append((offset, label))
-        self.__dict__.update(_rows=tuple(rows), _by_edge={e: tuple(ms) for e, ms in by_edge.items()})
+        self.__dict__.update(_rows=rows, _by_edge={e: tuple(ms) for e, ms in by_edge.items()})
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -173,11 +152,10 @@ class BeamSensor:
         return self._rows == other._rows
 
     def __hash__(self) -> int:
-        # as on the tuple of BeamMarks, each hashing as its row
-        return hash((self._rows,))
+        return hash(self._rows)
 
     def __repr__(self) -> str:
-        return f"BeamSensor(marks={tuple(BeamMark(*row) for row in self._rows)!r})"
+        return f"BeamSensor({self._rows!r})"
 
     def validate(self, graph: PortedGraph) -> None:
         # offsets and lengths are compared as numerators and denominators,
@@ -206,7 +184,7 @@ class BeamSensor:
         for idx, (j, same_orientation, length) in enumerate(edge_image):
             for offset, label in by_edge.get(j, ()):
                 rows.append((idx, offset if same_orientation else length - offset, label))
-        return BeamSensor._from_rows(rows)
+        return BeamSensor(rows)
 
     def columns(self, graph: PortedGraph):
         return [BLANK] * len(graph.vertices), [BLANK] * len(graph.lengths), self._by_edge
@@ -298,8 +276,8 @@ def sensor_from_json(data) -> SensorSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad label sensor JSON: {data!r}") from exc
     if kind == "beam":
-        # every mark is read, with the checks of from_wire, before the first
-        # edge that is not an int is refused, as BeamSensor(marks) would
+        # every mark is read, with the checks of from_wire, before the
+        # constructor refuses the first edge that is not an int
         rows = []
         offsets = {}
         try:
@@ -307,10 +285,7 @@ def sensor_from_json(data) -> SensorSpec:
                 rows.append((raw["edge"], shared_from_wire(raw["offset"], offsets), raw["label"]))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad beam sensor JSON: {data!r}") from exc
-        for row in rows:
-            if type(row[0]) is not int:
-                raise ValidationError(f"bad beam mark: {BeamMark(*row)!r}")
-        return BeamSensor._from_rows(rows)
+        return BeamSensor(rows)
     if kind == "filtered":
         try:
             base = sensor_from_json(data["base"])

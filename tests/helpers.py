@@ -2,22 +2,22 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
 from covertrace import (
     HALT,
-    BeamMark,
     BeamSensor,
     ControlSignal,
     CoveringCertificate,
     Dart,
     DegreeSensor,
-    Edge,
     Environment,
     FilteredSensor,
     GraphMap,
@@ -29,11 +29,11 @@ from covertrace import (
     ValidationError,
     VertexState,
     apply,
-    build_edges,
     structure_map,
     trace_of,
 )
 from covertrace.environments import Leg
+from covertrace.generate import random_beam_sensor, random_label_sensor, random_ported_graph
 from covertrace.graphs import check_port, check_vertex_name
 from covertrace.sensors import _check_scalar, sensor_from_json
 from covertrace.rationals import as_fraction, from_wire
@@ -45,7 +45,7 @@ def three_cycle() -> PortedGraph:
     """Unit triangle; port 0 at each vertex points counterclockwise."""
     return PortedGraph(
         ["x0", "x1", "x2"],
-        build_edges([("x0", "x1", 0, 1), ("x1", "x2", 0, 1), ("x2", "x0", 0, 1)]),
+        [("x0", "x1", 0, 1, 1), ("x1", "x2", 0, 1, 1), ("x2", "x0", 0, 1, 1)],
     )
 
 
@@ -58,8 +58,7 @@ def marked_cycle_env(n: int) -> Environment:
     on the start c0 and 0 elsewhere: marked n- and (n+1)-cycles are told
     apart only by walking all the way round."""
     names = [f"c{i}" for i in range(n)]
-    edges = build_edges([(names[i], names[(i + 1) % n], 0, 1) for i in range(n)])
-    graph = PortedGraph(names, edges)
+    graph = PortedGraph(names, [(names[i], names[(i + 1) % n], 0, 1, 1) for i in range(n)])
     labels = {v: int(i == 0) for i, v in enumerate(names)}
     return Environment(graph, "c0", LabelSensor(labels, [0] * n), 2)
 
@@ -73,9 +72,12 @@ def labelled_triangles() -> tuple:
     triangle = three_cycle_env(LabelSensor(labels, ["e", "f", "e"]))
     pendant = PortedGraph(
         ["x0", "x1", "x2", "p"],
-        build_edges(
-            [("x0", "x1", 0, 1), ("x1", "x2", 0, 1), ("x2", "x0", 0, 1), ("x1", "p", 2, 0, Fraction(1, 2))]
-        ),
+        [
+            ("x0", "x1", 0, 1, 1),
+            ("x1", "x2", 0, 1, 1),
+            ("x2", "x0", 0, 1, 1),
+            ("x1", "p", 2, 0, Fraction(1, 2)),
+        ],
     )
     sensor = LabelSensor({**labels, "p": "c"}, ["e", "f", "e", "g"])
     return triangle, Environment(pendant, "x0", sensor, 2)
@@ -84,7 +86,7 @@ def labelled_triangles() -> tuple:
 def path_middle() -> PortedGraph:
     """Two unit edges meeting at m; the comparison partner of the 3-cycle."""
     return PortedGraph(
-        ["m", "l", "r"], build_edges([("m", "l", 0, 0), ("m", "r", 1, 0)])
+        ["m", "l", "r"], [("m", "l", 0, 0, 1), ("m", "r", 1, 0, 1)]
     )
 
 
@@ -95,7 +97,7 @@ def path_middle_env(width=2) -> Environment:
 def figure_eight() -> PortedGraph:
     """One vertex with two unit loops, ports (0,1) and (2,3)."""
     return PortedGraph(
-        ["o"], build_edges([("o", "o", 0, 1), ("o", "o", 2, 3)])
+        ["o"], [("o", "o", 0, 1, 1), ("o", "o", 2, 3, 1)]
     )
 
 
@@ -190,6 +192,47 @@ def state_at(traj: Trajectory, t):
     return traj.start
 
 
+def random_unit_environment(
+    rng: random.Random,
+    width: int = 3,
+    max_edges: int = 3,
+    kind: str = "degree",
+) -> Environment:
+    """Random unit-length environment with at most 2*max_edges darts, degree
+    capped by width, suitable for bisimulation pools."""
+    n = rng.randint(1, min(4, max_edges + 1))
+    graph = random_ported_graph(
+        rng,
+        n_min=n,
+        n_max=n,
+        extra_min=0,
+        extra_max=max(0, max_edges - (n - 1)),
+        unit_lengths=True,
+        max_degree=width,
+    )
+    if kind == "degree":
+        sensor = DegreeSensor()
+    elif kind == "label":
+        sensor = random_label_sensor(rng, graph)
+    elif kind == "beam":
+        sensor = random_beam_sensor(rng, graph)
+    else:
+        raise ValueError(f"unknown sensor kind {kind!r}")
+    initial = rng.choice(graph.vertices)
+    return Environment(graph, initial, sensor, width)
+
+
+def random_state(rng: random.Random, graph: PortedGraph):
+    """Random point: a vertex, or a strictly interior edge point with a
+    rational offset."""
+    if not graph.lengths or rng.random() < 0.4:
+        return VertexState(rng.choice(graph.vertices))
+    idx = rng.randrange(len(graph.lengths))
+    den = rng.randint(2, 6)
+    offset = graph.lengths[idx] * Fraction(rng.randint(1, den - 1), den)
+    return graph.state_on(graph.forward_dart(idx), offset)
+
+
 def rational_signals(width: int = 2, max_pieces: int = 5, denominators=(1, 2, 3, 4, 6)):
     """Hypothesis strategy for signals over Port(0..width-1) and Halt whose
     piece durations are small rationals, zero included (canonical form drops
@@ -230,19 +273,36 @@ def trace_events(trace: SensorTrace) -> tuple:
     return tuple((Fraction(*e["time"]), e["value"]) for e in trace.to_json()["events"])
 
 
+class EdgeRow(NamedTuple):
+    """A graph constructor row with its fields named for the oracles."""
+
+    tail: object
+    head: object
+    port_at_tail: int
+    port_at_head: int
+    length: Fraction
+
+
 def graph_edges(graph: PortedGraph) -> tuple:
-    """The graph's Edges in order, each in its stored orientation, read from
-    its dart keys and lengths: edge e is darts 2e and 2e + 1."""
+    """The graph's edge rows in order, each in its stored orientation, read
+    from its dart keys and lengths: edge e is darts 2e and 2e + 1."""
     keys = graph.dart_keys
     return tuple(
-        Edge(tail, head, port_at_tail, port_at_head, length)
+        EdgeRow(tail, head, port_at_tail, port_at_head, length)
         for (tail, port_at_tail), (head, port_at_head), length in zip(keys[::2], keys[1::2], graph.lengths)
     )
 
 
 def beam_marks(sensor: BeamSensor) -> tuple:
-    """The beam sensor's BeamMarks in order, read from its document."""
-    return tuple(BeamMark(m["edge"], Fraction(*m["offset"]), m["label"]) for m in sensor.to_json()["marks"])
+    """The beam sensor's (edge, offset, label) rows in order, read from its
+    document."""
+    return tuple((m["edge"], Fraction(*m["offset"]), m["label"]) for m in sensor.to_json()["marks"])
+
+
+def trace_fields(trace: SensorTrace) -> tuple:
+    """(duration, segments, events) with Fraction times, read from the
+    trace's document: the fields a trace oracle gives."""
+    return trace.duration, trace_segments(trace), trace_events(trace)
 
 
 def scan_value_at(trace: SensorTrace, t) -> object:
@@ -266,15 +326,15 @@ def scan_value_after(trace: SensorTrace, t) -> object:
     return None
 
 
-def scan_truncate(trace: SensorTrace, t) -> SensorTrace:
-    """The trace cut at t on Fractions, closed with the reading at t; the
-    checking constructor puts it in canonical form."""
+def scan_truncate(trace: SensorTrace, t) -> tuple:
+    """The fields (as trace_fields gives them) of the trace cut at t on
+    Fractions, closed with the reading at t."""
     t = as_fraction(t)
     if t < 0 or t > trace.duration:
         raise PreconditionError(f"cut time {t} outside [0, {trace.duration}]")
     segments = tuple((a, min(b, t), value) for a, b, value in trace_segments(trace) if a < t)
     events = tuple((te, value) for te, value in trace_events(trace) if te < t)
-    return SensorTrace(t, segments, events + ((t, scan_value_at(trace, t)),))
+    return t, segments, events + ((t, scan_value_at(trace, t)),)
 
 
 def scan_first_divergence(a, b):
@@ -426,9 +486,9 @@ def naive_from_json(data) -> ControlSignal:
 
 
 def naive_graph_from_json(data) -> PortedGraph:
-    """PortedGraph.from_json in two stages: every edge object read into an
-    Edge, field by field with check_vertex_name, check_port and from_wire,
-    in document order, and then the checking constructor on the Edges."""
+    """PortedGraph.from_json in two stages: every edge object read into a
+    row, field by field with check_vertex_name, check_port and from_wire,
+    in document order, and then the checking constructor on the rows."""
     if not isinstance(data, dict):
         raise ValidationError("graph JSON must be an object")
     try:
@@ -446,7 +506,7 @@ def naive_graph_from_json(data) -> PortedGraph:
             raise ValidationError(f"bad edge entry: {raw!r}")
         try:
             edges.append(
-                Edge(
+                EdgeRow(
                     tail=check_vertex_name(raw["tail"]),
                     head=check_vertex_name(raw["head"]),
                     port_at_tail=check_port(raw["port_at_tail"]),
@@ -461,18 +521,15 @@ def naive_graph_from_json(data) -> PortedGraph:
 
 def naive_sensor_from_json(data):
     """sensors.sensor_from_json in two stages for beam marks: every mark
-    read into a BeamMark with from_wire, in document order, and then the
-    checking BeamSensor constructor on the BeamMarks.  A relabel entry that
-    is not an array of two is refused where it is met."""
+    read into a row with from_wire, in document order, and then the
+    BeamSensor constructor on the rows.  A relabel entry that is not an
+    array of two is refused where it is met."""
     if not isinstance(data, dict) or "type" not in data:
         raise ValidationError(f"bad sensor JSON: {data!r}")
     kind = data["type"]
     if kind == "beam":
         try:
-            marks = [
-                BeamMark(raw["edge"], from_wire(raw["offset"]), raw["label"])
-                for raw in data.get("marks", [])
-            ]
+            marks = [(raw["edge"], from_wire(raw["offset"]), raw["label"]) for raw in data.get("marks", [])]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad beam sensor JSON: {data!r}") from exc
         return BeamSensor(marks)
@@ -491,19 +548,19 @@ def naive_sensor_from_json(data):
 
 
 def naive_validate_beams(marks, graph: PortedGraph) -> None:
-    """BeamSensor.validate on BeamMarks, against graph.lengths, with
-    Fraction comparisons and a set of Fractions."""
+    """BeamSensor.validate on (edge, offset, label) rows, against
+    graph.lengths, with Fraction comparisons and a set of Fractions."""
     seen = set()
-    for mark in marks:
-        if not 0 <= mark.edge < len(graph.lengths):
-            raise ValidationError(f"beam mark on unknown edge {mark.edge}")
-        length = graph.lengths[mark.edge]
-        if not 0 < mark.offset < length:
-            raise ValidationError(f"beam mark offset {mark.offset} not strictly inside edge {mark.edge}")
-        if (mark.edge, mark.offset) in seen:
-            raise ValidationError(f"two beam marks at one point: edge {mark.edge} offset {mark.offset}")
-        seen.add((mark.edge, mark.offset))
-        _check_scalar(mark.label)
+    for edge, offset, label in marks:
+        if not 0 <= edge < len(graph.lengths):
+            raise ValidationError(f"beam mark on unknown edge {edge}")
+        length = graph.lengths[edge]
+        if not 0 < offset < length:
+            raise ValidationError(f"beam mark offset {offset} not strictly inside edge {edge}")
+        if (edge, offset) in seen:
+            raise ValidationError(f"two beam marks at one point: edge {edge} offset {offset}")
+        seen.add((edge, offset))
+        _check_scalar(label)
 
 
 def naive_environment_from_json(data) -> Environment:
@@ -594,11 +651,6 @@ def _naive_merge(legs) -> list:
                 continue
         merged.append(leg)
     return merged
-
-
-def naive_trajectory(env: Environment, signal: ControlSignal, start=None) -> Trajectory:
-    """The Trajectory built from naive_legs."""
-    return Trajectory(env.graph, *naive_legs(env, signal, start))
 
 
 def naive_legs(env: Environment, signal: ControlSignal, start=None) -> tuple:
@@ -695,9 +747,10 @@ class WireReadings:
         return self.interior[idx]
 
 
-def naive_trace(env: Environment, start, legs) -> SensorTrace:
-    """Sensor trace of the legs from start (as naive_legs gives them) with
-    Fraction instants and intervals, each reading from WireReadings."""
+def naive_trace(env: Environment, start, legs) -> tuple:
+    """The fields (as trace_fields gives them) of the sensor trace of the
+    legs from start (as naive_legs gives them), with Fraction instants and
+    intervals, each reading from WireReadings."""
     graph = env.graph
     readings = WireReadings(graph, env.sensor)
     duration = legs[-1].t1 if legs else Fraction(0)
@@ -738,7 +791,7 @@ def naive_trace(env: Environment, start, legs) -> SensorTrace:
             k += 1
         if segments[k][2] != value:
             events.append((t, value))
-    return SensorTrace(duration, segments, tuple(events))
+    return duration, segments, tuple(events)
 
 
 def naive_first_divergence(a: SensorTrace, b: SensorTrace):

@@ -34,13 +34,19 @@ from covertrace.generate import (
     random_label_sensor,
     random_ported_graph,
     random_signal,
-    random_state,
-    random_unit_environment,
     random_voltages,
 )
 from covertrace.signals import EMPTY
 
-from helpers import automorphisms, figure_eight_env, naive_degree_refinement, prefix, suffix
+from helpers import (
+    automorphisms,
+    figure_eight_env,
+    naive_degree_refinement,
+    prefix,
+    random_state,
+    random_unit_environment,
+    suffix,
+)
 
 
 def report(number: int, failures: list, detail: str) -> None:

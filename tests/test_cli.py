@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import io
 import json
 import os
@@ -20,7 +21,6 @@ import pytest
 from covertrace import (
     BLANK,
     EDGE,
-    BeamMark,
     BeamSensor,
     DegreeSensor,
     Environment,
@@ -29,7 +29,6 @@ from covertrace import (
     PortedGraph,
     PreconditionError,
     ValidationError,
-    build_edges,
     cli,
     cyclic_cover,
 )
@@ -436,12 +435,12 @@ class TestVerdictCommands:
             ),
             (
                 three_cycle_env,
-                FilteredSensor(BeamSensor((BeamMark(1, Fraction(1, 3), "b"),)), {"b": 1}),
+                FilteredSensor(BeamSensor([(1, Fraction(1, 3), "b")]), {"b": 1}),
                 [BLANK],
             ),
             (
                 three_cycle_env,
-                FilteredSensor(BeamSensor((BeamMark(1, Fraction(1, 3), "b"),)), {BLANK: 0}),
+                FilteredSensor(BeamSensor([(1, Fraction(1, 3), "b")]), {BLANK: 0}),
                 ["b"],
             ),
             (
@@ -541,8 +540,8 @@ class TestCoverCommands:
         """A path of four vertices wound onto the 3-cycle 0, 1, 2: the stars
         at the two ends have one dart instead of two."""
         a, b, c, d = names
-        path = PortedGraph(list(names), build_edges([(a, b, 0, 1), (b, c, 0, 1), (c, d, 0, 0)]))
-        cycle = PortedGraph([0, 1, 2], build_edges([(0, 1, 0, 1), (1, 2, 0, 1), (2, 0, 0, 1)]))
+        path = PortedGraph(list(names), [(a, b, 0, 1, 1), (b, c, 0, 1, 1), (c, d, 0, 0, 1)])
+        cycle = PortedGraph([0, 1, 2], [(0, 1, 0, 1, 1), (1, 2, 0, 1, 1), (2, 0, 0, 1, 1)])
         src = write_json(tmp_path / "path.json", Environment(path, a, DegreeSensor(), 2).to_json())
         dst = write_json(tmp_path / "cycle.json", Environment(cycle, 0, DegreeSensor(), 2).to_json())
         darts = [(a, 0, 0, 0), (b, 0, 1, 0), (b, 1, 1, 1), (c, 0, 2, 0), (c, 1, 2, 1), (d, 0, 0, 1)]
@@ -594,13 +593,13 @@ class TestCoverCommands:
         assert f"--skip-star 1 is ambiguous: it names the source vertices {first!r} and {second!r}" in err
 
     def test_check_cover_negative_exits_1(self, capsys, tmp_path):
-        from covertrace import DegreeSensor, PortedGraph, build_edges
+        from covertrace import DegreeSensor, PortedGraph
 
         theta = PortedGraph(
             ["u", "v"],
-            build_edges([("u", "v", 0, 0), ("u", "v", 1, 1), ("u", "v", 2, 2)]),
+            [("u", "v", 0, 0, 1), ("u", "v", 1, 1, 1), ("u", "v", 2, 2, 1)],
         )
-        digon = PortedGraph(["u", "v"], build_edges([("u", "v", 0, 0), ("u", "v", 1, 1)]))
+        digon = PortedGraph(["u", "v"], [("u", "v", 0, 0, 1), ("u", "v", 1, 1, 1)])
         src = write_json(
             tmp_path / "theta.json",
             Environment(theta, "u", DegreeSensor(), 3).to_json(),
@@ -647,7 +646,7 @@ class TestCoverCommands:
     def test_gen_cyclic_names_a_cover_name_clash(self, capsys, tmp_path):
         """Base vertices 1 and "1" both print as 1: their copies clash only
         when the component holds both at one index."""
-        graph = PortedGraph([1, "1"], build_edges([(1, "1", 0, 0)]))
+        graph = PortedGraph([1, "1"], [(1, "1", 0, 0, 1)])
         base = write_json(tmp_path / "base.json", Environment(graph, 1, DegreeSensor()).to_json())
         code, out, err = run(capsys, ["gen-cyclic", base, "2", "--voltages", "0"])
         assert (code, out) == (2, "")
@@ -787,6 +786,17 @@ class TestGalleryCommand:
             for ext in ("json", "dot")
         )
         assert names == expected
+
+    def test_files_match_the_recorded_digests(self, gallery_dir):
+        """Each file hashes to its sha256 in tests/gallery.sha256, which
+        `sha256sum -c` reads too: the gallery is written byte for byte as
+        when the sums were recorded."""
+        recorded = {}
+        for line in (Path(__file__).resolve().parent / "gallery.sha256").read_text().splitlines():
+            digest, name = line.split("  ")
+            recorded[name] = digest
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in gallery_dir.iterdir()}
+        assert len(recorded) == 16 and written == recorded
 
     def test_round_trip_matches_builders(self, gallery_dir):
         for name, builder in GALLERY.items():
@@ -1106,7 +1116,7 @@ class TestDotExport:
         """1 and "1" are distinct vertices, and a DOT id drops the quotes
         that tell them apart; the label of "1" keeps its quotes."""
         graph = PortedGraph(
-            [1, "1", 2], build_edges([(1, "1", 0, 1), ("1", 2, 0, 1), (2, 1, 0, 1)])
+            [1, "1", 2], [(1, "1", 0, 1, 1), ("1", 2, 0, 1, 1), (2, 1, 0, 1, 1)]
         )
         lines = graph_to_dot(graph).splitlines()[1:-1]
         nodes = [line.split()[0] for line in lines if " -- " not in line]

@@ -1,10 +1,13 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, on the names the package
+exports."""
 from __future__ import annotations
 
 import contextlib
 import io
 import pathlib
 import re
+
+import covertrace
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +22,11 @@ def test_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().startswith("{'duration': [3, 2]")
+
+
+def test_star_import_binds_every_exported_name():
+    """`from covertrace import *` binds each name in `__all__`; it raises
+    AttributeError on a name the package no longer defines."""
+    namespace = {}
+    exec("from covertrace import *", namespace)
+    assert set(covertrace.__all__) <= namespace.keys()

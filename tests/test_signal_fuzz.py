@@ -15,13 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertrace import (
-    BeamMark,
     BeamSensor,
     ControlSignal,
     Environment,
     PortedGraph,
     ValidationError,
-    build_edges,
     cli,
 )
 
@@ -31,9 +29,9 @@ from helpers import naive_from_json
 # 1 run the loop either way and higher ports wait, so a signal of any
 # duration the documents below can spell is simulated in a few steps.
 LOOP_ENV = Environment(
-    PortedGraph(["o"], build_edges([("o", "o", 0, 1, 2**200)])),
+    PortedGraph(["o"], [("o", "o", 0, 1, 2**200)]),
     "o",
-    BeamSensor((BeamMark(0, 1, "mark"),)),
+    BeamSensor([(0, 1, "mark")]),
     3,
 )
 

@@ -8,8 +8,8 @@ and each takes a few random edits: a value
 replaced, often by one of its kind (a port by a port, a name by a name, a
 length by a length), a key or entry dropped, an entry repeated, or a part of the
 document copied over another.  The one-pass readers must agree with the
-two-stage oracles in tests/helpers.py (Edge by Edge and BeamMark by
-BeamMark, then the checking constructor): the same value and the same
+two-stage oracles in tests/helpers.py (every edge and mark read into a
+row, then the checking constructor on the rows): the same value and the same
 `edges` and `marks`, or the same refusal.  Every command must end in exit 0,
 1, 2 or 3 with no traceback.
 """
@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from covertrace import (
     BLANK,
-    BeamMark,
     BeamSensor,
     Environment,
     FilteredSensor,
@@ -37,7 +36,6 @@ from covertrace import (
     LabelSensor,
     PortedGraph,
     ValidationError,
-    build_edges,
     cli,
     cyclic_cover,
     verify_covering,
@@ -66,9 +64,9 @@ ENVIRONMENTS["filtered"] = Environment(
     2,
 )
 ENVIRONMENTS["rational"] = Environment(
-    PortedGraph(["a", "b"], build_edges([("a", "b", 0, 0, Fraction(3, 2)), ("b", "a", 1, 1, Fraction(1, 2))])),
+    PortedGraph(["a", "b"], [("a", "b", 0, 0, Fraction(3, 2)), ("b", "a", 1, 1, Fraction(1, 2))]),
     "b",
-    BeamSensor([BeamMark(0, Fraction(1, 3), "red"), BeamMark(1, Fraction(1, 4), "red")]),
+    BeamSensor([(0, Fraction(1, 3), "red"), (1, Fraction(1, 4), "red")]),
 )
 ENVIRONMENTS["labelled"] = Environment(
     ENVIRONMENTS["rational"].graph, "a", LabelSensor({"a": 0, "b": 1}, [2, 3]), 2
@@ -290,13 +288,13 @@ def test_every_edge_length_is_checked(lengths, message):
         ({"edge": 0, "offset": 1.5, "label": "b"}, "bad rational on the wire: 1.5"),
         ({"edge": 0, "offset": [1, 0], "label": "b"}, "zero denominator"),
         ({"edge": 0, "offset": [1, 2]}, "bad beam sensor JSON"),
-        ({"edge": 0, "offset": [1, 2], "label": "b"}, "bad beam mark: BeamMark(edge='0', offset=Fraction(1, 3), label='a')"),
+        ({"edge": 0, "offset": [1, 2], "label": "b"}, "bad beam mark: ('0', Fraction(1, 3), 'a')"),
     ],
 )
 def test_beam_reader_reads_every_mark_before_refusing_an_edge(second, message):
     """A mark on edge "0" (a string) is refused only after every mark's
-    fields and wire offset have been read, as BeamSensor(marks) refused it
-    after the list of BeamMarks was built."""
+    fields and wire offset have been read, as the BeamSensor constructor
+    refuses it after the list of rows was built."""
     doc = {"type": "beam", "marks": [{"edge": "0", "offset": [1, 3], "label": "a"}, second]}
     for reader in (sensor_from_json, naive_sensor_from_json):
         with pytest.raises(ValidationError) as refused:
@@ -322,7 +320,7 @@ def test_lengths_compare_per_edge_when_length_objects_are_shared():
     triangle = Environment(
         PortedGraph(
             ["x0", "x1", "x2"],
-            build_edges([("x0", "x1", 1, 0), ("x1", "x2", 1, 0), ("x2", "x0", 1, 0, 2)]),
+            [("x0", "x1", 1, 0, 1), ("x1", "x2", 1, 0, 1), ("x2", "x0", 1, 0, 2)],
         ),
         "x0",
         six.sensor,
