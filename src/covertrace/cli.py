@@ -219,7 +219,7 @@ def cmd_lift(args) -> int:
     signal = _load_signal(args.signal)
     lifted = lift_state_path(mapping, source, target, signal)
     _emit(lifted.to_json())
-    _note(f"lifted trajectory: {len(lifted.legs)} legs over {lifted.duration}")
+    _note(f"lifted trajectory: {len(lifted._ticks)} legs over {lifted.duration}")
     return 0
 
 

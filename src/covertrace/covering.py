@@ -17,9 +17,7 @@ from typing import Iterable, Mapping, Optional
 
 from .environments import Environment, Trajectory, trajectory
 from .errors import PreconditionError, ValidationError
-from .graphs import (
-    Dart, GraphState, PortedGraph, VertexState, check_port, check_vertex_name, sorted_by_name, wire_pairs
-)
+from .graphs import Dart, PortedGraph, check_port, check_vertex_name, sorted_by_name, wire_pairs
 from .rationals import as_fraction
 from .sensors import SensorSpec
 from .signals import ControlSignal
@@ -43,17 +41,6 @@ class GraphMap:
     def from_vertex_map(cls, source: PortedGraph, vertex_map: Mapping) -> "GraphMap":
         """Port-preserving dart map induced by a vertex map."""
         return cls(vertex_map, {d: (vertex_map[d[0]], d[1]) for d in source.dart_keys})
-
-    def vertex(self, v):
-        return self.vertex_map[v]
-
-    def dart(self, d: Dart) -> Dart:
-        return Dart._make(self.dart_map[d])
-
-    def state(self, target: PortedGraph, state: GraphState) -> GraphState:
-        if isinstance(state, VertexState):
-            return target.vertex_state(self.vertex(state.vertex))
-        return target.state_on(self.dart(state.dart), state.offset)
 
     def to_json(self) -> dict:
         # sorted by printed vertex name, then port; a string prints as

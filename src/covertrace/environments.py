@@ -14,9 +14,9 @@ runs on the graph's integer tables and on one integer grid per call.
 start offset, on the lcm of the signal's scale and the graph's tick
 denominator, one multiply per piece; it walks vertex positions and dart ids
 in O(steps) int operations and builds its Trajectory from legs in those
-ticks, the one form a Trajectory is built from.  A Trajectory builds its Leg
-objects only when they are first read, as breakpoints (and the benchmark's
-spans) read them.
+ticks, the one form a Trajectory is built from; its breakpoints are read
+off those ticks.  A Trajectory builds its Leg objects only when they are
+first read, as its equality, its repr and the benchmark's spans read them.
 Each environment reads its sensor through one table, `_Readings`, filled
 from the sensor's columns the first time the environment traces a signal
 or builds a state space: the reading per vertex, the interior reading per
@@ -252,8 +252,12 @@ class Trajectory:
         return f"Trajectory(graph={self.graph!r}, start={self.start!r}, legs={self.legs!r})"
 
     def breakpoints(self) -> list:
-        """Canonical (time, state) list: leg boundaries with canonical states."""
-        return [(Fraction(0), self.start)] + [(leg.t1, leg.end) for leg in self.legs]
+        """Canonical (time, state) list: leg boundaries with canonical states,
+        read off the tick legs."""
+        scale = self._scale
+        return [(ZERO, self.start)] + [
+            (Fraction(leg[1], scale), self._state(*self._end(leg))) for leg in self._ticks
+        ]
 
     def to_json(self) -> dict:
         return {

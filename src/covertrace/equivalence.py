@@ -57,7 +57,7 @@ from .environments import (
 )
 from .errors import PreconditionError, ValidationError
 from .covering import GraphMap
-from .graphs import Dart, VertexState
+from .graphs import VertexState
 from .rationals import to_pair
 from .signals import EMPTY, HALT, ControlSignal
 
@@ -84,12 +84,6 @@ class TraceComparison:
 
     equal: bool
     divergence: Optional[Fraction] = None
-
-    def to_json(self) -> dict:
-        return {
-            "equal": self.equal,
-            "divergence": None if self.divergence is None else to_pair(self.divergence),
-        }
 
 
 def traces_equal(e1: Environment, e2: Environment, u: ControlSignal) -> TraceComparison:
@@ -693,6 +687,49 @@ def verify_bisimulation(e1: Environment, e2: Environment, relation) -> bool:
 # --- homomorphism search -------------------------------------------------
 
 
+def _propagate(g1, g2, x0: int, y0: int) -> Optional[tuple]:
+    """Port-equivariant propagation of f(x0) = y0 over vertex positions and
+    dart ids: (image, dart_image), dicts from the positions and darts of
+    g1's component of x0 to those of g2 in the order they are reached, or
+    None when an image dart is missing or lengths, reverse ports or heads
+    disagree."""
+    star1, star2 = g1.star, g2.star
+    head1, head2 = g1.dart_head, g2.dart_head
+    lengths1, lengths2 = g1.lengths, g2.lengths
+    keys1, keys2 = g1.dart_keys, g2.dart_keys
+    image = {x0: y0}
+    dart_image = {}
+    queue = deque([x0])
+    while queue:
+        x = queue.popleft()
+        out1, out2 = star1[x], star2[image[x]]
+        if len(out2) < len(out1):
+            return None
+        # dart (x, k) goes to (f(x), k): zip pairs the stars port by port
+        for d, e in zip(out1, out2):
+            if lengths1[d >> 1] != lengths2[e >> 1]:
+                return None
+            if keys1[d ^ 1][1] != keys2[e ^ 1][1]:
+                return None
+            h1, h2 = head1[d], head2[e]
+            seen = image.get(h1)
+            if seen is None:
+                image[h1] = h2
+                queue.append(h1)
+            elif seen != h2:
+                return None
+            dart_image[d] = e
+    return image, dart_image
+
+
+def _named(g1, g2, image: dict, dart_image: dict) -> GraphMap:
+    names1, names2, keys1, keys2 = g1.vertices, g2.vertices, g1.dart_keys, g2.dart_keys
+    return GraphMap(
+        {names1[x]: names2[y] for x, y in image.items()},
+        {keys1[d]: keys2[e] for d, e in dart_image.items()},
+    )
+
+
 def structure_map(g1, g2, v1, v2) -> Optional[GraphMap]:
     """Port-equivariant propagation of f(v1) = v2 across g1.
 
@@ -701,29 +738,8 @@ def structure_map(g1, g2, v1, v2) -> Optional[GraphMap]:
     lengths or reversal ports disagree.  The result is total on darts of g1;
     sensors and alphabet widths are not consulted.
     """
-    vmap = {v1: v2}
-    dmap = {}
-    queue = deque([v1])
-    while queue:
-        v = queue.popleft()
-        fv = vmap[v]
-        if g2.degree(fv) < g1.degree(v):
-            return None
-        for k in range(g1.degree(v)):
-            dart, image = Dart(v, k), Dart(fv, k)
-            if g1.length(dart) != g2.length(image):
-                return None
-            if g1.reverse(dart).port != g2.reverse(image).port:
-                return None
-            head1, head2 = g1.head(dart), g2.head(image)
-            if head1 in vmap:
-                if vmap[head1] != head2:
-                    return None
-            else:
-                vmap[head1] = head2
-                queue.append(head1)
-            dmap[dart] = image
-    return GraphMap(vmap, dmap)
+    found = _propagate(g1, g2, g1.vertex_index[v1], g2.vertex_index[v2])
+    return None if found is None else _named(g1, g2, *found)
 
 
 def homomorphism_search(e1: Environment, e2: Environment) -> Optional[GraphMap]:
@@ -740,21 +756,22 @@ def homomorphism_search(e1: Environment, e2: Environment) -> Optional[GraphMap]:
     _require_shared_interface(e1, e2)
     g1, g2 = e1.graph, e2.graph
     width = e1.alphabet_width
-    candidate = structure_map(g1, g2, e1.initial, e2.initial)
-    if candidate is None:
+    found = _propagate(g1, g2, g1.vertex_index[e1.initial], g2.vertex_index[e2.initial])
+    if found is None:
         return None
+    image, dart_image = found
+    star1, star2 = g1.star, g2.star
     r1, r2 = e1._readings, e2._readings
-    for v, fv in candidate.vertex_map.items():
-        if min(g1.degree(v), width) != min(g2.degree(fv), width):
+    for x, y in image.items():
+        if min(len(star1[x]), width) != min(len(star2[y]), width):
             return None
-        if r1.vertex[g1.vertex_index[v]] != r2.vertex[g2.vertex_index[fv]]:
+        if r1.vertex[x] != r2.vertex[y]:
             return None
-    for dart, image in candidate.dart_map.items():
-        d, i = g1.dart_index[dart], g2.dart_index[image]
-        if r1.interior[d >> 1] != r2.interior[i >> 1]:
+    for d, e in dart_image.items():
+        if r1.interior[d >> 1] != r2.interior[e >> 1]:
             return None
         # the edges have equal lengths, so equal marks have equal tick
         # denominators and compare as ints
-        if r1.marks[d] != r2.marks[i]:
+        if r1.marks[d] != r2.marks[e]:
             return None
-    return candidate
+    return _named(g1, g2, image, dart_image)

@@ -6,17 +6,19 @@ length.  Darts are identified by (vertex, port), which is unique, and come with
 a reversal involution pairing the two darts of each edge.  Self-loops are
 allowed but must use two distinct ports.
 
-Names (vertex names, Darts) are the API; inside, a graph is integer tables.
-Vertex i is the i-th entry of `vertices`.  Dart id 2e is edge e in its
-stored orientation and 2e+1 its reverse, so a dart's edge is id >> 1, its
-reverse is id ^ 1 and it is stored-forward when id & 1 == 0.  The tables
-are `vertex_index` (name -> i), `dart_keys` (id -> (vertex, port) tuple),
-`dart_index` (its inverse, in which a Dart looks up as the tuple it is),
-`dart_head` (id -> head vertex), `star` (vertex -> dart ids in port
-order) and `lengths` (edge -> its length, a Fraction); a dart's tail is
-dart_head[id ^ 1] and its length lengths[id >> 1], which edge_ticks() holds
-as an int.  Edge e is dart_keys[2e] and dart_keys[2e + 1] with
-lengths[e].  Code in this package reads the tables and never writes them.
+A graph is its integer tables; names (vertex names and Darts) appear only at
+the wire, in states and in messages.  Vertex i is the i-th entry of
+`vertices`.  Dart id 2e is edge e in its stored orientation and 2e+1 its
+reverse, so a dart's edge is id >> 1, its reverse is id ^ 1 and it is
+stored-forward when id & 1 == 0.  The tables are `vertex_index` (name ->
+i), `dart_keys` (id -> (vertex, port) tuple), `dart_index` (its inverse,
+in which a Dart looks up as the tuple it is), `dart_head` (id -> head
+vertex), `star` (vertex -> dart ids in port order, so its length is the
+degree) and `lengths` (edge -> its length, a Fraction); a dart's tail is
+dart_head[id ^ 1], its port dart_keys[id][1] and its length
+lengths[id >> 1], which edge_ticks() holds as an int.  Edge e is
+dart_keys[2e] and dart_keys[2e + 1] with lengths[e].  Code in this package
+reads the tables and never writes them.
 
 A graph is built from its vertices and one row (tail, head, port_at_tail,
 port_at_head, length) per edge, in edge order; one loop validates the rows
@@ -108,7 +110,15 @@ def _holds(index: dict, key) -> bool:
 
 
 def _vertex_index(vertices: tuple) -> dict:
-    index = {v: i for i, v in enumerate(vertices)}
+    try:
+        index = {v: i for i, v in enumerate(vertices)}
+    except TypeError:
+        for v in vertices:
+            try:
+                hash(v)
+            except TypeError:
+                raise ValidationError(f"vertex {v!r} is not a hashable name") from None
+        raise
     if len(index) != len(vertices):
         raise ValidationError("duplicate vertex names")
     return index
@@ -147,21 +157,32 @@ class PortedGraph:
         lengths = []
         at = [[] for _ in self.vertices]
         checked = fraction = None  # rows often share one length object: check it once
-        for idx, (tail_name, head_name, port_at_tail, port_at_head, length) in enumerate(rows):
-            tail, head = index.get(tail_name), index.get(head_name)
+        for idx, row in enumerate(rows):
+            # a row of another shape, or an unhashable name or port, raises
+            # here and nowhere else
+            try:
+                tail_name, head_name, port_at_tail, port_at_head, length = row
+                tail, head = index.get(tail_name), index.get(head_name)
+                fwd, bwd = (tail_name, port_at_tail), (head_name, port_at_head)
+                fwd_used, bwd_used = fwd in dart_index, bwd in dart_index
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"edge {idx} is not a (tail, head, port_at_tail, port_at_head, length) row"
+                    f" of hashable names and ports: {row!r}"
+                ) from None
             if tail is None or head is None:
                 raise ValidationError(f"edge {idx} touches an unknown vertex")
             if length is not checked:
                 checked, fraction = length, _positive_length(idx, length)
             if tail == head and port_at_tail == port_at_head:
                 raise ValidationError(f"edge {idx} is a self-loop reusing one port")
-            fwd = (tail_name, port_at_tail)
-            if fwd in dart_index:
+            # the two darts of a row differ (a self-loop reusing a port was
+            # refused), so neither can be the other's earlier use
+            if fwd_used:
                 raise ValidationError(f"port {port_at_tail} at vertex {tail_name!r} used twice")
-            dart_index[fwd] = 2 * idx
-            bwd = (head_name, port_at_head)
-            if bwd in dart_index:
+            if bwd_used:
                 raise ValidationError(f"port {port_at_head} at vertex {head_name!r} used twice")
+            dart_index[fwd] = 2 * idx
             dart_index[bwd] = 2 * idx + 1
             dart_head += (head, tail)
             lengths.append(fraction)
@@ -174,14 +195,14 @@ class PortedGraph:
         star = []
         for v, ids in zip(self.vertices, at):
             degree = len(ids)
-            row = [None] * degree
+            by_port = [None] * degree
             for d in ids:
                 port = dart_keys[d][1]
                 if type(port) is not int or not 0 <= port < degree:
                     used = sorted(dart_keys[d][1] for d in ids)
                     raise ValidationError(f"vertex {v!r} must use ports 0..{degree - 1}, got {used}")
-                row[port] = d
-            star.append(row)
+                by_port[port] = d
+            star.append(by_port)
 
         self._set_tables(index, lengths, dart_keys, dart_index, dart_head, star)
         if not self._connected():
@@ -228,38 +249,10 @@ class PortedGraph:
                     stack.append(w)
         return reached == len(self.vertices)
 
-    # --- basic accessors -------------------------------------------------
-
-    def degree(self, v) -> int:
-        return len(self.star[self.vertex_index[v]])
+    # --- degrees and lengths ----------------------------------------------
 
     def max_degree(self) -> int:
         return max(map(len, self.star))
-
-    def darts(self) -> list:
-        """Every dart, in id order."""
-        return list(map(Dart._make, self.dart_keys))
-
-    def darts_at(self, v) -> list:
-        return [Dart(v, k) for k in range(self.degree(v))]
-
-    def has_dart(self, d: Dart) -> bool:
-        return d in self.dart_index
-
-    def head(self, d: Dart):
-        return self.vertices[self.dart_head[self.dart_index[d]]]
-
-    def length(self, d: Dart) -> Fraction:
-        return self.lengths[self.dart_index[d] >> 1]
-
-    def reverse(self, d: Dart) -> Dart:
-        return Dart._make(self.dart_keys[self.dart_index[d] ^ 1])
-
-    def edge_of(self, d: Dart) -> int:
-        return self.dart_index[d] >> 1
-
-    def forward_dart(self, edge_index: int) -> Dart:
-        return Dart._make(self.dart_keys[2 * edge_index])
 
     def unit_lengths(self) -> bool:
         # read off the cached tick tables: on ticks of 1, every edge is 1 tick
@@ -283,27 +276,6 @@ class PortedGraph:
 
     # --- states ----------------------------------------------------------
 
-    def vertex_state(self, v) -> VertexState:
-        if v not in self.vertex_index:
-            raise ValidationError(f"unknown vertex {v!r}")
-        return VertexState(v)
-
-    def state_on(self, d: Dart, offset) -> GraphState:
-        """Canonical state at the given offset along a dart: endpoints fold to
-        vertex states so equality matches geometric identity."""
-        i = self.dart_index.get(d)
-        if i is None:
-            raise ValidationError(f"unknown dart {d!r}")
-        offset = as_fraction(offset)
-        length = self.lengths[i >> 1]
-        if offset < 0 or offset > length:
-            raise ValidationError(f"offset {offset} outside [0, {length}]")
-        if offset == 0:
-            return VertexState(d.vertex)
-        if offset == length:
-            return VertexState(self.vertices[self.dart_head[i]])
-        return EdgeState(d, offset)
-
     def check_state(self, state: GraphState) -> GraphState:
         """The state if it lies on this graph, with an EdgeState's offset as
         a Fraction strictly inside its edge (floats and bools are refused)."""
@@ -315,7 +287,7 @@ class PortedGraph:
             if not _holds(self.dart_index, state.dart):
                 raise ValidationError(f"state on unknown dart {state.dart!r}")
             offset = as_fraction(state.offset)
-            if not (0 < offset < self.length(state.dart)):
+            if not (0 < offset < self.lengths[self.dart_index[state.dart] >> 1]):
                 raise ValidationError(f"interior offset {offset} out of range")
             return state if offset is state.offset else EdgeState(state.dart, offset)
         raise ValidationError(f"not a graph state: {state!r}")

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from hypothesis import strategies as st
 
@@ -18,6 +18,7 @@ from covertrace import (
     CoveringCertificate,
     Dart,
     DegreeSensor,
+    EdgeState,
     Environment,
     FilteredSensor,
     GraphMap,
@@ -33,12 +34,146 @@ from covertrace import (
     trace_of,
 )
 from covertrace.environments import Leg
-from covertrace.generate import random_beam_sensor, random_label_sensor, random_ported_graph
 from covertrace.graphs import check_port, check_vertex_name
 from covertrace.sensors import _check_scalar, sensor_from_json
 from covertrace.rationals import as_fraction, from_wire
 from covertrace.signals import check_symbol
 from covertrace.equivalence import DiscreteStateSpace
+
+
+# --- Name-level reads of graphs and maps -----------------------------------
+#
+# The package addresses a graph by its id tables alone (star, dart_head,
+# dart_keys, dart_index, lengths).  The oracles address it by vertex names
+# and Darts through these functions, each one read of those tables.
+
+
+def degree_of(graph: PortedGraph, v) -> int:
+    return len(graph.star[graph.vertex_index[v]])
+
+
+def darts(graph: PortedGraph) -> list:
+    """Every dart, in id order."""
+    return list(map(Dart._make, graph.dart_keys))
+
+
+def darts_at(graph: PortedGraph, v) -> list:
+    return [Dart(v, k) for k in range(degree_of(graph, v))]
+
+
+def has_dart(graph: PortedGraph, d) -> bool:
+    return d in graph.dart_index
+
+
+def head_of(graph: PortedGraph, d):
+    return graph.vertices[graph.dart_head[graph.dart_index[d]]]
+
+
+def length_of(graph: PortedGraph, d) -> Fraction:
+    return graph.lengths[graph.dart_index[d] >> 1]
+
+
+def reverse_of(graph: PortedGraph, d) -> Dart:
+    return Dart._make(graph.dart_keys[graph.dart_index[d] ^ 1])
+
+
+def edge_of(graph: PortedGraph, d) -> int:
+    return graph.dart_index[d] >> 1
+
+
+def forward_dart(graph: PortedGraph, edge_index: int) -> Dart:
+    return Dart._make(graph.dart_keys[2 * edge_index])
+
+
+def vertex_state(graph: PortedGraph, v) -> VertexState:
+    if v not in graph.vertex_index:
+        raise ValidationError(f"unknown vertex {v!r}")
+    return VertexState(v)
+
+
+def state_on(graph: PortedGraph, d, offset):
+    """Canonical state at the given offset along a dart: endpoints fold to
+    vertex states so equality matches geometric identity."""
+    i = graph.dart_index.get(d)
+    if i is None:
+        raise ValidationError(f"unknown dart {d!r}")
+    offset = as_fraction(offset)
+    length = graph.lengths[i >> 1]
+    if offset < 0 or offset > length:
+        raise ValidationError(f"offset {offset} outside [0, {length}]")
+    if offset == 0:
+        return VertexState(d.vertex)
+    if offset == length:
+        return VertexState(graph.vertices[graph.dart_head[i]])
+    return EdgeState(d, offset)
+
+
+def map_state(f: GraphMap, target: PortedGraph, state):
+    """The image of a state under the map f, as a state on target."""
+    if isinstance(state, VertexState):
+        return vertex_state(target, f.vertex_map[state.vertex])
+    return state_on(target, Dart._make(f.dart_map[state.dart]), state.offset)
+
+
+def naive_structure_map(g1, g2, v1, v2):
+    """structure_map as it read on vertex names and Darts, kept as the
+    oracle of the version on positions and dart ids: port-equivariant
+    propagation of f(v1) = v2, dart (v, k) going to (f(v), k), failing when
+    an image dart is missing or lengths, reversal ports or heads disagree."""
+    vmap = {v1: v2}
+    dmap = {}
+    queue = deque([v1])
+    while queue:
+        v = queue.popleft()
+        fv = vmap[v]
+        if degree_of(g2, fv) < degree_of(g1, v):
+            return None
+        for k in range(degree_of(g1, v)):
+            dart, image = Dart(v, k), Dart(fv, k)
+            if length_of(g1, dart) != length_of(g2, image):
+                return None
+            if reverse_of(g1, dart).port != reverse_of(g2, image).port:
+                return None
+            head1, head2 = head_of(g1, dart), head_of(g2, image)
+            if head1 in vmap:
+                if vmap[head1] != head2:
+                    return None
+            else:
+                vmap[head1] = head2
+                queue.append(head1)
+            dmap[dart] = image
+    return GraphMap(vmap, dmap)
+
+
+def naive_homomorphism_search(e1: Environment, e2: Environment):
+    """homomorphism_search on names: naive_structure_map from the initial
+    pair, kept when every vertex keeps min(degree, width) and its reading
+    and every dart keeps its interior reading and the marks met along it,
+    each read from WireReadings."""
+    g1, g2 = e1.graph, e2.graph
+    width = e1.alphabet_width
+    candidate = naive_structure_map(g1, g2, e1.initial, e2.initial)
+    if candidate is None:
+        return None
+    w1, w2 = WireReadings(g1, e1.sensor), WireReadings(g2, e2.sensor)
+
+    def along(graph, readings, d):
+        idx = edge_of(graph, d)
+        forward = d == forward_dart(graph, idx)
+        length = graph.lengths[idx]
+        return sorted((pos if forward else length - pos, label) for pos, label in readings.marks(idx))
+
+    for v, fv in candidate.vertex_map.items():
+        if min(degree_of(g1, v), width) != min(degree_of(g2, fv), width):
+            return None
+        if w1.vertex[v] != w2.vertex[fv]:
+            return None
+    for dart, image in candidate.dart_map.items():
+        if w1.interior[edge_of(g1, dart)] != w2.interior[edge_of(g2, image)]:
+            return None
+        if along(g1, w1, dart) != along(g2, w2, image):
+            return None
+    return candidate
 
 
 def three_cycle() -> PortedGraph:
@@ -187,10 +322,91 @@ def state_at(traj: Trajectory, t):
     for leg in traj.legs:
         if t <= leg.t1:
             if leg.moving:
-                return traj.graph.state_on(leg.dart, leg.offset0 + (t - leg.t0))
+                return state_on(traj.graph, leg.dart, leg.offset0 + (t - leg.t0))
             return leg.state
     return traj.start
 
+
+def random_ported_graph(
+    rng: random.Random,
+    n_min: int = 2,
+    n_max: int = 5,
+    extra_min: int = 0,
+    extra_max: int = 2,
+    unit_lengths: bool = True,
+    max_denominator: int = 4,
+    max_degree: Optional[int] = None,
+) -> PortedGraph:
+    """Random connected ported graph: a spanning tree plus extra edges, which
+    may be loops or parallels.  Ports are shuffled per vertex.  When
+    max_degree is given no vertex exceeds it (extras that would are skipped)."""
+    n = rng.randint(n_min, n_max)
+    vertices = [f"v{i}" for i in range(n)]
+    degree = [0] * n
+    pairs = []
+
+    def room(i: int, amount: int = 1) -> bool:
+        return max_degree is None or degree[i] + amount <= max_degree
+
+    for i in range(1, n):
+        candidates = [j for j in range(i) if room(j)]
+        j = rng.choice(candidates)
+        pairs.append((j, i))
+        degree[j] += 1
+        degree[i] += 1
+    for _ in range(rng.randint(extra_min, extra_max)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a == b:
+            if not room(a, 2):
+                continue
+            degree[a] += 2
+        else:
+            if not (room(a) and room(b)):
+                continue
+            degree[a] += 1
+            degree[b] += 1
+        pairs.append((a, b))
+
+    slots = {i: [] for i in range(n)}
+    for e, (a, b) in enumerate(pairs):
+        slots[a].append((e, "tail"))
+        slots[b].append((e, "head"))
+    port_of = {}
+    for i in range(n):
+        rng.shuffle(slots[i])
+        for p, key in enumerate(slots[i]):
+            port_of[key] = p
+
+    def length(e: int) -> Fraction:
+        if unit_lengths:
+            return Fraction(1)
+        den = rng.randint(1, max_denominator)
+        return Fraction(rng.randint(1, 2 * den), den)
+
+    rows = [
+        (vertices[a], vertices[b], port_of[(e, "tail")], port_of[(e, "head")], length(e))
+        for e, (a, b) in enumerate(pairs)
+    ]
+    return PortedGraph(vertices, rows)
+
+
+def random_beam_sensor(rng: random.Random, graph: PortedGraph, labels=("red", "green")) -> BeamSensor:
+    marks = []
+    for idx, length in enumerate(graph.lengths):
+        for _ in range(rng.randint(0, 2)):
+            den = rng.randint(2, 4)
+            offset = length * Fraction(rng.randint(1, den - 1), den)
+            if any(row[:2] == (idx, offset) for row in marks):
+                continue
+            marks.append((idx, offset, rng.choice(labels)))
+    return BeamSensor(marks)
+
+
+def random_label_sensor(rng: random.Random, graph: PortedGraph, labels=(0, 1, 2)) -> LabelSensor:
+    return LabelSensor(
+        {v: rng.choice(labels) for v in graph.vertices},
+        tuple(rng.choice(labels) for _ in graph.lengths),
+    )
 
 def random_unit_environment(
     rng: random.Random,
@@ -230,7 +446,7 @@ def random_state(rng: random.Random, graph: PortedGraph):
     idx = rng.randrange(len(graph.lengths))
     den = rng.randint(2, 6)
     offset = graph.lengths[idx] * Fraction(rng.randint(1, den - 1), den)
-    return graph.state_on(graph.forward_dart(idx), offset)
+    return state_on(graph, forward_dart(graph, idx), offset)
 
 
 def rational_signals(width: int = 2, max_pieces: int = 5, denominators=(1, 2, 3, 4, 6)):
@@ -248,9 +464,9 @@ def graph_states(draw, graph: PortedGraph):
     either direction of travel."""
     if draw(st.booleans()):
         return VertexState(draw(st.sampled_from(graph.vertices)))
-    dart = draw(st.sampled_from(sorted(graph.darts(), key=str)))
+    dart = draw(st.sampled_from(sorted(darts(graph), key=str)))
     den = draw(st.integers(2, 6))
-    return graph.state_on(dart, graph.length(dart) * Fraction(draw(st.integers(1, den - 1)), den))
+    return state_on(graph, dart, length_of(graph, dart) * Fraction(draw(st.integers(1, den - 1)), den))
 
 
 # --- Fraction fields of traces, graphs and beam sensors --------------------
@@ -673,19 +889,19 @@ def naive_legs(env: Environment, signal: ControlSignal, start=None) -> tuple:
         while remaining > 0:
             if isinstance(cur, VertexState):
                 v = cur.vertex
-                if k < min(graph.degree(v), env.alphabet_width):
+                if k < min(degree_of(graph, v), env.alphabet_width):
                     d = Dart(v, k)
-                    step = min(remaining, graph.length(d))
-                    cur = graph.state_on(d, step)
+                    step = min(remaining, length_of(graph, d))
+                    cur = state_on(graph, d, step)
                     legs.append(Leg(t, t + step, d, Fraction(0), None, cur))
                 else:
                     step = remaining
                     legs.append(Leg(t, t + step, None, None, cur, cur))
             else:
                 d = cur.dart
-                step = min(remaining, graph.length(d) - cur.offset)
+                step = min(remaining, length_of(graph, d) - cur.offset)
                 offset0 = cur.offset
-                cur = graph.state_on(d, offset0 + step)
+                cur = state_on(graph, d, offset0 + step)
                 legs.append(Leg(t, t + step, d, offset0, None, cur))
             t += step
             remaining -= step
@@ -739,8 +955,8 @@ class WireReadings:
         if isinstance(state, VertexState):
             return self.vertex[state.vertex]
         graph = self.graph
-        idx = graph.edge_of(state.dart)
-        pos = state.offset if state.dart == graph.forward_dart(idx) else graph.lengths[idx] - state.offset
+        idx = edge_of(graph, state.dart)
+        pos = state.offset if state.dart == forward_dart(graph, idx) else graph.lengths[idx] - state.offset
         for offset, label in self.marks(idx):
             if offset == pos:
                 return label
@@ -762,10 +978,10 @@ def naive_trace(env: Environment, start, legs) -> tuple:
         if not leg.moving:
             intervals.append([leg.t0, leg.t1, readings.at(leg.state)])
             continue
-        idx = graph.edge_of(leg.dart)
+        idx = edge_of(graph, leg.dart)
         intervals.append([leg.t0, leg.t1, readings.interior[idx]])
-        length = graph.length(leg.dart)
-        forward = leg.dart == graph.forward_dart(idx)
+        length = length_of(graph, leg.dart)
+        forward = leg.dart == forward_dart(graph, idx)
         off_hi = leg.offset0 + (leg.t1 - leg.t0)
         for pos, label in readings.marks(idx):
             dart_pos = pos if forward else length - pos
@@ -870,8 +1086,8 @@ def universal_ball_size(graph: PortedGraph, base, radius) -> int:
         if travelled >= radius:
             return 0
         return sum(
-            1 + walks(graph.head(d), graph.reverse(d), travelled + graph.length(d))
-            for d in graph.darts_at(vertex)
+            1 + walks(head_of(graph, d), reverse_of(graph, d), travelled + length_of(graph, d))
+            for d in darts_at(graph, vertex)
             if d != came_back_by
         )
 
@@ -976,7 +1192,7 @@ def automorphisms(graph: PortedGraph) -> list:
         vmap = candidate.vertex_map
         if len(set(vmap.values())) != len(graph.vertices):
             continue
-        if any(graph.degree(v) != graph.degree(fv) for v, fv in vmap.items()):
+        if any(degree_of(graph, v) != degree_of(graph, fv) for v, fv in vmap.items()):
             continue
         autos.append(candidate)
     return autos
@@ -994,11 +1210,11 @@ def naive_degree_refinement(env: Environment) -> tuple:
     def digest(payload: str) -> str:
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    colour = {v: digest(f"deg:{graph.degree(v)}") for v in graph.vertices}
+    colour = {v: digest(f"deg:{degree_of(graph, v)}") for v in graph.vertices}
     while True:
         refined = {}
         for v in graph.vertices:
-            neighbours = sorted(colour[graph.head(d)] for d in graph.darts_at(v))
+            neighbours = sorted(colour[head_of(graph, d)] for d in darts_at(graph, v))
             refined[v] = digest(colour[v] + "|" + ",".join(neighbours))
         stable = len(set(refined.values())) == len(set(colour.values()))
         colour = refined
@@ -1011,10 +1227,10 @@ def naive_degree_refinement(env: Environment) -> tuple:
     for c in classes:
         representative = next(v for v in graph.vertices if colour[v] == c)
         counts = {}
-        for d in graph.darts_at(representative):
-            j = index[colour[graph.head(d)]]
+        for d in darts_at(graph, representative):
+            j = index[colour[head_of(graph, d)]]
             counts[j] = counts.get(j, 0) + 1
-        table.append((graph.degree(representative), tuple(sorted(counts.items()))))
+        table.append((degree_of(graph, representative), tuple(sorted(counts.items()))))
     return tuple(table)
 
 
@@ -1032,40 +1248,40 @@ def naive_verify_covering(f, source: Environment, target: Environment, skip_star
             raise ValidationError(f"vertex {v!r} unmapped")
         if vmap[v] not in target_vertices:
             raise ValidationError(f"vertex {v!r} maps outside the target")
-    unmapped = [d for d in sg.darts() if d not in dmap]
+    unmapped = [d for d in darts(sg) if d not in dmap]
     if unmapped:
         raise ValidationError(f"dart {unmapped[0]!r} unmapped")
-    for d in sg.darts():
+    for d in darts(sg):
         image = dmap[d]
-        if not tg.has_dart(image):
+        if not has_dart(tg, image):
             raise ValidationError(f"dart {d!r} maps to unknown dart {image!r}")
         if vmap[d.vertex] != image.vertex:
             raise ValidationError(f"dart {d!r}: image tail disagrees with vertex map")
-        if vmap[sg.head(d)] != tg.head(image):
+        if vmap[head_of(sg, d)] != head_of(tg, image):
             raise ValidationError(f"dart {d!r}: image head disagrees with vertex map")
-        if dmap[sg.reverse(d)] != tg.reverse(image):
+        if dmap[reverse_of(sg, d)] != reverse_of(tg, image):
             raise ValidationError(f"dart {d!r}: image does not respect reversal")
 
     skip = set(skip_star_at)
     failures = []
     surjective = set(vmap.values()) == set(tg.vertices)
     if surjective and not skip:
-        surjective = {dmap[d] for d in sg.darts()} == set(tg.darts())
+        surjective = {dmap[d] for d in darts(sg)} == set(darts(tg))
     if not surjective:
         failures.append("not surjective")
     local_bijection = True
     for v in sg.vertices:
         if v in skip:
             continue
-        images = [dmap[d] for d in sg.darts_at(v)]
-        expect = tg.darts_at(vmap[v])
-        ports_ok = all(dmap[d].port == d.port for d in sg.darts_at(v))
+        images = [dmap[d] for d in darts_at(sg, v)]
+        expect = darts_at(tg, vmap[v])
+        ports_ok = all(dmap[d].port == d.port for d in darts_at(sg, v))
         if sorted(images) != sorted(expect) or not ports_ok:
             local_bijection = False
             failures.append(f"star at {v!r} is not a port-preserving bijection")
     lengths_preserved = True
-    for d in sg.darts():
-        if sg.length(d) != tg.length(dmap[d]):
+    for d in darts(sg):
+        if length_of(sg, d) != length_of(tg, dmap[d]):
             lengths_preserved = False
             failures.append(f"dart {d!r} changes length")
             break

@@ -29,13 +29,7 @@ from covertrace import (
     universal_cover_truncation,
 )
 from covertrace.gallery import GALLERY, beams_pair, circle_pair, crossing_pair, kite_pair
-from covertrace.generate import (
-    random_beam_sensor,
-    random_label_sensor,
-    random_ported_graph,
-    random_signal,
-    random_voltages,
-)
+from covertrace.generate import random_signal, random_voltages
 from covertrace.signals import EMPTY
 
 from helpers import (
@@ -43,6 +37,9 @@ from helpers import (
     figure_eight_env,
     naive_degree_refinement,
     prefix,
+    random_beam_sensor,
+    random_label_sensor,
+    random_ported_graph,
     random_state,
     random_unit_environment,
     suffix,
@@ -249,10 +246,10 @@ def test_criterion_10_degree_sensor_invariance():
         env = pool[rng.randrange(len(pool))]
         autos = automorphisms(env.graph)
         phi = autos[rng.randrange(len(autos))]
-        if any(phi.vertex(v) != v for v in env.graph.vertices):
+        if any(phi.vertex_map[v] != v for v in env.graph.vertices):
             nontrivial += 1
         moved = Environment(
-            env.graph, phi.vertex(env.initial), DegreeSensor(), env.alphabet_width
+            env.graph, phi.vertex_map[env.initial], DegreeSensor(), env.alphabet_width
         )
         u = random_signal(rng, env.alphabet_width, max_pieces=4)
         if trace_of(env, u) != trace_of(moved, u):

@@ -34,10 +34,17 @@ from covertrace import (
 )
 from covertrace.dot import environment_to_dot, graph_to_dot
 from covertrace.gallery import GALLERY
-from covertrace.generate import random_beam_sensor, random_ported_graph, random_voltages
+from covertrace.generate import random_voltages
 from covertrace.rationals import as_fraction
 
-from helpers import WireReadings, marked_cycle_env, path_middle_env, three_cycle_env
+from helpers import (
+    WireReadings,
+    marked_cycle_env,
+    path_middle_env,
+    random_beam_sensor,
+    random_ported_graph,
+    three_cycle_env,
+)
 
 
 def run(capsys, argv):

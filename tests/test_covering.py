@@ -33,23 +33,26 @@ from covertrace import (
     verify_covering,
 )
 from covertrace.gallery import GALLERY, crossing_pair
-from covertrace.generate import (
-    random_beam_sensor,
-    random_label_sensor,
-    random_ported_graph,
-    random_signal,
-    random_voltages,
-)
+from covertrace.generate import random_signal, random_voltages
 
 from helpers import (
     beam_marks,
+    darts,
+    darts_at,
+    degree_of,
     figure_eight_env,
     graph_edges,
+    has_dart,
+    map_state,
     naive_degree_refinement,
     naive_verify_covering,
     path_middle_env,
     prefix,
+    random_beam_sensor,
+    random_label_sensor,
+    random_ported_graph,
     renamed_copy,
+    reverse_of,
     state_at,
     three_cycle,
     three_cycle_env,
@@ -138,7 +141,7 @@ class TestVerifyCovering:
     def test_head_mismatch_names_dart(self):
         env = three_cycle_env()
         g = env.graph
-        dmap = {d: d for d in g.darts()}
+        dmap = {d: d for d in darts(g)}
         dmap[Dart("x0", 0)] = Dart("x0", 1)
         dmap[Dart("x1", 1)] = Dart("x2", 0)
         with pytest.raises(ValidationError, match="x0"):
@@ -204,12 +207,12 @@ class TestVerifyCoveringOracle:
         elif kind == "ports":
             # permute the images of one star and carry the reversals along
             v = rng.choice(sg.vertices)
-            star = [d for d in sg.darts_at(v) if d in dmap and tg.has_dart(dmap[d])]
+            star = [d for d in darts_at(sg, v) if d in dmap and has_dart(tg, dmap[d])]
             images = [dmap[d] for d in star]
             rng.shuffle(images)
             for d, image in zip(star, images):
                 dmap[d] = image
-                dmap[sg.reverse(d)] = tg.reverse(Dart(*image))
+                dmap[reverse_of(sg, d)] = reverse_of(tg, Dart(*image))
         elif kind == "unknown":
             d = rng.choice(darts)
             dmap[d] = (dmap[d][0], tg.max_degree() + 1)
@@ -365,9 +368,9 @@ class TestLiftStatePath:
             base = trajectory(dst, u)
             assert lifted.duration == base.duration
             for t, state in lifted.breakpoints():
-                assert f.state(dst.graph, state) == state_at(base, t)
+                assert map_state(f, dst.graph, state) == state_at(base, t)
             t = u.duration * Fraction(rng.randint(0, 7), 7)
-            assert f.state(dst.graph, state_at(lifted, t)) == state_at(base, t)
+            assert map_state(f, dst.graph, state_at(lifted, t)) == state_at(base, t)
 
     def test_pullback_traces_match_base(self):
         rng = random.Random(42)
@@ -395,7 +398,7 @@ class TestCyclicCover:
         cover, proj = cyclic_cover(env, 2, (1, 1, 1))
         assert len(cover.graph.vertices) == 6
         assert len(cover.graph.lengths) == 6
-        assert all(cover.graph.degree(v) == 2 for v in cover.graph.vertices)
+        assert all(degree_of(cover.graph, v) == 2 for v in cover.graph.vertices)
         assert verify_covering(proj, cover, env).positive
 
     def test_figure_eight_two_fold(self):
@@ -491,12 +494,12 @@ class TestUniversalCoverTruncation:
         cover, proj, boundary = universal_cover_truncation(env, 2)
         g = cover.graph
         assert len(g.vertices) == 5
-        assert sorted(g.degree(v) for v in g.vertices) == [1, 1, 2, 2, 2]
+        assert sorted(degree_of(g, v) for v in g.vertices) == [1, 1, 2, 2, 2]
         assert len(boundary) == 2
-        assert g.degree(cover.initial) == 2
-        assert all(g.degree(v) == 1 for v in boundary)
+        assert degree_of(g, cover.initial) == 2
+        assert all(degree_of(g, v) == 1 for v in boundary)
         for v in boundary:
-            assert g.has_dart(Dart(v, 0))
+            assert has_dart(g, Dart(v, 0))
         cert = verify_covering(proj, cover, env, skip_star_at=boundary)
         assert cert.positive
 
@@ -514,9 +517,9 @@ class TestUniversalCoverTruncation:
         g = cover.graph
         assert len(g.vertices) == 17
         assert len(boundary) == 12
-        assert g.degree(cover.initial) == 4
+        assert degree_of(g, cover.initial) == 4
         interior = [v for v in g.vertices if v not in boundary and v != cover.initial]
-        assert all(g.degree(v) == 4 for v in interior)
+        assert all(degree_of(g, v) == 4 for v in interior)
         cert = verify_covering(proj, cover, env, skip_star_at=boundary)
         assert cert.positive
 
@@ -557,8 +560,8 @@ class TestUniversalCoverTruncation:
                 # surjectivity is not asserted
                 assert cert.local_bijection and cert.lengths_preserved and cert.base_point
                 for v in boundary:
-                    assert cover.graph.degree(v) == 1
-                    assert g.degree(proj.vertex(v)) > 1
+                    assert degree_of(cover.graph, v) == 1
+                    assert degree_of(g, proj.vertex_map[v]) > 1
                 assert len(cover.graph.vertices) == universal_ball_size(g, env.initial, radius)
 
 

@@ -31,25 +31,25 @@ from covertrace import (
     trajectory,
 )
 from covertrace.gallery import GALLERY
-from covertrace.generate import (
-    random_ported_graph,
-    random_signal,
-)
+from covertrace.generate import random_signal
 from covertrace.signals import EMPTY
 
 from helpers import (
     automorphisms,
     figure_eight_env,
+    forward_dart,
     graph_states,
     naive_point_distance,
     path_middle_env,
     prefix,
+    random_ported_graph,
     random_state,
     rational_signals,
     renamed_copy,
     scan_first_divergence,
     scan_truncate,
     state_at,
+    state_on,
     suffix,
     three_cycle,
     three_cycle_env,
@@ -125,6 +125,29 @@ class TestGraphValidation:
             BeamSensor([(0, Fraction(1, 3), "m"), row])
         assert str(refused.value) == f"bad beam mark: {row!r}"
 
+    @pytest.mark.parametrize(
+        "vertices, row, refusal",
+        [
+            (["a", "b"], ("a", "b", 1, 1), "edge 1 is not a "),
+            (["a", "b"], ("a", "b", 1, 1, 1, 1), "edge 1 is not a "),
+            (["a", "b"], 5, "edge 1 is not a "),
+            (["a", "b"], (["a"], "b", 1, 1, 1), "edge 1 is not a "),
+            (["a", "b"], ("a", "b", 1, [1], 1), "edge 1 is not a "),
+            (["a", ["b"]], ("a", "a", 1, 2, 1), "vertex ['b'] is not a hashable name"),
+        ],
+        ids=["short row", "long row", "bare int", "list name", "list port", "list vertex"],
+    )
+    def test_malformed_rows_and_names_are_refused(self, vertices, row, refusal):
+        """A row that is not five fields, or that holds an unhashable name
+        or port, is refused naming its edge and quoting it, after a valid
+        row; an unhashable name in vertices is refused naming it."""
+        with pytest.raises(ValidationError) as refused:
+            PortedGraph(vertices, [("a", "b", 0, 0, 1), row])
+        message = str(refused.value)
+        assert message.startswith(refusal)
+        if refusal.startswith("edge"):
+            assert message.endswith(f": {row!r}")
+
     def test_connectivity(self):
         with pytest.raises(ValidationError):
             PortedGraph(
@@ -165,20 +188,20 @@ class TestGraphValidation:
 class TestStates:
     def test_full_offset_is_head_vertex(self):
         g = three_cycle()
-        d = g.forward_dart(0)
-        assert g.state_on(d, 1) == VertexState("x1")
-        assert g.state_on(d, 0) == VertexState("x0")
+        d = forward_dart(g, 0)
+        assert state_on(g, d, 1) == VertexState("x1")
+        assert state_on(g, d, 0) == VertexState("x0")
 
     def test_interior_state_kept(self):
         g = three_cycle()
-        d = g.forward_dart(0)
-        s = g.state_on(d, Fraction(1, 3))
+        d = forward_dart(g, 0)
+        s = state_on(g, d, Fraction(1, 3))
         assert s == EdgeState(d, Fraction(1, 3))
 
     def test_offset_outside_edge_rejected(self):
         g = three_cycle()
         with pytest.raises(ValidationError):
-            g.state_on(g.forward_dart(0), 2)
+            state_on(g, forward_dart(g, 0), 2)
 
     def test_check_state_rejects_foreign(self):
         g = three_cycle()
@@ -190,7 +213,7 @@ class TestStates:
         reaches the trajectory's legs, as a Fraction."""
         g = PortedGraph(["a", "b"], [("a", "b", 0, 0, 2)])
         env = Environment(g, "a", DegreeSensor())
-        d = g.forward_dart(0)
+        d = forward_dart(g, 0)
         for offset in (0.5, True):
             with pytest.raises(ValidationError):
                 g.check_state(EdgeState(d, offset))
@@ -356,7 +379,7 @@ class TestTrajectory:
         assert traj.breakpoints() == [
             (Fraction(0), VertexState("x0")),
             (Fraction(1), VertexState("x1")),
-            (Fraction(3, 2), g.state_on(g.forward_dart(1), Fraction(1, 2))),
+            (Fraction(3, 2), state_on(g, forward_dart(g, 1), Fraction(1, 2))),
         ]
 
     def test_stationary_tail(self):
@@ -496,7 +519,7 @@ class TestSensorInvariance:
         rng = random.Random(36)
         for auto in autos:
             rotated = Environment(
-                env.graph, auto.vertex(env.initial), DegreeSensor(), env.alphabet_width
+                env.graph, auto.vertex_map[env.initial], DegreeSensor(), env.alphabet_width
             )
             for _ in range(20):
                 u = random_signal(rng, 2, max_pieces=4)

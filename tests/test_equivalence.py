@@ -39,26 +39,28 @@ from covertrace import equivalence
 from covertrace.covering import pullback_sensor
 from covertrace.equivalence import DiscreteStateSpace
 from covertrace.gallery import GALLERY, beams_pair, circle_pair, crossing_pair, kite_pair
-from covertrace.generate import (
-    random_beam_sensor,
-    random_label_sensor,
-    random_ported_graph,
-    random_signal,
-    random_voltages,
-)
+from covertrace.generate import random_signal, random_voltages
 
 from helpers import (
     WireReadings,
     automorphisms,
+    degree_of,
+    edge_of,
+    forward_dart,
     graph_edges,
     labelled_triangles,
     marked_cycle_env,
     naive_bisimulation,
     naive_degree_refinement,
     naive_discrete_search,
+    naive_homomorphism_search,
     naive_legs,
+    naive_structure_map,
     naive_trace,
     path_middle_env,
+    random_beam_sensor,
+    random_label_sensor,
+    random_ported_graph,
     random_unit_environment,
     renamed_copy,
     three_cycle,
@@ -454,13 +456,13 @@ class TestDiscreteStateSpace:
                     times = [t for t, _, _ in segments] + [t for _, t, _ in segments]
                     times += [t for t, _ in events]
                     assert all(type(t) is Fraction for t in times)
-                    if a == HALT or a >= graph.degree(v):
+                    if a == HALT or a >= degree_of(graph, v):
                         continue
                     d = Dart(v, a)
-                    idx = graph.edge_of(d)
+                    idx = edge_of(graph, d)
                     edge = graph_edges(graph)[idx]
                     seen["self-loop"] += edge.tail == edge.head
-                    if wire.marks(idx) and d != graph.forward_dart(idx):
+                    if wire.marks(idx) and d != forward_dart(graph, idx):
                         seen["mark against stored orientation"] += 1
                     seen["event at 0", bool(events) and events[0][0] == 0] += 1
 
@@ -814,7 +816,7 @@ class TestHomomorphisms:
         a, b = circle_pair()
         f = homomorphism_search(b, a)
         assert f is not None
-        assert f.vertex(b.initial) == a.initial
+        assert f.vertex_map[b.initial] == a.initial
         assert verify_covering(f, b, a).positive
 
     def test_no_map_from_base_to_cover(self):
@@ -861,6 +863,94 @@ class TestHomomorphisms:
                 assert traces_equal(cover, base, u).equal
 
 
+def structure_pool() -> list:
+    """Environments in fours: a random base with unit or rational lengths,
+    self-loops and parallel edges; a 2-fold cyclic cover of it; the base
+    grown by a loop on the next two ports of one vertex, read alike
+    elsewhere; and the base under another draw of its sensor.  Sensors are
+    degree, label or beam at width 2 or 4, and width 2 lies below the degree
+    of many vertices."""
+    rng = random.Random(3)
+    pool = []
+    for i in range(12):
+        graph = random_ported_graph(rng, n_max=4, extra_max=3, unit_lengths=i % 2 == 0, max_denominator=2)
+        kind = i % 3
+
+        def draw():
+            if kind == 0:
+                return DegreeSensor()
+            if kind == 1:
+                return random_label_sensor(rng, graph, labels=(0, 1))
+            return random_beam_sensor(rng, graph)
+
+        base = Environment(graph, rng.choice(graph.vertices), draw(), 2 if i < 6 else 4)
+        cover, _ = cyclic_cover(base, 2, random_voltages(rng, graph, 2))
+        v = rng.choice(graph.vertices)
+        deg = degree_of(graph, v)
+        grown = PortedGraph(graph.vertices, list(graph_edges(graph)) + [(v, v, deg, deg + 1, 1)])
+        sensor = base.sensor
+        if kind == 1:
+            doc = sensor.to_json()
+            sensor = LabelSensor(dict(map(tuple, doc["vertex_labels"])), doc["edge_labels"] + [0])
+        pool += [
+            base,
+            cover,
+            Environment(grown, base.initial, sensor, base.alphabet_width),
+            Environment(graph, base.initial, draw(), base.alphabet_width),
+        ]
+    return pool
+
+
+class TestStructureMapOracle:
+    """structure_map and homomorphism_search walk vertex positions and dart
+    ids; the name-walking versions in tests/helpers.py are their oracles."""
+
+    @staticmethod
+    def same(found, expected) -> bool:
+        # the same maps, entry for entry and in the order they were reached
+        if found is None or expected is None:
+            return found is expected
+        return (
+            list(found.vertex_map.items()) == list(expected.vertex_map.items())
+            and list(found.dart_map.items()) == list(expected.dart_map.items())
+        )
+
+    def test_structure_map_matches_the_name_walk(self):
+        """Every ordered pair of pool graphs, the same graph included, from
+        every pair of start vertices."""
+        # the fourth of each four is on the graph of the first
+        graphs = [env.graph for i, env in enumerate(structure_pool()) if i % 4 != 3]
+        outcomes = Counter()
+        for g1, g2 in itertools.product(graphs, repeat=2):
+            for v1, v2 in itertools.product(g1.vertices, g2.vertices):
+                found = structure_map(g1, g2, v1, v2)
+                assert self.same(found, naive_structure_map(g1, g2, v1, v2)), (g1, g2, v1, v2)
+                outcomes[found is not None] += 1
+        assert min(outcomes[True], outcomes[False]) >= 200, outcomes
+
+    def test_homomorphism_search_matches_the_name_walk(self):
+        """Every ordered pair of pool environments with one sensor kind and
+        one width, from every start vertex of the first: the structure map
+        or a vertex reading, a degree below or above the width, an interior
+        reading or a mark tells them apart, or the map is found."""
+        pool = structure_pool()
+        outcomes = Counter()
+        for e1, e2 in itertools.product(pool, repeat=2):
+            if (e1.sensor.kind(), e1.alphabet_width) != (e2.sensor.kind(), e2.alphabet_width):
+                continue
+            for v in e1.graph.vertices:
+                source = Environment(e1.graph, v, e1.sensor, e1.alphabet_width)
+                found = homomorphism_search(source, e2)
+                assert self.same(found, naive_homomorphism_search(source, e2)), (source, e2)
+                if found is not None:
+                    outcomes["found"] += 1
+                elif structure_map(source.graph, e2.graph, v, e2.initial) is not None:
+                    outcomes["refused by the sensor or width"] += 1
+                else:
+                    outcomes["no structure map"] += 1
+        assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
+
+
 class TestAutomorphisms:
     """The automorphism list of tests/helpers.py, which the isometry checks
     read, finds every rotation of a cycle and nothing more on a rigid path."""
@@ -873,7 +963,7 @@ class TestAutomorphisms:
     def test_rigid_path(self):
         autos = automorphisms(path_middle_env().graph)
         assert len(autos) == 1
-        assert all(autos[0].vertex(v) == v for v in path_middle_env().graph.vertices)
+        assert all(autos[0].vertex_map[v] == v for v in path_middle_env().graph.vertices)
 
 
 def has_common_cover(a: Environment, b: Environment) -> bool:

@@ -42,29 +42,31 @@ from covertrace import (
 from covertrace import environments as simulation
 from covertrace.environments import Leg
 from covertrace.gallery import GALLERY
-from covertrace.generate import (
-    random_beam_sensor,
-    random_label_sensor,
-    random_ported_graph,
-    random_voltages,
-)
+from covertrace.generate import random_voltages
 from covertrace.signals import EMPTY
 
 from helpers import (
     WireReadings,
     beam_marks,
+    forward_dart,
     graph_edges,
     labelled_triangles,
+    length_of,
     naive_distance,
     naive_first_divergence,
     naive_geodesic,
     naive_legs,
     naive_trace,
     prefix,
+    random_beam_sensor,
+    random_label_sensor,
+    random_ported_graph,
     random_state,
     random_unit_environment,
     rational_signals,
+    reverse_of,
     scan_truncate,
+    state_on,
     three_cycle,
     trace_events,
     trace_fields,
@@ -119,8 +121,8 @@ def starts(draw, graph):
         return None
     state = random_state(random.Random(draw(st.integers(0, 2**32 - 1))), graph)
     if isinstance(state, EdgeState) and draw(st.booleans()):
-        reverse = graph.reverse(state.dart)
-        return graph.state_on(reverse, graph.length(reverse) - state.offset)
+        reverse = reverse_of(graph, state.dart)
+        return state_on(graph, reverse, length_of(graph, reverse) - state.offset)
     return state
 
 
@@ -256,11 +258,11 @@ def test_readings_match_sensor_value(env):
     for idx, edge in enumerate(graph_edges(graph)):
         ends = sorted({Fraction(0), edge.length, *[pos for pos, _ in wire.marks(idx)]})
         points = set(ends[1:]) | {(a + b) / 2 for a, b in zip(ends, ends[1:])}
-        forward = graph.forward_dart(idx)
-        for dart in (forward, graph.reverse(forward)):
+        forward = forward_dart(graph, idx)
+        for dart in (forward, reverse_of(graph, forward)):
             for pos in points:
                 offset = pos if dart == forward else edge.length - pos
-                state = graph.state_on(dart, offset)
+                state = state_on(graph, dart, offset)
                 expected = wire.at(state)
                 assert trace_events(trace_of(env, EMPTY, state)) == ((0, expected),)
                 reached = trace_of(env, ControlSignal([(dart.port, offset)]), VertexState(dart.vertex))
