@@ -14,15 +14,18 @@ runs on the graph's integer tables and on one integer grid per call.
 start offset, on the lcm of the signal's scale and the graph's tick
 denominator, one multiply per piece; it walks vertex positions and dart ids
 in O(steps) int operations and builds its Trajectory from legs in those
-ticks, the one form a Trajectory is built from; its breakpoints are read
-off those ticks.  A Trajectory builds its Leg objects only when they are
-first read, as its equality, its repr and the benchmark's spans read them.
+ticks, the one form a Trajectory is built from.  Only `trajectory` decides
+where a move ends, folding it onto the dart's head vertex when it gets
+there; each leg stores that end, and every other reader reads it.  A
+Trajectory builds its Leg objects only when they are first read, as its
+equality, its repr and the benchmark's spans read them.
 Each environment reads its sensor through one table, `_Readings`, filled
 from the sensor's columns the first time the environment traces a signal
 or builds a state space: the reading per vertex, the interior reading per
 edge and the beam marks per dart, in ticks along the dart.
-`trace_of_trajectory` reads the legs' ticks directly and takes every reading
-from that table, as equivalence.DiscreteStateSpace does.  A SensorTrace is
+`trace_of_trajectory` reads the legs' ticks directly, ends included, and
+takes every reading from that table, as equivalence.DiscreteStateSpace
+does; it reads none of the graph's tables.  A SensorTrace is
 built from ticks too and keeps them in one canonical form, its segments and
 events in ticks of a reduced scale, so traces compare and hash as ints and
 readings; only its `duration` is a Fraction.  `first_divergence` brings two
@@ -179,11 +182,13 @@ class Trajectory:
     it along the same dart.
 
     Inside, a trajectory keeps one form: its legs in ticks of 1/scale, each
-    (t0, t1, d, off, moving), where (d, off) is the position at t0: inside
-    dart id d at off ticks from its tail when d >= 0, at vertex position ~d
-    when d < 0.  A move runs along d at unit speed, and a rest stays put.
-    legs, final and duration are built from that form, legs and duration on
-    first read.
+    (t0, t1, d, off, moving, d_end, off_end), where (d, off) is the position
+    at t0 and (d_end, off_end) the one at t1: inside dart id d at off ticks
+    from its tail when d >= 0, at vertex position ~d (off 0) when d < 0.  A
+    move runs along d at unit speed, and a rest stays put.  `trajectory`
+    stores each end, folded onto the dart's head vertex when the move gets
+    there.  legs, final, breakpoints and duration are built from that form,
+    legs and duration on first read.
     """
 
     graph: PortedGraph
@@ -202,18 +207,6 @@ class Trajectory:
             _ticks=tick_legs,
         )
 
-    def _end(self, leg) -> tuple:
-        """The tick position at the end of a tick leg, folded to the dart's
-        head when a move reaches it."""
-        t0, t1, d, off, moving = leg
-        if not moving:
-            return d, off
-        off += t1 - t0
-        graph = self.graph
-        if off == graph.edge_ticks()[d >> 1] * (self._scale // graph.tick_denominator()):
-            return ~graph.dart_head[d], 0
-        return d, off
-
     def _state(self, d: int, off: int) -> GraphState:
         if d < 0:
             return VertexState(self.graph.vertices[~d])
@@ -224,10 +217,9 @@ class Trajectory:
         scale, keys = self._scale, self.graph.dart_keys
         legs = []
         t0 = ZERO
-        for leg in self._ticks:
-            _, t1, d, off, moving = leg
+        for _, t1, d, off, moving, d_end, off_end in self._ticks:
             t1 = Fraction(t1, scale)
-            end = self._state(*self._end(leg))
+            end = self._state(d_end, off_end)
             if moving:
                 legs.append(Leg(t0, t1, Dart._make(keys[d]), Fraction(off, scale), None, end))
             else:
@@ -241,7 +233,7 @@ class Trajectory:
 
     @property
     def final(self) -> GraphState:
-        return self._state(*self._end(self._ticks[-1])) if self._ticks else self.start
+        return self._state(*self._ticks[-1][5:]) if self._ticks else self.start
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trajectory):
@@ -256,7 +248,7 @@ class Trajectory:
         read off the tick legs."""
         scale = self._scale
         return [(ZERO, self.start)] + [
-            (Fraction(leg[1], scale), self._state(*self._end(leg))) for leg in self._ticks
+            (Fraction(leg[1], scale), self._state(leg[5], leg[6])) for leg in self._ticks
         ]
 
     def to_json(self) -> dict:
@@ -299,8 +291,8 @@ def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphSta
     star, head, lengths = graph.star, graph.dart_head, graph.edge_ticks()
     width = env.alphabet_width
     factor, q = scale // unit, scale // signal._scale
-    # a rest in the position of the rest before it, or a move that continues
-    # the move before it along its dart, extends that leg
+    # a rest in the position of the rest before it, or a move from the stored
+    # end of a move that stopped inside the dart, extends that leg
     legs = []
     t = 0
     for symbol, remaining in zip(signal._symbols, signal._ticks):
@@ -311,20 +303,24 @@ def trajectory(env: Environment, signal: ControlSignal, start: Optional[GraphSta
                 if prev and not prev[4] and prev[2] == d and prev[3] == off:
                     prev[1] = t + remaining
                 else:
-                    legs.append([t, t + remaining, d, off, False])
+                    legs.append([t, t + remaining, d, off, False, d, off])
                 t += remaining
                 break
             if d < 0:
                 d, off = star[~d][symbol], 0
-            step = min(remaining, lengths[d >> 1] * factor - off)
-            prev = legs[-1] if legs else None
-            if prev and prev[4] and prev[2] == d and prev[3] + (prev[1] - prev[0]) == off:
-                prev[1] = t + step
+            full = lengths[d >> 1] * factor
+            step = min(remaining, full - off)
+            # the move's end, folded onto the dart's head when it reaches it
+            if off + step == full:
+                d_end, off_end = ~head[d], 0
             else:
-                legs.append([t, t + step, d, off, True])
-            off += step
-            if off == lengths[d >> 1] * factor:
-                d, off = ~head[d], 0
+                d_end, off_end = d, off + step
+            prev = legs[-1] if legs else None
+            if prev and prev[4] and prev[5] == d and prev[6] == off:
+                prev[1], prev[5], prev[6] = t + step, d_end, off_end
+            else:
+                legs.append([t, t + step, d, off, True, d_end, off_end])
+            d, off = d_end, off_end
             t += step
             remaining -= step
     return Trajectory(graph, start, scale, at, legs)
@@ -402,7 +398,7 @@ def trace_of(env: Environment, signal: ControlSignal, start: Optional[GraphState
 def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
     """Sensor readout along a trajectory on env's graph, read off its legs
     in ticks."""
-    graph, table = env.graph, env._readings
+    table = env._readings
     at, vertex, interior, dart_marks = table.at, table.vertex, table.interior, table.marks
     scale, legs, (d0, off0) = traj._scale, traj._ticks, traj._start_at
     # The grid must also hold the beam marks on every dart the robot is on.
@@ -412,11 +408,12 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
     fine = lcm(scale, *[dart_marks[d][0] for d in darts if dart_marks[d]])
     if fine != scale:
         q = fine // scale
-        legs = [(t0 * q, t1 * q, d, off * q, moving) for t0, t1, d, off, moving in legs]
+        legs = [
+            (t0 * q, t1 * q, d, off * q, moving, d_end, off_end * q)
+            for t0, t1, d, off, moving, d_end, off_end in legs
+        ]
         off0 *= q
         scale = fine
-    lengths, factor = graph.edge_ticks(), scale // graph.tick_denominator()
-    head = graph.dart_head
 
     # Legs, and the marks met along each dart, come in time order, so each
     # instant is kept or dropped as it is met: the reading at a leg's start
@@ -425,7 +422,7 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
     end = 0
     reading = at(d0, off0, scale)  # at the start of the next leg
     merged, events = [], []
-    for t0, end, d, off, moving in legs:
+    for t0, end, d, off, moving, d_end, off_end in legs:
         v = interior[d >> 1] if moving else reading
         if reading != v:
             events.append((t0, reading))
@@ -439,10 +436,7 @@ def trace_of_trajectory(env: Environment, traj: Trajectory) -> SensorTrace:
                     pos *= k
                     if off < pos < off_hi and label != v:
                         events.append((t0 + (pos - off), label))
-            if off_hi == lengths[d >> 1] * factor:
-                reading = vertex[head[d]]
-            else:
-                reading = at(d, off_hi, scale)
+            reading = vertex[~d_end] if d_end < 0 else at(d_end, off_end, scale)
         if merged and merged[-1][2] == v and merged[-1][1] == t0:
             merged[-1][1] = end
         else:

@@ -33,9 +33,8 @@ Simulated unit moves are memoized in one place, _unit_moves, which both
 verify_bisimulation and the simulated step use; the two environments of
 one check share a table of the distinct unit traces, so the simulated step
 tells two moves apart by the identity of their traces.  Either way the
-first step that tells the sides apart ends the witness, which is replayed
-through traces_equal for its divergence, as compute_bisimulation replays
-its own.
+first step that tells the sides apart ends the witness, whose two traces
+are replayed for its divergence, as compute_bisimulation replays its own.
 homomorphism_search looks for a trace-preserving structure map, a
 sufficient but not necessary condition for equivalence.
 """
@@ -90,8 +89,13 @@ def traces_equal(e1: Environment, e2: Environment, u: ControlSignal) -> TraceCom
     """Exact comparison of the two sensor traces of u, with the earliest
     divergence time when they differ."""
     _require_shared_interface(e1, e2)
-    d = first_divergence(trace_of(e1, u), trace_of(e2, u))
+    d = _divergence(e1, e2, u)
     return TraceComparison(d is None, d)
+
+
+def _divergence(e1: Environment, e2: Environment, u: ControlSignal) -> Optional[Fraction]:
+    """traces_equal's divergence, for callers that have checked the pair."""
+    return first_divergence(trace_of(e1, u), trace_of(e2, u))
 
 
 def _searched_actions(*envs: Environment) -> tuple:
@@ -111,8 +115,9 @@ def _unit_moves(env: Environment, actions, traces: dict):
     actions: vertex position v of the graph as the int ~v, as in
     Trajectory, and a point inside an edge as its EdgeState.  Each
     (position, action) is simulated once, by one trajectory and its
-    trace_of_trajectory, and then remembered; on a unit-length graph every
-    key is a pair of ints.
+    trace_of_trajectory, and then remembered; a vertex end is the ~v its
+    last tick leg stores.  On a unit-length graph every key is a pair of
+    ints.
 
     traces keeps one copy of each distinct trace, keyed by itself; shared
     by the moves of two environments, it makes two moves read alike exactly
@@ -120,7 +125,7 @@ def _unit_moves(env: Environment, actions, traces: dict):
     compares its canonical ticks, so equal traces meet there whatever scale
     each simulation ran on."""
     unit = {a: ControlSignal._from_ticks(1, (a,), (1,)) for a in actions}
-    vertices, index = env.graph.vertices, env.graph.vertex_index
+    vertices = env.graph.vertices
     memo: dict = {}
 
     def move(position, a):
@@ -130,9 +135,8 @@ def _unit_moves(env: Environment, actions, traces: dict):
             start = VertexState(vertices[~position]) if type(position) is int else position
             traj = trajectory(env, unit[a], start)
             trace = trace_of_trajectory(env, traj)
-            end = traj.final
-            if isinstance(end, VertexState):
-                end = ~index[end.vertex]
+            d_end = traj._ticks[-1][5]
+            end = d_end if d_end < 0 else traj.final
             found = memo[key] = end, traces.setdefault(trace, trace)
         return found
 
@@ -181,9 +185,9 @@ def _replayed_witness(e1: Environment, e2: Environment, word) -> tuple:
     word, which a search found to tell e1 and e2 apart, and the first
     divergence of its two traces."""
     witness = ControlSignal._from_ticks(1, word, [1] * len(word))
-    replay = traces_equal(e1, e2, witness)
-    assert not replay.equal, "reconstructed witness failed to distinguish"
-    return witness, replay.divergence
+    divergence = _divergence(e1, e2, witness)
+    assert divergence is not None, "reconstructed witness failed to distinguish"
+    return witness, divergence
 
 
 # --- sampled equivalence checking ----------------------------------------
@@ -229,7 +233,7 @@ def check_equiv_sampled(
 ) -> SampledVerdict:
     """Compare traces over every discrete signal with at most max_len unit
     pieces, then over n_random random rational-breakpoint signals whose
-    piece durations have denominators at most 8.
+    piece durations have denominators at most 8 (generate.MAX_DENOMINATOR).
 
     The discrete part searches the ports below min(width, M + 1), M the
     largest degree, then HALT (see _searched_actions): a port above M moves
@@ -244,9 +248,9 @@ def check_equiv_sampled(
     DiscreteStateSpace of the pair, built once per call when max_len is at
     least 1 (see _table_step); otherwise each (state, action) of either
     side is simulated once per call (see _simulated_step).  The first step
-    that tells the sides apart ends the witness, which is replayed through
-    traces_equal for its divergence: every step before it read alike, so
-    that is len(prefix) plus the divergence inside the last step.
+    that tells the sides apart ends the witness, whose two traces are
+    replayed for its divergence: every step before it read alike, so that
+    is len(prefix) plus the divergence inside the last step.
     """
     import random
 
@@ -257,13 +261,10 @@ def check_equiv_sampled(
         raise ValidationError(
             f"search budgets must be at least 0, got max_len={max_len}, n_random={n_random}"
         )
-    actions = _searched_actions(e1, e2)
-    checked = 0
-
-    cmp = traces_equal(e1, e2, EMPTY)
-    checked += 1
-    if not cmp.equal:
-        return SampledVerdict(True, EMPTY, cmp.divergence, max_len, checked, 0)
+    checked = 1
+    divergence = _divergence(e1, e2, EMPTY)
+    if divergence is not None:
+        return SampledVerdict(True, EMPTY, divergence, max_len, checked, 0)
 
     # Depth-first on an explicit stack of [pair, remaining, next action
     # index] frames, so a horizon past the recursion limit is searched too;
@@ -271,11 +272,13 @@ def check_equiv_sampled(
     # and budget_seen is keyed by pairs; prefix holds the actions taken from
     # the root frame to the top one.
     stack: list = []
+    actions = ()
     if max_len and e1.graph.unit_lengths() and e2.graph.unit_lengths():
         space = DiscreteStateSpace(e1, e2)
-        step = _table_step(space)
+        actions, step = space.actions, _table_step(space)
         stack.append([tuple(space.starts), max_len, 0])
     elif max_len:
+        actions = _searched_actions(e1, e2)
         step = _simulated_step(e1, e2, actions)
         start = (~e1.graph.vertex_index[e1.initial], ~e2.graph.vertex_index[e2.initial])
         stack.append([start, max_len, 0])
@@ -307,10 +310,10 @@ def check_equiv_sampled(
 
     rng = random.Random(seed)
     for i in range(n_random):
-        u = random_signal(rng, e1.alphabet_width, max_pieces=max(1, max_len), max_denominator=8)
-        cmp = traces_equal(e1, e2, u)
-        if not cmp.equal:
-            return SampledVerdict(True, u, cmp.divergence, max_len, checked, i + 1)
+        u = random_signal(rng, e1.alphabet_width, max_pieces=max(1, max_len))
+        divergence = _divergence(e1, e2, u)
+        if divergence is not None:
+            return SampledVerdict(True, u, divergence, max_len, checked, i + 1)
 
     return SampledVerdict(False, None, None, max_len, checked, n_random)
 
@@ -736,8 +739,11 @@ def structure_map(g1, g2, v1, v2) -> Optional[GraphMap]:
     A map commuting with port actions is forced: dart (v, k) goes to
     (f(v), k).  Propagation fails when an image dart is missing or when
     lengths or reversal ports disagree.  The result is total on darts of g1;
-    sensors and alphabet widths are not consulted.
+    sensors and alphabet widths are not consulted.  A start vertex not in
+    its graph is refused with ValidationError.
     """
+    for graph, v in ((g1, v1), (g2, v2)):
+        graph.check_state(VertexState(v))
     found = _propagate(g1, g2, g1.vertex_index[v1], g2.vertex_index[v2])
     return None if found is None else _named(g1, g2, *found)
 

@@ -275,7 +275,7 @@ class TestSampledCheck:
         the sampled search checks the signals it always checked."""
         for seed in range(60):
             width = 1 + seed % 7
-            got = random_signal(random.Random(seed), width, max_pieces=6, max_denominator=8)
+            got = random_signal(random.Random(seed), width, max_pieces=6)
             rng = random.Random(seed)
             pieces = []
             for _ in range(rng.randint(1, 6)):
@@ -927,6 +927,15 @@ class TestStructureMapOracle:
                 assert self.same(found, naive_structure_map(g1, g2, v1, v2)), (g1, g2, v1, v2)
                 outcomes[found is not None] += 1
         assert min(outcomes[True], outcomes[False]) >= 200, outcomes
+
+    def test_structure_map_refuses_a_start_vertex_not_in_its_graph(self):
+        """A name the graph lacks, and an unhashable one, on either side."""
+        g = circle_pair()[0].graph
+        v = g.vertices[0]
+        for bad in ("zz", ["x"]):
+            for args in ((bad, v), (v, bad)):
+                with pytest.raises(ValidationError, match="unknown vertex"):
+                    structure_map(g, g, *args)
 
     def test_homomorphism_search_matches_the_name_walk(self):
         """Every ordered pair of pool environments with one sensor kind and
